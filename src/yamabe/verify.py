@@ -93,7 +93,7 @@ def hypotheses_check(g: WeightedGraph, spec: ProblemSpec) -> dict:
     # construction already guarantees connectedness; re-derive it anyway
     record(
         "connected",
-        _is_connected(g.indptr, g.indices, g.n),
+        _is_connected(g.indptr, g.indices),
         True,
         "graph must be connected",
     )

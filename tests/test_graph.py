@@ -1,10 +1,17 @@
 """Graph container, generators, truncation, and serialization."""
 
+import itertools
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from yamabe import (
+    HypothesisError,
+    ProblemSpec,
     TruncationSpec,
     WeightedGraph,
     cycle_graph,
@@ -13,6 +20,7 @@ from yamabe import (
     graph_distance,
     graph_from_dict,
     graph_to_dict,
+    hypotheses_check,
     integrate,
     lattice_ball,
     load_graph,
@@ -22,6 +30,38 @@ from yamabe import (
     tree_ball,
     truncate_ball,
 )
+from yamabe.graph import _is_connected
+
+
+def reference_distance(g, x0):
+    """Queue-based BFS, one vertex at a time: the reference for graph_distance."""
+    dist = np.full(g.n, -1, dtype=np.int64)
+    dist[x0] = 0
+    queue = deque([x0])
+    while queue:
+        x = queue.popleft()
+        for y in g.indices[g.indptr[x] : g.indptr[x + 1]]:
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def reference_csr(n, pairs, weight):
+    """CSR arrays of the unordered pairs, each row's neighbors ascending."""
+    adj = [[] for _ in range(n)]
+    for x, y in pairs:
+        adj[x].append(y)
+        if x != y:
+            adj[y].append(x)
+    indptr = np.cumsum([0] + [len(a) for a in adj]).astype(np.int64)
+    indices = np.array([y for a in adj for y in sorted(a)], dtype=np.int64)
+    return indptr, indices, np.full(indices.size, weight, dtype=np.float64)
+
+
+def assert_same_csr(g, ref):
+    for got, want in zip((g.indptr, g.indices, g.weights), ref):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_from_edges_basic():
@@ -34,16 +74,27 @@ def test_from_edges_basic():
 
 
 def test_from_edges_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(0,1\) has nonpositive weight 0.0$"):
         WeightedGraph.from_edges(2, [(0, 1, 0.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(0,1\) has nonpositive weight -1.0$"):
         WeightedGraph.from_edges(2, [(0, 1, -1.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(0,1\) has nonpositive weight nan$"):
+        WeightedGraph.from_edges(2, [(0, 1, float("nan"))])
+    with pytest.raises(ValueError, match=r"^edge \(0,2\) out of range for n=2$"):
         WeightedGraph.from_edges(2, [(0, 2, 1.0)])
+    with pytest.raises(ValueError, match=r"^edge \(-1,1\) out of range for n=2$"):
+        WeightedGraph.from_edges(2, [(-1, 1, 1.0)])
     with pytest.raises(ValueError):
         WeightedGraph.from_edges(2, [(0, 0, 1.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
         WeightedGraph.from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
+    # the first offending edge is named, whatever is wrong with later ones
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+        WeightedGraph.from_edges(3, [(0, 1, 1.0), (2, 1, 1.0), (1, 2, 1.0), (0, 9, 1.0)])
+    with pytest.raises(ValueError, match=r"^edge \(1,2\) has nonpositive weight 0.0$"):
+        WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 0.0), (2, 1, 1.0), (0, 9, 1.0)])
+    with pytest.raises(ValueError):
+        WeightedGraph.from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):
         WeightedGraph.from_edges(2, [(0, 1, 1.0)], mu=[1.0, 0.0])
     # disconnected
@@ -51,6 +102,21 @@ def test_from_edges_rejects_bad_input():
         WeightedGraph.from_edges(3, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         WeightedGraph.from_edges(0, [])
+
+
+def test_from_edges_rejects_non_integer_ids():
+    with pytest.raises(ValueError, match=r"^edge \(0,1.5\) has a non-integer vertex id$"):
+        WeightedGraph.from_edges(3, [(0, 1.5, 1.0), (1, 2, 1.0)])
+    with pytest.raises(ValueError, match=r"^edge \(0,True\) has a non-integer vertex id$"):
+        WeightedGraph.from_edges(3, [(0, True, 1.0), (1, 2, 1.0)])
+    with pytest.raises(ValueError, match="non-integer vertex id"):
+        WeightedGraph.from_edges(2, [(float("nan"), 1, 1.0)])
+    # a graph file is outside input: JSON true/false must not become ids 1/0
+    with pytest.raises(ValueError, match="non-integer vertex id"):
+        graph_from_dict({"n": 2, "edges": [[False, True, 1.0]]})
+    # integral floats and numpy integers still name vertices
+    g = WeightedGraph.from_edges(3, [(0.0, 1.0, 1.0), (np.int64(1), np.int32(2), 2)])
+    np.testing.assert_array_equal(g.indices, [1, 0, 2, 1])
 
 
 def test_arrays_are_frozen():
@@ -91,6 +157,90 @@ def test_graph_distance_cycle():
     g, x0 = cycle_graph(4)
     np.testing.assert_array_equal(graph_distance(g, x0), [0, 1, 2, 1])
     assert eccentricity(g, x0) == 2
+
+
+@st.composite
+def connected_graphs(draw):
+    """Random connected graph on shuffled labels, and a start vertex.
+
+    Path-like draws (one vertex per BFS level from an end) are the slowest
+    case per vertex for a level-synchronous search.
+    """
+    n = draw(st.integers(1, 40))
+    label = draw(st.permutations(range(n)))
+    path_like = draw(st.booleans())
+    pairs = set()
+    for v in range(1, n):
+        u = v - 1 if path_like else draw(st.integers(0, v - 1))
+        pairs.add((min(label[u], label[v]), max(label[u], label[v])))
+    if not path_like:
+        extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+        pairs |= {(min(a, b), max(a, b)) for a, b in extra}
+    g = WeightedGraph.from_edges(n, [(x, y, 1.0) for x, y in sorted(pairs)])
+    x0 = label[0] if path_like else draw(st.integers(0, n - 1))
+    return g, x0
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_graph_distance_matches_queue_bfs(case):
+    g, x0 = case
+    dist = graph_distance(g, x0)
+    assert dist.dtype == np.int64
+    np.testing.assert_array_equal(dist, reference_distance(g, x0))
+    assert _is_connected(g.indptr, g.indices)
+
+
+def test_disconnected_raw_graph_is_detected():
+    # components {0, 1, 2} (a path) and {3, 4} (an edge), built unvalidated
+    pairs = [(0, 1), (1, 2), (3, 4)]
+    indptr, indices, weights = reference_csr(5, pairs, 1.0)
+    g = WeightedGraph(indptr=indptr, indices=indices, weights=weights, mu=np.ones(5))
+    assert not _is_connected(g.indptr, g.indices)
+    np.testing.assert_array_equal(graph_distance(g, 1), [1, 0, 1, -1, -1])
+    np.testing.assert_array_equal(graph_distance(g, 4), reference_distance(g, 4))
+    spec = ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=np.ones(5), g=np.ones(5))
+    with pytest.raises(HypothesisError) as err:
+        hypotheses_check(g, spec)
+    assert err.value.name == "connected"
+
+
+@pytest.mark.parametrize("d, radius", [(d, r) for d in (1, 2, 3) for r in (0, 1, 2, 5)])
+def test_lattice_ball_matches_reference(d, radius):
+    points = [
+        c for c in itertools.product(range(-radius, radius + 1), repeat=d)
+        if sum(map(abs, c)) <= radius
+    ]
+    index = {c: i for i, c in enumerate(sorted(points))}
+    pairs = []
+    for c, i in index.items():
+        for axis in range(d):
+            nb = c[:axis] + (c[axis] + 1,) + c[axis + 1 :]
+            if nb in index:
+                pairs.append((i, index[nb]))
+    g, x0 = lattice_ball(d, radius, weight=0.3)
+    assert_same_csr(g, reference_csr(len(index), pairs, 0.3))
+    assert x0 == index[(0,) * d]
+
+
+def test_path_cycle_tree_match_reference():
+    g, _ = path_graph(7, weight=2.5)
+    assert_same_csr(g, reference_csr(7, [(i, i + 1) for i in range(6)], 2.5))
+    g, _ = cycle_graph(6)
+    assert_same_csr(g, reference_csr(6, [(i, (i + 1) % 6) for i in range(6)], 1.0))
+    # tree numbered level by level, children in order of their parents
+    pairs, level, next_id = [], [0], 1
+    for _ in range(3):
+        nxt = []
+        for parent in level:
+            for _ in range(3):
+                pairs.append((parent, next_id))
+                nxt.append(next_id)
+                next_id += 1
+        level = nxt
+    g, x0 = tree_ball(3, 3)
+    assert x0 == 0
+    assert_same_csr(g, reference_csr(next_id, pairs, 1.0))
 
 
 def test_generators_shapes():
