@@ -6,7 +6,7 @@ a positive solution of -lap_p u + h u^{p-1} = g u^{alpha-1}, verifying
 numerically every inequality the construction relies on.
 """
 
-from ._kernels import BACKEND, HAS_NUMBA, get_backend
+from ._kernels import BACKEND
 from .errors import (
     ConsistencyError,
     DegenerateConstraintError,
@@ -77,8 +77,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "HAS_NUMBA",
-    "get_backend",
     "ConsistencyError",
     "DegenerateConstraintError",
     "HypothesisError",

@@ -1,15 +1,4 @@
-"""CSR kernel backends for the hot inner loops.
-
-Every kernel exists twice: a numba ``@njit`` version and a pure-numpy
-fallback with identical semantics. The active backend is chosen once at
-import time from the ``YAMABE_KERNELS`` environment variable:
-
-* ``auto`` (default) - numba when importable, numpy otherwise;
-* ``numba``          - require numba, fail loudly if missing;
-* ``numpy``          - force the fallback.
-
-``get_backend(name)`` returns either implementation set explicitly, which
-is what the benchmark and the backend-equivalence tests use.
+"""CSR kernels for the hot inner loops, in whole-array numpy.
 
 Kernel semantics (CSR arrays ``indptr``, ``indices``, ``weights``, vertex
 measure ``mu``, vertex values ``f``, exponent ``p >= 2``):
@@ -21,141 +10,36 @@ measure ``mu``, vertex values ``f``, exponent ``p >= 2``):
 * ``edge_energy``: sum over unordered edges {x,y} (each counted once, loops
   included) of w_xy |f(y)-f(x)|^p.
 
-Accumulation order is the ascending adjacency order within each vertex row,
-identical in both backends.
+Each kernel gathers one difference per CSR slot and reduces the slots of
+every vertex row with ``bincount`` (or one ``sum`` over the unordered edges).
 """
-
-import os
-from types import SimpleNamespace
 
 import numpy as np
 
-try:
-    from numba import njit
+from .graph import csr_rows
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    HAS_NUMBA = False
+# recorded next to every benchmark result
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy fallback
-# ---------------------------------------------------------------------------
-
-def _rows(indptr, n):
-    return np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-
-
-def _p_laplacian_numpy(indptr, indices, weights, mu, f, p):
+def p_laplacian_kernel(indptr, indices, weights, mu, f, p):
     n = mu.shape[0]
-    row = _rows(indptr, n)
+    row = csr_rows(indptr)
     d = f[indices] - f[row]
     flow = weights * np.sign(d) * np.abs(d) ** (p - 1.0)
     return np.bincount(row, weights=flow, minlength=n) / mu
 
 
-def _grad_power_numpy(indptr, indices, weights, mu, f, p):
+def grad_power_kernel(indptr, indices, weights, mu, f, p):
     n = mu.shape[0]
-    row = _rows(indptr, n)
+    row = csr_rows(indptr)
     d = f[indices] - f[row]
     contrib = weights * np.abs(d) ** p
     return np.bincount(row, weights=contrib, minlength=n) / (2.0 * mu)
 
 
-def _edge_energy_numpy(indptr, indices, weights, f, p):
-    n = indptr.shape[0] - 1
-    row = _rows(indptr, n)
+def edge_energy_kernel(indptr, indices, weights, f, p):
+    row = csr_rows(indptr)
     once = indices >= row  # each unordered pair once; loops once (zero term)
     d = f[indices[once]] - f[row[once]]
     return float(np.sum(weights[once] * np.abs(d) ** p))
-
-
-_NUMPY = SimpleNamespace(
-    name="numpy",
-    p_laplacian=_p_laplacian_numpy,
-    grad_power=_grad_power_numpy,
-    edge_energy=_edge_energy_numpy,
-)
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _p_laplacian_numba(indptr, indices, weights, mu, f, p):
-        n = mu.shape[0]
-        out = np.zeros(n)
-        for x in range(n):
-            acc = 0.0
-            fx = f[x]
-            for k in range(indptr[x], indptr[x + 1]):
-                d = f[indices[k]] - fx
-                if d > 0.0:
-                    acc += weights[k] * d ** (p - 1.0)
-                elif d < 0.0:
-                    acc -= weights[k] * (-d) ** (p - 1.0)
-            out[x] = acc / mu[x]
-        return out
-
-    @njit(cache=True)
-    def _grad_power_numba(indptr, indices, weights, mu, f, p):
-        n = mu.shape[0]
-        out = np.zeros(n)
-        for x in range(n):
-            acc = 0.0
-            fx = f[x]
-            for k in range(indptr[x], indptr[x + 1]):
-                d = abs(f[indices[k]] - fx)
-                if d > 0.0:
-                    acc += weights[k] * d ** p
-            out[x] = acc / (2.0 * mu[x])
-        return out
-
-    @njit(cache=True)
-    def _edge_energy_numba(indptr, indices, weights, f, p):
-        n = indptr.shape[0] - 1
-        acc = 0.0
-        for x in range(n):
-            fx = f[x]
-            for k in range(indptr[x], indptr[x + 1]):
-                y = indices[k]
-                if y >= x:
-                    d = abs(f[y] - fx)
-                    if d > 0.0:
-                        acc += weights[k] * d ** p
-        return acc
-
-    _NUMBA = SimpleNamespace(
-        name="numba",
-        p_laplacian=_p_laplacian_numba,
-        grad_power=_grad_power_numba,
-        edge_energy=_edge_energy_numba,
-    )
-else:
-    _NUMBA = None
-
-
-def get_backend(name: str) -> SimpleNamespace:
-    """Return the kernel set for ``name`` in {"auto", "numba", "numpy"}."""
-    name = name.lower()
-    if name == "numpy":
-        return _NUMPY
-    if name == "numba":
-        if _NUMBA is None:
-            raise RuntimeError("YAMABE_KERNELS=numba but numba is not importable")
-        return _NUMBA
-    if name == "auto":
-        return _NUMBA if _NUMBA is not None else _NUMPY
-    raise ValueError(f"unknown kernel backend {name!r}")
-
-
-_active = get_backend(os.environ.get("YAMABE_KERNELS", "auto"))
-
-BACKEND = _active.name
-p_laplacian_kernel = _active.p_laplacian
-grad_power_kernel = _active.grad_power
-edge_energy_kernel = _active.edge_energy

@@ -165,18 +165,27 @@ def _build_problem_family(cfg: dict) -> ProblemFamily:
     )
 
 
-def _build_options(cfg: dict, seed_override: int | None, x0: int) -> SolveOptions:
+def _solver_section(cfg: dict) -> dict:
     sec = cfg.get("solver", {})
     if not isinstance(sec, dict):
         raise ValueError("solver section must be a JSON object")
     unknown = set(sec) - set(_SOLVER_KEYS)
     if unknown:
         raise ValueError(f"unknown solver keys: {sorted(unknown)}")
-    kwargs = {key: _SOLVER_KEYS[key](sec[key]) for key in sec}
+    return {key: _SOLVER_KEYS[key](sec[key]) for key in sec}
+
+
+def _build_options(cfg: dict, x0: int) -> SolveOptions:
+    kwargs = _solver_section(cfg)
+    kwargs.pop("seed", None)
     kwargs.setdefault("x0", x0)
-    if seed_override is not None:
-        kwargs["seed"] = int(seed_override)
     return SolveOptions(**kwargs)
+
+
+def _suite_seed(cfg: dict, seed_override: int | None) -> int:
+    """Seed of the inequality suite: --seed, else solver.seed, else 0."""
+    seed = _solver_section(cfg).get("seed", 0)
+    return seed if seed_override is None else int(seed_override)
 
 
 def _materialize(cfg: dict):
@@ -202,7 +211,7 @@ def _materialize(cfg: dict):
         float(tsec["epsilon"]),
         r_max=None if r_max is None else int(r_max),
     )
-    tr = truncate_ball(graph, TruncationSpec(tx0, choice.radius, choice.epsilon))
+    tr = truncate_ball(graph, TruncationSpec(tx0, choice.radius))
     info = {
         "radius": choice.radius,
         "tail_value": choice.tail_value,
@@ -217,7 +226,8 @@ def cmd_solve(args) -> int:
     try:
         cfg = _load_config(args.config)
         graph, spec, x0, trunc_info = _materialize(cfg)
-        opts = _build_options(cfg, args.seed, x0)
+        opts = _build_options(cfg, x0)
+        seed = _suite_seed(cfg, args.seed)
         hyp = hypotheses_check(graph, spec)
     except TruncationError as exc:
         print(f"truncation failed: {exc}", file=sys.stderr)
@@ -241,14 +251,14 @@ def cmd_solve(args) -> int:
             {"error": f"{label}: {exc}", "hypotheses": hyp, "truncation": trunc_info},
         )
         return EXIT_NUMERICAL
-    suite = inequality_suite(graph, spec, trials=args.trials, seed=opts.seed)
+    suite = inequality_suite(graph, spec, trials=args.trials, seed=seed)
     report = {
         "n": graph.n,
         "p": spec.p,
         "alpha": spec.alpha,
         "delta": spec.delta,
         "theta": spec.theta,
-        "seed": opts.seed,
+        "seed": seed,
         "gamma": res.gamma,
         "lambda": res.lam,
         "eigen_factor": res.eigen_factor,
@@ -295,7 +305,7 @@ def cmd_sweep(args) -> int:
         cfg = _load_config(args.config)
         fam = _build_graph_family(cfg)
         pfam = _build_problem_family(cfg)
-        opts = _build_options(cfg, args.seed, 0)
+        opts = _build_options(cfg, 0)
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -335,9 +345,7 @@ def cmd_verify(args) -> int:
     try:
         cfg = _load_config(args.config)
         graph, spec, x0, _ = _materialize(cfg)
-        seed = args.seed
-        if seed is None:
-            seed = int(cfg.get("solver", {}).get("seed", 0))
+        seed = _suite_seed(cfg, args.seed)
         hyp = hypotheses_check(graph, spec)
     except (ValueError, KeyError, TypeError, OSError, HypothesisError, TruncationError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
@@ -378,14 +386,16 @@ def main(argv=None) -> int:
     ps = sub.add_parser("solve", help="minimize, rescale, and report one instance")
     ps.add_argument("--config", required=True, help="JSON config path")
     ps.add_argument("--out", default=".", help="output directory")
-    ps.add_argument("--seed", type=int, default=None, help="override solver seed")
+    ps.add_argument("--seed", type=int, default=None, help="inequality-suite seed")
     ps.add_argument("--trials", type=int, default=200, help="inequality trials")
     ps.set_defaults(func=cmd_solve)
 
     pw = sub.add_parser("sweep", help="nested-truncation study over radii")
     pw.add_argument("--config", required=True, help="JSON config path")
     pw.add_argument("--out", default=".", help="output directory")
-    pw.add_argument("--seed", type=int, default=None, help="override solver seed")
+    pw.add_argument(
+        "--seed", type=int, default=None, help="accepted and unused: sweep draws nothing random"
+    )
     pw.add_argument("--radii", default="", help="comma-separated radii, e.g. 4,8,16")
     pw.set_defaults(func=cmd_sweep)
 

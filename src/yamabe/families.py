@@ -15,8 +15,10 @@ import numpy as np
 
 from .functionals import ProblemSpec
 from .graph import (
+    _FAMILIES,
     WeightedGraph,
     cycle_graph,
+    generate,
     graph_distance,
     graph_from_dict,
     lattice_ball,
@@ -36,6 +38,17 @@ _NAMESPACE = {
     "maximum": np.maximum,
     "pi": np.pi,
     "e": np.e,
+}
+
+# What materialize fills in for each generator: the extent parameter, the offset
+# that turns a ball radius into it (None: the radius cannot stand in), and the
+# defaults of the shape parameters. A path reaches hop R from its end with R + 1
+# vertices; a cycle's length is never implied by a radius.
+_SIZES = {
+    path_graph: ("n", 1, {}),
+    cycle_graph: ("n", None, {}),
+    lattice_ball: ("radius", 0, {"d": 1}),
+    tree_ball: ("depth", 0, {"branching": 2}),
 }
 
 
@@ -87,7 +100,7 @@ class GraphFamily:
     params: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.name not in ("path", "cycle", "lattice_zd_ball", "tree_ball", "explicit"):
+        if self.name != "explicit" and self.name not in _FAMILIES:
             raise ValueError(f"unknown graph family: {self.name!r}")
 
     def materialize(self, radius: int | None = None) -> tuple[WeightedGraph, int]:
@@ -97,28 +110,15 @@ class GraphFamily:
         if self.name == "explicit":
             g = graph_from_dict(params["data"])
             return g, int(params.get("x0", 0))
-        if self.name == "path":
-            n = params.get("n", None if radius is None else radius + 1)
-            if n is None:
-                raise ValueError("path family needs n or a radius")
-            return path_graph(int(n), **_keep(params, "weight", "mu"))
-        if self.name == "cycle":
-            if "n" not in params:
-                raise ValueError("cycle family needs n")
-            return cycle_graph(int(params["n"]), **_keep(params, "weight", "mu"))
-        if self.name == "lattice_zd_ball":
-            r = params.get("radius", radius)
-            if r is None:
-                raise ValueError("lattice_zd_ball family needs radius")
-            return lattice_ball(
-                int(params.get("d", 1)), int(r), **_keep(params, "weight", "mu")
-            )
-        depth = params.get("depth", radius)
-        if depth is None:
-            raise ValueError("tree_ball family needs depth or a radius")
-        return tree_ball(
-            int(params.get("branching", 2)), int(depth), **_keep(params, "weight", "mu")
-        )
+        extent, offset, shape = _SIZES[_FAMILIES[self.name]]
+        fill = None if radius is None or offset is None else radius + offset
+        size = params.get(extent, fill)
+        if size is None:
+            alt = " or a radius" if offset is not None and extent != "radius" else ""
+            raise ValueError(f"{self.name} family needs {extent}{alt}")
+        kwargs = {key: int(params.get(key, default)) for key, default in shape.items()}
+        kwargs[extent] = int(size)
+        return generate(self.name, **kwargs, **_keep(params, "weight", "mu"))
 
 
 def _keep(params: dict, *names: str) -> dict:

@@ -51,8 +51,7 @@ class WeightedGraph:
     @property
     def n_edges(self) -> int:
         """Number of unordered edges, self-loops counted once."""
-        row = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return int(np.count_nonzero(self.indices >= row))
+        return int(np.count_nonzero(self.indices >= csr_rows(self.indptr)))
 
     def neighbors(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices and weights of vertex ``x`` (read-only views)."""
@@ -134,33 +133,17 @@ class WeightedGraph:
         if not _is_connected(self.indptr, self.indices):
             raise ValueError("graph must be connected")
 
-    def with_measure(self, mu) -> "WeightedGraph":
-        """Same adjacency with a different vertex measure."""
-        mu_arr = np.asarray(mu, dtype=np.float64)
-        if mu_arr.ndim == 0:
-            mu_arr = np.full(self.n, float(mu_arr))
-        if mu_arr.shape != (self.n,):
-            raise ValueError("mu length mismatch")
-        if not np.all(np.isfinite(mu_arr)) or np.any(mu_arr <= 0.0):
-            raise ValueError("mu must be finite and strictly positive")
-        g = WeightedGraph(self.indptr, self.indices, self.weights, mu_arr)
-        g._freeze()
-        return g
-
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Ball-truncation parameters: center ``x0``, hop radius, tail tolerance."""
+    """Ball-truncation parameters: center ``x0`` and hop radius."""
 
     x0: int
     radius: int
-    epsilon: float = 1.0
 
     def __post_init__(self):
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -175,6 +158,11 @@ class Truncation:
     graph: WeightedGraph
     old_to_new: np.ndarray
     new_to_old: np.ndarray
+
+
+def csr_rows(indptr) -> np.ndarray:
+    """Row (source vertex) of every CSR slot: x repeated deg(x) times."""
+    return np.repeat(np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr))
 
 
 def _bfs(indptr, indices, x0) -> np.ndarray:
@@ -252,7 +240,7 @@ def truncate_ball(g: WeightedGraph, spec: TruncationSpec) -> Truncation:
     old_to_new = np.full(g.n, -1, dtype=np.int64)
     old_to_new[new_to_old] = np.arange(new_to_old.shape[0], dtype=np.int64)
 
-    row = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    row = csr_rows(g.indptr)
     emask = keep[row] & keep[g.indices]
     counts = np.bincount(old_to_new[row[emask]], minlength=new_to_old.shape[0])
     sub = WeightedGraph(
@@ -338,10 +326,10 @@ def tree_ball(branching: int, depth: int, weight: float = 1.0, mu=1.0) -> tuple[
 
 
 _FAMILIES = {
-    "path": lambda **kw: path_graph(**kw),
-    "cycle": lambda **kw: cycle_graph(**kw),
-    "lattice_zd_ball": lambda **kw: lattice_ball(**kw),
-    "tree_ball": lambda **kw: tree_ball(**kw),
+    "path": path_graph,
+    "cycle": cycle_graph,
+    "lattice_zd_ball": lattice_ball,
+    "tree_ball": tree_ball,
 }
 
 
@@ -362,7 +350,7 @@ def generate(family: str, **params) -> tuple[WeightedGraph, int]:
 
 def graph_to_dict(g: WeightedGraph) -> dict:
     """Plain-dict form: edges listed once per unordered pair."""
-    row = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    row = csr_rows(g.indptr)
     once = g.indices >= row
     edges = [
         [int(x), int(y), float(w)]

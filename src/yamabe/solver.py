@@ -38,6 +38,7 @@ from .functionals import (
 from .graph import (
     WeightedGraph,
     as_vertex_function,
+    csr_rows,
     graph_distance,
     integrate,
 )
@@ -71,7 +72,6 @@ class SolveOptions:
     step_init: float | None = None
     backtrack: float = 0.5
     armijo: float = 1e-4
-    seed: int = 0
     init: str = "bump"
     u0: np.ndarray | None = None
     x0: int = 0
@@ -211,8 +211,7 @@ def _residual_state(g: WeightedGraph, spec: ProblemSpec, u: np.ndarray, j: float
 
 
 def _weighted_degree(g: WeightedGraph) -> np.ndarray:
-    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    return np.bincount(rows, weights=g.weights, minlength=g.n)
+    return np.bincount(csr_rows(g.indptr), weights=g.weights, minlength=g.n)
 
 
 def _diag_curvature(

@@ -183,6 +183,14 @@ def test_verify_success(tmp_path, capsys):
         assert f"{name}: pass" in stdout
 
 
+def test_verify_malformed_solver_section_is_validation(tmp_path, capsys):
+    cfg = write_config(tmp_path, solver=[1])
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert "solver section must be a JSON object" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
 def test_verify_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,15 +1,20 @@
-"""Every function the traced benchmark wraps still exists in `yamabe`.
+"""Every name the benchmark binds still exists in `yamabe`.
 
 `perfbench/tracer.py` rebinds each `(module, attribute)` in its `TARGETS`
-table; a renamed or removed function would only surface as a crash of a
-later `--trace 1` run. This check fails at test time instead.
+table at every import site, and `perfbench/run.py` records
+`yamabe.BACKEND`; a renamed or removed name would only surface as a crash
+of a later benchmark run. These checks fail at test time instead.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import yamabe
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def load_targets():
@@ -30,3 +35,17 @@ def test_every_traced_target_resolves():
         if name not in getattr(owner, "__dict__", {}):
             missing.append(f"{mod_name}.{attr}")
     assert not missing, f"traced targets missing from yamabe: {missing}"
+
+
+def test_backend_is_recorded():
+    assert isinstance(yamabe.BACKEND, str)
+
+
+def test_tracer_rebinds_every_import_site():
+    # selftest imports `tracer` and `workloads` as top-level modules
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        selftest = importlib.import_module("selftest")
+        selftest.check_rebinding()
+    finally:
+        sys.path.remove(str(PERFBENCH))
