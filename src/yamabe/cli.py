@@ -13,9 +13,14 @@ Config layout (JSON):
 Coefficient fields h and g are numbers, explicit per-vertex lists, or
 formulas in dist (graph distance from the anchor); ^ means power.  The
 graph section alternatively takes {"explicit": {"n":..., "edges":...,
-"mu":...}, "x0": 0}.  The solver and truncation sections are optional.
+"mu":...}, "x0": 0}.  The solver section (keys max_iters, grad_tol,
+seed, x0, constraint_tol) and the truncation section are optional.
+Every command reads and checks the whole config through one parser.
 
-Exit codes: 0 success, 1 numerical failure, 2 validation failure.
+Exit codes, the same for every command: 0 success; 1 numerical failure,
+any RuntimeError (non-convergence, infeasible constraint, unreachable
+tail tolerance); 2 invalid config, any ValueError (a violated hypothesis,
+malformed JSON) or OSError.
 Identical config and seed produce bit-identical report files; all floats
 are printed with 17 significant digits.
 """
@@ -28,24 +33,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
-from .errors import (
-    ConsistencyError,
-    DegenerateConstraintError,
-    HypothesisError,
-    InfeasibleConstraintError,
-    TruncationError,
-)
+from .errors import InfeasibleConstraintError, TruncationError
 from .families import GraphFamily, ProblemFamily
 from .graph import TruncationSpec, truncate_ball
 from .solver import SolveOptions, choose_truncation_radius, solve
-from .verify import (
-    exhaustion_study,
-    hypotheses_check,
-    inequality_suite,
-    residual_report,
-)
+from .verify import exhaustion_study, hypotheses_check, inequality_suite
 
 __all__ = ["main"]
 
@@ -55,25 +49,27 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_VALIDATION = 2
 
+
+def _same(value):
+    return value
+
+
+def _int_or_none(value) -> int | None:
+    return None if value is None else int(value)
+
+
+# each section's keys and the conversion applied to each value
 _SOLVER_KEYS = {
     "max_iters": int,
     "grad_tol": float,
-    "step_init": float,
-    "backtrack": float,
-    "armijo": float,
     "seed": int,
-    "init": str,
     "x0": int,
     "constraint_tol": float,
-    "step_floor": float,
 }
-_RUNTIME_ERRORS = (
-    InfeasibleConstraintError,
-    DegenerateConstraintError,
-    ConsistencyError,
-    TruncationError,
-    RuntimeError,
-)
+_PROBLEM_KEYS = {"p": float, "alpha": float, "delta": float, "theta": float, "h": _same, "g": _same}
+_TRUNCATION_KEYS = {"epsilon": float, "x0": int, "r_max": _int_or_none}
+# stderr label of a numerical failure nothing more specific names
+_FAILURE_LABELS = {"solve": "solver failure", "sweep": "sweep failed", "verify": "verify failed"}
 
 
 def _fmt(x: float) -> str:
@@ -120,22 +116,41 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config root must be a JSON object")
-    return cfg
+@dataclass(frozen=True)
+class _Config:
+    """A config file with every section checked and converted.
+
+    x0 is the solver section's start vertex (None: the graph anchor) and
+    seed the inequality-suite seed, --seed over solver.seed.
+    """
+
+    graph: GraphFamily
+    problem: ProblemFamily
+    options: SolveOptions
+    x0: int | None
+    seed: int
+    truncation: dict | None
 
 
-def _build_graph_family(cfg: dict) -> GraphFamily:
-    sec = cfg.get("graph")
+def _section(cfg: dict, name: str, keys: dict, required=()) -> dict:
+    """The named section (absent: empty) with its values converted."""
+    sec = cfg.get(name, {})
+    if not isinstance(sec, dict):
+        raise ValueError(f"{name} section must be a JSON object")
+    unknown = set(sec) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in sec:
+            raise ValueError(f"{name} section needs {key}")
+    return {key: keys[key](value) for key, value in sec.items()}
+
+
+def _graph_family(sec) -> GraphFamily:
     if not isinstance(sec, dict):
         raise ValueError("config needs a graph section")
     if "explicit" in sec:
-        return GraphFamily(
-            "explicit", {"data": sec["explicit"], "x0": sec.get("x0", 0)}
-        )
+        return GraphFamily("explicit", {"data": sec["explicit"], "x0": sec.get("x0", 0)})
     family = sec.get("family")
     if not isinstance(family, str):
         raise ValueError("graph section needs a family name or an explicit graph")
@@ -145,71 +160,45 @@ def _build_graph_family(cfg: dict) -> GraphFamily:
     return GraphFamily(family, params)
 
 
-def _build_problem_family(cfg: dict) -> ProblemFamily:
-    sec = cfg.get("problem")
-    if not isinstance(sec, dict):
-        raise ValueError("config needs a problem section")
-    unknown = set(sec) - {"p", "alpha", "delta", "theta", "h", "g"}
-    if unknown:
-        raise ValueError(f"unknown problem keys: {sorted(unknown)}")
-    for key in ("p", "alpha", "delta"):
-        if key not in sec:
-            raise ValueError(f"problem section needs {key}")
-    return ProblemFamily(
-        p=float(sec["p"]),
-        alpha=float(sec["alpha"]),
-        delta=float(sec["delta"]),
-        theta=float(sec.get("theta", 1.0)),
-        h=sec.get("h", 1.0),
-        g=sec.get("g", 1.0),
+def _parse_config(cfg, seed_override: int | None) -> _Config:
+    if not isinstance(cfg, dict):
+        raise ValueError("config root must be a JSON object")
+    solver = _section(cfg, "solver", _SOLVER_KEYS)
+    seed = solver.pop("seed", 0)
+    x0 = solver.pop("x0", None)
+    truncation = None
+    if cfg.get("truncation") is not None:
+        truncation = _section(cfg, "truncation", _TRUNCATION_KEYS, ("epsilon",))
+    return _Config(
+        graph=_graph_family(cfg.get("graph")),
+        problem=ProblemFamily(**_section(cfg, "problem", _PROBLEM_KEYS, ("p", "alpha", "delta"))),
+        options=SolveOptions(**solver),
+        x0=x0,
+        seed=seed if seed_override is None else seed_override,
+        truncation=truncation,
     )
 
 
-def _solver_section(cfg: dict) -> dict:
-    sec = cfg.get("solver", {})
-    if not isinstance(sec, dict):
-        raise ValueError("solver section must be a JSON object")
-    unknown = set(sec) - set(_SOLVER_KEYS)
-    if unknown:
-        raise ValueError(f"unknown solver keys: {sorted(unknown)}")
-    return {key: _SOLVER_KEYS[key](sec[key]) for key in sec}
+def _load_config(args) -> _Config:
+    """Read and check the whole config; malformed input raises ValueError."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    try:
+        return _parse_config(cfg, args.seed)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(str(exc)) from exc
 
 
-def _build_options(cfg: dict, x0: int) -> SolveOptions:
-    kwargs = _solver_section(cfg)
-    kwargs.pop("seed", None)
-    kwargs.setdefault("x0", x0)
-    return SolveOptions(**kwargs)
-
-
-def _suite_seed(cfg: dict, seed_override: int | None) -> int:
-    """Seed of the inequality suite: --seed, else solver.seed, else 0."""
-    seed = _solver_section(cfg).get("seed", 0)
-    return seed if seed_override is None else int(seed_override)
-
-
-def _materialize(cfg: dict):
+def _materialize(conf: _Config):
     """Config -> (graph, spec, anchor, truncation report or None)."""
-    fam = _build_graph_family(cfg)
-    pfam = _build_problem_family(cfg)
-    graph, x0 = fam.materialize()
-    spec = pfam.on(graph, x0)
-    tsec = cfg.get("truncation")
-    if tsec is None:
+    graph, x0 = conf.graph.materialize()
+    spec = conf.problem.on(graph, x0)
+    trunc = conf.truncation
+    if trunc is None:
         return graph, spec, x0, None
-    if not isinstance(tsec, dict):
-        raise ValueError("truncation section must be a JSON object")
-    unknown = set(tsec) - {"epsilon", "x0", "r_max"}
-    if unknown:
-        raise ValueError(f"unknown truncation keys: {sorted(unknown)}")
-    tx0 = int(tsec.get("x0", x0))
-    r_max = tsec.get("r_max")
+    tx0 = trunc.get("x0", x0)
     choice = choose_truncation_radius(
-        graph,
-        spec,
-        tx0,
-        float(tsec["epsilon"]),
-        r_max=None if r_max is None else int(r_max),
+        graph, spec, tx0, trunc["epsilon"], r_max=trunc.get("r_max")
     )
     tr = truncate_ball(graph, TruncationSpec(tx0, choice.radius))
     info = {
@@ -222,43 +211,41 @@ def _materialize(cfg: dict):
     return tr.graph, spec.restrict(tr.new_to_old), int(tr.old_to_new[tx0]), info
 
 
+def _failure_label(exc: RuntimeError, command: str) -> str:
+    if isinstance(exc, TruncationError):
+        return "truncation failed"
+    if isinstance(exc, InfeasibleConstraintError):
+        return "infeasible constraint"
+    return _FAILURE_LABELS[command]
+
+
 def cmd_solve(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-        graph, spec, x0, trunc_info = _materialize(cfg)
-        opts = _build_options(cfg, x0)
-        seed = _suite_seed(cfg, args.seed)
-        hyp = hypotheses_check(graph, spec)
-    except TruncationError as exc:
-        print(f"truncation failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, KeyError, TypeError, OSError, HypothesisError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    conf = _load_config(args)
+    graph, spec, x0, trunc_info = _materialize(conf)
+    opts = replace(conf.options, x0=x0 if conf.x0 is None else conf.x0)
+    hyp = hypotheses_check(graph, spec)
     os.makedirs(args.out, exist_ok=True)
     log.info("solving on %d vertices", graph.n)
     try:
         res = solve(graph, spec, opts)
-    except _RUNTIME_ERRORS as exc:
-        label = (
-            "infeasible constraint"
-            if isinstance(exc, InfeasibleConstraintError)
-            else "solver failure"
-        )
-        print(f"{label}: {exc}", file=sys.stderr)
+    except RuntimeError as exc:
         _write_json(
             os.path.join(args.out, "report.json"),
-            {"error": f"{label}: {exc}", "hypotheses": hyp, "truncation": trunc_info},
+            {
+                "error": f"{_failure_label(exc, 'solve')}: {exc}",
+                "hypotheses": hyp,
+                "truncation": trunc_info,
+            },
         )
-        return EXIT_NUMERICAL
-    suite = inequality_suite(graph, spec, trials=args.trials, seed=seed)
+        raise
+    suite = inequality_suite(graph, spec, trials=args.trials, seed=conf.seed)
     report = {
         "n": graph.n,
         "p": spec.p,
         "alpha": spec.alpha,
         "delta": spec.delta,
         "theta": spec.theta,
-        "seed": seed,
+        "seed": conf.seed,
         "gamma": res.gamma,
         "lambda": res.lam,
         "eigen_factor": res.eigen_factor,
@@ -275,14 +262,13 @@ def cmd_solve(args) -> int:
         "inequalities": suite,
     }
     _write_json(os.path.join(args.out, "report.json"), report)
-    per_vertex = residual_report(graph, spec, res.u, eigen_factor=res.eigen_factor)
     with open(
         os.path.join(args.out, "solution.csv"), "w", encoding="utf-8", newline=""
     ) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["vertex", "u", "residual"])
         for x in range(graph.n):
-            writer.writerow([x, _fmt(res.u[x]), _fmt(per_vertex.residual[x])])
+            writer.writerow([x, _fmt(res.u[x]), _fmt(res.residual[x])])
     print(
         f"gamma={_fmt(res.gamma)} lambda={_fmt(res.lam)} "
         f"eigen_factor={_fmt(res.eigen_factor)} converged={res.converged}"
@@ -300,24 +286,10 @@ def _parse_radii(text: str | None) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        radii = _parse_radii(args.radii)
-        cfg = _load_config(args.config)
-        fam = _build_graph_family(cfg)
-        pfam = _build_problem_family(cfg)
-        opts = _build_options(cfg, 0)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    radii = _parse_radii(args.radii)
+    conf = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
-    try:
-        study = exhaustion_study(fam, pfam, radii, opts)
-    except (ValueError, HypothesisError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _RUNTIME_ERRORS as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    study = exhaustion_study(conf.graph, conf.problem, radii, conf.options)
     with open(
         os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline=""
     ) as fh:
@@ -342,15 +314,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-        graph, spec, x0, _ = _materialize(cfg)
-        seed = _suite_seed(cfg, args.seed)
-        hyp = hypotheses_check(graph, spec)
-    except (ValueError, KeyError, TypeError, OSError, HypothesisError, TruncationError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    suite = inequality_suite(graph, spec, trials=args.trials, seed=seed)
+    conf = _load_config(args)
+    graph, spec, _, _ = _materialize(conf)
+    hyp = hypotheses_check(graph, spec)
+    suite = inequality_suite(graph, spec, trials=args.trials, seed=conf.seed)
     os.makedirs(args.out, exist_ok=True)
     _write_json(
         os.path.join(args.out, "verify.json"),
@@ -407,7 +374,16 @@ def main(argv=None) -> int:
     pv.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # the one exit-code policy, keyed on the errors.py hierarchy; any other
+    # exception is a bug and propagates
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except RuntimeError as exc:
+        print(f"{_failure_label(exc, args.command)}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -109,20 +109,28 @@ class GraphFamily:
         params = dict(self.params)
         if self.name == "explicit":
             g = graph_from_dict(params["data"])
-            return g, int(params.get("x0", 0))
+            return g, _int_param(params, "x0", 0)
         extent, offset, shape = _SIZES[_FAMILIES[self.name]]
         fill = None if radius is None or offset is None else radius + offset
         size = params.get(extent, fill)
         if size is None:
             alt = " or a radius" if offset is not None and extent != "radius" else ""
             raise ValueError(f"{self.name} family needs {extent}{alt}")
-        kwargs = {key: int(params.get(key, default)) for key, default in shape.items()}
-        kwargs[extent] = int(size)
+        kwargs = {key: _int_param(params, key, default) for key, default in shape.items()}
+        kwargs[extent] = _int_param(params, extent, size)
         return generate(self.name, **kwargs, **_keep(params, "weight", "mu"))
 
 
 def _keep(params: dict, *names: str) -> dict:
     return {k: params[k] for k in names if k in params}
+
+
+def _int_param(params: dict, key: str, default) -> int:
+    value = params.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"graph param {key} must be an integer, got {value!r}") from exc
 
 
 @dataclass(frozen=True)

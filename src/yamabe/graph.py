@@ -79,7 +79,7 @@ class WeightedGraph:
         """
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        mu_arr = np.asarray(mu, dtype=np.float64)
+        mu_arr = _as_float(mu, "mu")
         if mu_arr.ndim == 0:
             mu_arr = np.full(n, float(mu_arr))
         if mu_arr.shape != (n,):
@@ -88,7 +88,7 @@ class WeightedGraph:
             raise ValueError("mu must be finite and strictly positive")
 
         edges = edges if isinstance(edges, np.ndarray) else list(edges)
-        arr = np.asarray(edges, dtype=np.float64).reshape(len(edges), 3)
+        arr = _as_float(edges, "edges").reshape(len(edges), 3)
         ids, w = arr[:, :2], arr[:, 2]
         # JSON true/false would otherwise pass as the ids 1/0
         bad_id = ~np.all(np.isfinite(ids) & (np.floor(ids) == ids), axis=1)
@@ -122,16 +122,13 @@ class WeightedGraph:
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         g = cls(indptr=indptr, indices=cols[order], weights=vals[order], mu=mu_arr)
         g._freeze()
-        g._validate()
+        if not _is_connected(indptr, g.indices):
+            raise ValueError("graph must be connected")
         return g
 
     def _freeze(self):
         for a in (self.indptr, self.indices, self.weights, self.mu):
             a.setflags(write=False)
-
-    def _validate(self):
-        if not _is_connected(self.indptr, self.indices):
-            raise ValueError("graph must be connected")
 
 
 @dataclass(frozen=True)
@@ -191,6 +188,14 @@ def _is_connected(indptr, indices) -> bool:
     return bool(np.all(_bfs(indptr, indices, 0) >= 0))
 
 
+def _as_float(value, what: str) -> np.ndarray:
+    """float64 array of ``value``; a non-numeric value raises ValueError."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be numeric: {exc}") from exc
+
+
 def as_vertex_function(g: WeightedGraph, f) -> np.ndarray:
     """Coerce ``f`` to a float64 vertex function on ``g`` and validate it."""
     arr = np.asarray(f, dtype=np.float64)
@@ -231,9 +236,15 @@ def eccentricity(g: WeightedGraph, x0: int) -> int:
 def truncate_ball(g: WeightedGraph, spec: TruncationSpec) -> Truncation:
     """Induced subgraph on the ball {dist(x, x0) <= radius}.
 
-    Edges with an endpoint outside the ball are dropped entirely (zero
-    extension outside the ball), so competitors supported in the ball see
-    no boundary terms. The ball around any vertex is connected.
+    Edges with an endpoint outside the ball are dropped entirely, so the
+    ball carries a free-boundary problem, not the zero-extension one:
+    extending a function on the ball by zero would add w_xy |u(x)|^p for
+    every dropped edge {x, y}. The energy level gamma_R of the ball
+    therefore need not be nonincreasing in R, and on small balls it can
+    rise.
+
+    The ball is connected without a check: every kept vertex has a
+    shortest path to x0, and that path stays inside the ball.
     """
     keep = graph_distance(g, spec.x0) <= spec.radius
     new_to_old = np.flatnonzero(keep).astype(np.int64)
@@ -250,7 +261,6 @@ def truncate_ball(g: WeightedGraph, spec: TruncationSpec) -> Truncation:
         mu=g.mu[new_to_old],
     )
     sub._freeze()
-    sub._validate()
     return Truncation(graph=sub, old_to_new=old_to_new, new_to_old=new_to_old)
 
 
@@ -260,7 +270,7 @@ def truncate_ball(g: WeightedGraph, spec: TruncationSpec) -> Truncation:
 
 def _edge_array(x, y, weight) -> np.ndarray:
     """(m, 3) edge triples joining ``x[k]`` to ``y[k]``, all with ``weight``."""
-    return np.column_stack((x, y, np.full(len(x), weight, dtype=np.float64)))
+    return np.column_stack((x, y, np.full(len(x), _as_float(weight, "weight"))))
 
 
 def path_graph(n: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]:
@@ -363,11 +373,11 @@ def graph_from_dict(data: dict) -> WeightedGraph:
     """Inverse of :func:`graph_to_dict`; symmetrizes and validates."""
     try:
         n = int(data["n"])
-        edges = data["edges"]
+        edges = [(e[0], e[1], e[2]) for e in data["edges"]]
         mu = data.get("mu", 1.0)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed graph dict: {exc}") from exc
-    return WeightedGraph.from_edges(n, [(e[0], e[1], e[2]) for e in edges], mu=mu)
+    return WeightedGraph.from_edges(n, edges, mu=mu)
 
 
 def save_graph(g: WeightedGraph, path) -> None:

@@ -57,46 +57,37 @@ __all__ = [
 ]
 
 
+# Line-search constants: the first trial step (natural for the
+# curvature-scaled direction), the backtracking factor, the Armijo
+# sufficient-decrease fraction and the smallest step tried before the
+# search counts as stagnated.
+_STEP_INIT = 1.0
+_BACKTRACK = 0.5
+_ARMIJO = 1e-4
+_STEP_FLOOR = 1e-12
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Tuning knobs for the constrained descent.
 
-    step_init = None means the unit step natural for the curvature-scaled
-    direction; the line search adapts it from there.  init selects the
-    first iterate: a distance-Gaussian bump around x0, the constant
-    function, or a caller-supplied u0.
+    u0 is the first iterate before renormalization; None means a
+    distance-Gaussian bump around x0.
     """
 
     max_iters: int = 20000
     grad_tol: float = 1e-8
-    step_init: float | None = None
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    init: str = "bump"
     u0: np.ndarray | None = None
     x0: int = 0
     constraint_tol: float = 1e-10
-    step_floor: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        for name in ("grad_tol", "constraint_tol", "step_floor"):
+        for name in ("grad_tol", "constraint_tol"):
             val = getattr(self, name)
             if not (val > 0.0 and np.isfinite(val)):
                 raise ValueError(f"{name} must be a positive finite number")
-        for name in ("backtrack", "armijo"):
-            val = getattr(self, name)
-            if not (0.0 < val < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if self.step_init is not None and not (
-            self.step_init > 0.0 and np.isfinite(self.step_init)
-        ):
-            raise ValueError("step_init must be a positive finite number")
-        if self.init not in ("bump", "uniform", "custom"):
-            raise ValueError("init must be one of 'bump', 'uniform', 'custom'")
-        if self.init == "custom" and self.u0 is None:
-            raise ValueError("init='custom' requires u0")
 
 
 @dataclass
@@ -118,7 +109,8 @@ class SolveResult:
     """Full output of the solve pipeline.
 
     u_bar is the constrained minimizer (K(u_bar) = 1), u the rescaled
-    solution of the unconstrained equation with multiplier eigen_factor.
+    solution of the unconstrained equation with multiplier eigen_factor,
+    and residual its per-vertex defect (see verify.residual_report).
     """
 
     u_bar: np.ndarray
@@ -127,6 +119,7 @@ class SolveResult:
     theta_used: float
     u: np.ndarray
     eigen_factor: float
+    residual: np.ndarray
     residual_sup: float
     residual_l2: float
     iters: int
@@ -171,12 +164,10 @@ def _renormalize(g: WeightedGraph, spec: ProblemSpec, v: np.ndarray):
 def _initial_iterate(
     g: WeightedGraph, spec: ProblemSpec, opts: SolveOptions
 ) -> np.ndarray:
-    if opts.init == "uniform":
-        v = np.ones(g.n)
-    elif opts.init == "custom":
+    if opts.u0 is not None:
         v = as_vertex_function(g, opts.u0)
         if not np.any(_positive_part(v) > 0.0):
-            raise ValueError("custom initial iterate has no positive part")
+            raise ValueError("initial iterate u0 has no positive part")
     else:
         if not 0 <= opts.x0 < g.n:
             raise ValueError("x0 out of range")
@@ -265,7 +256,7 @@ def minimize_constrained(
     _check_sup_bound(g, spec, u, j)
     wdeg = _weighted_degree(g)
 
-    step = 1.0 if opts.step_init is None else opts.step_init
+    step = _STEP_INIT
 
     j_hist = [j]
     step_hist: list[float] = []
@@ -297,16 +288,16 @@ def minimize_constrained(
         s = min(2.0 * step, 8.0)
         accepted = False
         polish = None
-        while s >= opts.step_floor:
+        while s >= _STEP_FLOOR:
             if s * sup_d > big * (1.0 + sup_hist[-1]):
-                s *= opts.backtrack
+                s *= _BACKTRACK
                 continue
             cand, _ = _renormalize(g, spec, u + s * d)
             if cand is None:
-                s *= opts.backtrack
+                s *= _BACKTRACK
                 continue
             j_cand = energy_J(g, spec, cand)
-            if j_cand <= j + opts.armijo * s * slope:
+            if j_cand <= j + _ARMIJO * s * slope:
                 accepted = True
                 break
             # energy decreases below float resolution: fall back to a
@@ -318,7 +309,7 @@ def minimize_constrained(
                     accepted = True
                     polish = (r_cand, lam_cand, sup_cand)
                     break
-            s *= opts.backtrack
+            s *= _BACKTRACK
         if not accepted:
             stagnated = True
             break
@@ -442,6 +433,7 @@ def solve(
         theta_used=spec.theta,
         u=u,
         eigen_factor=eigen_factor,
+        residual=report.residual,
         residual_sup=report.residual_sup,
         residual_l2=report.residual_l2,
         iters=trace.iters,

@@ -289,7 +289,9 @@ def exhaustion_study(
     family materializes graphs by radius (family.materialize(R) -> (graph,
     anchor)) and spec evaluates problem data on them (spec.on(graph,
     anchor) -> ProblemSpec).  All truncations are cut from one universe
-    ball so feasible sets are genuinely nested under extension by zero.
+    ball.  Invalid input, a violated hypothesis included, raises its
+    ValueError unchanged; a numerical failure of one ball's solve raises
+    RuntimeError naming the radius.
     """
     radii = [int(r) for r in radii]
     if not radii:
@@ -325,7 +327,7 @@ def exhaustion_study(
         opts_r = replace(base_opts, x0=int(tr.old_to_new[x0]))
         try:
             res = solve(tr.graph, spec_r, opts_r)
-        except Exception as exc:
+        except RuntimeError as exc:
             raise RuntimeError(f"solve failed at radius {radius}: {exc}") from exc
         if res.gamma > prev_gamma + 1e-9:
             raise ConsistencyError(

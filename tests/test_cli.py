@@ -171,6 +171,18 @@ def test_sweep_unsorted_radii(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_rising_gamma_is_numerical(tmp_path, capsys):
+    # small free-boundary balls: gamma_R rises from R = 2 to R = 4
+    cfg = write_config(
+        tmp_path,
+        graph={"family": "lattice_zd_ball", "params": {"d": 1}},
+        problem={"p": 4.0, "alpha": 3.0, "delta": 0.4, "h": "1 + dist^4"},
+    )
+    rc = main(["sweep", "--config", cfg, "--out", str(tmp_path), "--radii", "2,4"])
+    assert rc == 1
+    assert "sweep failed: gamma increased" in capsys.readouterr().err
+
+
 def test_verify_success(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -215,6 +227,58 @@ def test_explicit_graph_config(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["n"] == 3
+
+
+# One exit-code policy for every command: 2 for an invalid config or a
+# violated hypothesis, 1 for a numerical failure. Each case: config
+# overrides, the codes of (solve, verify, sweep), and the stderr text.
+EXIT_CODE_CASES = {
+    "alpha_exceeds_p": (
+        {"problem": {"p": 3.0, "alpha": 4.0, "delta": 0.4}},
+        (2, 2, 2),
+        "invalid config: alpha_range: alpha must not exceed p",
+    ),
+    "list_family_param": (
+        {"graph": {"family": "lattice_zd_ball", "params": {"d": [2], "radius": 4}}},
+        (2, 2, 2),
+        "invalid config: graph param d must be an integer",
+    ),
+    # sweep does not truncate, so an unreachable epsilon does not stop it
+    "unreachable_epsilon": (
+        {
+            "graph": {"family": "lattice_zd_ball", "params": {"d": 1, "radius": 20}},
+            "problem": {"p": 4.0, "alpha": 3.0, "delta": 0.4, "h": "1 + dist^4"},
+            "truncation": {"epsilon": 1e-300, "r_max": 5},
+        },
+        (1, 1, 0),
+        "truncation failed: no radius up to 5",
+    ),
+    "removed_solver_knob": (
+        {"solver": {"armijo": 2.0}},
+        (2, 2, 2),
+        "invalid config: unknown solver keys: ['armijo']",
+    ),
+    "unknown_truncation_key": (
+        {"truncation": {"bogus": 1}},
+        (2, 2, 2),
+        "invalid config: unknown truncation keys: ['bogus']",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+@pytest.mark.parametrize("case", sorted(EXIT_CODE_CASES))
+def test_exit_code_policy(tmp_path, capsys, case, command):
+    overrides, codes, message = EXIT_CODE_CASES[case]
+    expected = codes[("solve", "verify", "sweep").index(command)]
+    cfg = write_config(tmp_path, **overrides)
+    extra = ["--radii", "4,8"] if command == "sweep" else ["--trials", "20"]
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out")] + extra
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if expected:
+        assert message in err
 
 
 def test_dumps17_serializer():

@@ -90,6 +90,21 @@ def test_cycle_family_needs_n():
         GraphFamily("cycle").materialize(4)
 
 
+@pytest.mark.parametrize(
+    "name, params, bad",
+    [
+        ("lattice_zd_ball", {"d": [2], "radius": 3}, "d"),
+        ("lattice_zd_ball", {"d": 2, "radius": {"r": 3}}, "radius"),
+        ("tree_ball", {"branching": "two", "depth": 2}, "branching"),
+        ("path", {"n": "many"}, "n"),
+        ("explicit", {"data": graph_to_dict(path_graph(3)[0]), "x0": [0]}, "x0"),
+    ],
+)
+def test_non_integer_param_names_the_param(name, params, bad):
+    with pytest.raises(ValueError, match=f"graph param {bad} must be an integer"):
+        GraphFamily(name, params).materialize(2)
+
+
 def test_explicit_family_roundtrip():
     base, _ = path_graph(4)
     fam = GraphFamily("explicit", {"data": graph_to_dict(base), "x0": 2})

@@ -119,6 +119,24 @@ def test_from_edges_rejects_non_integer_ids():
     np.testing.assert_array_equal(g.indices, [1, 0, 2, 1])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WeightedGraph.from_edges(2, [(0, 1, 1.0)], mu={}),
+        lambda: WeightedGraph.from_edges(2, [(0, 1, {})]),
+        lambda: path_graph(3, weight={}),
+        lambda: graph_from_dict({"n": 3, "edges": 5}),
+        lambda: graph_from_dict({"n": 3, "edges": None}),
+        lambda: graph_from_dict({"n": 3, "edges": [[0, 1]]}),
+        lambda: graph_from_dict({"n": 3, "edges": [5]}),
+    ],
+)
+def test_malformed_graph_input_is_a_value_error(build):
+    # JSON configs reach these constructors; a wrong type is invalid input
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_arrays_are_frozen():
     g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
@@ -266,6 +284,19 @@ def test_generate_dispatch():
     assert g.n == 4
     with pytest.raises(ValueError):
         generate("hypercube", n=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs())
+def test_truncation_is_connected_at_every_radius(case):
+    # truncate_ball skips the connectivity check: a hop ball is connected
+    # because each vertex's shortest path to x0 stays inside the ball
+    g, x0 = case
+    dist = graph_distance(g, x0)
+    for radius in range(int(dist.max()) + 1):
+        sub = truncate_ball(g, TruncationSpec(x0, radius)).graph
+        assert sub.n == np.count_nonzero(dist <= radius)
+        assert _is_connected(sub.indptr, sub.indices)
 
 
 def test_truncate_ball_drops_crossing_edges():

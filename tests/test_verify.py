@@ -247,6 +247,14 @@ def test_exhaustion_single_radius():
     assert study["gaps"] == []
 
 
+def test_exhaustion_hypothesis_error_propagates():
+    family = GraphFamily("lattice_zd_ball", {"d": 1})
+    problem = ProblemFamily(p=3.0, alpha=4.0, delta=0.4)
+    with pytest.raises(HypothesisError) as err:
+        exhaustion_study(family, problem, (4, 8))
+    assert err.value.name == "alpha_range"
+
+
 def test_exhaustion_rejects_bad_radii():
     family, problem = lattice_family()
     with pytest.raises(ValueError):
