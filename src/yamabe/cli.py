@@ -219,25 +219,34 @@ def _failure_label(exc: RuntimeError, command: str) -> str:
     return _FAILURE_LABELS[command]
 
 
+def _make_out(out: str, n: int) -> None:
+    """Create the output directory of a solve whose hypotheses passed."""
+    os.makedirs(out, exist_ok=True)
+    log.info("solving on %d vertices", n)
+
+
 def cmd_solve(args) -> int:
     conf = _load_config(args)
     graph, spec, x0, trunc_info = _materialize(conf)
     opts = replace(conf.options, x0=x0 if conf.x0 is None else conf.x0)
-    hyp = hypotheses_check(graph, spec)
-    os.makedirs(args.out, exist_ok=True)
-    log.info("solving on %d vertices", graph.n)
     try:
         res = solve(graph, spec, opts)
-    except RuntimeError as exc:
-        _write_json(
-            os.path.join(args.out, "report.json"),
-            {
-                "error": f"{_failure_label(exc, 'solve')}: {exc}",
-                "hypotheses": hyp,
-                "truncation": trunc_info,
-            },
-        )
+    except (ValueError, RuntimeError) as exc:
+        # solve() checks the hypotheses first: if they fail, this raises the
+        # same error again and --out is never created
+        hyp = hypotheses_check(graph, spec)
+        _make_out(args.out, graph.n)
+        if isinstance(exc, RuntimeError):
+            _write_json(
+                os.path.join(args.out, "report.json"),
+                {
+                    "error": f"{_failure_label(exc, 'solve')}: {exc}",
+                    "hypotheses": hyp,
+                    "truncation": trunc_info,
+                },
+            )
         raise
+    _make_out(args.out, graph.n)
     suite = inequality_suite(graph, spec, trials=args.trials, seed=conf.seed)
     report = {
         "n": graph.n,
@@ -258,7 +267,7 @@ def cmd_solve(args) -> int:
         "positive": res.positive,
         "min_u": res.min_u,
         "truncation": trunc_info,
-        "hypotheses": hyp,
+        "hypotheses": res.hypotheses,
         "inequalities": suite,
     }
     _write_json(os.path.join(args.out, "report.json"), report)

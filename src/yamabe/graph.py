@@ -20,7 +20,7 @@ frontier edge, so large balls pay per edge and long thin graphs pay per level.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,11 @@ class WeightedGraph:
     x != y is stored in both rows with bit-identical weight; self-loops are
     stored once and contribute nothing to any difference operator.
 
+    ``rows`` (nnz), the source vertex of every CSR slot, is derived, not
+    passed: :func:`csr_rows` builds it once when the graph is made (raw
+    constructor included), read-only, so no kernel call rebuilds it. It
+    costs 8 * nnz bytes for as long as the graph lives.
+
     Use :meth:`from_edges` or the generators below; the raw constructor does
     not validate.
     """
@@ -43,6 +48,12 @@ class WeightedGraph:
     indices: np.ndarray
     weights: np.ndarray
     mu: np.ndarray
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = csr_rows(self.indptr)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
@@ -51,7 +62,7 @@ class WeightedGraph:
     @property
     def n_edges(self) -> int:
         """Number of unordered edges, self-loops counted once."""
-        return int(np.count_nonzero(self.indices >= csr_rows(self.indptr)))
+        return int(np.count_nonzero(self.indices >= self.rows))
 
     def neighbors(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices and weights of vertex ``x`` (read-only views)."""
@@ -251,7 +262,7 @@ def truncate_ball(g: WeightedGraph, spec: TruncationSpec) -> Truncation:
     old_to_new = np.full(g.n, -1, dtype=np.int64)
     old_to_new[new_to_old] = np.arange(new_to_old.shape[0], dtype=np.int64)
 
-    row = csr_rows(g.indptr)
+    row = g.rows
     emask = keep[row] & keep[g.indices]
     counts = np.bincount(old_to_new[row[emask]], minlength=new_to_old.shape[0])
     sub = WeightedGraph(
@@ -360,7 +371,7 @@ def generate(family: str, **params) -> tuple[WeightedGraph, int]:
 
 def graph_to_dict(g: WeightedGraph) -> dict:
     """Plain-dict form: edges listed once per unordered pair."""
-    row = csr_rows(g.indptr)
+    row = g.rows
     once = g.indices >= row
     edges = [
         [int(x), int(y), float(w)]

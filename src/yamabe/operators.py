@@ -10,7 +10,8 @@ and the energy identity
     int_V |grad_p f|^p dmu = sum_{{x,y} in E} w_xy |f(y)-f(x)|^p
 
 (unordered edges, each counted once), which `dirichlet_energy` verifies on
-every call by computing both sides. Self-loops contribute zero throughout.
+every call by computing both sides from one pass of the fused
+``edge_energy_kernel``. Self-loops contribute zero throughout.
 For p = 2 the p-Laplacian reduces exactly to the linear mu-Laplacian.
 """
 
@@ -37,7 +38,7 @@ def p_laplacian(g: WeightedGraph, p: float, f) -> np.ndarray:
     p = _check_p(p)
     arr = as_vertex_function(g, f)
     return _kernels.p_laplacian_kernel(
-        g.indptr, g.indices, g.weights, g.mu, arr, p
+        g.indptr, g.indices, g.weights, g.mu, arr, p, g.rows
     )
 
 
@@ -46,7 +47,7 @@ def p_gradient_norm(g: WeightedGraph, p: float, f) -> np.ndarray:
     p = _check_p(p)
     arr = as_vertex_function(g, f)
     power = _kernels.grad_power_kernel(
-        g.indptr, g.indices, g.weights, g.mu, arr, p
+        g.indptr, g.indices, g.weights, g.mu, arr, p, g.rows
     )
     return power ** (1.0 / p)
 
@@ -54,18 +55,18 @@ def p_gradient_norm(g: WeightedGraph, p: float, f) -> np.ndarray:
 def dirichlet_energy(g: WeightedGraph, p: float, f) -> float:
     """Total p-Dirichlet energy of ``f``.
 
-    Computed both as the vertex sum of mu * |grad_p f|^p and as the
-    unordered-edge sum; the two must agree to relative 1e-12 or a
-    :class:`ConsistencyError` is raised. Returns the edge-sum value.
+    One kernel pass computes w_xy |f(y)-f(x)|^p on every CSR slot and sums
+    it twice: over the once-counted slots of the unordered edges, and as
+    the vertex sum of mu * |grad_p f|^p, which counts both mirrored slots
+    of every edge. The two must agree to relative 1e-12 or a
+    :class:`ConsistencyError` is raised, so a CSR whose mirrored slots
+    disagree (a non-symmetric graph) fails here. Returns the edge-sum
+    value.
     """
     p = _check_p(p)
     arr = as_vertex_function(g, f)
-    power = _kernels.grad_power_kernel(
-        g.indptr, g.indices, g.weights, g.mu, arr, p
-    )
-    vertex_sum = float(np.sum(g.mu * power))
-    edge_sum = float(
-        _kernels.edge_energy_kernel(g.indptr, g.indices, g.weights, arr, p)
+    edge_sum, vertex_sum = _kernels.edge_energy_kernel(
+        g.indptr, g.indices, g.weights, g.mu, arr, p, g.rows
     )
     scale = max(abs(vertex_sum), abs(edge_sum), 1e-300)
     if abs(vertex_sum - edge_sum) > _IDENTITY_RTOL * scale:

@@ -38,7 +38,6 @@ from .functionals import (
 from .graph import (
     WeightedGraph,
     as_vertex_function,
-    csr_rows,
     graph_distance,
     integrate,
 )
@@ -202,7 +201,7 @@ def _residual_state(g: WeightedGraph, spec: ProblemSpec, u: np.ndarray, j: float
 
 
 def _weighted_degree(g: WeightedGraph) -> np.ndarray:
-    return np.bincount(csr_rows(g.indptr), weights=g.weights, minlength=g.n)
+    return np.bincount(g.rows, weights=g.weights, minlength=g.n)
 
 
 def _diag_curvature(
@@ -219,7 +218,7 @@ def _diag_curvature(
         diag = 2.0 * (wdeg + spec.h * g.mu)
     else:
         edge = 2.0 * g.mu * grad_power_kernel(
-            g.indptr, g.indices, g.weights, g.mu, u, p - 2.0
+            g.indptr, g.indices, g.weights, g.mu, u, p - 2.0, g.rows
         )
         diag = p * (p - 1.0) * (edge + spec.h * g.mu * np.abs(u) ** (p - 2.0))
     floor = 1e-12 * max(float(diag.max()), 1.0)

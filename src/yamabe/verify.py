@@ -289,7 +289,8 @@ def exhaustion_study(
     family materializes graphs by radius (family.materialize(R) -> (graph,
     anchor)) and spec evaluates problem data on them (spec.on(graph,
     anchor) -> ProblemSpec).  All truncations are cut from one universe
-    ball.  Invalid input, a violated hypothesis included, raises its
+    ball, and each ball's solve starts from the bump around its anchor, so
+    opts.u0 must be None.  Invalid input, a violated hypothesis included, raises its
     ValueError unchanged; a numerical failure of one ball's solve raises
     RuntimeError naming the radius.
     """
@@ -304,6 +305,8 @@ def exhaustion_study(
         universe_radius = 2 * max(radii)
     if universe_radius < max(radii):
         raise ValueError("universe_radius must cover the largest radius")
+    if opts is not None and opts.u0 is not None:
+        raise ValueError("exhaustion_study builds each ball's start; u0 must be None")
 
     g_u, x0 = family.materialize(universe_radius)
     spec_u = spec.on(g_u, x0)

@@ -3,7 +3,9 @@
 `perfbench/tracer.py` rebinds each `(module, attribute)` in its `TARGETS`
 table at every import site, and `perfbench/run.py` records
 `yamabe.BACKEND`; a renamed or removed name would only surface as a crash
-of a later benchmark run. These checks fail at test time instead.
+of a later benchmark run. These checks fail at test time instead, and a
+traced in-process solve checks that the kernel hooks still count every
+kernel call (a fast stand-in for `perfbench/selftest.py`).
 """
 
 import importlib
@@ -11,22 +13,24 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import yamabe
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
 
-def load_targets():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+    return tracer
 
 
 def test_every_traced_target_resolves():
     missing = []
-    for mod_name, attr, _layer, _group in load_targets():
+    for mod_name, attr, _layer, _group in load_tracer().TARGETS:
         owner = importlib.import_module(mod_name)
         *path, name = attr.split(".")
         for part in path:
@@ -49,3 +53,22 @@ def test_tracer_rebinds_every_import_site():
         selftest.check_rebinding()
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+def test_kernel_hooks_see_every_kernel_call():
+    # the tracer's kernel hooks read (indptr, indices, weights) from the
+    # first three positional arguments of every kernel call
+    g, x0 = yamabe.path_graph(20)
+    spec = yamabe.ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=np.ones(g.n), g=np.ones(g.n))
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        yamabe.solve(g, spec, yamabe.SolveOptions(x0=x0))
+        tracer.end_op(0.0)
+    finally:
+        tracer.uninstall()
+    kernels = ("p_laplacian_kernel", "grad_power_kernel", "edge_energy_kernel")
+    calls = {name: tracer.calls[name] for name in kernels}
+    assert all(count > 0 for count in calls.values()), calls
+    assert tracer.counts["edge_visits"] == g.indices.shape[0] * sum(calls.values())

@@ -255,6 +255,19 @@ def test_exhaustion_hypothesis_error_propagates():
     assert err.value.name == "alpha_range"
 
 
+def test_exhaustion_rejects_u0():
+    # one u0 cannot fit balls of different sizes; it used to fail at the
+    # first ball with "vertex function has shape (33,), expected (9,)"
+    class NoUniverse(GraphFamily):
+        def materialize(self, radius=None):
+            raise AssertionError("universe materialized before the u0 check")
+
+    _, problem = lattice_family()
+    family = NoUniverse("lattice_zd_ball", {"d": 1})
+    with pytest.raises(ValueError, match="u0 must be None"):
+        exhaustion_study(family, problem, (4, 8), SolveOptions(u0=np.ones(33)))
+
+
 def test_exhaustion_rejects_bad_radii():
     family, problem = lattice_family()
     with pytest.raises(ValueError):
