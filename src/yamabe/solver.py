@@ -3,12 +3,14 @@
 The minimizer walks the constraint set K(u) = 1 with a preconditioned
 residual descent: the step direction is the Euler-Lagrange residual
 r = J'(u) - lam K'(u) with lam = p J(u) / alpha, scaled by the inverse
-diagonal curvature of J, which keeps it a guaranteed descent direction
-for the merit function M(u) = J(u) / K(u)^{p/alpha} while absorbing the
-stiffness of rapidly growing h.  After every trial step the iterate is
-clamped to the nonnegative cone and renormalized back onto the constraint
-set, which is exact because K is alpha-homogeneous on nonnegative
-functions.  Steps are accepted on an Armijo decrease of the energy or,
+of a positive diagonal curvature, which keeps it a guaranteed descent
+direction for the merit function M(u) = J(u) / K(u)^{p/alpha} while
+absorbing the stiffness of rapidly growing h.  The diagonal is J's for
+alpha < p and the Lagrangian's, J'' - lam K'', for alpha = p, where the
+constraint's curvature cancels J's h-term (see _diag_curvature).  After
+every trial step the iterate is clamped to the nonnegative cone and
+renormalized back onto the constraint set, which is exact because K is
+alpha-homogeneous on nonnegative functions.  Steps are accepted on an Armijo decrease of the energy or,
 once energy decreases drop below floating-point resolution, on a
 safeguarded decrease of the residual itself, so stationarity can be
 driven well past the precision at which J flattens out.
@@ -64,6 +66,9 @@ _STEP_INIT = 1.0
 _BACKTRACK = 0.5
 _ARMIJO = 1e-4
 _STEP_FLOOR = 1e-12
+# On the alpha = p branch the curvature diagonal is never taken below this
+# fraction of J's own diagonal (see _diag_curvature).
+_LAGRANGIAN_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,6 @@ class MinimizeTrace:
     converged: bool
     iters: int
     j_history: np.ndarray
-    step_history: np.ndarray
     sup_history: np.ndarray
     residual_history: np.ndarray
     residual_scaled: float
@@ -205,22 +209,43 @@ def _weighted_degree(g: WeightedGraph) -> np.ndarray:
 
 
 def _diag_curvature(
-    g: WeightedGraph, spec: ProblemSpec, u: np.ndarray, wdeg: np.ndarray
+    g: WeightedGraph,
+    spec: ProblemSpec,
+    u: np.ndarray,
+    wdeg: np.ndarray,
+    lam: float,
 ) -> np.ndarray:
-    """Diagonal of the coordinate Hessian of J, floored away from zero.
+    """Diagonal curvature that scales the descent direction, floored away from zero.
 
+    For alpha < p this is the diagonal of the coordinate Hessian of J,
     H_xx = p(p-1) [sum_y w_xy |du|^{p-2} + h(x) mu(x) |u(x)|^{p-2}]; the
     p-Laplacian part degenerates on flat regions for p > 2, so the floor
     keeps the preconditioned direction finite there.
+
+    For alpha = p it is the diagonal of the Lagrangian Hessian J'' - lam K''
+    at the current multiplier lam = p J / alpha:
+    p(p-1) [sum_y w_xy |du|^{p-2} + mu(x) |u(x)|^{p-2} (h(x) - lam theta g(x))].
+    Wherever h is proportional to g the constraint's curvature cancels J's
+    h-term, so J's diagonal overstates the curvature along K = 1 by that
+    whole term and the flat instances (h = g = 1) stall at the step cap.
+    The Lagrangian diagonal can vanish or go negative, so it is floored at
+    _LAGRANGIAN_FLOOR times J's.  For alpha < p it is not used: nothing
+    cancels there, and it slows convergence on most instances.
     """
     p = spec.p
     if p == 2.0:
-        diag = 2.0 * (wdeg + spec.h * g.mu)
+        edge, u_pow = wdeg, 1.0
     else:
         edge = 2.0 * g.mu * grad_power_kernel(
             g.indptr, g.indices, g.weights, g.mu, u, p - 2.0, g.rows
         )
-        diag = p * (p - 1.0) * (edge + spec.h * g.mu * np.abs(u) ** (p - 2.0))
+        u_pow = np.abs(u) ** (p - 2.0)
+    j_diag = edge + spec.h * g.mu * u_pow
+    if spec.alpha == p:
+        lagrangian = edge + g.mu * u_pow * (spec.h - lam * spec.theta * spec.g)
+        diag = p * (p - 1.0) * np.maximum(lagrangian, _LAGRANGIAN_FLOOR * j_diag)
+    else:
+        diag = p * (p - 1.0) * j_diag
     floor = 1e-12 * max(float(diag.max()), 1.0)
     return np.maximum(diag, floor)
 
@@ -258,7 +283,6 @@ def minimize_constrained(
     step = _STEP_INIT
 
     j_hist = [j]
-    step_hist: list[float] = []
     sup_hist = [float(np.max(u))]
     r_hist: list[float] = []
 
@@ -281,7 +305,7 @@ def minimize_constrained(
             iters -= 1
             break
 
-        d = -(g.mu * r) / _diag_curvature(g, spec, u, wdeg)
+        d = -(g.mu * r) / _diag_curvature(g, spec, u, wdeg, lam)
         slope = float(np.sum(g.mu * r * d))
         sup_d = float(np.max(np.abs(d)))
         s = min(2.0 * step, 8.0)
@@ -316,7 +340,6 @@ def minimize_constrained(
         u, j, step = cand, j_cand, s
         _check_sup_bound(g, spec, u, j)
         j_hist.append(j)
-        step_hist.append(s)
         sup_hist.append(float(np.max(u)))
 
         if polish is None:
@@ -346,7 +369,6 @@ def minimize_constrained(
         converged=converged,
         iters=iters,
         j_history=np.asarray(j_hist),
-        step_history=np.asarray(step_hist),
         sup_history=np.asarray(sup_hist),
         residual_history=np.asarray(r_hist),
         residual_scaled=scaled,

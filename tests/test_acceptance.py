@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end criteria, one printed verdict each.
+"""Acceptance gate: eleven end-to-end criteria, one printed verdict each.
 
 Each test prints one ACCEPTANCE line with its verdict and the measured
 quantity, then asserts. Tolerances are pinned here on purpose; loosening
@@ -20,6 +20,7 @@ from yamabe import (
     ProblemFamily,
     choose_truncation_radius,
     constraint_K,
+    cycle_graph,
     energy_J,
     exhaustion_study,
     graph_distance,
@@ -27,10 +28,12 @@ from yamabe import (
     integrate,
     J_gradient,
     K_derivative_action,
+    lattice_ball,
     p_laplacian,
     path_graph,
     residual_report,
     solve,
+    tree_ball,
 )
 from yamabe.cli import main as cli_main
 from yamabe.verify import _tail_values
@@ -353,5 +356,35 @@ def test_criterion_10_deterministic_reports(capsys, tmp_path):
         capsys, 10, "bit-identical-repeat-reports", ok,
         f"exit codes ({rc1}, {rc2}), report identical {report_same}, "
         f"solution identical {solution_same}",
+    )
+    assert ok, line
+
+
+def test_criterion_11_flat_branch_closed_form_level(capsys):
+    # h = g = theta = 1 and p = alpha: every constant competitor on K = 1 has
+    # J = h / (theta g) = 1, and J >= h int |u|^p = h / (theta g) K for all u,
+    # so the minimum level is exactly 1. The constant is the exact minimizer,
+    # but a small residual does not bound |u - c| here (J - 1 is below the
+    # float resolution of J long before du is), so only the level is pinned.
+    graphs = {
+        "path30": path_graph(30),
+        "z2r10": lattice_ball(2, 10),
+        "tree6": tree_ball(2, 6),
+        "cycle20": cycle_graph(20),
+    }
+    failed, worst_gap, most_iters = [], 0.0, 0
+    for name, (graph, x0) in graphs.items():
+        for p in (3.0, 4.0, 6.0):
+            spec = unit_spec(graph, p=p, alpha=p, delta=min(0.4, 0.9 / (p - 2.0)))
+            res = solve(graph, spec, SolveOptions(max_iters=3000, x0=x0))
+            gap = res.gamma - 1.0
+            worst_gap, most_iters = max(worst_gap, abs(gap)), max(most_iters, res.iters)
+            if not (res.converged and 0.0 <= gap <= 1e-6):
+                failed.append(f"{name} p={p:g}: converged={res.converged}, gamma-1={gap:.3g}")
+    ok = not failed
+    line = _verdict(
+        capsys, 11, "flat-branch-closed-form-level", ok,
+        f"12 instances, worst |gamma - 1| {worst_gap:.3g}, most iterations {most_iters}"
+        + (f", failed: {failed}" if failed else ""),
     )
     assert ok, line

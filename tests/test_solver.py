@@ -16,6 +16,7 @@ from yamabe import (
     WeightedGraph,
     choose_truncation_radius,
     constraint_K,
+    cycle_graph,
     energy_J,
     graph_distance,
     integrate,
@@ -161,6 +162,36 @@ def test_equal_exponents_branch():
     assert res.eigen_factor == pytest.approx(res.lam * spec.theta, rel=1e-14)
     assert not res.eigen_factor_is_unit
     np.testing.assert_array_equal(res.u, res.u_bar)
+
+
+def test_minimizer_invariant_under_vertex_relabelling():
+    # the positive minimizer is unique, so numbering the vertices differently
+    # must give the same iterates up to rounding, hence the same iteration
+    # count; p = alpha with steep h is where a stalled descent used to show it
+    base, x0 = cycle_graph(20)
+
+    def minimize(graph, anchor):
+        dist = graph_distance(graph, anchor).astype(np.float64)
+        spec = ProblemSpec(
+            p=2.5, alpha=2.5, delta=0.4, h=1.0 + dist**4, g=np.ones(graph.n)
+        )
+        return minimize_constrained(graph, spec, SolveOptions(x0=anchor))
+
+    u_ref, _, trace_ref = minimize(base, x0)
+    assert trace_ref.converged
+    edges = np.array(
+        [(x, y, w) for x in range(base.n) for y, w in zip(*base.neighbors(x)) if x < y]
+    )
+    for seed in range(6):
+        # vertex v of the base graph is vertex perm[v] of the relabelled one
+        perm = np.random.default_rng(seed).permutation(base.n)
+        relabelled = edges.copy()
+        relabelled[:, :2] = perm[edges[:, :2].astype(np.int64)]
+        graph = WeightedGraph.from_edges(base.n, relabelled)
+        u_bar, _, trace = minimize(graph, int(perm[x0]))
+        assert trace.converged, seed
+        assert trace.iters == trace_ref.iters, seed
+        np.testing.assert_allclose(u_bar[perm], u_ref, rtol=0.0, atol=1e-12)
 
 
 def test_sup_bound_on_solution():
