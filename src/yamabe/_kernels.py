@@ -44,7 +44,7 @@ def edge_energy_kernel(indptr, indices, weights, mu, f, p, rows):
     d = f[indices] - f[rows]
     contrib = weights * np.abs(d) ** p
     once = indices >= rows  # each unordered pair once; loops once (zero term)
-    edge_sum = float(np.sum(contrib[once]))
+    edge_sum = float(contrib[once].sum())
     power = np.bincount(rows, weights=contrib, minlength=mu.shape[0]) / (2.0 * mu)
-    vertex_sum = float(np.sum(mu * power))
+    vertex_sum = float((mu * power).sum())
     return edge_sum, vertex_sum

@@ -10,6 +10,13 @@ theta > 0:
 K is one-sided: negative parts of u never contribute, which is what forces
 minimizers of J on {K = 1} to be nonnegative. Gradients here are densities
 with respect to mu: `J_gradient` returns w with dJ(u)[v] = int_V w v dmu.
+
+Validation contract: the public functions check that the spec lives on the
+graph and coerce and check each vertex function once (see
+``graph.as_vertex_function``), then call a private twin. ``_energy``,
+``_constraint`` and ``_gradient`` take a validated float64 vertex array as
+given and call only private code, so one solver iterate is checked once
+per public call instead of once per layer it passes through.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, as_vertex_function, integrate
-from .operators import _check_p, dirichlet_energy, p_laplacian
+from .graph import WeightedGraph, _integrate, as_vertex_function, integrate
+from .operators import _check_p, _dirichlet_energy, _p_laplacian
 
 
 @dataclass(frozen=True)
@@ -81,9 +88,13 @@ def _check_spec(g: WeightedGraph, spec: ProblemSpec):
 def energy_J(g: WeightedGraph, spec: ProblemSpec, u) -> float:
     """Energy J(u) = int_V (|grad_p u|^p + h|u|^p) dmu. Nonnegative."""
     _check_spec(g, spec)
-    arr = as_vertex_function(g, u)
-    h_term = float(np.sum(g.mu * spec.h * np.abs(arr) ** spec.p))
-    return dirichlet_energy(g, spec.p, arr) + h_term
+    _check_p(spec.p)
+    return _energy(g, spec, as_vertex_function(g, u))
+
+
+def _energy(g: WeightedGraph, spec: ProblemSpec, u: np.ndarray) -> float:
+    h_term = float((g.mu * spec.h * np.abs(u) ** spec.p).sum())
+    return _dirichlet_energy(g, spec.p, u) + h_term
 
 
 def h_norm(g: WeightedGraph, spec: ProblemSpec, u) -> float:
@@ -120,8 +131,11 @@ def _Gprime_field(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
 def constraint_K(g: WeightedGraph, spec: ProblemSpec, u) -> float:
     """Constraint functional K(u) = int_V G(x, u) dmu >= 0."""
     _check_spec(g, spec)
-    arr = as_vertex_function(g, u)
-    return integrate(g, _G_field(spec, arr))
+    return _constraint(g, spec, as_vertex_function(g, u))
+
+
+def _constraint(g: WeightedGraph, spec: ProblemSpec, u: np.ndarray) -> float:
+    return _integrate(g, _G_field(spec, u))
 
 
 def K_derivative_action(g: WeightedGraph, spec: ProblemSpec, u, v) -> float:
@@ -132,7 +146,7 @@ def K_derivative_action(g: WeightedGraph, spec: ProblemSpec, u, v) -> float:
     _check_spec(g, spec)
     arr = as_vertex_function(g, u)
     direction = as_vertex_function(g, v)
-    return integrate(g, _Gprime_field(spec, arr) * direction)
+    return _integrate(g, _Gprime_field(spec, arr) * direction)
 
 
 def J_gradient(g: WeightedGraph, spec: ProblemSpec, u) -> np.ndarray:
@@ -141,10 +155,14 @@ def J_gradient(g: WeightedGraph, spec: ProblemSpec, u) -> np.ndarray:
     w(x) = -p Lap_p u(x) + p h(x) |u(x)|^{p-2} u(x).
     """
     _check_spec(g, spec)
-    arr = as_vertex_function(g, u)
+    _check_p(spec.p)
+    return _gradient(g, spec, as_vertex_function(g, u))
+
+
+def _gradient(g: WeightedGraph, spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
     p = spec.p
-    lap = p_laplacian(g, p, arr)
-    h_part = spec.h * np.sign(arr) * np.abs(arr) ** (p - 1.0)
+    lap = _p_laplacian(g, p, u)
+    h_part = spec.h * np.sign(u) * np.abs(u) ** (p - 1.0)
     return p * (h_part - lap)
 
 

@@ -10,6 +10,13 @@ Vertex functions are plain float64 numpy arrays of length ``graph.n``;
 ``integrate`` and ``lq_norm`` implement the mu-weighted integral and L^q
 norms over the vertex set.
 
+Validation contract (shared with ``functionals`` and ``operators``): public
+functions coerce and check every vertex function they take, through
+:func:`as_vertex_function` (float64, length ``graph.n``, all finite).
+``_``-prefixed functions such as :func:`_integrate` assume a vertex array
+that has already passed that check and do not repeat it, so the solver's
+inner loop pays for validation once per public call, not once per layer.
+
 Cost model: construction, truncation and the breadth-first search (behind
 ``graph_distance`` and the connectivity check) are whole-array numpy code.
 The search is level-synchronous: each hop level costs a fixed few array
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +48,12 @@ class WeightedGraph:
     constructor included), read-only, so no kernel call rebuilds it. It
     costs 8 * nnz bytes for as long as the graph lives.
 
+    ``connected`` is derived too, but lazily: the first read runs one
+    breadth-first search and the answer is cached on the instance, which is
+    sound because the arrays are frozen. :meth:`from_edges` reads it to
+    validate, so ``verify.hypotheses_check`` finds it cached; a raw graph
+    pays the search on its first check only.
+
     Use :meth:`from_edges` or the generators below; the raw constructor does
     not validate.
     """
@@ -58,6 +72,11 @@ class WeightedGraph:
     @property
     def n(self) -> int:
         return self.mu.shape[0]
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether every vertex is reachable from vertex 0 (cached)."""
+        return _is_connected(self.indptr, self.indices)
 
     @property
     def n_edges(self) -> int:
@@ -133,7 +152,7 @@ class WeightedGraph:
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         g = cls(indptr=indptr, indices=cols[order], weights=vals[order], mu=mu_arr)
         g._freeze()
-        if not _is_connected(indptr, g.indices):
+        if not g.connected:
             raise ValueError("graph must be connected")
         return g
 
@@ -196,7 +215,7 @@ def _bfs(indptr, indices, x0) -> np.ndarray:
 
 
 def _is_connected(indptr, indices) -> bool:
-    return bool(np.all(_bfs(indptr, indices, 0) >= 0))
+    return bool((_bfs(indptr, indices, 0) >= 0).all())
 
 
 def _as_float(value, what: str) -> np.ndarray:
@@ -212,15 +231,18 @@ def as_vertex_function(g: WeightedGraph, f) -> np.ndarray:
     arr = np.asarray(f, dtype=np.float64)
     if arr.shape != (g.n,):
         raise ValueError(f"vertex function has shape {arr.shape}, expected ({g.n},)")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("vertex function contains non-finite entries")
     return arr
 
 
 def integrate(g: WeightedGraph, f) -> float:
     """Integral of ``f`` against the vertex measure: sum_x mu(x) f(x)."""
-    arr = as_vertex_function(g, f)
-    return float(np.sum(g.mu * arr))
+    return _integrate(g, as_vertex_function(g, f))
+
+
+def _integrate(g: WeightedGraph, arr: np.ndarray) -> float:
+    return float((g.mu * arr).sum())
 
 
 def lq_norm(g: WeightedGraph, f, q: float) -> float:

@@ -13,9 +13,17 @@ and the energy identity
 every call by computing both sides from one pass of the fused
 ``edge_energy_kernel``. Self-loops contribute zero throughout.
 For p = 2 the p-Laplacian reduces exactly to the linear mu-Laplacian.
+
+Validation contract: the public functions check ``p`` and coerce and check
+``f`` (see ``graph.as_vertex_function``) once, then call a private twin.
+``_p_laplacian`` and ``_dirichlet_energy`` take a float p >= 2 and a
+validated float64 vertex array as given; only the identity check stays on
+every call, because it guards the graph, not the input.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,17 +36,19 @@ _IDENTITY_RTOL = 1e-12
 
 def _check_p(p: float) -> float:
     p = float(p)
-    if not np.isfinite(p) or p < 2.0:
+    if not math.isfinite(p) or p < 2.0:
         raise ValueError(f"p must be a real number >= 2, got {p}")
     return p
 
 
 def p_laplacian(g: WeightedGraph, p: float, f) -> np.ndarray:
     """Apply the discrete p-Laplacian to ``f``."""
-    p = _check_p(p)
-    arr = as_vertex_function(g, f)
+    return _p_laplacian(g, _check_p(p), as_vertex_function(g, f))
+
+
+def _p_laplacian(g: WeightedGraph, p: float, f: np.ndarray) -> np.ndarray:
     return _kernels.p_laplacian_kernel(
-        g.indptr, g.indices, g.weights, g.mu, arr, p, g.rows
+        g.indptr, g.indices, g.weights, g.mu, f, p, g.rows
     )
 
 
@@ -63,10 +73,12 @@ def dirichlet_energy(g: WeightedGraph, p: float, f) -> float:
     disagree (a non-symmetric graph) fails here. Returns the edge-sum
     value.
     """
-    p = _check_p(p)
-    arr = as_vertex_function(g, f)
+    return _dirichlet_energy(g, _check_p(p), as_vertex_function(g, f))
+
+
+def _dirichlet_energy(g: WeightedGraph, p: float, f: np.ndarray) -> float:
     edge_sum, vertex_sum = _kernels.edge_energy_kernel(
-        g.indptr, g.indices, g.weights, g.mu, arr, p, g.rows
+        g.indptr, g.indices, g.weights, g.mu, f, p, g.rows
     )
     scale = max(abs(vertex_sum), abs(edge_sum), 1e-300)
     if abs(vertex_sum - edge_sum) > _IDENTITY_RTOL * scale:
@@ -83,8 +95,7 @@ def ibp_identity_check(g: WeightedGraph, p: float, f) -> tuple[float, float]:
     Returns ``(lhs, rhs)`` with lhs = int_V (-f * Lap_p f) dmu and
     rhs = int_V |grad_p f|^p dmu. The two agree in exact arithmetic.
     """
+    p = _check_p(p)
     arr = as_vertex_function(g, f)
-    lap = p_laplacian(g, p, arr)
-    lhs = float(np.sum(g.mu * (-arr) * lap))
-    rhs = dirichlet_energy(g, p, arr)
-    return lhs, rhs
+    lhs = float((g.mu * (-arr) * _p_laplacian(g, p, arr)).sum())
+    return lhs, _dirichlet_energy(g, p, arr)

@@ -185,10 +185,9 @@ def _initial_iterate(
         )
     return u
 
-def _check_sup_bound(g: WeightedGraph, spec: ProblemSpec, u: np.ndarray, j: float):
+def _check_sup_bound(spec: ProblemSpec, u: np.ndarray, j: float, min_hmu: float):
     # sup |u|^p * min(h mu) <= J(u) must hold for every feasible iterate
-    min_hmu = float(np.min(spec.h * g.mu))
-    sup = float(np.max(np.abs(u)))
+    sup = float(np.abs(u).max())
     if min_hmu * sup**spec.p > j * (1.0 + 1e-12) + 1e-300:
         raise ConsistencyError(
             "energy accounting violated: sup bound "
@@ -277,17 +276,18 @@ def minimize_constrained(
 
     u = _initial_iterate(g, spec, opts)
     j = energy_J(g, spec, u)
-    _check_sup_bound(g, spec, u, j)
+    min_hmu = float((spec.h * g.mu).min())
+    _check_sup_bound(spec, u, j, min_hmu)
     wdeg = _weighted_degree(g)
 
     step = _STEP_INIT
 
     j_hist = [j]
-    sup_hist = [float(np.max(u))]
+    sup_hist = [float(u.max())]
     r_hist: list[float] = []
 
     r, lam = _residual_state(g, spec, u, j)
-    sup_r = float(np.max(np.abs(r)))
+    sup_r = float(np.abs(r).max())
     scaled = sup_r / (1.0 + j)
     r_hist.append(sup_r)
 
@@ -306,8 +306,8 @@ def minimize_constrained(
             break
 
         d = -(g.mu * r) / _diag_curvature(g, spec, u, wdeg, lam)
-        slope = float(np.sum(g.mu * r * d))
-        sup_d = float(np.max(np.abs(d)))
+        slope = float((g.mu * r * d).sum())
+        sup_d = float(np.abs(d).max())
         s = min(2.0 * step, 8.0)
         accepted = False
         polish = None
@@ -327,7 +327,7 @@ def minimize_constrained(
             # plain residual decrease, never letting J creep upward
             if j_cand <= j + 1e-12 * (1.0 + abs(j)):
                 r_cand, lam_cand = _residual_state(g, spec, cand, j_cand)
-                sup_cand = float(np.max(np.abs(r_cand)))
+                sup_cand = float(np.abs(r_cand).max())
                 if sup_cand <= 0.9 * sup_r:
                     accepted = True
                     polish = (r_cand, lam_cand, sup_cand)
@@ -338,13 +338,13 @@ def minimize_constrained(
             break
 
         u, j, step = cand, j_cand, s
-        _check_sup_bound(g, spec, u, j)
+        _check_sup_bound(spec, u, j, min_hmu)
         j_hist.append(j)
-        sup_hist.append(float(np.max(u)))
+        sup_hist.append(float(u.max()))
 
         if polish is None:
             r, lam = _residual_state(g, spec, u, j)
-            sup_r = float(np.max(np.abs(r)))
+            sup_r = float(np.abs(r).max())
         else:
             r, lam, sup_r = polish
         scaled = sup_r / (1.0 + j)

@@ -15,7 +15,6 @@ from .functionals import ProblemSpec, _check_spec, energy_J
 from .graph import (
     TruncationSpec,
     WeightedGraph,
-    _is_connected,
     as_vertex_function,
     integrate,
     truncate_ball,
@@ -90,13 +89,8 @@ def hypotheses_check(g: WeightedGraph, spec: ProblemSpec) -> dict:
         "(int h^-delta dmu)^delta must be finite",
     )
 
-    # construction already guarantees connectedness; re-derive it anyway
-    record(
-        "connected",
-        _is_connected(g.indptr, g.indices),
-        True,
-        "graph must be connected",
-    )
+    # cached per graph: from_edges derived it, a raw graph derives it here once
+    record("connected", g.connected, True, "graph must be connected")
     return {"passed": True, "checks": checks}
 
 

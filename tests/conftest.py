@@ -1,4 +1,8 @@
-"""Shared helpers: random connected graphs with controlled weight ranges."""
+"""Shared helpers: random connected graphs with controlled weight ranges,
+and call counting at every binding of a package function."""
+
+import sys
+from collections import Counter
 
 import numpy as np
 
@@ -37,3 +41,19 @@ def random_positive_spec_fields(rng, n):
     g = np.maximum(rng.uniform(-0.5, 1.5, n), 0.0)
     g[int(rng.integers(0, n))] = 1.0
     return h, g
+
+
+def count_calls(monkeypatch, *functions):
+    """Count calls of each function at every place a yamabe module binds it."""
+    counts = Counter()
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "yamabe" or name.startswith("yamabe."):
+                for key, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, key, counted)
+    return counts

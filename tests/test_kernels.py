@@ -1,13 +1,10 @@
 """The CSR kernels against a per-row loop reference, and their call counts."""
 
-import sys
-from collections import Counter
-
 import numpy as np
 import pytest
 
 import yamabe
-from conftest import random_connected_graph
+from conftest import count_calls, random_connected_graph
 from yamabe._kernels import edge_energy_kernel, grad_power_kernel, p_laplacian_kernel
 from yamabe.graph import csr_rows
 
@@ -113,22 +110,6 @@ def test_fused_energy_kernel_returns_both_sides(p):
         np.testing.assert_allclose(vertex_sum, vertex_ref, rtol=1e-12)
         # one power array for both sums leaves the edge sum bit for bit unchanged
         assert edge_sum == edge_sum_two_pass(*csr, f, p)
-
-
-def count_calls(monkeypatch, *functions):
-    """Count calls of each function at every place a yamabe module binds it."""
-    counts = Counter()
-    for fn in functions:
-        def counted(*args, _fn=fn, **kwargs):
-            counts[_fn.__name__] += 1
-            return _fn(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if name == "yamabe" or name.startswith("yamabe."):
-                for key, value in list(vars(mod).items()):
-                    if value is fn:
-                        monkeypatch.setattr(mod, key, counted)
-    return counts
 
 
 KERNELS = (p_laplacian_kernel, grad_power_kernel, edge_energy_kernel)

@@ -1,0 +1,98 @@
+"""Input validation happens at the public API boundary, once per call.
+
+Every public evaluator rejects a malformed vertex function; the descent
+validates each iterate a bounded number of times; connectivity is derived
+once per graph object.
+"""
+
+import numpy as np
+import pytest
+
+import yamabe
+from conftest import count_calls, random_connected_graph
+from yamabe import (
+    ProblemSpec,
+    SolveOptions,
+    WeightedGraph,
+    constraint_K,
+    dirichlet_energy,
+    energy_J,
+    hypotheses_check,
+    integrate,
+    J_gradient,
+    K_derivative_action,
+    minimize_constrained,
+    p_gradient_norm,
+    p_laplacian,
+    solve,
+)
+from yamabe.graph import _is_connected, as_vertex_function
+
+
+def _spec(n, **kwargs):
+    fields = dict(p=4.0, alpha=3.0, delta=0.4, h=np.ones(n), g=np.ones(n))
+    fields.update(kwargs)
+    return ProblemSpec(**fields)
+
+
+EVALUATORS = {
+    "energy_J": energy_J,
+    "constraint_K": constraint_K,
+    "J_gradient": J_gradient,
+    "K_derivative_action(u)": lambda g, s, f: K_derivative_action(g, s, f, np.ones(g.n)),
+    "K_derivative_action(v)": lambda g, s, f: K_derivative_action(g, s, np.ones(g.n), f),
+    "p_laplacian": lambda g, s, f: p_laplacian(g, s.p, f),
+    "p_gradient_norm": lambda g, s, f: p_gradient_norm(g, s.p, f),
+    "dirichlet_energy": lambda g, s, f: dirichlet_energy(g, s.p, f),
+    "integrate": lambda g, s, f: integrate(g, f),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_public_evaluators_validate_their_input(name):
+    call = EVALUATORS[name]
+    g = random_connected_graph(np.random.default_rng(3), n_min=5, n_max=12)
+    spec = _spec(g.n)
+    good = np.linspace(0.5, 1.5, g.n)
+    call(g, spec, good)
+    with pytest.raises(ValueError, match="shape"):
+        call(g, spec, np.ones(g.n + 1))
+    for bad_value in (np.nan, np.inf):
+        bad = good.copy()
+        bad[g.n // 2] = bad_value
+        with pytest.raises(ValueError, match="non-finite"):
+            call(g, spec, bad)
+
+
+@pytest.mark.parametrize("entry", [minimize_constrained, solve])
+def test_nan_initial_iterate_is_rejected(entry):
+    g, x0 = yamabe.path_graph(12)
+    u0 = np.ones(g.n)
+    u0[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        entry(g, _spec(g.n), SolveOptions(u0=u0, x0=x0))
+
+
+def test_solve_validates_each_iterate_a_bounded_number_of_times(monkeypatch):
+    # each line-search trial is checked by constraint_K and energy_J, each
+    # accepted or polish-tested iterate by J_gradient; the rest of the
+    # pipeline (start, multiplier, certificates) adds a fixed handful
+    g, x0 = yamabe.path_graph(20)
+    spec = _spec(g.n)
+    counts = count_calls(monkeypatch, as_vertex_function, energy_J, J_gradient)
+    res = solve(g, spec, SolveOptions(x0=x0))
+    assert res.iters > 10
+    bound = 2 * counts["energy_J"] + counts["J_gradient"] + 10
+    assert counts["as_vertex_function"] <= bound, dict(counts)
+
+
+def test_connectivity_is_derived_once_per_graph(monkeypatch):
+    counts = count_calls(monkeypatch, _is_connected)
+    built, _ = yamabe.path_graph(6)
+    # from_edges derives it to validate, so the checks find it cached
+    assert counts["_is_connected"] == 1
+    raw = WeightedGraph(indptr=built.indptr, indices=built.indices,
+                        weights=built.weights, mu=built.mu)
+    for g in (built, raw, built, raw):
+        hypotheses_check(g, _spec(g.n))
+    assert counts["_is_connected"] == 2
