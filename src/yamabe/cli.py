@@ -14,13 +14,15 @@ Coefficient fields h and g are numbers, explicit per-vertex lists, or
 formulas in dist (graph distance from the anchor); ^ means power.  The
 graph section alternatively takes {"explicit": {"n":..., "edges":...,
 "mu":...}, "x0": 0}.  The solver section (keys max_iters, grad_tol,
-seed, x0, constraint_tol) and the truncation section are optional.
+seed, x0) and the truncation section are optional.
 Every command reads and checks the whole config through one parser.
 
 Exit codes, the same for every command: 0 success; 1 numerical failure,
-any RuntimeError (non-convergence, infeasible constraint, unreachable
-tail tolerance); 2 invalid config, any ValueError (a violated hypothesis,
-malformed JSON) or OSError.
+any RuntimeError (non-convergence, a solution that is not positive, a
+failed inequality, infeasible constraint, unreachable tail tolerance);
+2 invalid config, any ValueError (a violated hypothesis, malformed JSON)
+or OSError.  Every nonzero exit names its reason on stderr; a failure
+found after the report files are written leaves them in place.
 Identical config and seed produce bit-identical report files; all floats
 are printed with 17 significant digits.
 """
@@ -33,7 +35,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import InfeasibleConstraintError, TruncationError
 from .families import GraphFamily, ProblemFamily
@@ -64,7 +66,6 @@ _SOLVER_KEYS = {
     "grad_tol": float,
     "seed": int,
     "x0": int,
-    "constraint_tol": float,
 }
 _PROBLEM_KEYS = {"p": float, "alpha": float, "delta": float, "theta": float, "h": _same, "g": _same}
 _TRUNCATION_KEYS = {"epsilon": float, "x0": int, "r_max": _int_or_none}
@@ -201,14 +202,7 @@ def _materialize(conf: _Config):
         graph, spec, tx0, trunc["epsilon"], r_max=trunc.get("r_max")
     )
     tr = truncate_ball(graph, TruncationSpec(tx0, choice.radius))
-    info = {
-        "radius": choice.radius,
-        "tail_value": choice.tail_value,
-        "k_tail_bound": choice.k_tail_bound,
-        "gamma_est": choice.gamma_est,
-        "epsilon": choice.epsilon,
-    }
-    return tr.graph, spec.restrict(tr.new_to_old), int(tr.old_to_new[tx0]), info
+    return tr.graph, spec.restrict(tr.new_to_old), int(tr.old_to_new[tx0]), asdict(choice)
 
 
 def _failure_label(exc: RuntimeError, command: str) -> str:
@@ -282,7 +276,11 @@ def cmd_solve(args) -> int:
         f"gamma={_fmt(res.gamma)} lambda={_fmt(res.lam)} "
         f"eigen_factor={_fmt(res.eigen_factor)} converged={res.converged}"
     )
-    return EXIT_OK if res.converged and res.positive else EXIT_NUMERICAL
+    if not res.positive:
+        raise RuntimeError(f"solution not positive: min u = {_fmt(res.min_u)}")
+    if not res.converged:
+        raise RuntimeError(f"not converged after {res.iters} iterations")
+    return EXIT_OK
 
 
 def _parse_radii(text: str | None) -> list[int]:
@@ -319,7 +317,10 @@ def cmd_sweep(args) -> int:
             f"R={row['R']} gamma={_fmt(row['gamma'])} "
             f"tail_bound={_fmt(row['tail_bound'])} converged={row['converged']}"
         )
-    return EXIT_OK if all(row["converged"] for row in study["rows"]) else EXIT_NUMERICAL
+    unconverged = [row["R"] for row in study["rows"] if not row["converged"]]
+    if unconverged:
+        raise RuntimeError(f"not converged at radii {unconverged}")
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -337,7 +338,10 @@ def cmd_verify(args) -> int:
             f"{name}: {'pass' if state['passed'] else 'FAIL'} "
             f"max_ratio={_fmt(state['max_ratio'])}"
         )
-    return EXIT_OK if suite["passed"] else EXIT_NUMERICAL
+    if not suite["passed"]:
+        failed = [name for name, state in suite["inequalities"].items() if not state["passed"]]
+        raise RuntimeError(f"inequalities violated: {failed}")
+    return EXIT_OK
 
 
 def _configure_logging() -> None:

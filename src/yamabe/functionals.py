@@ -13,10 +13,10 @@ with respect to mu: `J_gradient` returns w with dJ(u)[v] = int_V w v dmu.
 
 Validation contract: the public functions check that the spec lives on the
 graph and coerce and check each vertex function once (see
-``graph.as_vertex_function``), then call a private twin. ``_energy``,
-``_constraint`` and ``_gradient`` take a validated float64 vertex array as
-given and call only private code, so one solver iterate is checked once
-per public call instead of once per layer it passes through.
+``graph.as_vertex_function``), then compute with the private twins
+``_p_laplacian``, ``_dirichlet_energy`` and ``_integrate``, which trust a
+validated float64 vertex array. So one solver iterate is checked once per
+public call instead of once per layer it passes through.
 """
 
 from __future__ import annotations
@@ -89,10 +89,7 @@ def energy_J(g: WeightedGraph, spec: ProblemSpec, u) -> float:
     """Energy J(u) = int_V (|grad_p u|^p + h|u|^p) dmu. Nonnegative."""
     _check_spec(g, spec)
     _check_p(spec.p)
-    return _energy(g, spec, as_vertex_function(g, u))
-
-
-def _energy(g: WeightedGraph, spec: ProblemSpec, u: np.ndarray) -> float:
+    u = as_vertex_function(g, u)
     h_term = float((g.mu * spec.h * np.abs(u) ** spec.p).sum())
     return _dirichlet_energy(g, spec.p, u) + h_term
 
@@ -131,11 +128,7 @@ def _Gprime_field(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
 def constraint_K(g: WeightedGraph, spec: ProblemSpec, u) -> float:
     """Constraint functional K(u) = int_V G(x, u) dmu >= 0."""
     _check_spec(g, spec)
-    return _constraint(g, spec, as_vertex_function(g, u))
-
-
-def _constraint(g: WeightedGraph, spec: ProblemSpec, u: np.ndarray) -> float:
-    return _integrate(g, _G_field(spec, u))
+    return _integrate(g, _G_field(spec, as_vertex_function(g, u)))
 
 
 def K_derivative_action(g: WeightedGraph, spec: ProblemSpec, u, v) -> float:
@@ -155,12 +148,8 @@ def J_gradient(g: WeightedGraph, spec: ProblemSpec, u) -> np.ndarray:
     w(x) = -p Lap_p u(x) + p h(x) |u(x)|^{p-2} u(x).
     """
     _check_spec(g, spec)
-    _check_p(spec.p)
-    return _gradient(g, spec, as_vertex_function(g, u))
-
-
-def _gradient(g: WeightedGraph, spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
-    p = spec.p
+    p = _check_p(spec.p)
+    u = as_vertex_function(g, u)
     lap = _p_laplacian(g, p, u)
     h_part = spec.h * np.sign(u) * np.abs(u) ** (p - 1.0)
     return p * (h_part - lap)

@@ -19,6 +19,7 @@ driven well past the precision at which J flattens out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -76,35 +77,31 @@ class SolveOptions:
     """Tuning knobs for the constrained descent.
 
     u0 is the first iterate before renormalization; None means a
-    distance-Gaussian bump around x0.
+    distance-Gaussian bump around x0.  constraint_tol, the drift of K
+    from 1 that the final iterate may show, is a fixed constant.
     """
 
     max_iters: int = 20000
     grad_tol: float = 1e-8
     u0: np.ndarray | None = None
     x0: int = 0
-    constraint_tol: float = 1e-10
+    constraint_tol: ClassVar[float] = 1e-10
 
     def __post_init__(self) -> None:
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        for name in ("grad_tol", "constraint_tol"):
-            val = getattr(self, name)
-            if not (val > 0.0 and np.isfinite(val)):
-                raise ValueError(f"{name} must be a positive finite number")
+        if not (self.grad_tol > 0.0 and np.isfinite(self.grad_tol)):
+            raise ValueError("grad_tol must be a positive finite number")
 
 
 @dataclass
 class MinimizeTrace:
-    """Per-iterate history of an energy descent run."""
+    """How a descent ended: iters line searches were run, and stagnated
+    means the last one found no step.  No per-iterate history is kept."""
 
     converged: bool
     iters: int
-    j_history: np.ndarray
-    sup_history: np.ndarray
-    residual_history: np.ndarray
-    residual_scaled: float
-    stagnated: bool = False
+    stagnated: bool
 
 
 @dataclass
@@ -119,7 +116,6 @@ class SolveResult:
     u_bar: np.ndarray
     gamma: float
     lam: float
-    theta_used: float
     u: np.ndarray
     eigen_factor: float
     residual: np.ndarray
@@ -153,15 +149,26 @@ def _positive_part(u: np.ndarray) -> np.ndarray:
 def _renormalize(g: WeightedGraph, spec: ProblemSpec, v: np.ndarray):
     """Clamp to the nonnegative cone and rescale onto K = 1.
 
-    Returns (u, k_raw) or (None, k_raw) when the clamped function carries
-    no constraint mass and cannot be normalized.
+    Returns None when the clamped function carries no constraint mass and
+    cannot be normalized.
     """
     plus = _positive_part(v)
     k_raw = constraint_K(g, spec, plus)
     if not np.isfinite(k_raw) or k_raw <= 0.0:
-        return None, k_raw
-    u = plus * k_raw ** (-1.0 / spec.alpha)
-    return u, k_raw
+        return None
+    return plus * k_raw ** (-1.0 / spec.alpha)
+
+
+def _competitor_energy(g: WeightedGraph, spec: ProblemSpec) -> float:
+    """Energy of the uniform function rescaled onto K = 1, an upper bound
+    for the constrained infimum."""
+    v = _renormalize(g, spec, np.ones(g.n))
+    if v is None:
+        raise InfeasibleConstraintError(
+            "g vanishes on the whole graph; the uniform competitor carries "
+            "no constraint mass"
+        )
+    return energy_J(g, spec, v)
 
 
 def _initial_iterate(
@@ -177,7 +184,7 @@ def _initial_iterate(
         dist = graph_distance(g, opts.x0).astype(np.float64)
         spread = max(1.0, float(dist.max()) / 4.0)
         v = np.exp(-((dist / spread) ** 2))
-    u, _ = _renormalize(g, spec, v)
+    u = _renormalize(g, spec, v)
     if u is None:
         raise InfeasibleConstraintError(
             "constraint mass is zero on the initial iterate; "
@@ -203,16 +210,8 @@ def _residual_state(g: WeightedGraph, spec: ProblemSpec, u: np.ndarray, j: float
     return r, lam
 
 
-def _weighted_degree(g: WeightedGraph) -> np.ndarray:
-    return np.bincount(g.rows, weights=g.weights, minlength=g.n)
-
-
 def _diag_curvature(
-    g: WeightedGraph,
-    spec: ProblemSpec,
-    u: np.ndarray,
-    wdeg: np.ndarray,
-    lam: float,
+    g: WeightedGraph, spec: ProblemSpec, u: np.ndarray, lam: float
 ) -> np.ndarray:
     """Diagonal curvature that scales the descent direction, floored away from zero.
 
@@ -230,15 +229,14 @@ def _diag_curvature(
     The Lagrangian diagonal can vanish or go negative, so it is floored at
     _LAGRANGIAN_FLOOR times J's.  For alpha < p it is not used: nothing
     cancels there, and it slows convergence on most instances.
+
+    At p = 2 both powers are 1 (0**0 is 1); 2 < alpha <= p rules p = 2 out.
     """
     p = spec.p
-    if p == 2.0:
-        edge, u_pow = wdeg, 1.0
-    else:
-        edge = 2.0 * g.mu * grad_power_kernel(
-            g.indptr, g.indices, g.weights, g.mu, u, p - 2.0, g.rows
-        )
-        u_pow = np.abs(u) ** (p - 2.0)
+    edge = 2.0 * g.mu * grad_power_kernel(
+        g.indptr, g.indices, g.weights, g.mu, u, p - 2.0, g.rows
+    )
+    u_pow = np.abs(u) ** (p - 2.0)
     j_diag = edge + spec.h * g.mu * u_pow
     if spec.alpha == p:
         lagrangian = edge + g.mu * u_pow * (spec.h - lam * spec.theta * spec.g)
@@ -249,12 +247,20 @@ def _diag_curvature(
     return np.maximum(diag, floor)
 
 
-def _final_residual_estimate(spec: ProblemSpec, lam: float, sup_r: float) -> float:
-    """Sup residual the rescaled solution will have, given the EL residual."""
+def _converged(
+    spec: ProblemSpec, j: float, lam: float, sup_r: float, grad_tol: float
+) -> bool:
+    """Stationarity test: the EL residual, relative to 1 + J, is within
+    grad_tol, and so is the sup residual the rescaled solution will have
+    (within 10 grad_tol)."""
+    if not sup_r / (1.0 + j) <= grad_tol:
+        return False
     if spec.p == spec.alpha:
-        return sup_r / spec.p
-    kappa = (spec.p / (spec.alpha * lam * spec.theta)) ** (1.0 / (spec.p - spec.alpha))
-    return kappa ** (spec.p - 1.0) / spec.p * sup_r
+        final = sup_r / spec.p
+    else:
+        kappa = (spec.p / (spec.alpha * lam * spec.theta)) ** (1.0 / (spec.p - spec.alpha))
+        final = kappa ** (spec.p - 1.0) / spec.p * sup_r
+    return final <= 10.0 * grad_tol
 
 
 def minimize_constrained(
@@ -278,44 +284,29 @@ def minimize_constrained(
     j = energy_J(g, spec, u)
     min_hmu = float((spec.h * g.mu).min())
     _check_sup_bound(spec, u, j, min_hmu)
-    wdeg = _weighted_degree(g)
+    sup_u = float(u.max())
 
     step = _STEP_INIT
-
-    j_hist = [j]
-    sup_hist = [float(u.max())]
-    r_hist: list[float] = []
-
     r, lam = _residual_state(g, spec, u, j)
     sup_r = float(np.abs(r).max())
-    scaled = sup_r / (1.0 + j)
-    r_hist.append(sup_r)
 
-    converged = False
     stagnated = False
     iters = 0
     big = 1e8
 
-    for iters in range(1, opts.max_iters + 1):
-        if (
-            scaled <= opts.grad_tol
-            and _final_residual_estimate(spec, lam, sup_r) <= 10.0 * opts.grad_tol
-        ):
-            converged = True
-            iters -= 1
-            break
-
-        d = -(g.mu * r) / _diag_curvature(g, spec, u, wdeg, lam)
+    while iters < opts.max_iters and not _converged(spec, j, lam, sup_r, opts.grad_tol):
+        iters += 1
+        d = -(g.mu * r) / _diag_curvature(g, spec, u, lam)
         slope = float((g.mu * r * d).sum())
         sup_d = float(np.abs(d).max())
         s = min(2.0 * step, 8.0)
         accepted = False
         polish = None
         while s >= _STEP_FLOOR:
-            if s * sup_d > big * (1.0 + sup_hist[-1]):
+            if s * sup_d > big * (1.0 + sup_u):
                 s *= _BACKTRACK
                 continue
-            cand, _ = _renormalize(g, spec, u + s * d)
+            cand = _renormalize(g, spec, u + s * d)
             if cand is None:
                 s *= _BACKTRACK
                 continue
@@ -339,25 +330,13 @@ def minimize_constrained(
 
         u, j, step = cand, j_cand, s
         _check_sup_bound(spec, u, j, min_hmu)
-        j_hist.append(j)
-        sup_hist.append(float(u.max()))
+        sup_u = float(u.max())
 
         if polish is None:
             r, lam = _residual_state(g, spec, u, j)
             sup_r = float(np.abs(r).max())
         else:
             r, lam, sup_r = polish
-        scaled = sup_r / (1.0 + j)
-        r_hist.append(sup_r)
-    else:
-        iters = opts.max_iters
-
-    if stagnated or not converged:
-        # a stagnated line search at numerical optimality still counts
-        converged = (
-            scaled <= opts.grad_tol
-            and _final_residual_estimate(spec, lam, sup_r) <= 10.0 * opts.grad_tol
-        )
 
     k_final = constraint_K(g, spec, u)
     if abs(k_final - 1.0) > opts.constraint_tol:
@@ -365,16 +344,9 @@ def minimize_constrained(
             f"constraint drifted off K = 1: K = {k_final:.17g}"
         )
 
-    trace = MinimizeTrace(
-        converged=converged,
-        iters=iters,
-        j_history=np.asarray(j_hist),
-        sup_history=np.asarray(sup_hist),
-        residual_history=np.asarray(r_hist),
-        residual_scaled=scaled,
-        stagnated=stagnated,
-    )
-    return u, j, trace
+    # also true after a stagnated line search at numerical optimality
+    converged = _converged(spec, j, lam, sup_r, opts.grad_tol)
+    return u, j, MinimizeTrace(converged=converged, iters=iters, stagnated=stagnated)
 
 
 def lagrange_multiplier(g: WeightedGraph, spec: ProblemSpec, u_bar: np.ndarray) -> float:
@@ -451,7 +423,6 @@ def solve(
         u_bar=u_bar,
         gamma=gamma,
         lam=lam,
-        theta_used=spec.theta,
         u=u,
         eigen_factor=eigen_factor,
         residual=report.residual,
@@ -505,13 +476,12 @@ def choose_truncation_radius(
     x0: int,
     epsilon: float,
     r_max: int | None = None,
-    gamma_est: float | None = None,
 ) -> TruncationChoice:
     """Smallest radius whose tail is at most epsilon, with its K-tail bound.
 
-    gamma_est defaults to the energy of the normalized uniform competitor,
-    an upper bound for the constrained infimum.  Raises TruncationError,
-    carrying the best achieved tail, when no admissible radius exists.
+    The bound estimates the infimum by the uniform competitor's energy.
+    Raises TruncationError, carrying the best achieved tail, when no
+    admissible radius exists.
     """
     _check_spec(g, spec)
     if not (epsilon > 0.0 and np.isfinite(epsilon)):
@@ -532,13 +502,7 @@ def choose_truncation_radius(
             f"no radius up to {limit} achieves tail <= {epsilon:.17g}",
             achieved_tail=float(tails[limit]),
         )
-    if gamma_est is None:
-        v, _ = _renormalize(g, spec, np.ones(g.n))
-        if v is None:
-            raise InfeasibleConstraintError(
-                "g vanishes identically; no competitor exists"
-            )
-        gamma_est = energy_J(g, spec, v)
+    gamma_est = _competitor_energy(g, spec)
     tail_value = float(tails[radius])
     return TruncationChoice(
         radius=radius,

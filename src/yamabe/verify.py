@@ -22,7 +22,7 @@ from .graph import (
 from .operators import p_laplacian
 from .solver import (
     SolveOptions,
-    _renormalize,
+    _competitor_energy,
     _tail_values,
     k_tail_bound,
     solve,
@@ -101,7 +101,6 @@ class ResidualReport:
     residual: np.ndarray
     residual_sup: float
     residual_l2: float
-    max_vertex: int
     min_u: float
     eigen_factor: float = 1.0
 
@@ -122,13 +121,10 @@ def residual_report(
         + spec.h * np.sign(u) * np.abs(u) ** (spec.p - 1.0)
         - eigen_factor * spec.g * plus ** (spec.alpha - 1.0)
     )
-    absr = np.abs(r)
-    max_vertex = int(np.argmax(absr)) if g.n else 0
     return ResidualReport(
         residual=r,
-        residual_sup=float(absr.max()) if g.n else 0.0,
+        residual_sup=float(np.abs(r).max()) if g.n else 0.0,
         residual_l2=float(np.sqrt(np.sum(g.mu * r * r))),
-        max_vertex=max_vertex,
         min_u=float(u.min()) if g.n else 0.0,
         eigen_factor=float(eigen_factor),
     )
@@ -285,8 +281,9 @@ def exhaustion_study(
     anchor) -> ProblemSpec).  All truncations are cut from one universe
     ball, and each ball's solve starts from the bump around its anchor, so
     opts.u0 must be None.  Invalid input, a violated hypothesis included, raises its
-    ValueError unchanged; a numerical failure of one ball's solve raises
-    RuntimeError naming the radius.
+    ValueError unchanged; g vanishing on the smallest ball raises
+    InfeasibleConstraintError; a numerical failure of one ball's solve
+    raises RuntimeError naming the radius.
     """
     radii = [int(r) for r in radii]
     if not radii:
@@ -310,10 +307,7 @@ def exhaustion_study(
     # gamma_R with R >= radii[0] from above
     first = truncate_ball(g_u, TruncationSpec(x0, radii[0]))
     spec_first = spec_u.restrict(first.new_to_old)
-    comp, _ = _renormalize(first.graph, spec_first, np.ones(first.graph.n))
-    if comp is None:
-        raise ConsistencyError("uniform competitor carries no constraint mass")
-    gamma_est = energy_J(first.graph, spec_first, comp)
+    gamma_est = _competitor_energy(first.graph, spec_first)
 
     rows = []
     prev_gamma = np.inf

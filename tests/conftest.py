@@ -57,3 +57,22 @@ def count_calls(monkeypatch, *functions):
                     if value is fn:
                         monkeypatch.setattr(mod, key, counted)
     return counts
+
+
+def record_accepted_iterates(monkeypatch):
+    """Record (sup u, J) of every iterate the descent checks.
+
+    ``solver._check_sup_bound`` runs on the start of each descent and on
+    every accepted iterate, so the list holds exactly those, in order.
+    """
+    import yamabe.solver as solver
+
+    seen = []
+    check = solver._check_sup_bound
+
+    def recording(spec, u, j, min_hmu):
+        seen.append((float(u.max()), j))
+        return check(spec, u, j, min_hmu)
+
+    monkeypatch.setattr(solver, "_check_sup_bound", recording)
+    return seen

@@ -195,6 +195,48 @@ def test_verify_success(tmp_path, capsys):
         assert f"{name}: pass" in stdout
 
 
+def test_failed_inequality_exit_names_it(tmp_path, capsys, monkeypatch):
+    import yamabe.cli as cli
+
+    def failing_suite(graph, spec, trials, seed):
+        state = {"violations": 1, "max_ratio": 2.0, "passed": False}
+        return {"seed": seed, "trials": trials, "passed": False,
+                "inequalities": {"bd_sup_bound": state}}
+
+    monkeypatch.setattr(cli, "inequality_suite", failing_suite)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "bd_sup_bound: FAIL" in captured.out
+    assert "verify failed: inequalities violated: ['bd_sup_bound']" in captured.err
+    assert (out / "verify.json").exists()
+
+
+def test_unconverged_solve_keeps_its_reports(tmp_path, capsys):
+    cfg = write_config(tmp_path, solver={"max_iters": 2})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "converged=False" in captured.out
+    assert "solver failure: not converged after 2 iterations" in captured.err
+    assert json.loads((out / "report.json").read_text())["converged"] is False
+    assert (out / "solution.csv").exists()
+
+
+def test_nonpositive_solve_names_the_reason(tmp_path, capsys):
+    # p = alpha = 2.2 with fast-growing h: the descent leaves exact zeros
+    cfg = write_config(
+        tmp_path,
+        graph={"family": "path", "params": {"n": 30}},
+        problem={"p": 2.2, "alpha": 2.2, "delta": 0.4, "h": "1 + dist^4", "g": 1},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--trials", "20"]) == 1
+    assert "solver failure: solution not positive: min u = 0" in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["positive"] is False
+
+
 def test_verify_malformed_solver_section_is_validation(tmp_path, capsys):
     cfg = write_config(tmp_path, solver=[1])
     out = tmp_path / "out"
@@ -257,6 +299,27 @@ EXIT_CODE_CASES = {
         {"solver": {"armijo": 2.0}},
         (2, 2, 2),
         "invalid config: unknown solver keys: ['armijo']",
+    ),
+    "removed_constraint_tol": (
+        {"solver": {"constraint_tol": 1e-10}},
+        (2, 2, 2),
+        "invalid config: unknown solver keys: ['constraint_tol']",
+    ),
+    # an unconverged run writes its reports, then names the reason
+    "unconverged_run": (
+        {"graph": {"family": "path", "params": {"n": 20}}, "solver": {"max_iters": 2}},
+        (1, 0, 1),
+        "not converged",
+    ),
+    # g vanishes on the radius-4 ball of the sweep, not on the whole path
+    "g_vanishes_on_smallest_ball": (
+        {
+            "graph": {"family": "path", "params": {"n": 30}},
+            "problem": {"p": 4.0, "alpha": 3.0, "delta": 0.4, "h": "1 + dist^2",
+                        "g": "maximum(dist - 5, 0)"},
+        },
+        (0, 0, 1),
+        "infeasible constraint: g vanishes",
     ),
     "unknown_truncation_key": (
         {"truncation": {"bogus": 1}},

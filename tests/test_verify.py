@@ -6,10 +6,12 @@ import pytest
 from yamabe import (
     GraphFamily,
     HypothesisError,
+    InfeasibleConstraintError,
     ProblemFamily,
     ProblemSpec,
     SolveOptions,
     WeightedGraph,
+    choose_truncation_radius,
     exhaustion_study,
     hypotheses_check,
     inequality_suite,
@@ -228,6 +230,18 @@ def test_exhaustion_certifies_monotonicity_failure():
     family, problem = lattice_family()
     with pytest.raises(ConsistencyError):
         exhaustion_study(family, problem, (2, 4))
+
+
+def test_competitor_without_constraint_mass_is_infeasible():
+    # g vanishes on the radius-2 ball of the sweep but not on the universe;
+    # the study and the truncation choice raise the same error class
+    family = GraphFamily("path", {"n": 30})
+    problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^2", g="maximum(dist - 3, 0)")
+    with pytest.raises(InfeasibleConstraintError, match="uniform competitor"):
+        exhaustion_study(family, problem, (2, 4))
+    g, _ = path_graph(5)
+    with pytest.raises(InfeasibleConstraintError, match="uniform competitor"):
+        choose_truncation_radius(g, spec_on(g, g_coef=0.0), 0, 1.0)
 
 
 def test_exhaustion_saturates_on_fixed_graph():
