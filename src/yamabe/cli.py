@@ -14,7 +14,8 @@ Coefficient fields h and g are numbers, explicit per-vertex lists, or
 formulas in dist (graph distance from the anchor); ^ means power.  The
 graph section alternatively takes {"explicit": {"n":..., "edges":...,
 "mu":...}, "x0": 0}.  The solver section (keys max_iters, grad_tol,
-seed, x0) and the truncation section are optional.
+seed, x0) and the truncation section are optional.  seed, --seed over
+it, seeds verify's inequality suite; solve and sweep draw nothing random.
 Every command reads and checks the whole config through one parser.
 
 Exit codes, the same for every command: 0 success; 1 numerical failure,
@@ -32,7 +33,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -44,8 +44,6 @@ from .solver import SolveOptions, choose_truncation_radius, solve
 from .verify import exhaustion_study, hypotheses_check, inequality_suite
 
 __all__ = ["main"]
-
-log = logging.getLogger("yamabe")
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -213,42 +211,31 @@ def _failure_label(exc: RuntimeError, command: str) -> str:
     return _FAILURE_LABELS[command]
 
 
-def _make_out(out: str, n: int) -> None:
-    """Create the output directory of a solve whose hypotheses passed."""
-    os.makedirs(out, exist_ok=True)
-    log.info("solving on %d vertices", n)
-
-
 def cmd_solve(args) -> int:
     conf = _load_config(args)
     graph, spec, x0, trunc_info = _materialize(conf)
     opts = replace(conf.options, x0=x0 if conf.x0 is None else conf.x0)
     try:
         res = solve(graph, spec, opts)
-    except (ValueError, RuntimeError) as exc:
-        # solve() checks the hypotheses first: if they fail, this raises the
-        # same error again and --out is never created
-        hyp = hypotheses_check(graph, spec)
-        _make_out(args.out, graph.n)
-        if isinstance(exc, RuntimeError):
-            _write_json(
-                os.path.join(args.out, "report.json"),
-                {
-                    "error": f"{_failure_label(exc, 'solve')}: {exc}",
-                    "hypotheses": hyp,
-                    "truncation": trunc_info,
-                },
-            )
+    except RuntimeError as exc:
+        # solve() checks the hypotheses before it can fail numerically
+        os.makedirs(args.out, exist_ok=True)
+        _write_json(
+            os.path.join(args.out, "report.json"),
+            {
+                "error": f"{_failure_label(exc, 'solve')}: {exc}",
+                "hypotheses": hypotheses_check(graph, spec),
+                "truncation": trunc_info,
+            },
+        )
         raise
-    _make_out(args.out, graph.n)
-    suite = inequality_suite(graph, spec, trials=args.trials, seed=conf.seed)
+    os.makedirs(args.out, exist_ok=True)
     report = {
         "n": graph.n,
         "p": spec.p,
         "alpha": spec.alpha,
         "delta": spec.delta,
         "theta": spec.theta,
-        "seed": conf.seed,
         "gamma": res.gamma,
         "lambda": res.lam,
         "eigen_factor": res.eigen_factor,
@@ -262,7 +249,6 @@ def cmd_solve(args) -> int:
         "min_u": res.min_u,
         "truncation": trunc_info,
         "hypotheses": res.hypotheses,
-        "inequalities": suite,
     }
     _write_json(os.path.join(args.out, "report.json"), report)
     with open(
@@ -344,47 +330,29 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _configure_logging() -> None:
-    level = os.environ.get("YAMABE_LOG", "warning").upper()
-    if level not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
-        level = "WARNING"
-    logging.basicConfig(
-        level=getattr(logging, level),
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-
-
 def main(argv=None) -> int:
-    _configure_logging()
     parser = argparse.ArgumentParser(
         prog="yamabe",
         description="Constrained p-Dirichlet minimization on weighted graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("solve", help="minimize, rescale, and report one instance")
-    ps.add_argument("--config", required=True, help="JSON config path")
-    ps.add_argument("--out", default=".", help="output directory")
-    ps.add_argument("--seed", type=int, default=None, help="inequality-suite seed")
-    ps.add_argument("--trials", type=int, default=200, help="inequality trials")
-    ps.set_defaults(func=cmd_solve)
-
-    pw = sub.add_parser("sweep", help="nested-truncation study over radii")
-    pw.add_argument("--config", required=True, help="JSON config path")
-    pw.add_argument("--out", default=".", help="output directory")
-    pw.add_argument(
-        "--seed", type=int, default=None, help="accepted and unused: sweep draws nothing random"
-    )
-    pw.add_argument("--radii", default="", help="comma-separated radii, e.g. 4,8,16")
-    pw.set_defaults(func=cmd_sweep)
-
-    pv = sub.add_parser("verify", help="hypothesis checks and inequality suite")
-    pv.add_argument("--config", required=True, help="JSON config path")
-    pv.add_argument("--out", default=".", help="output directory")
-    pv.add_argument("--seed", type=int, default=None, help="suite seed")
-    pv.add_argument("--trials", type=int, default=1000, help="inequality trials")
-    pv.set_defaults(func=cmd_verify)
+    parsers = {}
+    for name, func, summary in (
+        ("solve", cmd_solve, "minimize, rescale, and report one instance"),
+        ("sweep", cmd_sweep, "nested-truncation study over radii"),
+        ("verify", cmd_verify, "hypothesis checks and inequality suite"),
+    ):
+        ps = sub.add_parser(name, help=summary)
+        ps.add_argument("--config", required=True, help="JSON config path")
+        ps.add_argument("--out", default=".", help="output directory")
+        ps.add_argument(
+            "--seed", type=int, default=None,
+            help="inequality-suite seed; solve and sweep accept it and draw nothing random",
+        )
+        ps.set_defaults(func=func)
+        parsers[name] = ps
+    parsers["sweep"].add_argument("--radii", default="", help="comma-separated radii, e.g. 4,8,16")
+    parsers["verify"].add_argument("--trials", type=int, default=1000, help="inequality trials")
 
     args = parser.parse_args(argv)
     # the one exit-code policy, keyed on the errors.py hierarchy; any other

@@ -477,10 +477,12 @@ def choose_truncation_radius(
     epsilon: float,
     r_max: int | None = None,
 ) -> TruncationChoice:
-    """Smallest radius whose tail is at most epsilon, with its K-tail bound.
+    """Smallest radius whose tail is at most epsilon and whose ball carries
+    constraint mass (g > 0 somewhere on it), with its K-tail bound.
 
     The bound estimates the infimum by the uniform competitor's energy.
-    Raises TruncationError, carrying the best achieved tail, when no
+    Raises InfeasibleConstraintError when g vanishes on the whole graph,
+    and TruncationError, carrying the best achieved tail, when no
     admissible radius exists.
     """
     _check_spec(g, spec)
@@ -492,17 +494,17 @@ def choose_truncation_radius(
     limit = len(tails) - 1 if r_max is None else min(r_max, len(tails) - 1)
     if limit < 0:
         raise ValueError("r_max must be nonnegative")
-    radius = None
-    for rr in range(limit + 1):
-        if tails[rr] <= epsilon:
-            radius = rr
-            break
-    if radius is None:
+    gamma_est = _competitor_energy(g, spec)
+    # a smaller ball has K = 0 identically, so K(u) = 1 is empty there
+    r_mass = int(graph_distance(g, x0)[spec.g > 0.0].min())
+    admissible = np.flatnonzero(tails[r_mass : limit + 1] <= epsilon)
+    if admissible.size == 0:
+        where = f" on a ball where g > 0 (radius >= {r_mass})" if r_mass else ""
         raise TruncationError(
-            f"no radius up to {limit} achieves tail <= {epsilon:.17g}",
+            f"no radius up to {limit} achieves tail <= {epsilon:.17g}{where}",
             achieved_tail=float(tails[limit]),
         )
-    gamma_est = _competitor_energy(g, spec)
+    radius = r_mass + int(admissible[0])
     tail_value = float(tails[radius])
     return TruncationChoice(
         radius=radius,

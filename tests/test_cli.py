@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, report files, determinism."""
 
 import json
+import logging
 import shutil
 import subprocess
 
@@ -32,7 +33,6 @@ def test_solve_success(tmp_path, capsys):
     assert report["n"] == 12
     assert report["eigen_factor"] == 1.0
     assert abs(report["k_value"] - 1.0) <= 1e-10
-    assert report["inequalities"]["passed"] is True
     assert report["truncation"] is None
     lines = (out / "solution.csv").read_text().splitlines()
     assert lines[0] == "vertex,u,residual"
@@ -49,13 +49,49 @@ def test_solve_bit_identical_reports(tmp_path):
     assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
 
 
-def test_solve_seed_override_recorded(tmp_path):
+def test_verify_seed_override_recorded(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["seed"] == 7
+    assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
+    report = json.loads((out / "verify.json").read_text())
     assert report["inequalities"]["seed"] == 7
+
+
+def test_solve_ignores_seed(tmp_path, capsys):
+    # solve certifies the instance and draws nothing random; the
+    # inequality suite is verify's
+    cfg = write_config(tmp_path)
+    out7, out8 = tmp_path / "a", tmp_path / "b"
+    assert main(["solve", "--config", cfg, "--out", str(out7), "--seed", "7"]) == 0
+    assert main(["solve", "--config", cfg, "--out", str(out8), "--seed", "8"]) == 0
+    report = (out7 / "report.json").read_bytes()
+    assert report == (out8 / "report.json").read_bytes()
+    assert {"seed", "inequalities"}.isdisjoint(json.loads(report))
+    # --trials is verify's option only
+    with pytest.raises(SystemExit):
+        main(["solve", "--config", cfg, "--out", str(out7), "--trials", "20"])
+    assert "unrecognized arguments: --trials" in capsys.readouterr().err
+
+
+def test_solve_non_hypothesis_value_error_leaves_no_out(tmp_path, capsys):
+    # the hypotheses pass, then the start vertex is out of range
+    cfg = write_config(tmp_path, solver={"x0": 99})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "invalid config: x0 out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_leaves_root_logger_alone(tmp_path, capsys, monkeypatch):
+    # a CLI run must not configure logging for the process hosting it;
+    # start from an unconfigured root logger, as outside pytest
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])
+    monkeypatch.setattr(root, "level", logging.WARNING)
+    cfg = write_config(tmp_path)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert root.handlers == [] and root.level == logging.WARNING
+    capsys.readouterr()
 
 
 def test_solve_floats_have_17_digits(tmp_path):
@@ -183,6 +219,35 @@ def test_sweep_rising_gamma_is_numerical(tmp_path, capsys):
     assert "sweep failed: gamma increased" in capsys.readouterr().err
 
 
+def test_sweep_unconverged_balls_skip_monotonicity(tmp_path, capsys):
+    # unconverged gammas rise from R = 8 to R = 16; only converged balls
+    # are compared, so the sweep names the non-convergence instead
+    cfg = write_config(
+        tmp_path, graph={"family": "path", "params": {"n": 20}}, solver={"max_iters": 2}
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--radii", "4,8,16,32"]) == 1
+    assert "sweep failed: not converged at radii [4, 8, 16, 32]" in capsys.readouterr().err
+    assert len((out / "sweep.csv").read_text().splitlines()) == 5
+
+
+def test_truncation_skips_balls_without_constraint_mass(tmp_path, capsys):
+    # tail <= 0.9 already at R = 2, but g vanishes there; R = 4 carries g
+    cfg = write_config(
+        tmp_path,
+        graph={"family": "path", "params": {"n": 30}},
+        problem={"p": 4.0, "alpha": 3.0, "delta": 0.4, "h": "1 + dist^4",
+                 "g": "maximum(dist-3, 0)"},
+        truncation={"epsilon": 0.9},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["truncation"]["radius"] == 4
+    assert report["converged"] is True and report["positive"] is True
+    capsys.readouterr()
+
+
 def test_verify_success(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -232,7 +297,7 @@ def test_nonpositive_solve_names_the_reason(tmp_path, capsys):
         problem={"p": 2.2, "alpha": 2.2, "delta": 0.4, "h": "1 + dist^4", "g": 1},
     )
     out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out), "--trials", "20"]) == 1
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
     assert "solver failure: solution not positive: min u = 0" in capsys.readouterr().err
     assert json.loads((out / "report.json").read_text())["positive"] is False
 
@@ -335,7 +400,7 @@ def test_exit_code_policy(tmp_path, capsys, case, command):
     overrides, codes, message = EXIT_CODE_CASES[case]
     expected = codes[("solve", "verify", "sweep").index(command)]
     cfg = write_config(tmp_path, **overrides)
-    extra = ["--radii", "4,8"] if command == "sweep" else ["--trials", "20"]
+    extra = {"solve": [], "sweep": ["--radii", "4,8"], "verify": ["--trials", "20"]}[command]
     argv = [command, "--config", cfg, "--out", str(tmp_path / "out")] + extra
     assert main(argv) == expected
     err = capsys.readouterr().err

@@ -131,8 +131,8 @@ def test_rows_derived_once_per_graph(monkeypatch):
     spec = yamabe.ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=np.ones(g.n), g=np.ones(g.n))
     yamabe.solve(g, spec, yamabe.SolveOptions(x0=x0))
     assert counts["csr_rows"] == 1
-    # the universe, the competitor's ball and one ball per radius
+    # the universe and one ball per radius; the competitor uses the first ball
     family = yamabe.GraphFamily("lattice_zd_ball", {"d": 1})
     problem = yamabe.ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^4", g=1.0)
     yamabe.exhaustion_study(family, problem, (4, 8))
-    assert counts["csr_rows"] == 1 + 4
+    assert counts["csr_rows"] == 1 + 3

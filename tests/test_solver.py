@@ -317,6 +317,22 @@ def test_truncation_error_carries_achieved_tail():
     assert err.value.achieved_tail > 0.0
 
 
+def test_truncation_radius_needs_constraint_mass():
+    # g vanishes within distance 3 of the anchor: the tail test alone picks
+    # R = 2, where K(u) = 1 is empty; the first ball carrying g is R = 4
+    g, x0 = path_graph(30)
+    dist = graph_distance(g, x0).astype(np.float64)
+    spec = dataclasses.replace(
+        distance_spec(g, x0), g=np.maximum(dist - 3.0, 0.0)
+    )
+    choice = choose_truncation_radius(g, spec, x0, epsilon=0.9)
+    assert choice.radius == 4
+    weight = spec.h ** (-spec.delta) * g.mu
+    assert float(np.sum(weight[dist > 2])) ** spec.delta <= 0.9
+    with pytest.raises(TruncationError, match="g > 0"):
+        choose_truncation_radius(g, spec, x0, epsilon=0.9, r_max=3)
+
+
 def test_truncation_rejects_bad_arguments():
     g, x0 = lattice_ball(1, 4)
     spec = distance_spec(g, x0)

@@ -183,14 +183,15 @@ def test_inequality_suite_deterministic():
     assert a == b
 
 
-def test_inequality_suite_p2_vacuous_entries():
+def test_inequality_suite_rejects_p2():
+    # 2 < alpha <= p forces p > 2; two of the inequalities need it
     g, _ = path_graph(4)
     spec = spec_on(g, p=2.0, alpha=2.0 + 1e-6, delta=0.7)
-    report = inequality_suite(g, spec, trials=50, seed=1)
+    with pytest.raises(ValueError, match="p > 2"):
+        inequality_suite(g, spec, trials=50, seed=1)
+    report = inequality_suite(g, spec_on(g, p=2.5, alpha=2.5), trials=50, seed=1)
     assert report["passed"]
-    for name in ("gj_pointwise", "holder_embedding"):
-        assert report["inequalities"][name]["note"] == "vacuous for p = 2"
-    assert "note" not in report["inequalities"]["elementary"]
+    assert all("note" not in state for state in report["inequalities"].values())
 
 
 def test_inequality_suite_rejects_bad_trials():
@@ -230,6 +231,19 @@ def test_exhaustion_certifies_monotonicity_failure():
     family, problem = lattice_family()
     with pytest.raises(ConsistencyError):
         exhaustion_study(family, problem, (2, 4))
+
+
+def test_exhaustion_monotonicity_skips_unconverged_balls():
+    # two iterations leave every ball unconverged; their gammas are only
+    # upper bounds of the ball levels and rise from R = 8 to R = 16, which
+    # used to raise ConsistencyError although no ball was certified
+    family = GraphFamily("path", {"n": 20})
+    problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^2", g=1.0)
+    study = exhaustion_study(family, problem, (4, 8, 16, 32), SolveOptions(max_iters=2))
+    rows = study["rows"]
+    assert [row["R"] for row in rows] == [4, 8, 16, 32]
+    assert not any(row["converged"] for row in rows)
+    assert rows[2]["gamma"] > rows[1]["gamma"]
 
 
 def test_competitor_without_constraint_mass_is_infeasible():
