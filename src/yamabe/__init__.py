@@ -26,8 +26,6 @@ from .functionals import (
     nonlinearity_G,
 )
 from .graph import (
-    Truncation,
-    TruncationSpec,
     WeightedGraph,
     as_vertex_function,
     cycle_graph,
@@ -93,8 +91,6 @@ __all__ = [
     "h_norm",
     "kprime_lipschitz_probe",
     "nonlinearity_G",
-    "Truncation",
-    "TruncationSpec",
     "WeightedGraph",
     "as_vertex_function",
     "cycle_graph",

@@ -39,8 +39,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .errors import InfeasibleConstraintError, TruncationError
 from .families import GraphFamily, ProblemFamily
-from .graph import TruncationSpec, truncate_ball
-from .solver import SolveOptions, choose_truncation_radius, solve
+from .solver import SolveOptions, _ball_problem, choose_truncation_radius, solve
 from .verify import exhaustion_study, hypotheses_check, inequality_suite
 
 __all__ = ["main"]
@@ -189,18 +188,21 @@ def _load_config(args) -> _Config:
 
 
 def _materialize(conf: _Config):
-    """Config -> (graph, spec, anchor, truncation report or None)."""
-    graph, x0 = conf.graph.materialize()
-    spec = conf.problem.on(graph, x0)
+    """Config -> (graph, spec, anchor, truncation report or None).
+
+    With a truncation section, a family sized by a radius is built out to
+    r_max, and the solve runs on the chosen ball of it."""
     trunc = conf.truncation
+    graph, x0 = conf.graph.materialize(None if trunc is None else trunc.get("r_max"))
+    spec = conf.problem.on(graph, x0)
     if trunc is None:
         return graph, spec, x0, None
     tx0 = trunc.get("x0", x0)
     choice = choose_truncation_radius(
         graph, spec, tx0, trunc["epsilon"], r_max=trunc.get("r_max")
     )
-    tr = truncate_ball(graph, TruncationSpec(tx0, choice.radius))
-    return tr.graph, spec.restrict(tr.new_to_old), int(tr.old_to_new[tx0]), asdict(choice)
+    ball, spec_r, anchor = _ball_problem(graph, spec, tx0, choice.radius)
+    return ball, spec_r, anchor, asdict(choice)
 
 
 def _failure_label(exc: RuntimeError, command: str) -> str:

@@ -51,8 +51,8 @@ class WeightedGraph:
     ``connected`` is derived too, but lazily: the first read runs one
     breadth-first search and the answer is cached on the instance, which is
     sound because the arrays are frozen. :meth:`from_edges` reads it to
-    validate, so ``verify.hypotheses_check`` finds it cached; a raw graph
-    pays the search on its first check only.
+    validate and :func:`truncate_ball` sets it, so ``verify.hypotheses_check``
+    finds it cached; a raw graph pays the search on its first check only.
 
     Use :meth:`from_edges` or the generators below; the raw constructor does
     not validate.
@@ -161,32 +161,6 @@ class WeightedGraph:
             a.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Ball-truncation parameters: center ``x0`` and hop radius."""
-
-    x0: int
-    radius: int
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-
-
-@dataclass(frozen=True)
-class Truncation:
-    """Result of a ball truncation.
-
-    ``old_to_new`` maps original vertex ids to subgraph ids (-1 outside the
-    ball); ``new_to_old`` lists the kept original ids in ascending order, so
-    a vertex function restricts as ``f[new_to_old]``.
-    """
-
-    graph: WeightedGraph
-    old_to_new: np.ndarray
-    new_to_old: np.ndarray
-
-
 def csr_rows(indptr) -> np.ndarray:
     """Row (source vertex) of every CSR slot: x repeated deg(x) times."""
     return np.repeat(np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr))
@@ -266,8 +240,14 @@ def eccentricity(g: WeightedGraph, x0: int) -> int:
     return int(graph_distance(g, x0).max())
 
 
-def truncate_ball(g: WeightedGraph, spec: TruncationSpec) -> Truncation:
+def truncate_ball(
+    g: WeightedGraph, x0: int, radius: int
+) -> tuple[WeightedGraph, int, np.ndarray]:
     """Induced subgraph on the ball {dist(x, x0) <= radius}.
+
+    Returns ``(ball, anchor, new_to_old)``: ``anchor`` is x0's id in the
+    ball, and ``new_to_old`` lists the kept original ids in ascending
+    order, so a vertex function restricts as ``f[new_to_old]``.
 
     Edges with an endpoint outside the ball are dropped entirely, so the
     ball carries a free-boundary problem, not the zero-extension one:
@@ -276,10 +256,12 @@ def truncate_ball(g: WeightedGraph, spec: TruncationSpec) -> Truncation:
     therefore need not be nonincreasing in R, and on small balls it can
     rise.
 
-    The ball is connected without a check: every kept vertex has a
-    shortest path to x0, and that path stays inside the ball.
+    The ball's cached ``connected`` is set without a search: every kept
+    vertex has a shortest path to x0, and that path stays inside the ball.
     """
-    keep = graph_distance(g, spec.x0) <= spec.radius
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    keep = graph_distance(g, x0) <= radius
     new_to_old = np.flatnonzero(keep).astype(np.int64)
     old_to_new = np.full(g.n, -1, dtype=np.int64)
     old_to_new[new_to_old] = np.arange(new_to_old.shape[0], dtype=np.int64)
@@ -287,14 +269,15 @@ def truncate_ball(g: WeightedGraph, spec: TruncationSpec) -> Truncation:
     row = g.rows
     emask = keep[row] & keep[g.indices]
     counts = np.bincount(old_to_new[row[emask]], minlength=new_to_old.shape[0])
-    sub = WeightedGraph(
+    ball = WeightedGraph(
         indptr=np.concatenate(([0], np.cumsum(counts))),
         indices=old_to_new[g.indices[emask]],
         weights=g.weights[emask],
         mu=g.mu[new_to_old],
     )
-    sub._freeze()
-    return Truncation(graph=sub, old_to_new=old_to_new, new_to_old=new_to_old)
+    ball._freeze()
+    object.__setattr__(ball, "connected", True)
+    return ball, int(old_to_new[x0]), new_to_old
 
 
 # ---------------------------------------------------------------------------

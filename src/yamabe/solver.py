@@ -43,6 +43,7 @@ from .graph import (
     as_vertex_function,
     graph_distance,
     integrate,
+    truncate_ball,
 )
 
 __all__ = [
@@ -439,14 +440,26 @@ def solve(
     )
 
 
-def _tail_values(g: WeightedGraph, spec: ProblemSpec, x0: int) -> np.ndarray:
-    """tail(R) for R = 0 .. ecc, with tail(R) = (sum_{d(x) > R} h^-delta mu)^delta."""
+def _ball_problem(g: WeightedGraph, spec: ProblemSpec, x0: int, radius: int):
+    """The problem cut to the hop ball of the given radius around x0:
+    (ball graph, spec restricted to it, x0's id in the ball)."""
+    ball, anchor, new_to_old = truncate_ball(g, x0, radius)
+    return ball, spec.restrict(new_to_old), anchor
+
+
+def _universe_tails(g: WeightedGraph, spec: ProblemSpec, x0: int):
+    """Check the hypotheses on the whole graph, so no tail comes from an h
+    that vanishes somewhere, then return the hop distances from x0 and
+    tail(R) for R = 0 .. ecc, tail(R) = (sum_{d(x) > R} h^-delta mu)^delta."""
+    from .verify import hypotheses_check
+
+    hypotheses_check(g, spec)
     dist = graph_distance(g, x0)
     ecc = int(dist.max())
     shell = np.bincount(dist, weights=spec.h ** (-spec.delta) * g.mu, minlength=ecc + 1)
     # suffix[R] = mass strictly beyond radius R
     suffix = np.concatenate([np.cumsum(shell[::-1])[::-1], [0.0]])
-    return suffix[1:] ** spec.delta
+    return dist, suffix[1:] ** spec.delta
 
 
 def k_tail_bound(
@@ -481,22 +494,21 @@ def choose_truncation_radius(
     constraint mass (g > 0 somewhere on it), with its K-tail bound.
 
     The bound estimates the infimum by the uniform competitor's energy.
-    Raises InfeasibleConstraintError when g vanishes on the whole graph,
-    and TruncationError, carrying the best achieved tail, when no
-    admissible radius exists.
+    Raises HypothesisError when a hypothesis fails on the whole graph,
+    InfeasibleConstraintError when g vanishes on it, and TruncationError,
+    carrying the best achieved tail, when no admissible radius exists.
     """
-    _check_spec(g, spec)
     if not (epsilon > 0.0 and np.isfinite(epsilon)):
         raise ValueError("epsilon must be a positive finite number")
     if not 0 <= x0 < g.n:
         raise ValueError("x0 out of range")
-    tails = _tail_values(g, spec, x0)
+    dist, tails = _universe_tails(g, spec, x0)
     limit = len(tails) - 1 if r_max is None else min(r_max, len(tails) - 1)
     if limit < 0:
         raise ValueError("r_max must be nonnegative")
     gamma_est = _competitor_energy(g, spec)
     # a smaller ball has K = 0 identically, so K(u) = 1 is empty there
-    r_mass = int(graph_distance(g, x0)[spec.g > 0.0].min())
+    r_mass = int(dist[spec.g > 0.0].min())
     admissible = np.flatnonzero(tails[r_mass : limit + 1] <= epsilon)
     if admissible.size == 0:
         where = f" on a ball where g > 0 (radius >= {r_mass})" if r_mass else ""

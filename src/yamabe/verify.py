@@ -12,18 +12,13 @@ import numpy as np
 
 from .errors import ConsistencyError, HypothesisError
 from .functionals import ProblemSpec, _check_spec, energy_J
-from .graph import (
-    TruncationSpec,
-    WeightedGraph,
-    as_vertex_function,
-    integrate,
-    truncate_ball,
-)
+from .graph import WeightedGraph, as_vertex_function, integrate
 from .operators import p_laplacian
 from .solver import (
     SolveOptions,
+    _ball_problem,
     _competitor_energy,
-    _tail_values,
+    _universe_tails,
     k_tail_bound,
     solve,
 )
@@ -230,25 +225,27 @@ def inequality_suite(
     results["gj_pointwise"] = state
 
     # int |w|^{p/(p-1)} dmu <= (int h^{-1/(p-2)} dmu)^{(p-2)/(p-1)} (int h|w|^p dmu)^{1/(p-1)}
+    # one scalar pair per trial here and below, so one _ratio_update takes them all
     state = fresh()
     h_int = float(integrate(g, spec.h ** (-1.0 / (p - 2.0))))
-    for _ in range(trials):
+    lhs, rhs = np.empty(trials), np.empty(trials)
+    for k in range(trials):
         w = rng.standard_normal(n)
-        lhs = float(integrate(g, np.abs(w) ** (p / (p - 1.0))))
-        rhs = h_int ** ((p - 2.0) / (p - 1.0)) * float(
+        lhs[k] = float(integrate(g, np.abs(w) ** (p / (p - 1.0))))
+        rhs[k] = h_int ** ((p - 2.0) / (p - 1.0)) * float(
             integrate(g, spec.h * np.abs(w) ** p)
         ) ** (1.0 / (p - 1.0))
-        _ratio_update(state, lhs, rhs)
+    _ratio_update(state, lhs, rhs)
     results["holder_embedding"] = state
 
     # min(h mu) sup|u|^p <= J(u) for every u
     state = fresh()
     min_hmu = float(np.min(spec.h * g.mu))
-    for _ in range(trials):
+    for k in range(trials):
         u = rng.uniform(0.1, 3.0) * rng.standard_normal(n)
-        _ratio_update(
-            state, min_hmu * float(np.max(np.abs(u))) ** p, energy_J(g, spec, u)
-        )
+        lhs[k] = min_hmu * float(np.max(np.abs(u))) ** p
+        rhs[k] = energy_J(g, spec, u)
+    _ratio_update(state, lhs, rhs)
     results["bd_sup_bound"] = state
 
     for state in results.values():
@@ -275,8 +272,9 @@ def exhaustion_study(
     anchor)) and spec evaluates problem data on them (spec.on(graph,
     anchor) -> ProblemSpec).  All truncations are cut from one universe
     ball, and each ball's solve starts from the bump around its anchor, so
-    opts.u0 must be None.  Invalid input, a violated hypothesis included, raises its
-    ValueError unchanged; g vanishing on the smallest ball raises
+    opts.u0 must be None.  Invalid input raises ValueError, and a hypothesis
+    violated anywhere on the universe raises HypothesisError before any
+    ball is cut; g vanishing on the smallest ball raises
     InfeasibleConstraintError; a numerical failure of one ball's solve
     raises RuntimeError naming the radius.
     """
@@ -296,22 +294,20 @@ def exhaustion_study(
 
     g_u, x0 = family.materialize(universe_radius)
     spec_u = spec.on(g_u, x0)
-    tails = _tail_values(g_u, spec_u, x0)
+    _, tails = _universe_tails(g_u, spec_u, x0)
 
     rows = []
     gamma_est = None
     prev_gamma = np.inf  # gamma of the last converged ball
     base_opts = SolveOptions() if opts is None else opts
     for radius in radii:
-        tr = truncate_ball(g_u, TruncationSpec(x0, radius))
-        spec_r = spec_u.restrict(tr.new_to_old)
+        ball, spec_r, anchor = _ball_problem(g_u, spec_u, x0, radius)
         if gamma_est is None:
             # energy of the uniform competitor on the smallest ball bounds
             # every gamma_R with R >= radii[0] from above
-            gamma_est = _competitor_energy(tr.graph, spec_r)
-        opts_r = replace(base_opts, x0=int(tr.old_to_new[x0]))
+            gamma_est = _competitor_energy(ball, spec_r)
         try:
-            res = solve(tr.graph, spec_r, opts_r)
+            res = solve(ball, spec_r, replace(base_opts, x0=anchor))
         except RuntimeError as exc:
             raise RuntimeError(f"solve failed at radius {radius}: {exc}") from exc
         # an unconverged gamma is only an upper bound of its ball's level

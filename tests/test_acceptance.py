@@ -36,7 +36,7 @@ from yamabe import (
     tree_ball,
 )
 from yamabe.cli import main as cli_main
-from yamabe.verify import _tail_values
+from yamabe.solver import _universe_tails
 
 
 def _verdict(capsys, num, name, ok, detail=""):
@@ -246,7 +246,7 @@ def test_criterion_07_exhaustion_monotonicity(capsys):
 
     g_u, x0 = family.materialize(2 * max(radii))
     spec_u = problem.on(g_u, x0)
-    tails = _tail_values(g_u, spec_u, x0)
+    _, tails = _universe_tails(g_u, spec_u, x0)
     chosen = [
         choose_truncation_radius(g_u, spec_u, x0, epsilon=float(tails[r]))
         for r in radii

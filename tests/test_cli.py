@@ -2,8 +2,10 @@
 
 import json
 import logging
+import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,6 +388,26 @@ EXIT_CODE_CASES = {
         (0, 0, 1),
         "infeasible constraint: g vanishes",
     ),
+    # h = 0 at the anchor: the truncation choice checks the hypotheses
+    # before it computes a tail bound from h
+    "h_vanishes_under_truncation": (
+        {
+            "graph": {"family": "path", "params": {"n": 30}},
+            "problem": {"p": 4.0, "alpha": 3.0, "delta": 0.4, "h": "dist"},
+            "truncation": {"epsilon": 0.5},
+        },
+        (2, 2, 2),
+        "invalid config: min_h: h must be positive everywhere",
+    ),
+    # h vanishes on the sweep's universe but on neither of its balls
+    "h_vanishes_beyond_every_ball": (
+        {
+            "graph": {"family": "path", "params": {"n": 40}},
+            "problem": {"p": 4.0, "alpha": 3.0, "delta": 0.4, "h": "maximum(12-dist, 0)"},
+        },
+        (2, 2, 2),
+        "invalid config: min_h: h must be positive everywhere",
+    ),
     "unknown_truncation_key": (
         {"truncation": {"bogus": 1}},
         (2, 2, 2),
@@ -407,6 +429,25 @@ def test_exit_code_policy(tmp_path, capsys, case, command):
     assert "Traceback" not in err
     if expected:
         assert message in err
+
+
+def test_readme_config_runs_as_documented(tmp_path, capsys):
+    # the README's config sizes its lattice by the truncation's r_max
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(block)
+    for command, extra in (
+        ("solve", []),
+        ("verify", ["--trials", "20"]),
+        ("sweep", ["--radii", "4,8,16,32"]),
+    ):
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / command)] + extra
+        assert main(argv) == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "solve" / "report.json").read_text())
+    assert report["converged"] is True and report["positive"] is True
+    assert report["n"] == 2 * report["truncation"]["radius"] + 1
+    capsys.readouterr()
 
 
 def test_dumps17_serializer():

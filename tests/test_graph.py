@@ -12,7 +12,6 @@ from conftest import random_connected_graph
 from yamabe import (
     HypothesisError,
     ProblemSpec,
-    TruncationSpec,
     WeightedGraph,
     cycle_graph,
     eccentricity,
@@ -296,34 +295,34 @@ def test_truncation_is_connected_at_every_radius(case):
     g, x0 = case
     dist = graph_distance(g, x0)
     for radius in range(int(dist.max()) + 1):
-        sub = truncate_ball(g, TruncationSpec(x0, radius)).graph
+        sub, _, _ = truncate_ball(g, x0, radius)
         assert sub.n == np.count_nonzero(dist <= radius)
         assert _is_connected(sub.indptr, sub.indices)
 
 
 def test_truncate_ball_drops_crossing_edges():
     g, x0 = path_graph(6)
-    tr = truncate_ball(g, TruncationSpec(x0=0, radius=2))
-    assert tr.graph.n == 3
-    assert tr.graph.n_edges == 2
-    np.testing.assert_array_equal(tr.new_to_old, [0, 1, 2])
-    assert tr.old_to_new[0] == 0 and tr.old_to_new[5] == -1
+    ball, anchor, new_to_old = truncate_ball(g, 0, 2)
+    assert ball.n == 3
+    assert ball.n_edges == 2
+    np.testing.assert_array_equal(new_to_old, [0, 1, 2])
+    assert anchor == 0
     # measures carried over unchanged
-    np.testing.assert_array_equal(tr.graph.mu, g.mu[:3])
+    np.testing.assert_array_equal(ball.mu, g.mu[:3])
 
 
 def test_truncate_ball_whole_graph():
     g, x0 = cycle_graph(5)
-    tr = truncate_ball(g, TruncationSpec(x0=0, radius=10))
-    assert tr.graph.n == g.n and tr.graph.n_edges == g.n_edges
+    ball, _, _ = truncate_ball(g, 0, 10)
+    assert ball.n == g.n and ball.n_edges == g.n_edges
 
 
 def test_truncate_ball_validation():
     g, _ = path_graph(3)
     with pytest.raises(ValueError):
-        TruncationSpec(x0=0, radius=-1)
+        truncate_ball(g, 0, -1)
     with pytest.raises(ValueError):
-        truncate_ball(g, TruncationSpec(x0=7, radius=1))
+        truncate_ball(g, 7, 1)
 
 
 def test_truncations_nest():
@@ -331,10 +330,10 @@ def test_truncations_nest():
     for _ in range(20):
         g = random_connected_graph(rng)
         r1 = int(rng.integers(0, 3))
-        tr1 = truncate_ball(g, TruncationSpec(0, r1))
-        tr2 = truncate_ball(g, TruncationSpec(0, r1 + 2))
-        inner = set(tr1.new_to_old.tolist())
-        outer = set(tr2.new_to_old.tolist())
+        _, _, inner_ids = truncate_ball(g, 0, r1)
+        _, _, outer_ids = truncate_ball(g, 0, r1 + 2)
+        inner = set(inner_ids.tolist())
+        outer = set(outer_ids.tolist())
         assert inner <= outer
 
 

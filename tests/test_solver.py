@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    count_calls,
     random_connected_graph,
     random_positive_spec_fields,
     record_accepted_iterates,
@@ -331,6 +332,18 @@ def test_truncation_radius_needs_constraint_mass():
     assert float(np.sum(weight[dist > 2])) ** spec.delta <= 0.9
     with pytest.raises(TruncationError, match="g > 0"):
         choose_truncation_radius(g, spec, x0, epsilon=0.9, r_max=3)
+
+
+def test_truncation_choice_runs_one_search(monkeypatch):
+    # one BFS gives both the tails and the smallest ball carrying g
+    g, x0 = path_graph(30)
+    dist = graph_distance(g, x0).astype(np.float64)
+    spec = dataclasses.replace(
+        distance_spec(g, x0), g=np.maximum(dist - 3.0, 0.0)
+    )
+    counts = count_calls(monkeypatch, graph_distance)
+    assert choose_truncation_radius(g, spec, x0, epsilon=0.9).radius == 4
+    assert counts["graph_distance"] == 1
 
 
 def test_truncation_rejects_bad_arguments():

@@ -96,3 +96,7 @@ def test_connectivity_is_derived_once_per_graph(monkeypatch):
     for g in (built, raw, built, raw):
         hypotheses_check(g, _spec(g.n))
     assert counts["_is_connected"] == 2
+    # a hop ball is connected by construction and says so
+    ball, _, _ = yamabe.truncate_ball(built, 0, 3)
+    hypotheses_check(ball, _spec(ball.n))
+    assert counts["_is_connected"] == 2

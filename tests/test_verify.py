@@ -283,6 +283,25 @@ def test_exhaustion_hypothesis_error_propagates():
     assert err.value.name == "alpha_range"
 
 
+@pytest.mark.parametrize(
+    "n, h",
+    [(30, "dist"), (40, "maximum(12 - dist, 0)")],
+    ids=["h_zero_at_anchor", "h_zero_beyond_every_ball"],
+)
+def test_universe_hypotheses_come_before_tails(n, h):
+    # h vanishes on the universe, so no tail bound may be computed from it;
+    # in the second case it vanishes on neither ball of the study
+    family = GraphFamily("path", {"n": n})
+    problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h=h)
+    with pytest.raises(HypothesisError) as err:
+        exhaustion_study(family, problem, (4, 8))
+    assert err.value.name == "min_h"
+    g, x0 = family.materialize()
+    with pytest.raises(HypothesisError) as err:
+        choose_truncation_radius(g, problem.on(g, x0), x0, 0.5)
+    assert err.value.name == "min_h"
+
+
 def test_exhaustion_rejects_u0():
     # one u0 cannot fit balls of different sizes; it used to fail at the
     # first ball with "vertex function has shape (33,), expected (9,)"
