@@ -245,7 +245,9 @@ def cmd_solve(args) -> int:
         "k_value": res.k_value,
         "residual_sup": res.residual_sup,
         "residual_l2": res.residual_l2,
+        "residual_rel_sup": res.residual_rel_sup,
         "iters": res.iters,
+        "line_search_trials": res.trace.trials,
         "converged": res.converged,
         "positive": res.positive,
         "min_u": res.min_u,

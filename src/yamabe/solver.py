@@ -14,6 +14,18 @@ alpha-homogeneous on nonnegative functions.  Steps are accepted on an Armijo dec
 once energy decreases drop below floating-point resolution, on a
 safeguarded decrease of the residual itself, so stationarity can be
 driven well past the precision at which J flattens out.
+
+Each line search starts at the step the previous one carried over and
+halves it until a step is accepted.  After an Armijo accept that lowers
+J by more than its float resolution, the step is rescaled with the 1-D
+quadratic model through the accepted trial (Nocedal & Wright, Numerical
+Optimization, sec. 3.5).  With the Armijo ratio
+q = (J - J_cand) / (s |slope|), the factor is 2 when q >= 3/4 and
+otherwise 1 / (2 (1 - q)), the model's minimizer, which lies in
+(1/2, 2).  The result is rounded to the nearest
+power of 2^(1/8) and capped at _STEP_MAX; on this lattice, rounding noise
+cannot change the step, so a relabelled graph takes the same steps.
+After a residual-fallback accept the step is carried over unchanged.
 """
 
 from __future__ import annotations
@@ -60,14 +72,18 @@ __all__ = [
 ]
 
 
-# Line-search constants: the first trial step (natural for the
-# curvature-scaled direction), the backtracking factor, the Armijo
-# sufficient-decrease fraction and the smallest step tried before the
-# search counts as stagnated.
+# Line-search constants: the first trial step of the first line search
+# (natural for the curvature-scaled direction, and on the step lattice),
+# the largest step ever tried, the backtracking factor, the Armijo
+# sufficient-decrease fraction, the smallest step tried before the search
+# counts as stagnated, and the relative resolution of J below which an
+# energy decrease is taken as rounding.
 _STEP_INIT = 1.0
+_STEP_MAX = 8.0
 _BACKTRACK = 0.5
 _ARMIJO = 1e-4
 _STEP_FLOOR = 1e-12
+_J_RESOLUTION = 1e-12
 # On the alpha = p branch the curvature diagonal is never taken below this
 # fraction of J's own diagonal (see _diag_curvature).
 _LAGRANGIAN_FLOOR = 1e-3
@@ -97,12 +113,14 @@ class SolveOptions:
 
 @dataclass
 class MinimizeTrace:
-    """How a descent ended: iters line searches were run, and stagnated
-    means the last one found no step.  No per-iterate history is kept."""
+    """How a descent ended: iters line searches were run, with trials
+    energy evaluations among them, and stagnated means the last one found
+    no step.  No per-iterate history is kept."""
 
     converged: bool
     iters: int
     stagnated: bool
+    trials: int
 
 
 @dataclass
@@ -111,7 +129,8 @@ class SolveResult:
 
     u_bar is the constrained minimizer (K(u_bar) = 1), u the rescaled
     solution of the unconstrained equation with multiplier eigen_factor,
-    and residual its per-vertex defect (see verify.residual_report).
+    and residual its per-vertex defect (see verify.residual_report);
+    residual_rel_sup, the relative defect, is reported but not gated.
     """
 
     u_bar: np.ndarray
@@ -122,6 +141,7 @@ class SolveResult:
     residual: np.ndarray
     residual_sup: float
     residual_l2: float
+    residual_rel_sup: float
     iters: int
     converged: bool
     positive: bool
@@ -264,6 +284,14 @@ def _converged(
     return final <= 10.0 * grad_tol
 
 
+def _next_step(s: float, decrease: float, slope: float) -> float:
+    """First trial step of the next line search after an Armijo accept at
+    step s that lowered J by decrease along a direction of the given slope."""
+    q = decrease / (s * -slope)
+    factor = 2.0 if q >= 0.75 else 0.5 / (1.0 - q)
+    return min(2.0 ** (round(8.0 * np.log2(s * factor)) / 8.0), _STEP_MAX)
+
+
 def minimize_constrained(
     g: WeightedGraph, spec: ProblemSpec, opts: SolveOptions | None = None
 ):
@@ -293,6 +321,7 @@ def minimize_constrained(
 
     stagnated = False
     iters = 0
+    trials = 0
     big = 1e8
 
     while iters < opts.max_iters and not _converged(spec, j, lam, sup_r, opts.grad_tol):
@@ -300,7 +329,7 @@ def minimize_constrained(
         d = -(g.mu * r) / _diag_curvature(g, spec, u, lam)
         slope = float((g.mu * r * d).sum())
         sup_d = float(np.abs(d).max())
-        s = min(2.0 * step, 8.0)
+        s = step
         accepted = False
         polish = None
         while s >= _STEP_FLOOR:
@@ -312,12 +341,13 @@ def minimize_constrained(
                 s *= _BACKTRACK
                 continue
             j_cand = energy_J(g, spec, cand)
+            trials += 1
             if j_cand <= j + _ARMIJO * s * slope:
                 accepted = True
                 break
             # energy decreases below float resolution: fall back to a
             # plain residual decrease, never letting J creep upward
-            if j_cand <= j + 1e-12 * (1.0 + abs(j)):
+            if j_cand <= j + _J_RESOLUTION * (1.0 + abs(j)):
                 r_cand, lam_cand = _residual_state(g, spec, cand, j_cand)
                 sup_cand = float(np.abs(r_cand).max())
                 if sup_cand <= 0.9 * sup_r:
@@ -329,7 +359,10 @@ def minimize_constrained(
             stagnated = True
             break
 
-        u, j, step = cand, j_cand, s
+        step = s
+        if polish is None and j - j_cand > _J_RESOLUTION * (1.0 + abs(j)):
+            step = _next_step(s, j - j_cand, slope)
+        u, j = cand, j_cand
         _check_sup_bound(spec, u, j, min_hmu)
         sup_u = float(u.max())
 
@@ -347,7 +380,9 @@ def minimize_constrained(
 
     # also true after a stagnated line search at numerical optimality
     converged = _converged(spec, j, lam, sup_r, opts.grad_tol)
-    return u, j, MinimizeTrace(converged=converged, iters=iters, stagnated=stagnated)
+    return u, j, MinimizeTrace(
+        converged=converged, iters=iters, stagnated=stagnated, trials=trials
+    )
 
 
 def lagrange_multiplier(g: WeightedGraph, spec: ProblemSpec, u_bar: np.ndarray) -> float:
@@ -429,6 +464,7 @@ def solve(
         residual=report.residual,
         residual_sup=report.residual_sup,
         residual_l2=report.residual_l2,
+        residual_rel_sup=report.residual_rel_sup,
         iters=trace.iters,
         converged=converged,
         positive=cert.passed,

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._kernels import grad_power_kernel
 from .errors import ConsistencyError, HypothesisError
 from .functionals import ProblemSpec, _check_spec, energy_J
 from .graph import WeightedGraph, as_vertex_function, integrate
@@ -91,11 +92,16 @@ def hypotheses_check(g: WeightedGraph, spec: ProblemSpec) -> dict:
 
 @dataclass
 class ResidualReport:
-    """Per-vertex defect of the target equation at a candidate solution."""
+    """Per-vertex defect of the target equation at a candidate solution.
+
+    residual_rel_sup is the sup over vertices of rel(x), the defect
+    relative to the sizes of the equation's terms (see residual_report).
+    """
 
     residual: np.ndarray
     residual_sup: float
     residual_l2: float
+    residual_rel_sup: float
     min_u: float
     eigen_factor: float = 1.0
 
@@ -106,20 +112,28 @@ def residual_report(
     """Defect r = -lap_p u + h u^{p-1} - eigen_factor g u^{alpha-1}.
 
     eigen_factor is 1 for the fully rescaled equation and the reported
-    factor for the p = alpha eigenvalue form.
+    factor for the p = alpha eigenvalue form.  The relative defect is
+    rel(x) = |r(x)| / (sum_y w_xy |u(y)-u(x)|^{p-1} / mu(x)
+    + h |u|^{p-1} + eigen_factor g u_+^{alpha-1}), which lies in [0, 1] up
+    to rounding and is 0 where every term vanishes.  Unlike |r|, it does
+    not shrink with u, so a wrong tail shows up as rel near 1.
     """
     _check_spec(g, spec)
     u = as_vertex_function(g, u)
     plus = np.maximum(u, 0.0)
-    r = (
-        -p_laplacian(g, spec.p, u)
-        + spec.h * np.sign(u) * np.abs(u) ** (spec.p - 1.0)
-        - eigen_factor * spec.g * plus ** (spec.alpha - 1.0)
+    u_pow = np.abs(u) ** (spec.p - 1.0)
+    g_term = eigen_factor * spec.g * plus ** (spec.alpha - 1.0)
+    r = -p_laplacian(g, spec.p, u) + spec.h * np.sign(u) * u_pow - g_term
+    flow = 2.0 * grad_power_kernel(
+        g.indptr, g.indices, g.weights, g.mu, u, spec.p - 1.0, g.rows
     )
+    scale = flow + spec.h * u_pow + np.abs(g_term)
+    rel = np.abs(r) / np.where(scale > 0.0, scale, 1.0)
     return ResidualReport(
         residual=r,
         residual_sup=float(np.abs(r).max()) if g.n else 0.0,
         residual_l2=float(np.sqrt(np.sum(g.mu * r * r))),
+        residual_rel_sup=float(rel.max()) if g.n else 0.0,
         min_u=float(u.min()) if g.n else 0.0,
         eigen_factor=float(eigen_factor),
     )

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven end-to-end criteria, one printed verdict each.
+"""Acceptance gate: twelve end-to-end criteria, one printed verdict each.
 
 Each test prints one ACCEPTANCE line with its verdict and the measured
 quantity, then asserts. Tolerances are pinned here on purpose; loosening
@@ -383,5 +383,44 @@ def test_criterion_11_flat_branch_closed_form_level(capsys):
         capsys, 11, "flat-branch-closed-form-level", ok,
         f"12 instances, worst |gamma - 1| {worst_gap:.3g}, most iterations {most_iters}"
         + (f", failed: {failed}" if failed else ""),
+    )
+    assert ok, line
+
+
+def test_criterion_12_grid_certified_and_positive(capsys):
+    # The 180-instance grid: 4 graphs x p in {2.2, 2.5, 3, 4, 6} x every
+    # alpha in {2.25, 2.5, 3, 4, 6, p} with 2 < alpha <= p x h in {1,
+    # 1+dist^2, 1+dist^4}, g = theta = 1. Every instance must end certified
+    # and strictly positive; steep h drives the tails towards underflow,
+    # which is where exact zeros used to appear.
+    graphs = {
+        "path30": path_graph(30),
+        "z2r10": lattice_ball(2, 10),
+        "tree6": tree_ball(2, 6),
+        "cycle20": cycle_graph(20),
+    }
+    failed, count, total_iters = [], 0, 0
+    for name, (graph, x0) in graphs.items():
+        dist = graph_distance(graph, x0).astype(np.float64)
+        for p in (2.2, 2.5, 3.0, 4.0, 6.0):
+            alphas = sorted({a for a in (2.25, 2.5, 3.0, 4.0, 6.0, p) if 2.0 < a <= p})
+            for alpha, k in ((a, k) for a in alphas for k in (0, 2, 4)):
+                spec = ProblemSpec(
+                    p=p, alpha=alpha, delta=min(0.4, 0.9 / (p - 2.0)), theta=1.0,
+                    h=1.0 + dist**k if k else np.ones(graph.n), g=np.ones(graph.n),
+                )
+                res = solve(graph, spec, SolveOptions(x0=x0))
+                count += 1
+                total_iters += res.iters
+                if not (res.converged and res.positive and res.min_u > 0.0):
+                    failed.append(
+                        f"{name} p={p:g} alpha={alpha:g} h=1+dist^{k}: "
+                        f"converged={res.converged}, min u={res.min_u:.3g}"
+                    )
+    ok = count == 180 and not failed
+    line = _verdict(
+        capsys, 12, "grid-certified-and-positive", ok,
+        f"{count} instances, {count - len(failed)} certified and positive, "
+        f"{total_iters} iterations" + (f", failed: {failed}" if failed else ""),
     )
     assert ok, line

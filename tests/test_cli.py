@@ -36,6 +36,8 @@ def test_solve_success(tmp_path, capsys):
     assert report["eigen_factor"] == 1.0
     assert abs(report["k_value"] - 1.0) <= 1e-10
     assert report["truncation"] is None
+    assert report["line_search_trials"] >= report["iters"] > 0
+    assert 0.0 <= report["residual_rel_sup"] <= 1.0
     lines = (out / "solution.csv").read_text().splitlines()
     assert lines[0] == "vertex,u,residual"
     assert len(lines) == 13
@@ -292,11 +294,12 @@ def test_unconverged_solve_keeps_its_reports(tmp_path, capsys):
 
 
 def test_nonpositive_solve_names_the_reason(tmp_path, capsys):
-    # p = alpha = 2.2 with fast-growing h: the descent leaves exact zeros
+    # h = 1 + dist^24 makes the true solution underflow float64 far from x0,
+    # so the computed one has exact zeros however well the descent runs
     cfg = write_config(
         tmp_path,
         graph={"family": "path", "params": {"n": 30}},
-        problem={"p": 2.2, "alpha": 2.2, "delta": 0.4, "h": "1 + dist^4", "g": 1},
+        problem={"p": 2.5, "alpha": 2.5, "delta": 0.4, "h": "1 + dist^24", "g": 1},
     )
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 1

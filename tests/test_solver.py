@@ -35,6 +35,7 @@ from yamabe import (
     residual_report,
     solve,
 )
+from yamabe.solver import _next_step
 
 
 def make_spec(graph, p, alpha, delta=0.4, theta=1.0, h=1.0, g_coef=1.0):
@@ -197,6 +198,31 @@ def test_minimizer_invariant_under_vertex_relabelling():
         assert trace.converged, seed
         assert trace.iters == trace_ref.iters, seed
         np.testing.assert_allclose(u_bar[perm], u_ref, rtol=0.0, atol=1e-12)
+
+
+def test_line_search_spends_about_one_trial_per_iteration(monkeypatch):
+    # each line search starts at the step the previous one carried over,
+    # rescaled by the quadratic model, so few trials are thrown away
+    g, x0 = lattice_ball(2, 20)
+    dist = graph_distance(g, x0).astype(np.float64)
+    spec = ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=1.0 + dist**2, g=np.ones(g.n))
+    counts = count_calls(monkeypatch, energy_J)
+    _, _, trace = minimize_constrained(g, spec, SolveOptions(x0=x0))
+    assert trace.converged
+    # one energy pass for the start, then one per trial
+    assert counts["energy_J"] == 1 + trace.trials
+    assert trace.trials / trace.iters <= 1.5
+
+
+@pytest.mark.parametrize("s", [2.0**-3, 2.0**0.375, 1.0, 4.0, 8.0])
+def test_next_step_stays_on_the_lattice(s):
+    # slope -1, so the Armijo ratio q is decrease / s
+    for q in (1e-4, 0.1, 0.5, 0.74, 0.75, 1.0, 3.0):
+        step = _next_step(s, q * s, -1.0)
+        k = 8.0 * np.log2(step)
+        assert abs(k - round(k)) < 1e-9, (s, q, step)
+        assert s / 2.0 * (1 - 1e-12) <= step <= min(2.0 * s, 8.0) * (1 + 1e-12), (s, q)
+    assert _next_step(s, 0.75 * s, -1.0) == pytest.approx(min(2.0 * s, 8.0), rel=1e-12)
 
 
 def test_sup_bound_on_solution():
@@ -372,3 +398,4 @@ def test_solve_reports_hypotheses_and_trace():
     assert any(c["name"] == "connected" for c in res.hypotheses["checks"])
     assert res.trace is not None
     assert res.trace.iters == res.iters
+    assert res.trace.trials >= res.iters

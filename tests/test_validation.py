@@ -78,7 +78,8 @@ def test_solve_validates_each_iterate_a_bounded_number_of_times(monkeypatch):
     # accepted or polish-tested iterate by J_gradient; the rest of the
     # pipeline (start, multiplier, certificates) adds a fixed handful
     g, x0 = yamabe.path_graph(20)
-    spec = _spec(g.n)
+    dist = yamabe.graph_distance(g, x0).astype(np.float64)
+    spec = _spec(g.n, h=1.0 + dist**2)
     counts = count_calls(monkeypatch, as_vertex_function, energy_J, J_gradient)
     res = solve(g, spec, SolveOptions(x0=x0))
     assert res.iters > 10

@@ -13,8 +13,10 @@ from yamabe import (
     WeightedGraph,
     choose_truncation_radius,
     exhaustion_study,
+    graph_distance,
     hypotheses_check,
     inequality_suite,
+    lattice_ball,
     path_graph,
     positivity_certificate,
     residual_report,
@@ -131,6 +133,33 @@ def test_residual_uses_eigen_factor():
     without = residual_report(g, spec, res.u, eigen_factor=1.0)
     assert with_factor.residual_sup <= 1e-7
     assert without.residual_sup > 1e-2
+
+
+def test_relative_residual_vanishes_on_the_constant_oracle():
+    # h = g = 1: the rescaled solution is the constant 1, where the vertex
+    # equation balances exactly
+    g, x0 = lattice_ball(2, 5)
+    spec = spec_on(g)
+    assert residual_report(g, spec, np.ones(g.n)).residual_rel_sup == 0.0
+    res = solve(g, spec, SolveOptions(x0=x0))
+    assert res.converged
+    assert res.residual_rel_sup <= 1e-7
+
+
+def test_relative_residual_sees_a_wrong_tail():
+    # steep h makes the far end of the solution tiny; scaling it by 1e-3
+    # keeps the absolute residual within the certificate, but the far
+    # vertex's equation is now dominated by the pull of its neighbour
+    g, x0 = path_graph(30)
+    dist = graph_distance(g, x0).astype(np.float64)
+    spec = spec_on(g, h=1.0 + dist**4)
+    res = solve(g, spec, SolveOptions(x0=x0))
+    assert res.converged and res.residual_rel_sup < 1e-2
+    u = res.u.copy()
+    u[dist == dist.max()] *= 1e-3
+    wrong = residual_report(g, spec, u)
+    assert wrong.residual_sup <= 1e-7
+    assert wrong.residual_rel_sup >= 0.99
 
 
 def test_positivity_strictly_positive():
