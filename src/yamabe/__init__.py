@@ -36,10 +36,7 @@ from .graph import (
     graph_to_dict,
     integrate,
     lattice_ball,
-    load_graph,
-    lq_norm,
     path_graph,
-    save_graph,
     tree_ball,
     truncate_ball,
 )
@@ -101,10 +98,7 @@ __all__ = [
     "graph_to_dict",
     "integrate",
     "lattice_ball",
-    "load_graph",
-    "lq_norm",
     "path_graph",
-    "save_graph",
     "tree_ball",
     "truncate_ball",
     "dirichlet_energy",

@@ -14,9 +14,11 @@ Coefficient fields h and g are numbers, explicit per-vertex lists, or
 formulas in dist (graph distance from the anchor); ^ means power.  The
 graph section alternatively takes {"explicit": {"n":..., "edges":...,
 "mu":...}, "x0": 0}.  The solver section (keys max_iters, grad_tol,
-seed, x0) and the truncation section are optional.  seed, --seed over
-it, seeds verify's inequality suite; solve and sweep draw nothing random.
-Every command reads and checks the whole config through one parser.
+seed) and the truncation section (keys epsilon, r_max) are optional.
+Every solve starts from the bump around the graph's anchor, the ball's
+anchor under truncation.  seed, --seed over it, seeds verify's
+inequality suite; solve and sweep draw nothing random.  Every command
+reads and checks the whole config through one parser.
 
 Exit codes, the same for every command: 0 success; 1 numerical failure,
 any RuntimeError (non-convergence, a solution that is not positive, a
@@ -58,14 +60,9 @@ def _int_or_none(value) -> int | None:
 
 
 # each section's keys and the conversion applied to each value
-_SOLVER_KEYS = {
-    "max_iters": int,
-    "grad_tol": float,
-    "seed": int,
-    "x0": int,
-}
+_SOLVER_KEYS = {"max_iters": int, "grad_tol": float, "seed": int}
 _PROBLEM_KEYS = {"p": float, "alpha": float, "delta": float, "theta": float, "h": _same, "g": _same}
-_TRUNCATION_KEYS = {"epsilon": float, "x0": int, "r_max": _int_or_none}
+_TRUNCATION_KEYS = {"epsilon": float, "r_max": _int_or_none}
 # stderr label of a numerical failure nothing more specific names
 _FAILURE_LABELS = {"solve": "solver failure", "sweep": "sweep failed", "verify": "verify failed"}
 
@@ -118,14 +115,12 @@ def _write_json(path: str, obj) -> None:
 class _Config:
     """A config file with every section checked and converted.
 
-    x0 is the solver section's start vertex (None: the graph anchor) and
-    seed the inequality-suite seed, --seed over solver.seed.
+    seed is the inequality-suite seed, --seed over solver.seed.
     """
 
     graph: GraphFamily
     problem: ProblemFamily
     options: SolveOptions
-    x0: int | None
     seed: int
     truncation: dict | None
 
@@ -163,7 +158,6 @@ def _parse_config(cfg, seed_override: int | None) -> _Config:
         raise ValueError("config root must be a JSON object")
     solver = _section(cfg, "solver", _SOLVER_KEYS)
     seed = solver.pop("seed", 0)
-    x0 = solver.pop("x0", None)
     truncation = None
     if cfg.get("truncation") is not None:
         truncation = _section(cfg, "truncation", _TRUNCATION_KEYS, ("epsilon",))
@@ -171,7 +165,6 @@ def _parse_config(cfg, seed_override: int | None) -> _Config:
         graph=_graph_family(cfg.get("graph")),
         problem=ProblemFamily(**_section(cfg, "problem", _PROBLEM_KEYS, ("p", "alpha", "delta"))),
         options=SolveOptions(**solver),
-        x0=x0,
         seed=seed if seed_override is None else seed_override,
         truncation=truncation,
     )
@@ -197,11 +190,10 @@ def _materialize(conf: _Config):
     spec = conf.problem.on(graph, x0)
     if trunc is None:
         return graph, spec, x0, None
-    tx0 = trunc.get("x0", x0)
     choice = choose_truncation_radius(
-        graph, spec, tx0, trunc["epsilon"], r_max=trunc.get("r_max")
+        graph, spec, x0, trunc["epsilon"], r_max=trunc.get("r_max")
     )
-    ball, spec_r, anchor = _ball_problem(graph, spec, tx0, choice.radius)
+    ball, spec_r, anchor = _ball_problem(graph, spec, x0, choice.radius)
     return ball, spec_r, anchor, asdict(choice)
 
 
@@ -216,9 +208,8 @@ def _failure_label(exc: RuntimeError, command: str) -> str:
 def cmd_solve(args) -> int:
     conf = _load_config(args)
     graph, spec, x0, trunc_info = _materialize(conf)
-    opts = replace(conf.options, x0=x0 if conf.x0 is None else conf.x0)
     try:
-        res = solve(graph, spec, opts)
+        res = solve(graph, spec, replace(conf.options, x0=x0))
     except RuntimeError as exc:
         # solve() checks the hypotheses before it can fail numerically
         os.makedirs(args.out, exist_ok=True)
@@ -285,8 +276,8 @@ def _parse_radii(text: str | None) -> list[int]:
 def cmd_sweep(args) -> int:
     radii = _parse_radii(args.radii)
     conf = _load_config(args)
-    os.makedirs(args.out, exist_ok=True)
     study = exhaustion_study(conf.graph, conf.problem, radii, conf.options)
+    os.makedirs(args.out, exist_ok=True)
     with open(
         os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline=""
     ) as fh:

@@ -7,8 +7,7 @@ are immutable afterwards (the backing arrays are marked read-only), so they
 can be shared freely across concurrent solves.
 
 Vertex functions are plain float64 numpy arrays of length ``graph.n``;
-``integrate`` and ``lq_norm`` implement the mu-weighted integral and L^q
-norms over the vertex set.
+``integrate`` is the mu-weighted integral over the vertex set.
 
 Validation contract (shared with ``functionals`` and ``operators``): public
 functions coerce and check every vertex function they take, through
@@ -26,10 +25,8 @@ frontier edge, so large balls pay per edge and long thin graphs pay per level.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -219,14 +216,6 @@ def _integrate(g: WeightedGraph, arr: np.ndarray) -> float:
     return float((g.mu * arr).sum())
 
 
-def lq_norm(g: WeightedGraph, f, q: float) -> float:
-    """mu-weighted L^q norm, q >= 1: (sum_x mu(x)|f(x)|^q)^(1/q)."""
-    if q < 1.0:
-        raise ValueError("q must be >= 1")
-    arr = as_vertex_function(g, f)
-    return float(np.sum(g.mu * np.abs(arr) ** q) ** (1.0 / q))
-
-
 def graph_distance(g: WeightedGraph, x0: int) -> np.ndarray:
     """Hop-count distance from ``x0`` to every vertex (int64 array)."""
     if not 0 <= x0 < g.n:
@@ -371,7 +360,7 @@ def generate(family: str, **params) -> tuple[WeightedGraph, int]:
 
 
 # ---------------------------------------------------------------------------
-# JSON file format
+# Plain-dict form
 # ---------------------------------------------------------------------------
 
 def graph_to_dict(g: WeightedGraph) -> dict:
@@ -394,11 +383,3 @@ def graph_from_dict(data: dict) -> WeightedGraph:
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed graph dict: {exc}") from exc
     return WeightedGraph.from_edges(n, edges, mu=mu)
-
-
-def save_graph(g: WeightedGraph, path) -> None:
-    Path(path).write_text(json.dumps(graph_to_dict(g)) + "\n")
-
-
-def load_graph(path) -> WeightedGraph:
-    return graph_from_dict(json.loads(Path(path).read_text()))

@@ -449,7 +449,7 @@ def solve(
     lam = lagrange_multiplier(g, spec, u_bar)
     u, eigen_factor = rescale_solution(spec, u_bar, lam)
     report = residual_report(g, spec, u, eigen_factor=eigen_factor)
-    cert = positivity_certificate(g, u, p=spec.p)
+    cert = positivity_certificate(g, u)
     converged = (
         trace.converged
         and cert.passed
@@ -468,7 +468,7 @@ def solve(
         iters=trace.iters,
         converged=converged,
         positive=cert.passed,
-        min_u=float(np.min(u)),
+        min_u=cert.min_u,
         k_value=constraint_K(g, spec, u_bar),
         eigen_factor_is_unit=abs(eigen_factor - 1.0) <= 1e-8,
         hypotheses=hyp,

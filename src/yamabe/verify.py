@@ -102,8 +102,6 @@ class ResidualReport:
     residual_sup: float
     residual_l2: float
     residual_rel_sup: float
-    min_u: float
-    eigen_factor: float = 1.0
 
 
 def residual_report(
@@ -134,47 +132,20 @@ def residual_report(
         residual_sup=float(np.abs(r).max()) if g.n else 0.0,
         residual_l2=float(np.sqrt(np.sum(g.mu * r * r))),
         residual_rel_sup=float(rel.max()) if g.n else 0.0,
-        min_u=float(u.min()) if g.n else 0.0,
-        eigen_factor=float(eigen_factor),
     )
 
 
 @dataclass
 class PositivityCertificate:
-    """Strict-positivity verdict, with the excluded configuration flagged.
-
-    When u has a zero vertex with a positive neighbor, that vertex is
-    flagged together with the value of the p-Laplacian there: it is
-    strictly positive, which is exactly what the stationarity equation
-    forbids, so a minimizer can never look like this on a connected graph.
-    """
+    """Strict-positivity verdict: passed means min_u > 0."""
 
     passed: bool
     min_u: float
-    min_vertex: int
-    flagged_vertex: int | None = None
-    delta_p_at_flag: float | None = None
 
 
-def positivity_certificate(
-    g: WeightedGraph, u: np.ndarray, p: float = 2.0
-) -> PositivityCertificate:
-    u = as_vertex_function(g, u)
-    min_vertex = int(np.argmin(u))
-    min_u = float(u[min_vertex])
-    if min_u > 0.0:
-        return PositivityCertificate(True, min_u, min_vertex)
-    flagged = None
-    delta_val = None
-    if min_u == 0.0:
-        lap = p_laplacian(g, p, u)
-        for x in np.flatnonzero(u == 0.0):
-            nbrs = g.indices[g.indptr[x] : g.indptr[x + 1]]
-            if nbrs.size and np.any(u[nbrs] > 0.0):
-                flagged = int(x)
-                delta_val = float(lap[x])
-                break
-    return PositivityCertificate(False, min_u, min_vertex, flagged, delta_val)
+def positivity_certificate(g: WeightedGraph, u: np.ndarray) -> PositivityCertificate:
+    min_u = float(as_vertex_function(g, u).min())
+    return PositivityCertificate(min_u > 0.0, min_u)
 
 
 def _ratio_update(state: dict, lhs, rhs) -> None:

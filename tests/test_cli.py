@@ -78,11 +78,12 @@ def test_solve_ignores_seed(tmp_path, capsys):
 
 
 def test_solve_non_hypothesis_value_error_leaves_no_out(tmp_path, capsys):
-    # the hypotheses pass, then the start vertex is out of range
+    # every solve starts at the anchor; a start-vertex key is rejected
+    # before anything is written
     cfg = write_config(tmp_path, solver={"x0": 99})
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
-    assert "invalid config: x0 out of range" in capsys.readouterr().err
+    assert "invalid config: unknown solver keys: ['x0']" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -342,8 +343,9 @@ def test_explicit_graph_config(tmp_path):
 
 
 # One exit-code policy for every command: 2 for an invalid config or a
-# violated hypothesis, 1 for a numerical failure. Each case: config
-# overrides, the codes of (solve, verify, sweep), and the stderr text.
+# violated hypothesis, found before any output is written, 1 for a
+# numerical failure. Each case: config overrides, the codes of (solve,
+# verify, sweep), and the stderr text.
 EXIT_CODE_CASES = {
     "alpha_exceeds_p": (
         {"problem": {"p": 3.0, "alpha": 4.0, "delta": 0.4}},
@@ -369,6 +371,16 @@ EXIT_CODE_CASES = {
         {"solver": {"armijo": 2.0}},
         (2, 2, 2),
         "invalid config: unknown solver keys: ['armijo']",
+    ),
+    "removed_solver_x0": (
+        {"solver": {"x0": 1}},
+        (2, 2, 2),
+        "invalid config: unknown solver keys: ['x0']",
+    ),
+    "removed_truncation_x0": (
+        {"truncation": {"epsilon": 0.5, "x0": 1}},
+        (2, 2, 2),
+        "invalid config: unknown truncation keys: ['x0']",
     ),
     "removed_constraint_tol": (
         {"solver": {"constraint_tol": 1e-10}},
@@ -426,12 +438,15 @@ def test_exit_code_policy(tmp_path, capsys, case, command):
     expected = codes[("solve", "verify", "sweep").index(command)]
     cfg = write_config(tmp_path, **overrides)
     extra = {"solve": [], "sweep": ["--radii", "4,8"], "verify": ["--trials", "20"]}[command]
-    argv = [command, "--config", cfg, "--out", str(tmp_path / "out")] + extra
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg, "--out", str(out)] + extra
     assert main(argv) == expected
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if expected:
         assert message in err
+    if expected == 2:
+        assert not out.exists()
 
 
 def test_readme_config_runs_as_documented(tmp_path, capsys):
