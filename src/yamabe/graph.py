@@ -21,10 +21,14 @@ Cost model: construction, truncation and the breadth-first search (behind
 The search is level-synchronous: each hop level costs a fixed few array
 operations (about 13 us on a 2-core Xeon, numpy 2.4) plus C-speed work per
 frontier edge, so large balls pay per edge and long thin graphs pay per level.
+A graph keeps the distances from the last source searched, and a ball cut by
+:func:`truncate_ball` inherits those from its anchor, so one study or CLI run
+searches each graph once per source it asks for.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,6 +55,13 @@ class WeightedGraph:
     validate and :func:`truncate_ball` sets it, so ``verify.hypotheses_check``
     finds it cached; a raw graph pays the search on its first check only.
 
+    ``_distance`` is one slot, ``(source, distances)``, holding the hop
+    distances from the last source :func:`graph_distance` searched; the
+    connectivity check is the search from vertex 0, the anchor of the path,
+    cycle and tree generators. Another source replaces it, so it costs at
+    most 8 * n bytes. :func:`truncate_ball` fills each ball's slot from its
+    anchor, cut from the parent's distances.
+
     Use :meth:`from_edges` or the generators below; the raw constructor does
     not validate.
     """
@@ -60,6 +71,7 @@ class WeightedGraph:
     weights: np.ndarray
     mu: np.ndarray
     rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _distance: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = csr_rows(self.indptr)
@@ -73,7 +85,7 @@ class WeightedGraph:
     @cached_property
     def connected(self) -> bool:
         """Whether every vertex is reachable from vertex 0 (cached)."""
-        return _is_connected(self.indptr, self.indices)
+        return bool((_slot_distance(self, 0) >= 0).all())
 
     @property
     def n_edges(self) -> int:
@@ -185,10 +197,6 @@ def _bfs(indptr, indices, x0) -> np.ndarray:
     return dist
 
 
-def _is_connected(indptr, indices) -> bool:
-    return bool((_bfs(indptr, indices, 0) >= 0).all())
-
-
 def _as_float(value, what: str) -> np.ndarray:
     """float64 array of ``value``; a non-numeric value raises ValueError."""
     try:
@@ -217,11 +225,38 @@ def _integrate(g: WeightedGraph, arr: np.ndarray) -> float:
 
 
 def graph_distance(g: WeightedGraph, x0: int) -> np.ndarray:
-    """Hop-count distance from ``x0`` to every vertex (int64 array)."""
+    """Hop-count distance from ``x0`` to every vertex (read-only int64 array).
+
+    The result is kept in the graph's one distance slot, so asking again for
+    the same source returns the same array without a search; copy it before
+    writing to it. The slot is read once and written as one tuple, so a
+    concurrent reader never pairs one source with another source's array,
+    and a race between two sources costs at most a repeated search.
+    """
+    # a float source raises TypeError whether or not the slot holds its value
+    x0 = operator.index(x0)
     if not 0 <= x0 < g.n:
         raise ValueError(f"vertex {x0} out of range")
     # construction guarantees connectedness, so every entry is >= 0
-    return _bfs(g.indptr, g.indices, x0)
+    return _slot_distance(g, x0)
+
+
+def _slot_distance(g: WeightedGraph, x0: int) -> np.ndarray:
+    """The slot's array if it holds ``x0``, else a new search, kept.
+
+    The connectivity check calls this directly: its search is part of
+    construction, not a distance query."""
+    kept = g._distance
+    if kept is not None and kept[0] == x0:
+        return kept[1]
+    dist = _bfs(g.indptr, g.indices, x0)
+    _fill_slot(g, x0, dist)
+    return dist
+
+
+def _fill_slot(g: WeightedGraph, x0: int, dist: np.ndarray) -> None:
+    dist.setflags(write=False)
+    object.__setattr__(g, "_distance", (x0, dist))
 
 
 def eccentricity(g: WeightedGraph, x0: int) -> int:
@@ -245,12 +280,14 @@ def truncate_ball(
     therefore need not be nonincreasing in R, and on small balls it can
     rise.
 
-    The ball's cached ``connected`` is set without a search: every kept
-    vertex has a shortest path to x0, and that path stays inside the ball.
+    The ball's cached ``connected`` and its distances from the anchor are
+    set without a search: every kept vertex has a shortest path to x0, and
+    that path stays inside the ball.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    keep = graph_distance(g, x0) <= radius
+    dist = graph_distance(g, x0)
+    keep = dist <= radius
     new_to_old = np.flatnonzero(keep).astype(np.int64)
     old_to_new = np.full(g.n, -1, dtype=np.int64)
     old_to_new[new_to_old] = np.arange(new_to_old.shape[0], dtype=np.int64)
@@ -266,7 +303,9 @@ def truncate_ball(
     )
     ball._freeze()
     object.__setattr__(ball, "connected", True)
-    return ball, int(old_to_new[x0]), new_to_old
+    anchor = int(old_to_new[x0])
+    _fill_slot(ball, anchor, dist[new_to_old])
+    return ball, anchor, new_to_old
 
 
 # ---------------------------------------------------------------------------

@@ -257,11 +257,11 @@ def exhaustion_study(
     anchor)) and spec evaluates problem data on them (spec.on(graph,
     anchor) -> ProblemSpec).  All truncations are cut from one universe
     ball, and each ball's solve starts from the bump around its anchor, so
-    opts.u0 must be None.  Invalid input raises ValueError, and a hypothesis
-    violated anywhere on the universe raises HypothesisError before any
-    ball is cut; g vanishing on the smallest ball raises
-    InfeasibleConstraintError; a numerical failure of one ball's solve
-    raises RuntimeError naming the radius.
+    opts.u0 must be None and opts.x0 must keep its default.  Invalid input
+    raises ValueError, and a hypothesis violated anywhere on the universe
+    raises HypothesisError before any ball is cut; g vanishing on the
+    smallest ball raises InfeasibleConstraintError; a numerical failure of
+    one ball's solve raises RuntimeError naming the radius.
     """
     radii = [int(r) for r in radii]
     if not radii:
@@ -276,6 +276,10 @@ def exhaustion_study(
         raise ValueError("universe_radius must cover the largest radius")
     if opts is not None and opts.u0 is not None:
         raise ValueError("exhaustion_study builds each ball's start; u0 must be None")
+    if opts is not None and opts.x0 != SolveOptions.x0:
+        raise ValueError(
+            "exhaustion_study starts each ball at its anchor; x0 must keep its default"
+        )
 
     g_u, x0 = family.materialize(universe_radius)
     spec_u = spec.on(g_u, x0)

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from yamabe.cli import dumps17, main
+from yamabe.graph import _bfs
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -449,12 +451,18 @@ def test_exit_code_policy(tmp_path, capsys, case, command):
         assert not out.exists()
 
 
-def test_readme_config_runs_as_documented(tmp_path, capsys):
-    # the README's config sizes its lattice by the truncation's r_max
+def readme_config(tmp_path):
+    """Write the README's JSON config block to a file; return its path."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
     cfg = tmp_path / "config.json"
     cfg.write_text(block)
+    return cfg
+
+
+def test_readme_config_runs_as_documented(tmp_path, capsys):
+    # the README's config sizes its lattice by the truncation's r_max
+    cfg = readme_config(tmp_path)
     for command, extra in (
         ("solve", []),
         ("verify", ["--trials", "20"]),
@@ -466,6 +474,16 @@ def test_readme_config_runs_as_documented(tmp_path, capsys):
     assert report["converged"] is True and report["positive"] is True
     assert report["n"] == 2 * report["truncation"]["radius"] + 1
     capsys.readouterr()
+
+
+def test_readme_solve_runs_two_searches(tmp_path, monkeypatch, capsys):
+    # the universe's connectivity search (from vertex 0) and the one from its
+    # anchor; the coefficients, the tails, the cut and the ball's start reuse it
+    counts = count_calls(monkeypatch, _bfs)
+    cfg = readme_config(tmp_path)
+    argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert counts["_bfs"] == 2
 
 
 def test_dumps17_serializer():

@@ -1,6 +1,8 @@
 """Graph container, generators, truncation, and serialization."""
 
 import itertools
+import sys
+import threading
 from collections import deque
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph
+from conftest import count_calls, random_connected_graph
 from yamabe import (
     HypothesisError,
     ProblemSpec,
@@ -26,7 +28,7 @@ from yamabe import (
     tree_ball,
     truncate_ball,
 )
-from yamabe.graph import _is_connected
+from yamabe.graph import _bfs
 
 
 def reference_distance(g, x0):
@@ -194,15 +196,20 @@ def test_graph_distance_matches_queue_bfs(case):
     dist = graph_distance(g, x0)
     assert dist.dtype == np.int64
     np.testing.assert_array_equal(dist, reference_distance(g, x0))
-    assert _is_connected(g.indptr, g.indices)
+    # a raw copy of the arrays derives connectivity afresh
+    raw = WeightedGraph(indptr=g.indptr, indices=g.indices, weights=g.weights, mu=g.mu)
+    assert raw.connected
+
+
+def disconnected_raw_graph():
+    """Components {0, 1, 2} (a path) and {3, 4} (an edge), built unvalidated."""
+    indptr, indices, weights = reference_csr(5, [(0, 1), (1, 2), (3, 4)], 1.0)
+    return WeightedGraph(indptr=indptr, indices=indices, weights=weights, mu=np.ones(5))
 
 
 def test_disconnected_raw_graph_is_detected():
-    # components {0, 1, 2} (a path) and {3, 4} (an edge), built unvalidated
-    pairs = [(0, 1), (1, 2), (3, 4)]
-    indptr, indices, weights = reference_csr(5, pairs, 1.0)
-    g = WeightedGraph(indptr=indptr, indices=indices, weights=weights, mu=np.ones(5))
-    assert not _is_connected(g.indptr, g.indices)
+    g = disconnected_raw_graph()
+    assert not g.connected
     np.testing.assert_array_equal(graph_distance(g, 1), [1, 0, 1, -1, -1])
     np.testing.assert_array_equal(graph_distance(g, 4), reference_distance(g, 4))
     spec = ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=np.ones(5), g=np.ones(5))
@@ -211,6 +218,91 @@ def test_disconnected_raw_graph_is_detected():
         with pytest.raises(HypothesisError) as err:
             hypotheses_check(g, spec)
         assert err.value.name == "connected"
+
+
+@pytest.mark.parametrize(
+    "make, k",
+    [
+        (lambda: path_graph(9)[0], 6),
+        (lambda: cycle_graph(9)[0], 4),
+        (lambda: tree_ball(3, 3)[0], 17),
+        (lambda: lattice_ball(2, 4)[0], 3),
+        (disconnected_raw_graph, 4),
+    ],
+    ids=["path", "cycle", "tree", "z2", "disconnected_raw"],
+)
+def test_distance_slot_follows_the_source(make, k):
+    # the slot keeps one source at a time; switching back and forth must
+    # never hand out the other source's distances
+    g = make()
+    for x0 in (0, k, 0, k):
+        np.testing.assert_array_equal(graph_distance(g, x0), reference_distance(g, x0))
+
+
+def test_distance_slot_under_concurrent_sources():
+    # threads asking one small graph for different sources race on the slot
+    # (a short switch interval makes them interleave); each must still get
+    # its own source's distances. A slot written as two separate attributes
+    # (source, then array) fails this.
+    g, _ = path_graph(5)
+    sources = [0, 1, 3, 4]
+    want = {x0: np.abs(np.arange(5) - x0) for x0 in sources}
+    wrong = []
+
+    def worker(x0, other):
+        for _ in range(1000):
+            for source in (x0, other, x0):
+                if not np.array_equal(graph_distance(g, source), want[source]):
+                    wrong.append(source)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(x0, sources[k - 1]))
+            for k, x0 in enumerate(sources)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_graph_distance_is_read_only():
+    g, x0 = lattice_ball(2, 3)
+    dist = graph_distance(g, x0)
+    with pytest.raises(ValueError):
+        dist[0] = 5
+    np.testing.assert_array_equal(graph_distance(g, x0), reference_distance(g, x0))
+    # the slot holds x0, but a float source is still not a vertex id
+    with pytest.raises(TypeError):
+        graph_distance(g, float(x0))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: path_graph(12),
+        lambda: cycle_graph(11),
+        lambda: tree_ball(2, 5),
+        lambda: lattice_ball(2, 6),
+        lambda: lattice_ball(3, 3),
+    ],
+    ids=["path", "cycle", "tree", "z2", "z3"],
+)
+def test_ball_inherits_distances_from_its_anchor(make, monkeypatch):
+    g, x0 = make()
+    ecc = eccentricity(g, x0)
+    counts = count_calls(monkeypatch, _bfs)
+    for radius in (0, 1, ecc // 2, ecc, ecc + 2):
+        ball, anchor, _ = truncate_ball(g, x0, radius)
+        np.testing.assert_array_equal(graph_distance(ball, anchor), reference_distance(ball, anchor))
+    # the universe was searched before, and every ball inherits its distances
+    assert counts["_bfs"] == 0
 
 
 @pytest.mark.parametrize("d, radius", [(d, r) for d in (1, 2, 3) for r in (0, 1, 2, 5)])
@@ -284,9 +376,9 @@ def test_truncation_is_connected_at_every_radius(case):
     g, x0 = case
     dist = graph_distance(g, x0)
     for radius in range(int(dist.max()) + 1):
-        sub, _, _ = truncate_ball(g, x0, radius)
+        sub, anchor, _ = truncate_ball(g, x0, radius)
         assert sub.n == np.count_nonzero(dist <= radius)
-        assert _is_connected(sub.indptr, sub.indices)
+        assert (reference_distance(sub, anchor) >= 0).all()
 
 
 def test_truncate_ball_drops_crossing_edges():

@@ -34,6 +34,7 @@ from yamabe import (
     rescale_solution,
     residual_report,
     solve,
+    tree_ball,
 )
 from yamabe.solver import _next_step
 
@@ -299,6 +300,24 @@ def distance_spec(graph, anchor, p=4.0, alpha=3.0, delta=0.4):
         h=1.0 + dist ** 4,
         g=np.ones(graph.n),
     )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: path_graph(15), lambda: tree_ball(2, 4), lambda: lattice_ball(2, 6)],
+    ids=["path", "tree", "z2"],
+)
+def test_solve_on_a_warm_distance_slot_matches_a_fresh_graph(make):
+    # the spec's search leaves warm's slot at the anchor, so the start reuses
+    # it; the fresh copy's start searches (or reuses its construction's search)
+    warm, x0 = make()
+    spec = distance_spec(warm, x0)
+    fresh, _ = make()
+    a = solve(warm, spec, SolveOptions(x0=x0))
+    b = solve(fresh, spec, SolveOptions(x0=x0))
+    for name in ("u_bar", "u", "residual"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.gamma, a.lam, a.iters, a.converged) == (b.gamma, b.lam, b.iters, b.converged)
 
 
 def test_truncation_radius_minimality():

@@ -26,7 +26,7 @@ from yamabe import (
     p_laplacian,
     solve,
 )
-from yamabe.graph import _is_connected, as_vertex_function
+from yamabe.graph import _bfs, as_vertex_function
 
 
 def _spec(n, **kwargs):
@@ -88,16 +88,17 @@ def test_solve_validates_each_iterate_a_bounded_number_of_times(monkeypatch):
 
 
 def test_connectivity_is_derived_once_per_graph(monkeypatch):
-    counts = count_calls(monkeypatch, _is_connected)
+    # connectivity is the breadth-first search from vertex 0
+    counts = count_calls(monkeypatch, _bfs)
     built, _ = yamabe.path_graph(6)
     # from_edges derives it to validate, so the checks find it cached
-    assert counts["_is_connected"] == 1
+    assert counts["_bfs"] == 1
     raw = WeightedGraph(indptr=built.indptr, indices=built.indices,
                         weights=built.weights, mu=built.mu)
     for g in (built, raw, built, raw):
         hypotheses_check(g, _spec(g.n))
-    assert counts["_is_connected"] == 2
+    assert counts["_bfs"] == 2
     # a hop ball is connected by construction and says so
     ball, _, _ = yamabe.truncate_ball(built, 0, 3)
     hypotheses_check(ball, _spec(ball.n))
-    assert counts["_is_connected"] == 2
+    assert counts["_bfs"] == 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from yamabe import (
     GraphFamily,
     HypothesisError,
@@ -22,6 +23,7 @@ from yamabe import (
     residual_report,
     solve,
 )
+from yamabe.graph import _bfs
 
 
 def spec_on(graph, p=4.0, alpha=3.0, delta=0.4, theta=1.0, h=1.0, g_coef=1.0):
@@ -336,6 +338,29 @@ def test_exhaustion_rejects_u0():
     family = NoUniverse("lattice_zd_ball", {"d": 1})
     with pytest.raises(ValueError, match="u0 must be None"):
         exhaustion_study(family, problem, (4, 8), SolveOptions(u0=np.ones(33)))
+
+
+def test_exhaustion_rejects_x0():
+    # each ball starts at its own anchor; x0 = 7 used to be replaced by it
+    # silently, giving rows identical to the default's
+    family = GraphFamily("path", {"n": 40})
+    problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^2", g=1.0)
+    with pytest.raises(ValueError, match="x0 must keep its default"):
+        exhaustion_study(family, problem, (4, 8), SolveOptions(x0=7))
+    study = exhaustion_study(family, problem, (4, 8), SolveOptions())
+    assert [row["R"] for row in study["rows"]] == [4, 8]
+    assert all(row["converged"] for row in study["rows"])
+
+
+def test_exhaustion_runs_two_searches(monkeypatch):
+    # the universe's connectivity search (from vertex 0) and the one from
+    # its anchor; the tails, every cut and every ball's start reuse the latter
+    counts = count_calls(monkeypatch, _bfs)
+    family = GraphFamily("lattice_zd_ball", {"d": 2})
+    problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^4", g=1.0)
+    study = exhaustion_study(family, problem, (4, 8), universe_radius=16)
+    assert [row["R"] for row in study["rows"]] == [4, 8]
+    assert counts["_bfs"] == 2
 
 
 def test_exhaustion_rejects_bad_radii():
