@@ -12,9 +12,12 @@ Config layout (JSON):
 
 Coefficient fields h and g are numbers, explicit per-vertex lists, or
 formulas in dist (graph distance from the anchor); ^ means power.  The
-graph section alternatively takes {"explicit": {"n":..., "edges":...,
+graph section takes a family and its params (those graph._FAMILIES lists
+for it, plus weight and mu), or else {"explicit": {"n":..., "edges":...,
 "mu":...}, "x0": 0}.  The solver section (keys max_iters, grad_tol,
 seed) and the truncation section (keys epsilon, r_max) are optional.
+An integer key takes an integer or an integral float, a number key any
+number; neither takes a boolean or a string.
 Every solve starts from the bump around the graph's anchor, the ball's
 anchor under truncation.  seed, --seed over it, seeds verify's
 inequality suite; solve and sweep draw nothing random.  Every command
@@ -41,6 +44,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .errors import InfeasibleConstraintError, TruncationError
 from .families import GraphFamily, ProblemFamily
+from .graph import _integer, _number
 from .solver import SolveOptions, _ball_problem, choose_truncation_radius, solve
 from .verify import exhaustion_study, hypotheses_check, inequality_suite
 
@@ -51,18 +55,21 @@ EXIT_NUMERICAL = 1
 EXIT_VALIDATION = 2
 
 
-def _same(value):
+def _same(value, what):
     return value
 
 
-def _int_or_none(value) -> int | None:
-    return None if value is None else int(value)
+def _int_or_none(value, what) -> int | None:
+    return None if value is None else _integer(value, what)
 
 
-# each section's keys and the conversion applied to each value
-_SOLVER_KEYS = {"max_iters": int, "grad_tol": float, "seed": int}
-_PROBLEM_KEYS = {"p": float, "alpha": float, "delta": float, "theta": float, "h": _same, "g": _same}
-_TRUNCATION_KEYS = {"epsilon": float, "r_max": _int_or_none}
+# each section's keys and the check that converts each value
+_SOLVER_KEYS = {"max_iters": _integer, "grad_tol": _number, "seed": _integer}
+_PROBLEM_KEYS = {"p": _number, "alpha": _number, "delta": _number, "theta": _number,
+                 "h": _same, "g": _same}
+_TRUNCATION_KEYS = {"epsilon": _number, "r_max": _int_or_none}
+# the graph section's two forms, each by the key that names it
+_GRAPH_FORMS = {"family": {"family", "params"}, "explicit": {"explicit", "x0"}}
 # stderr label of a numerical failure nothing more specific names
 _FAILURE_LABELS = {"solve": "solver failure", "sweep": "sweep failed", "verify": "verify failed"}
 
@@ -136,13 +143,17 @@ def _section(cfg: dict, name: str, keys: dict, required=()) -> dict:
     for key in required:
         if key not in sec:
             raise ValueError(f"{name} section needs {key}")
-    return {key: keys[key](value) for key, value in sec.items()}
+    return {key: keys[key](value, f"{name} {key}") for key, value in sec.items()}
 
 
 def _graph_family(sec) -> GraphFamily:
     if not isinstance(sec, dict):
         raise ValueError("config needs a graph section")
-    if "explicit" in sec:
+    form = "explicit" if "explicit" in sec else "family"
+    stray = set(sec) - _GRAPH_FORMS[form]
+    if stray:
+        raise ValueError(f"graph section with {form} does not take {sorted(stray)}")
+    if form == "explicit":
         return GraphFamily("explicit", {"data": sec["explicit"], "x0": sec.get("x0", 0)})
     family = sec.get("family")
     if not isinstance(family, str):
@@ -153,7 +164,10 @@ def _graph_family(sec) -> GraphFamily:
     return GraphFamily(family, params)
 
 
-def _parse_config(cfg, seed_override: int | None) -> _Config:
+def _load_config(args) -> _Config:
+    """Read and check the whole config; malformed input raises ValueError."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config root must be a JSON object")
     solver = _section(cfg, "solver", _SOLVER_KEYS)
@@ -165,19 +179,9 @@ def _parse_config(cfg, seed_override: int | None) -> _Config:
         graph=_graph_family(cfg.get("graph")),
         problem=ProblemFamily(**_section(cfg, "problem", _PROBLEM_KEYS, ("p", "alpha", "delta"))),
         options=SolveOptions(**solver),
-        seed=seed if seed_override is None else seed_override,
+        seed=seed if args.seed is None else args.seed,
         truncation=truncation,
     )
-
-
-def _load_config(args) -> _Config:
-    """Read and check the whole config; malformed input raises ValueError."""
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    try:
-        return _parse_config(cfg, args.seed)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(str(exc)) from exc
 
 
 def _materialize(conf: _Config):

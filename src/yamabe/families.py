@@ -1,8 +1,9 @@
 """Graph families and formula-defined problem data.
 
-On an infinite family the coefficient fields h and g cannot be arrays;
-they are formulas in the graph distance from the anchor ("1+dist^4"),
-evaluated after each ball is materialized.
+A GraphFamily names a ``graph._FAMILIES`` entry and takes only the params
+that entry lists. On an infinite family the coefficient fields h and g
+cannot be arrays; they are formulas in the graph distance from the
+anchor ("1+dist^4"), evaluated after each ball is materialized.
 """
 
 from __future__ import annotations
@@ -14,17 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .functionals import ProblemSpec
-from .graph import (
-    _FAMILIES,
-    WeightedGraph,
-    cycle_graph,
-    generate,
-    graph_distance,
-    graph_from_dict,
-    lattice_ball,
-    path_graph,
-    tree_ball,
-)
+from .graph import _FAMILIES, WeightedGraph, _integer, generate, graph_distance, graph_from_dict
 
 __all__ = ["GraphFamily", "ProblemFamily", "evaluate_field"]
 
@@ -39,18 +30,6 @@ _NAMESPACE = {
     "pi": np.pi,
     "e": np.e,
 }
-
-# What materialize fills in for each generator: the extent parameter, the offset
-# that turns a ball radius into it (None: the radius cannot stand in), and the
-# defaults of the shape parameters. A path reaches hop R from its end with R + 1
-# vertices; a cycle's length is never implied by a radius.
-_SIZES = {
-    path_graph: ("n", 1, {}),
-    cycle_graph: ("n", None, {}),
-    lattice_ball: ("radius", 0, {"d": 1}),
-    tree_ball: ("depth", 0, {"branching": 2}),
-}
-
 
 def evaluate_field(expr, dist: np.ndarray) -> np.ndarray:
     """Evaluate a coefficient field given per-vertex distances.
@@ -104,33 +83,27 @@ class GraphFamily:
             raise ValueError(f"unknown graph family: {self.name!r}")
 
     def materialize(self, radius: int | None = None) -> tuple[WeightedGraph, int]:
-        """Build the family member covering the given radius; returns
-        (graph, anchor vertex)."""
+        """Build the family member covering the given radius; returns (graph,
+        anchor vertex). Unlisted params and non-integer sizes raise ValueError."""
         params = dict(self.params)
         if self.name == "explicit":
-            g = graph_from_dict(params["data"])
-            return g, _int_param(params, "x0", 0)
-        extent, offset, shape = _SIZES[_FAMILIES[self.name]]
+            allowed = {"data", "x0"}
+        else:
+            _, extent, offset, shape = _FAMILIES[self.name]
+            allowed = {extent, *shape, "weight", "mu"}
+        unknown = set(params) - allowed
+        if unknown:
+            raise ValueError(f"unknown {self.name} params: {sorted(unknown)}")
+        if self.name == "explicit":
+            return graph_from_dict(params["data"]), _integer(params.get("x0", 0), "graph param x0")
         fill = None if radius is None or offset is None else radius + offset
         size = params.get(extent, fill)
         if size is None:
             alt = " or a radius" if offset is not None and extent != "radius" else ""
             raise ValueError(f"{self.name} family needs {extent}{alt}")
-        kwargs = {key: _int_param(params, key, default) for key, default in shape.items()}
-        kwargs[extent] = _int_param(params, extent, size)
-        return generate(self.name, **kwargs, **_keep(params, "weight", "mu"))
-
-
-def _keep(params: dict, *names: str) -> dict:
-    return {k: params[k] for k in names if k in params}
-
-
-def _int_param(params: dict, key: str, default) -> int:
-    value = params.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"graph param {key} must be an integer, got {value!r}") from exc
+        for key, default in {**shape, extent: size}.items():
+            params[key] = _integer(params.get(key, default), f"graph param {key}")
+        return generate(self.name, **params)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ searches each graph once per source it asks for.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -198,11 +199,29 @@ def _bfs(indptr, indices, x0) -> np.ndarray:
 
 
 def _as_float(value, what: str) -> np.ndarray:
-    """float64 array of ``value``; a non-numeric value raises ValueError."""
+    """float64 array of ``value``; a non-numeric value, strings included, raises ValueError."""
+    arr = np.asarray(value)
     try:
-        return np.asarray(value, dtype=np.float64)
+        if arr.dtype.kind in "US":  # numpy would parse "0" as 0.0
+            raise TypeError("got a string")
+        return arr.astype(np.float64, copy=False)
     except TypeError as exc:
         raise ValueError(f"{what} must be numeric: {exc}") from exc
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: an integer or an integral float, not a boolean or a string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float: any real number, not a boolean or a string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 def as_vertex_function(g: WeightedGraph, f) -> np.ndarray:
@@ -379,18 +398,21 @@ def tree_ball(branching: int, depth: int, weight: float = 1.0, mu=1.0) -> tuple[
     return WeightedGraph.from_edges(n, edges, mu=mu), 0
 
 
+# Each family: its generator, the param that sets its extent, the offset that turns a
+# ball radius into that extent (None: a radius cannot stand in; a path reaches hop R
+# with R + 1 vertices) and its shape params with their defaults.
 _FAMILIES = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "lattice_zd_ball": lattice_ball,
-    "tree_ball": tree_ball,
+    "path": (path_graph, "n", 1, {}),
+    "cycle": (cycle_graph, "n", None, {}),
+    "lattice_zd_ball": (lattice_ball, "radius", 0, {"d": 1}),
+    "tree_ball": (tree_ball, "depth", 0, {"branching": 2}),
 }
 
 
 def generate(family: str, **params) -> tuple[WeightedGraph, int]:
     """Dispatch to a named generator; returns (graph, anchor vertex)."""
     try:
-        builder = _FAMILIES[family]
+        builder = _FAMILIES[family][0]
     except KeyError:
         raise ValueError(
             f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}"
@@ -416,7 +438,7 @@ def graph_to_dict(g: WeightedGraph) -> dict:
 def graph_from_dict(data: dict) -> WeightedGraph:
     """Inverse of :func:`graph_to_dict`; symmetrizes and validates."""
     try:
-        n = int(data["n"])
+        n = _integer(data["n"], "graph n")
         edges = [(e[0], e[1], e[2]) for e in data["edges"]]
         mu = data.get("mu", 1.0)
     except (KeyError, IndexError, TypeError) as exc:

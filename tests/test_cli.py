@@ -451,6 +451,50 @@ def test_exit_code_policy(tmp_path, capsys, case, command):
         assert not out.exists()
 
 
+# Configs that ran a problem other than the one written, or failed
+# numerically, before every config value was checked. Each: config
+# overrides and the key the error names.
+_EXPLICIT = {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]]}
+_PROBLEM = {"p": 4.0, "alpha": 3.0, "delta": 0.4, "h": "1 + dist^2", "g": 1}
+INVALID_VALUE_CASES = {
+    "misspelled_param": ({"graph": {"family": "path", "params": {"n": 12, "wieght": 5}}}, "wieght"),
+    "x0_param_of_a_family": ({"graph": {"family": "path", "params": {"n": 12, "x0": 5}}}, "x0"),
+    "x0_beside_a_family": ({"graph": {"family": "path", "params": {"n": 12}, "x0": 5}}, "x0"),
+    "family_beside_explicit": ({"graph": {"family": "path", "explicit": _EXPLICIT}}, "family"),
+    "fractional_size": ({"graph": {"family": "path", "params": {"n": 8.9}}}, "n"),
+    "stray_graph_key": ({"graph": {"family": "path", "params": {"n": 12}, "bogus": 1}}, "bogus"),
+    "stray_family_param": ({"graph": {"family": "path", "params": {"n": 12, "bogus": 1}}}, "bogus"),
+    "string_weight": ({"graph": {"family": "path", "params": {"n": 12, "weight": "2"}}}, "weight"),
+    "string_vertex_ids": (
+        {"graph": {"explicit": {"n": 2, "edges": [["0", "1", "1.0"]]}}}, "edges"),
+    "boolean_x0": ({"graph": {"explicit": _EXPLICIT, "x0": True}}, "x0"),
+    "boolean_max_iters": ({"solver": {"max_iters": True}}, "max_iters"),
+    "fractional_max_iters": ({"solver": {"max_iters": 100.9}}, "max_iters"),
+    "string_seed": ({"solver": {"seed": "0"}}, "seed"),
+    "string_grad_tol": ({"solver": {"grad_tol": "1e-8"}}, "grad_tol"),
+    "string_p": ({"problem": {**_PROBLEM, "p": "4"}}, "problem p"),
+    "boolean_theta": ({"problem": {**_PROBLEM, "theta": True}}, "theta"),
+    "fractional_r_max": (
+        {"graph": {"family": "lattice_zd_ball", "params": {"d": 1}},
+         "truncation": {"epsilon": 0.5, "r_max": 6.5}},
+        "r_max",
+    ),
+    "string_epsilon": ({"truncation": {"epsilon": "0.5"}}, "epsilon"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_VALUE_CASES))
+def test_invalid_values_exit_2_naming_the_key(tmp_path, capsys, case):
+    overrides, key = INVALID_VALUE_CASES[case]
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    for command, extra in (("solve", []), ("verify", ["--trials", "20"]), ("sweep", ["--radii", "4,8"])):
+        assert main([command, "--config", cfg, "--out", str(out)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config:") and key in err, err
+        assert not out.exists()
+
+
 def readme_config(tmp_path):
     """Write the README's JSON config block to a file; return its path."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -98,10 +98,40 @@ def test_cycle_family_needs_n():
         ("tree_ball", {"branching": "two", "depth": 2}, "branching"),
         ("path", {"n": "many"}, "n"),
         ("explicit", {"data": graph_to_dict(path_graph(3)[0]), "x0": [0]}, "x0"),
+        ("path", {"n": True}, "n"),
+        ("path", {"n": "5"}, "n"),
+        ("path", {"n": 5.7}, "n"),
+        ("lattice_zd_ball", {"d": 2, "radius": True}, "radius"),
+        ("tree_ball", {"branching": "5", "depth": 2}, "branching"),
+        ("cycle", {"n": float("inf")}, "n"),
     ],
 )
 def test_non_integer_param_names_the_param(name, params, bad):
     with pytest.raises(ValueError, match=f"graph param {bad} must be an integer"):
+        GraphFamily(name, params).materialize(2)
+
+
+def test_integral_float_size_builds_the_same_graph():
+    a, anchor_a = GraphFamily("lattice_zd_ball", {"d": 2, "radius": 5}).materialize()
+    b, anchor_b = GraphFamily("lattice_zd_ball", {"d": 2.0, "radius": 5.0}).materialize()
+    assert anchor_a == anchor_b
+    for name in ("indptr", "indices", "weights", "mu"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, params, bad",
+    [
+        ("path", {"n": 4, "wieght": 2.0}, "wieght"),
+        ("path", {"n": 4, "x0": 1}, "x0"),
+        ("cycle", {"n": 4, "radius": 2}, "radius"),
+        ("lattice_zd_ball", {"d": 2, "depth": 2}, "depth"),
+        ("tree_ball", {"depth": 2, "n": 7}, "n"),
+        ("explicit", {"data": graph_to_dict(path_graph(3)[0]), "weight": 2.0}, "weight"),
+    ],
+)
+def test_unlisted_param_is_rejected(name, params, bad):
+    with pytest.raises(ValueError, match=rf"^unknown {name} params: \['{bad}'\]$"):
         GraphFamily(name, params).materialize(2)
 
 
@@ -127,3 +157,7 @@ def test_weight_and_mu_passthrough():
     g, _ = GraphFamily("path", {"n": 3, "weight": 2.0, "mu": 0.5}).materialize()
     assert float(g.weights[0]) == 2.0
     np.testing.assert_array_equal(g.mu, [0.5, 0.5, 0.5])
+    # numpy would parse numeric strings as numbers
+    for key in ("weight", "mu"):
+        with pytest.raises(ValueError, match=f"^{key} must be numeric"):
+            GraphFamily("path", {"n": 3, key: "2"}).materialize()

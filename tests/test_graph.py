@@ -100,6 +100,13 @@ def test_from_edges_rejects_bad_input():
         WeightedGraph.from_edges(3, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         WeightedGraph.from_edges(0, [])
+    # numpy would parse numeric strings as numbers
+    with pytest.raises(ValueError, match=r"^edges must be numeric: got a string$"):
+        WeightedGraph.from_edges(2, [("0", "1", "1.0")])
+    with pytest.raises(ValueError, match=r"^edges must be numeric: got a string$"):
+        WeightedGraph.from_edges(2, [(0, 1, b"1.0")])
+    with pytest.raises(ValueError, match=r"^mu must be numeric: got a string$"):
+        WeightedGraph.from_edges(2, [(0, 1, 1.0)], mu="2")
 
 
 def test_from_edges_rejects_non_integer_ids():
@@ -127,6 +134,9 @@ def test_from_edges_rejects_non_integer_ids():
         lambda: graph_from_dict({"n": 3, "edges": None}),
         lambda: graph_from_dict({"n": 3, "edges": [[0, 1]]}),
         lambda: graph_from_dict({"n": 3, "edges": [5]}),
+        lambda: graph_from_dict({"n": "2", "edges": [[0, 1, 1.0]]}),
+        lambda: graph_from_dict({"n": 2.5, "edges": [[0, 1, 1.0]]}),
+        lambda: graph_from_dict({"n": True, "edges": []}),
     ],
 )
 def test_malformed_graph_input_is_a_value_error(build):
