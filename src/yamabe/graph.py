@@ -21,9 +21,13 @@ Cost model: construction, truncation and the breadth-first search (behind
 The search is level-synchronous: each hop level costs a fixed few array
 operations (about 13 us on a 2-core Xeon, numpy 2.4) plus C-speed work per
 frontier edge, so large balls pay per edge and long thin graphs pay per level.
-A graph keeps the distances from the last source searched, and a ball cut by
-:func:`truncate_ball` inherits those from its anchor, so one study or CLI run
-searches each graph once per source it asks for.
+The generators write their CSR arrays straight from a sorted neighbour table
+and check connectivity with the search from their anchor, which they keep;
+a raw or :meth:`WeightedGraph.from_edges` graph checks it with the search
+from vertex 0. A graph keeps the distances from the last source searched,
+and a ball cut by :func:`truncate_ball` inherits those from its anchor, so
+one study or CLI run searches each graph once per source it asks for: once
+in all for a generator graph asked only for its anchor's distances.
 """
 
 from __future__ import annotations
@@ -51,17 +55,19 @@ class WeightedGraph:
     costs 8 * nnz bytes for as long as the graph lives.
 
     ``connected`` is derived too, but lazily: the first read runs one
-    breadth-first search and the answer is cached on the instance, which is
-    sound because the arrays are frozen. :meth:`from_edges` reads it to
-    validate and :func:`truncate_ball` sets it, so ``verify.hypotheses_check``
-    finds it cached; a raw graph pays the search on its first check only.
+    breadth-first search from vertex 0 and the answer is cached on the
+    instance, which is sound because the arrays are frozen. :meth:`from_edges`
+    reads it to validate; the generators and :func:`truncate_ball` set it, so
+    ``verify.hypotheses_check`` finds it cached; a raw graph pays the search
+    on its first check only.
 
     ``_distance`` is one slot, ``(source, distances)``, holding the hop
-    distances from the last source :func:`graph_distance` searched; the
-    connectivity check is the search from vertex 0, the anchor of the path,
-    cycle and tree generators. Another source replaces it, so it costs at
-    most 8 * n bytes. :func:`truncate_ball` fills each ball's slot from its
-    anchor, cut from the parent's distances.
+    distances from the last source :func:`graph_distance` searched. A raw or
+    :meth:`from_edges` graph's connectivity check fills it from vertex 0; a
+    generator's check is the search from its anchor, and it fills the slot
+    from there. Another source replaces it, so it costs at most 8 * n bytes.
+    :func:`truncate_ball` fills each ball's slot from its anchor, cut from
+    the parent's distances.
 
     Use :meth:`from_edges` or the generators below; the raw constructor does
     not validate.
@@ -119,23 +125,18 @@ class WeightedGraph:
         """
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        mu_arr = _as_float(mu, "mu")
-        if mu_arr.ndim == 0:
-            mu_arr = np.full(n, float(mu_arr))
-        if mu_arr.shape != (n,):
-            raise ValueError(f"mu has length {mu_arr.shape}, expected ({n},)")
-        if not np.all(np.isfinite(mu_arr)) or np.any(mu_arr <= 0.0):
-            raise ValueError("mu must be finite and strictly positive")
+        mu_arr = _measure(mu, n)
 
         edges = edges if isinstance(edges, np.ndarray) else list(edges)
         arr = _as_float(edges, "edges").reshape(len(edges), 3)
         ids, w = arr[:, :2], arr[:, 2]
-        # JSON true/false would otherwise pass as the ids 1/0
-        bad_id = ~np.all(np.isfinite(ids) & (np.floor(ids) == ids), axis=1)
+        # JSON true/false among numbers would otherwise pass as the ids or weights 1/0
+        is_bool = np.zeros((len(arr), 3), dtype=bool)
         if isinstance(edges, list):
-            bad_id |= np.array([type(e[0]) is bool or type(e[1]) is bool for e in edges], bool)
+            is_bool = np.array([[type(v) is bool for v in e] for e in edges], bool).reshape(-1, 3)
+        bad_id = ~np.all(np.isfinite(ids) & (np.floor(ids) == ids) & ~is_bool[:, :2], axis=1)
         bad_range = np.any((ids < 0) | (ids >= n), axis=1)
-        bad_weight = ~(np.isfinite(w) & (w > 0.0))
+        bad_weight = ~(np.isfinite(w) & (w > 0.0)) | is_bool[:, 2]
         # edges[:k] pass the per-edge checks; edge k, if any, is the first to fail
         k = int(np.argmax(np.append(bad_id | bad_range | bad_weight, True)))
 
@@ -152,6 +153,8 @@ class WeightedGraph:
             x, y = int(ids[k, 0]), int(ids[k, 1])
             if bad_range[k]:
                 raise ValueError(f"edge ({x},{y}) out of range for n={n}")
+            if is_bool[k, 2]:
+                raise ValueError(f"edge ({x},{y}) has a boolean weight {edges[k][2]}")
             raise ValueError(f"edge ({x},{y}) has nonpositive weight {float(w[k])}")
 
         off = x != y
@@ -199,14 +202,31 @@ def _bfs(indptr, indices, x0) -> np.ndarray:
 
 
 def _as_float(value, what: str) -> np.ndarray:
-    """float64 array of ``value``; a non-numeric value, strings included, raises ValueError."""
+    """float64 array of ``value``; a non-numeric one (strings, booleans) raises ValueError."""
     arr = np.asarray(value)
     try:
         if arr.dtype.kind in "US":  # numpy would parse "0" as 0.0
             raise TypeError("got a string")
+        if arr.dtype.kind == "b":  # and True as 1.0
+            raise TypeError("got a boolean")
         return arr.astype(np.float64, copy=False)
     except TypeError as exc:
         raise ValueError(f"{what} must be numeric: {exc}") from exc
+
+
+def _measure(mu, n: int) -> np.ndarray:
+    """Vertex measure, all finite and > 0: scalar ``mu`` broadcast to n vertices, or one each."""
+    mu_arr = _as_float(mu, "mu")
+    # a boolean among numbers does not make the array boolean
+    if isinstance(mu, (list, tuple)) and any(type(m) is bool for m in mu):
+        raise ValueError("mu must be numeric: got a boolean")
+    if mu_arr.ndim == 0:
+        mu_arr = np.full(n, float(mu_arr))
+    if mu_arr.shape != (n,):
+        raise ValueError(f"mu has length {mu_arr.shape}, expected ({n},)")
+    if not np.all(np.isfinite(mu_arr)) or np.any(mu_arr <= 0.0):
+        raise ValueError("mu must be finite and strictly positive")
+    return mu_arr
 
 
 def _integer(value, what: str) -> int:
@@ -331,25 +351,49 @@ def truncate_ball(
 # Deterministic generators
 # ---------------------------------------------------------------------------
 
-def _edge_array(x, y, weight) -> np.ndarray:
-    """(m, 3) edge triples joining ``x[k]`` to ``y[k]``, all with ``weight``."""
-    return np.column_stack((x, y, np.full(len(x), _as_float(weight, "weight"))))
+def _table_graph(nbr, weight, mu, anchor: int) -> tuple[WeightedGraph, int]:
+    """Graph in which vertex x is joined to the entries of ``nbr[x]`` in 0..n-1 (n = len(nbr)).
+
+    Each row of the neighbour table must list its neighbours in ascending
+    order and each edge must sit in both of its rows, so the CSR arrays come
+    out as :meth:`WeightedGraph.from_edges` sorts them, with no duplicate
+    search and no sort. Every edge has weight ``weight``. The connectivity
+    check is the search from ``anchor``, kept in the distance slot.
+    """
+    w = _as_float(weight, "weight")
+    if w.ndim:
+        raise ValueError(f"weight must be a single number, got {weight!r}")
+    if not (np.isfinite(w) and w > 0.0):
+        raise ValueError(f"weight must be finite and positive, got {float(w)}")
+    mu_arr = _measure(mu, nbr.shape[0])
+    valid = (nbr >= 0) & (nbr < nbr.shape[0])
+    indices = nbr[valid]
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(valid, axis=1))))
+    weights = np.full(indices.size, float(w))
+    g = WeightedGraph(indptr=indptr, indices=indices, weights=weights, mu=mu_arr)
+    g._freeze()
+    dist = _bfs(indptr, indices, anchor)
+    if (dist < 0).any():
+        raise ValueError("graph must be connected")
+    object.__setattr__(g, "connected", True)
+    _fill_slot(g, anchor, dist)
+    return g, anchor
 
 
 def path_graph(n: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]:
     """Path on n vertices; anchor vertex is 0 (left end)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    edges = _edge_array(np.arange(n - 1), np.arange(1, n), weight)
-    return WeightedGraph.from_edges(n, edges, mu=mu), 0
+    x = np.arange(operator.index(n))
+    return _table_graph(np.column_stack((x - 1, x + 1)), weight, mu, 0)
 
 
 def cycle_graph(n: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]:
     """Cycle on n >= 3 vertices; anchor vertex is 0."""
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    edges = _edge_array(np.arange(n), (np.arange(n) + 1) % n, weight)
-    return WeightedGraph.from_edges(n, edges, mu=mu), 0
+    x = np.arange(operator.index(n))
+    return _table_graph(np.sort(np.column_stack(((x - 1) % n, (x + 1) % n)), axis=1), weight, mu, 0)
 
 
 def lattice_ball(d: int, radius: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]:
@@ -375,14 +419,14 @@ def lattice_ball(d: int, radius: int, weight: float = 1.0, mu=1.0) -> tuple[Weig
         z = np.arange(span.sum()) - np.repeat(np.cumsum(span) - span + budget, span)
         keys = np.repeat(keys, span) * width + (z + radius)
         budget = np.repeat(budget, span) - np.abs(z)
-    edges = []
-    for s in (width**axis for axis in range(d)):
-        j = np.minimum(np.searchsorted(keys, keys + s), len(keys) - 1)
-        hit = np.flatnonzero(keys[j] == keys + s)
-        edges.append(_edge_array(hit, j[hit], weight))
-    g = WeightedGraph.from_edges(len(keys), np.concatenate(edges), mu=mu)
+    # a step along axis a moves the key by width**a: these offsets ascend, and so do
+    # the ids of the neighbours they reach; -1 marks a step out of the ball
+    steps = [width**axis for axis in range(d)]
+    target = keys[:, None] + np.array([-s for s in reversed(steps)] + steps, dtype=keys.dtype)
+    nbr = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
+    nbr[keys[nbr] != target] = -1
     # negation maps the ball to itself reversing the order: the origin is the middle
-    return g, len(keys) // 2
+    return _table_graph(nbr, weight, mu, len(keys) // 2)
 
 
 def tree_ball(branching: int, depth: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]:
@@ -392,10 +436,11 @@ def tree_ball(branching: int, depth: int, weight: float = 1.0, mu=1.0) -> tuple[
     if depth < 0:
         raise ValueError("depth must be >= 0")
     n = sum(branching**k for k in range(depth + 1))
-    # vertices are numbered level by level, so vertex c > 0 has parent (c - 1) // branching
-    child = np.arange(1, n)
-    edges = _edge_array((child - 1) // branching, child, weight)
-    return WeightedGraph.from_edges(n, edges, mu=mu), 0
+    # vertices are numbered level by level: v has parent (v - 1) // branching (-1 for
+    # the root) and children branching * v + 1 .. branching * v + branching (< n)
+    v = np.arange(n)
+    children = branching * v[:, None] + np.arange(1, branching + 1)
+    return _table_graph(np.column_stack(((v - 1) // branching, children)), weight, mu, 0)
 
 
 # Each family: its generator, the param that sets its extent, the offset that turns a

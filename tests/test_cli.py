@@ -480,6 +480,14 @@ INVALID_VALUE_CASES = {
         "r_max",
     ),
     "string_epsilon": ({"truncation": {"epsilon": "0.5"}}, "epsilon"),
+    "boolean_weight": ({"graph": {"family": "path", "params": {"n": 12, "weight": True}}}, "weight"),
+    "boolean_mu": ({"graph": {"family": "path", "params": {"n": 12, "mu": True}}}, "mu"),
+    "boolean_in_mu_list": (
+        {"graph": {"explicit": {**_EXPLICIT, "mu": [1.0, True, 2.0]}}}, "mu"),
+    "boolean_edge_weight": (
+        {"graph": {"explicit": {"n": 3, "edges": [[0, 1, 1.0], [1, 2, True]]}}}, "weight"),
+    "negative_weight_on_one_vertex": (
+        {"graph": {"family": "path", "params": {"n": 1, "weight": -1}}}, "weight"),
 }
 
 
@@ -520,14 +528,14 @@ def test_readme_config_runs_as_documented(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_readme_solve_runs_two_searches(tmp_path, monkeypatch, capsys):
-    # the universe's connectivity search (from vertex 0) and the one from its
-    # anchor; the coefficients, the tails, the cut and the ball's start reuse it
+def test_readme_solve_runs_one_search(tmp_path, monkeypatch, capsys):
+    # the universe's connectivity search is the one from its anchor; the
+    # coefficients, the tails, the cut and the ball's start reuse it
     counts = count_calls(monkeypatch, _bfs)
     cfg = readme_config(tmp_path)
     argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]
     assert main(argv) == 0, capsys.readouterr().err
-    assert counts["_bfs"] == 2
+    assert counts["_bfs"] == 1
 
 
 def test_dumps17_serializer():

@@ -161,3 +161,6 @@ def test_weight_and_mu_passthrough():
     for key in ("weight", "mu"):
         with pytest.raises(ValueError, match=f"^{key} must be numeric"):
             GraphFamily("path", {"n": 3, key: "2"}).materialize()
+        # and booleans as 1.0
+        with pytest.raises(ValueError, match=f"^{key} must be numeric: got a boolean$"):
+            GraphFamily("path", {"n": 3, key: True}).materialize()

@@ -315,8 +315,8 @@ def test_ball_inherits_distances_from_its_anchor(make, monkeypatch):
     assert counts["_bfs"] == 0
 
 
-@pytest.mark.parametrize("d, radius", [(d, r) for d in (1, 2, 3) for r in (0, 1, 2, 5)])
-def test_lattice_ball_matches_reference(d, radius):
+def lattice_reference(d, radius):
+    """Vertex count, nearest-neighbour pairs and origin id of the l1 ball, points sorted."""
     points = [
         c for c in itertools.product(range(-radius, radius + 1), repeat=d)
         if sum(map(abs, c)) <= radius
@@ -328,9 +328,119 @@ def test_lattice_ball_matches_reference(d, radius):
             nb = c[:axis] + (c[axis] + 1,) + c[axis + 1 :]
             if nb in index:
                 pairs.append((i, index[nb]))
+    return len(index), pairs, index[(0,) * d]
+
+
+@pytest.mark.parametrize("d, radius", [(d, r) for d in (1, 2, 3) for r in (0, 1, 2, 5)])
+def test_lattice_ball_matches_reference(d, radius):
+    n, pairs, origin = lattice_reference(d, radius)
     g, x0 = lattice_ball(d, radius, weight=0.3)
-    assert_same_csr(g, reference_csr(len(index), pairs, 0.3))
-    assert x0 == index[(0,) * d]
+    assert_same_csr(g, reference_csr(n, pairs, 0.3))
+    assert x0 == origin
+
+
+@st.composite
+def generator_cases(draw):
+    """A generator call, and its vertex count, edge pairs and anchor listed without graph.py."""
+    family = draw(st.sampled_from(["path", "cycle", "tree", "lattice"]))
+    if family == "path":
+        n = draw(st.integers(1, 40))
+        return path_graph, (n,), n, [(x, x + 1) for x in range(n - 1)], 0
+    if family == "cycle":
+        n = draw(st.integers(3, 40))
+        return cycle_graph, (n,), n, [(x, (x + 1) % n) for x in range(n)], 0
+    if family == "tree":
+        branching, depth = draw(st.integers(2, 4)), draw(st.integers(0, 5))
+        n = sum(branching**k for k in range(depth + 1))
+        return tree_ball, (branching, depth), n, [((c - 1) // branching, c) for c in range(1, n)], 0
+    d = draw(st.integers(1, 4))
+    radius = draw(st.integers(0, {1: 12, 2: 6, 3: 4, 4: 3}[d]))
+    return (lattice_ball, (d, radius), *lattice_reference(d, radius))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_cases(), st.data())
+def test_generators_match_from_edges(case, data):
+    # the generators write CSR arrays directly; from_edges, given the same
+    # edges in any order and orientation, must produce the same bytes
+    make, args, n, pairs, anchor = case
+    weight = data.draw(st.floats(0.1, 10.0))
+    per_vertex = st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)
+    mu = data.draw(st.one_of(st.floats(0.1, 10.0), per_vertex))
+    g, x0 = make(*args, weight=weight, mu=mu)
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    edges = [(y, x, weight) if rng.random() < 0.5 else (x, y, weight) for x, y in pairs]
+    ref = WeightedGraph.from_edges(n, [edges[k] for k in rng.permutation(len(edges))], mu=mu)
+    assert x0 == anchor
+    for name in ("indptr", "indices", "weights", "mu"):
+        got, want = getattr(g, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    # every slot (x, y) has its mirror (y, x), with the same weight
+    slots = {(int(x), int(y)): w for x, y, w in zip(g.rows, g.indices, g.weights)}
+    assert all(slots.get((y, x)) == w for (x, y), w in slots.items())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: path_graph(1),
+        lambda: path_graph(30),
+        lambda: cycle_graph(12),
+        lambda: tree_ball(2, 0),
+        lambda: tree_ball(3, 4),
+        lambda: lattice_ball(1, 9),
+        lambda: lattice_ball(2, 7),
+        lambda: lattice_ball(3, 0),
+    ],
+    ids=["path1", "path30", "cycle", "tree_depth0", "tree", "z1", "z2", "z3_radius0"],
+)
+def test_generator_build_and_anchor_distances_run_one_search(make, monkeypatch):
+    # the connectivity check is the search from the anchor, which the slot keeps
+    counts = count_calls(monkeypatch, _bfs)
+    g, x0 = make()
+    assert g.connected
+    np.testing.assert_array_equal(graph_distance(g, x0), reference_distance(g, x0))
+    assert counts["_bfs"] == 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda w: path_graph(1, weight=w),
+        lambda w: path_graph(4, weight=w),
+        lambda w: cycle_graph(3, weight=w),
+        lambda w: lattice_ball(2, 0, weight=w),
+        lambda w: lattice_ball(1, 3, weight=w),
+        lambda w: tree_ball(2, 0, weight=w),
+        lambda w: tree_ball(2, 3, weight=w),
+    ],
+    ids=["path1", "path4", "cycle", "z2_radius0", "z1", "tree_depth0", "tree"],
+)
+def test_generator_weight_is_checked_once(make):
+    # a graph with no edges checks its weight too, and the message names the param
+    for bad, shown in ((-1, "-1.0"), (0.0, "0.0"), (float("inf"), "inf"), (float("nan"), "nan")):
+        with pytest.raises(ValueError, match=rf"^weight must be finite and positive, got {shown}$"):
+            make(bad)
+    with pytest.raises(ValueError, match=r"^weight must be a single number, got \[1.0, 2.0\]$"):
+        make([1.0, 2.0])
+    with pytest.raises(ValueError, match=r"^weight must be numeric: got a boolean$"):
+        make(True)
+
+
+def test_booleans_are_not_numbers():
+    # JSON true would otherwise pass as 1.0
+    with pytest.raises(ValueError, match=r"^edge \(0,1\) has a boolean weight True$"):
+        WeightedGraph.from_edges(2, [(0, 1, True)])
+    with pytest.raises(ValueError, match=r"^edge \(1,2\) has a boolean weight False$"):
+        graph_from_dict({"n": 3, "edges": [[0, 1, 1.0], [1, 2, False]]})
+    with pytest.raises(ValueError, match=r"^edges must be numeric: got a boolean$"):
+        WeightedGraph.from_edges(2, [(True, False, True)])
+    for mu in (True, [1.0, True], np.array([True, True])):
+        with pytest.raises(ValueError, match=r"^mu must be numeric: got a boolean$"):
+            WeightedGraph.from_edges(2, [(0, 1, 1.0)], mu=mu)
+        with pytest.raises(ValueError, match=r"^mu must be numeric: got a boolean$"):
+            path_graph(2, mu=mu)
 
 
 def test_path_cycle_tree_match_reference():

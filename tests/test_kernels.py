@@ -1,5 +1,8 @@
 """The CSR kernels against a per-row loop reference, and their call counts."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -110,6 +113,77 @@ def test_fused_energy_kernel_returns_both_sides(p):
         np.testing.assert_allclose(vertex_sum, vertex_ref, rtol=1e-12)
         # one power array for both sums leaves the edge sum bit for bit unchanged
         assert edge_sum == edge_sum_two_pass(*csr, f, p)
+
+
+def grad_power_with_temporaries(g, f, p):
+    d = f[g.indices] - f[g.rows]
+    return np.bincount(g.rows, weights=g.weights * np.abs(d) ** p, minlength=g.n) / (2.0 * g.mu)
+
+
+def kernels_with_temporaries(g, f, p):
+    """The three kernels as fresh whole-array expressions, one temporary per step."""
+    d = f[g.indices] - f[g.rows]
+    flow = g.weights * np.sign(d) * np.abs(d) ** (p - 1.0)
+    contrib = g.weights * np.abs(d) ** p
+    power = grad_power_with_temporaries(g, f, p)
+    return (
+        np.bincount(g.rows, weights=flow, minlength=g.n) / g.mu,
+        power,
+        (float(contrib[g.indices >= g.rows].sum()), float((g.mu * power).sum())),
+    )
+
+
+def run_kernels(g, f, p):
+    args = (g.indptr, g.indices, g.weights, g.mu, f, p, g.rows)
+    return tuple(kernel(*args) for kernel in KERNELS)
+
+
+def same_bits(got, want):
+    return all(a.tobytes() == b.tobytes() for a, b in zip(got[:2], want[:2])) and got[2] == want[2]
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0])
+def test_in_place_kernels_match_temporaries_bit_for_bit(p):
+    # the kernels reuse per-thread slot arrays; the arithmetic must not change.
+    # grad_power also runs at p - 2 (the curvature), down to exponent 0
+    rng = np.random.default_rng(9)
+    for _ in range(25):
+        g = random_connected_graph(rng)
+        f = rng.standard_normal(g.n) * 10.0 ** rng.uniform(-3, 3)
+        f[rng.integers(0, g.n)] = f[0]  # some zero differences
+        assert same_bits(run_kernels(g, f, p), kernels_with_temporaries(g, f, p))
+        low = grad_power_kernel(g.indptr, g.indices, g.weights, g.mu, f, p - 2.0, g.rows)
+        assert low.tobytes() == grad_power_with_temporaries(g, f, p - 2.0).tobytes()
+
+
+def test_kernels_in_concurrent_threads():
+    # each thread keeps its own slot arrays: threads alternating graphs of
+    # different sizes (a short switch interval makes them interleave) must
+    # each get the results of a lone call
+    rng = np.random.default_rng(4)
+    graphs = [random_connected_graph(rng, n_min=n, n_max=n) for n in (5, 15, 25, 35)]
+    cases = [(g, rng.standard_normal(g.n), 2.0 + k) for k, g in enumerate(graphs)]
+    want = [run_kernels(g, f, p) for g, f, p in cases]
+    wrong = []
+
+    def work(k):
+        for i in range(200):
+            j = (k + i) % len(cases)
+            if not same_bits(run_kernels(*cases[j]), want[j]):
+                wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 KERNELS = (p_laplacian_kernel, grad_power_kernel, edge_energy_kernel)

@@ -88,10 +88,10 @@ def test_solve_validates_each_iterate_a_bounded_number_of_times(monkeypatch):
 
 
 def test_connectivity_is_derived_once_per_graph(monkeypatch):
-    # connectivity is the breadth-first search from vertex 0
+    # connectivity is one breadth-first search: a raw graph's from vertex 0
     counts = count_calls(monkeypatch, _bfs)
     built, _ = yamabe.path_graph(6)
-    # from_edges derives it to validate, so the checks find it cached
+    # the generator's search from its anchor sets it, so the checks find it cached
     assert counts["_bfs"] == 1
     raw = WeightedGraph(indptr=built.indptr, indices=built.indices,
                         weights=built.weights, mu=built.mu)

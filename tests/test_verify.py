@@ -352,15 +352,15 @@ def test_exhaustion_rejects_x0():
     assert all(row["converged"] for row in study["rows"])
 
 
-def test_exhaustion_runs_two_searches(monkeypatch):
-    # the universe's connectivity search (from vertex 0) and the one from
-    # its anchor; the tails, every cut and every ball's start reuse the latter
+def test_exhaustion_runs_one_search(monkeypatch):
+    # the universe's connectivity search is the one from its anchor; the
+    # tails, every cut and every ball's start reuse it
     counts = count_calls(monkeypatch, _bfs)
     family = GraphFamily("lattice_zd_ball", {"d": 2})
     problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^4", g=1.0)
     study = exhaustion_study(family, problem, (4, 8), universe_radius=16)
     assert [row["R"] for row in study["rows"]] == [4, 8]
-    assert counts["_bfs"] == 2
+    assert counts["_bfs"] == 1
 
 
 def test_exhaustion_rejects_bad_radii():
