@@ -499,12 +499,19 @@ def _universe_tails(g: WeightedGraph, spec: ProblemSpec, x0: int):
 
 
 def k_tail_bound(
-    g: WeightedGraph, spec: ProblemSpec, tail_value: float, gamma_est: float
+    g: WeightedGraph,
+    spec: ProblemSpec,
+    tail_value: float,
+    gamma_est: float,
+    cell_size: np.ndarray | None = None,
 ) -> float:
     """Constraint mass that can hide beyond a radius with the given tail value.
 
     The bound is monotone in tail_value and vanishes with it, which is
-    what makes truncation converge.
+    what makes truncation converge. On a quotient, ``cell_size`` holds each
+    cell's vertex count: the p = alpha branch bounds sup |u| by min(h mu)
+    over vertices, so it takes each vertex's measure, g.mu / cell_size,
+    not its cell's.
     """
     p, alpha, delta, theta = spec.p, spec.alpha, spec.delta, spec.theta
     g_max = float(np.max(spec.g))
@@ -512,7 +519,8 @@ def k_tail_bound(
     if p > alpha:
         const = theta * g_max * min_h ** (-(alpha / (p - alpha) - delta) * (p - alpha) / alpha)
         return const * tail_value ** ((p - alpha) * delta / alpha) * (gamma_est + 1.0) ** (alpha / p)
-    min_hmu = float(np.min(spec.h * g.mu))
+    mu = g.mu if cell_size is None else g.mu / cell_size
+    min_hmu = float(np.min(spec.h * mu))
     c_bd = ((gamma_est + 1.0) / min_hmu) ** (1.0 / p)
     c_gj = min_h ** (-(1.0 / (p - 2.0) - delta)) if p > 2.0 else 1.0
     const = theta * g_max * c_bd ** (p * (p - 2.0) / (p - 1.0)) * c_gj ** ((p - 2.0) / (p - 1.0))

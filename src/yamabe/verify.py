@@ -12,6 +12,7 @@ import numpy as np
 
 from ._kernels import grad_power_kernel
 from .errors import ConsistencyError, HypothesisError
+from .families import GraphFamily
 from .functionals import ProblemSpec, _check_spec, energy_J
 from .graph import WeightedGraph, as_vertex_function, integrate
 from .operators import p_laplacian
@@ -243,6 +244,19 @@ def inequality_suite(
     }
 
 
+def _study_universe(family, spec, radius: int):
+    """The universe a study solves on, as ``(graph, anchor, cell_size)``: a
+    GraphFamily's quotient (``materialize(radius, cells=True)``) for radial
+    data, whose h and g are then constant on its cells, else the universe
+    ball itself in cells of one vertex. The one place the graph is chosen."""
+    if isinstance(family, GraphFamily) and getattr(spec, "radial", False):
+        built = family.materialize(radius, cells=True)
+        if built is not None:
+            return built
+    g, x0 = family.materialize(radius)
+    return g, x0, np.ones(g.n)
+
+
 def exhaustion_study(
     family,
     spec,
@@ -257,7 +271,15 @@ def exhaustion_study(
     anchor)) and spec evaluates problem data on them (spec.on(graph,
     anchor) -> ProblemSpec).  All truncations are cut from one universe
     ball, and each ball's solve starts from the bump around its anchor, so
-    opts.u0 must be None and opts.x0 must keep its default.  Invalid input
+    opts.u0 must be None and opts.x0 must keep its default.
+
+    When spec is radial (h and g numbers or elementwise formulas in dist)
+    and family is a GraphFamily with a quotient (a lattice or tree with a
+    scalar mu), every ball is solved on its cells: the same problem on far
+    fewer vertices, with the same gamma and lambda up to rounding.
+    Otherwise it is solved on the ball itself. tail_bound bounds the full
+    graph, so its min(h mu) is taken over vertex measures (a cell's measure
+    over its size).  Invalid input
     raises ValueError, and a hypothesis violated anywhere on the universe
     raises HypothesisError before any ball is cut; g vanishing on the
     smallest ball raises InfeasibleConstraintError; a numerical failure of
@@ -281,7 +303,7 @@ def exhaustion_study(
             "exhaustion_study starts each ball at its anchor; x0 must keep its default"
         )
 
-    g_u, x0 = family.materialize(universe_radius)
+    g_u, x0, cell_size = _study_universe(family, spec, universe_radius)
     spec_u = spec.on(g_u, x0)
     _, tails = _universe_tails(g_u, spec_u, x0)
 
@@ -311,7 +333,7 @@ def exhaustion_study(
                 "R": radius,
                 "gamma": res.gamma,
                 "lambda": res.lam,
-                "tail_bound": k_tail_bound(g_u, spec_u, tail_r, gamma_est),
+                "tail_bound": k_tail_bound(g_u, spec_u, tail_r, gamma_est, cell_size),
                 "converged": res.converged,
             }
         )

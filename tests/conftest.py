@@ -44,7 +44,9 @@ def random_positive_spec_fields(rng, n):
 
 
 def count_calls(monkeypatch, *functions):
-    """Count calls of each function at every place a yamabe module binds it."""
+    """Count calls of each function at every place a yamabe module binds it,
+    including the entries of a dispatch table (a module-level dict of tuples,
+    such as ``graph._FAMILIES``)."""
     counts = Counter()
     for fn in functions:
         def counted(*args, _fn=fn, **kwargs):
@@ -56,6 +58,11 @@ def count_calls(monkeypatch, *functions):
                 for key, value in list(vars(mod).items()):
                     if value is fn:
                         monkeypatch.setattr(mod, key, counted)
+                    elif isinstance(value, dict):
+                        for entry_key, entry in list(value.items()):
+                            if isinstance(entry, tuple) and any(e is fn for e in entry):
+                                swapped = tuple(counted if e is fn else e for e in entry)
+                                monkeypatch.setitem(value, entry_key, swapped)
     return counts
 
 

@@ -164,3 +164,61 @@ def test_weight_and_mu_passthrough():
         # and booleans as 1.0
         with pytest.raises(ValueError, match=f"^{key} must be numeric: got a boolean$"):
             GraphFamily("path", {"n": 3, key: True}).materialize()
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("lattice_zd_ball", {"d": [2], "radius": 3}),
+        ("lattice_zd_ball", {"d": 2, "depth": 2}),
+        ("lattice_zd_ball", {"d": 0}),
+        ("lattice_zd_ball", {"d": 2, "radius": -1}),
+        ("lattice_zd_ball", {"d": 2, "weight": "2"}),
+        ("lattice_zd_ball", {"d": 2, "weight": -1.0}),
+        ("lattice_zd_ball", {"d": 2, "weight": [1.0, 2.0]}),
+        ("lattice_zd_ball", {"d": 2, "mu": True}),
+        ("lattice_zd_ball", {"d": 2, "mu": 0.0}),
+        ("lattice_zd_ball", {"d": 2, "mu": "1"}),
+        ("tree_ball", {"branching": "two"}),
+        ("tree_ball", {"branching": 1}),
+        ("tree_ball", {"branching": 2, "depth": 5.5}),
+        ("tree_ball", {"branching": 2, "weight": True}),
+        ("tree_ball", {"branching": 2, "mu": float("nan")}),
+    ],
+)
+def test_quotient_rejects_what_materialize_rejects(name, params):
+    # one method parses the params either way, and the builders share the checks
+    family = GraphFamily(name, params)
+    with pytest.raises(ValueError) as built:
+        family.materialize(3)
+    with pytest.raises(ValueError) as quotient:
+        family.materialize(3, cells=True)
+    assert str(quotient.value) == str(built.value)
+
+
+def test_quotient_only_where_the_family_has_one():
+    assert GraphFamily("path", {"n": 5}).materialize(cells=True) is None
+    assert GraphFamily("cycle", {"n": 5}).materialize(cells=True) is None
+    explicit = GraphFamily("explicit", {"data": graph_to_dict(path_graph(3)[0])})
+    assert explicit.materialize(cells=True) is None
+    assert GraphFamily("tree_ball", {"depth": 2, "mu": [1.0] * 7}).materialize(cells=True) is None
+    q, anchor, cell_size = GraphFamily("tree_ball", {"branching": 3}).materialize(2, cells=True)
+    assert anchor == 0
+    np.testing.assert_array_equal(cell_size, [1.0, 3.0, 9.0])
+    np.testing.assert_array_equal(q.mu, [1.0, 3.0, 9.0])
+    q, anchor, cell_size = GraphFamily("lattice_zd_ball", {"d": 2, "mu": 0.5}).materialize(
+        1, cells=True
+    )
+    np.testing.assert_array_equal(cell_size, [1.0, 4.0])
+    np.testing.assert_array_equal(q.mu, [0.5, 2.0])
+
+
+def test_radial_problem_data():
+    assert ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^2", g=2.0).radial
+    assert not ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h=[1.0, 2.0], g=1.0).radial
+    assert not ProblemFamily(p=4.0, alpha=3.0, delta=0.4, g=np.ones(3)).radial
+    assert ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="exp(-dist) + minimum(dist, 3)").radial
+    # formulas that read the whole dist array, or give no field at all
+    for h in ("1 + dist/dist.mean()", "1 + 0.001*dist.size", "maximum.reduce(dist)",
+              "dist, dist", "(1 + dist"):
+        assert not ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h=h).radial, h

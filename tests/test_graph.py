@@ -15,8 +15,10 @@ from yamabe import (
     HypothesisError,
     ProblemSpec,
     WeightedGraph,
+    constraint_K,
     cycle_graph,
     eccentricity,
+    energy_J,
     generate,
     graph_distance,
     graph_from_dict,
@@ -24,11 +26,12 @@ from yamabe import (
     hypotheses_check,
     integrate,
     lattice_ball,
+    p_laplacian,
     path_graph,
     tree_ball,
     truncate_ball,
 )
-from yamabe.graph import _bfs
+from yamabe.graph import _bfs, lattice_quotient, tree_quotient
 
 
 def reference_distance(g, x0):
@@ -151,6 +154,20 @@ def test_arrays_are_frozen():
         g.mu[0] = 5.0
     with pytest.raises(ValueError):
         g.weights[0] = 5.0
+
+
+def test_caller_mu_array_stays_the_callers():
+    # the graph freezes its own copy; the caller's array stays writable and
+    # writing to it does not reach the graph
+    for build in (
+        lambda m: path_graph(3, mu=m)[0],
+        lambda m: WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)], mu=m),
+    ):
+        m = np.ones(3)
+        g = build(m)
+        m[0] = 2.0
+        np.testing.assert_array_equal(g.mu, [1.0, 1.0, 1.0])
+        assert not g.mu.flags.writeable
 
 
 def test_integrate_and_norms():
@@ -315,13 +332,17 @@ def test_ball_inherits_distances_from_its_anchor(make, monkeypatch):
     assert counts["_bfs"] == 0
 
 
-def lattice_reference(d, radius):
-    """Vertex count, nearest-neighbour pairs and origin id of the l1 ball, points sorted."""
-    points = [
+def lattice_points(d, radius):
+    """The points of the l1 ball, sorted: lattice_ball's vertex order."""
+    return sorted(
         c for c in itertools.product(range(-radius, radius + 1), repeat=d)
         if sum(map(abs, c)) <= radius
-    ]
-    index = {c: i for i, c in enumerate(sorted(points))}
+    )
+
+
+def lattice_reference(d, radius):
+    """Vertex count, nearest-neighbour pairs and origin id of the l1 ball, points sorted."""
+    index = {c: i for i, c in enumerate(lattice_points(d, radius))}
     pairs = []
     for c, i in index.items():
         for axis in range(d):
@@ -381,6 +402,55 @@ def test_generators_match_from_edges(case, data):
     assert all(slots.get((y, x)) == w for (x, y), w in slots.items())
 
 
+@st.composite
+def quotient_cases(draw):
+    """A quotient builder, its generator, their args and each vertex's cell,
+    listed without graph.py."""
+    if draw(st.booleans()):
+        branching, depth = draw(st.integers(2, 4)), draw(st.integers(0, 6))
+        level = np.repeat(np.arange(depth + 1), [branching**k for k in range(depth + 1)])
+        return tree_quotient, tree_ball, (branching, depth), level
+    d, radius = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    # a signed permutation's orbit is its sorted |coordinates|; cells in lexicographic order
+    orbit = [tuple(sorted(map(abs, c))) for c in lattice_points(d, radius)]
+    number = {key: i for i, key in enumerate(sorted(set(orbit)))}
+    return lattice_quotient, lattice_ball, (d, radius), np.array([number[key] for key in orbit])
+
+
+def relative_gap(a, b):
+    return abs(a - b) / abs(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotient_cases(), st.data())
+def test_quotients_are_exact(case, data):
+    # the quotient is the generator graph summed over cells: for cell-constant
+    # data and functions it gives the same measure, distances, J, K and p-Laplacian
+    quotient, generator, args, cell = case
+    weight, mu = data.draw(st.floats(0.1, 10.0)), data.draw(st.floats(0.1, 10.0))
+    q, anchor, cell_size = quotient(*args, weight=weight, mu=mu)
+    g, x0 = generator(*args, weight=weight, mu=mu)
+    assert anchor == cell[x0] == 0 and q.n == cell.max() + 1
+    np.testing.assert_array_equal(cell_size, np.bincount(cell))
+    assert cell_size.sum() == g.n
+    assert relative_gap(q.volume(), g.volume()) <= 1e-12
+    np.testing.assert_array_equal(graph_distance(q, anchor)[cell], graph_distance(g, x0))
+    slots = {(int(x), int(y)): w for x, y, w in zip(q.rows, q.indices, q.weights)}
+    assert all(slots.get((y, x)) == w for (x, y), w in slots.items())
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    p = float(rng.uniform(2.0, 6.0))
+    h, g_coef, f = rng.uniform(0.5, 2.0, (3, q.n))
+    on_q = ProblemSpec(p=p, alpha=2.0 + (p - 2.0) * rng.random(), delta=0.1, h=h, g=g_coef)
+    on_g = ProblemSpec(p=on_q.p, alpha=on_q.alpha, delta=0.1, h=h[cell], g=g_coef[cell])
+    assert relative_gap(energy_J(q, on_q, f), energy_J(g, on_g, f[cell])) <= 1e-12
+    assert relative_gap(constraint_K(q, on_q, f), constraint_K(g, on_g, f[cell])) <= 1e-12
+    lap = p_laplacian(g, p, f[cell])
+    np.testing.assert_allclose(
+        p_laplacian(q, p, f)[cell], lap, rtol=1e-12, atol=1e-12 * np.abs(lap).max()
+    )
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -392,8 +462,11 @@ def test_generators_match_from_edges(case, data):
         lambda: lattice_ball(1, 9),
         lambda: lattice_ball(2, 7),
         lambda: lattice_ball(3, 0),
+        lambda: tree_quotient(3, 4)[:2],
+        lambda: lattice_quotient(2, 7)[:2],
     ],
-    ids=["path1", "path30", "cycle", "tree_depth0", "tree", "z1", "z2", "z3_radius0"],
+    ids=["path1", "path30", "cycle", "tree_depth0", "tree", "z1", "z2", "z3_radius0",
+         "tree_quotient", "z2_quotient"],
 )
 def test_generator_build_and_anchor_distances_run_one_search(make, monkeypatch):
     # the connectivity check is the search from the anchor, which the slot keeps
@@ -414,8 +487,13 @@ def test_generator_build_and_anchor_distances_run_one_search(make, monkeypatch):
         lambda w: lattice_ball(1, 3, weight=w),
         lambda w: tree_ball(2, 0, weight=w),
         lambda w: tree_ball(2, 3, weight=w),
+        lambda w: lattice_quotient(2, 0, weight=w),
+        lambda w: lattice_quotient(3, 2, weight=w),
+        lambda w: tree_quotient(2, 0, weight=w),
+        lambda w: tree_quotient(3, 2, weight=w),
     ],
-    ids=["path1", "path4", "cycle", "z2_radius0", "z1", "tree_depth0", "tree"],
+    ids=["path1", "path4", "cycle", "z2_radius0", "z1", "tree_depth0", "tree",
+         "z2_quotient_radius0", "z3_quotient", "tree_quotient_depth0", "tree_quotient"],
 )
 def test_generator_weight_is_checked_once(make):
     # a graph with no edges checks its weight too, and the message names the param
@@ -486,6 +564,22 @@ def test_generate_dispatch():
     assert g.n == 4
     with pytest.raises(ValueError):
         generate("hypercube", n=4)
+    q, anchor, cell_size = generate("tree_ball", cells=True, branching=2, depth=3)
+    want = tree_quotient(2, 3)
+    assert anchor == want[1] and np.array_equal(cell_size, want[2])
+    assert np.array_equal(q.weights, want[0].weights) and np.array_equal(q.mu, want[0].mu)
+    with pytest.raises(ValueError, match="'path' has no quotient"):
+        generate("path", cells=True, n=4)
+
+
+def test_quotient_mu_is_each_cells_vertex_measure():
+    # one number or one per cell; a per-vertex array of the ball does not fit
+    q, _, _ = tree_quotient(2, 2, mu=[1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(q.mu, [1.0, 4.0, 12.0])
+    with pytest.raises(ValueError, match="mu has length"):
+        tree_quotient(2, 2, mu=np.ones(7))
+    with pytest.raises(ValueError, match="mu has length"):
+        lattice_quotient(2, 1, mu=np.ones(5))
 
 
 @settings(max_examples=100, deadline=None)

@@ -15,6 +15,7 @@ from yamabe import (
     choose_truncation_radius,
     exhaustion_study,
     graph_distance,
+    graph_to_dict,
     hypotheses_check,
     inequality_suite,
     lattice_ball,
@@ -23,7 +24,7 @@ from yamabe import (
     residual_report,
     solve,
 )
-from yamabe.graph import _bfs
+from yamabe.graph import _bfs, lattice_quotient, tree_ball, tree_quotient
 
 
 def spec_on(graph, p=4.0, alpha=3.0, delta=0.4, theta=1.0, h=1.0, g_coef=1.0):
@@ -331,8 +332,9 @@ def test_exhaustion_rejects_u0():
     # one u0 cannot fit balls of different sizes; it used to fail at the
     # first ball with "vertex function has shape (33,), expected (9,)"
     class NoUniverse(GraphFamily):
-        def materialize(self, radius=None):
-            raise AssertionError("universe materialized before the u0 check")
+        # builds both the ball and its quotient: neither may run first
+        def materialize(self, radius=None, cells=False):
+            raise AssertionError("universe built before the u0 check")
 
     _, problem = lattice_family()
     family = NoUniverse("lattice_zd_ball", {"d": 1})
@@ -373,3 +375,115 @@ def test_exhaustion_rejects_bad_radii():
         exhaustion_study(family, problem, (8, 2))
     with pytest.raises(ValueError):
         exhaustion_study(family, problem, (2, 4), universe_radius=3)
+
+
+class FullFamily:
+    """A duck-typed family, not a GraphFamily: studies solve on its full balls."""
+
+    def __init__(self, name, params):
+        self.materialize = GraphFamily(name, params).materialize
+
+
+def ball_sizes(monkeypatch):
+    """The vertex count of every graph the study solves on, in order."""
+    import yamabe.verify as verify
+
+    seen, solve_ball = [], verify.solve
+
+    def recording(g, spec, opts=None):
+        seen.append(g.n)
+        return solve_ball(g, spec, opts)
+
+    monkeypatch.setattr(verify, "solve", recording)
+    return seen
+
+
+def test_radial_lattice_study_solves_on_cells(monkeypatch):
+    # scalar mu and formula fields on a lattice family: the study never builds
+    # the lattice ball, and each ball it solves has one vertex per orbit of the
+    # signed permutations (sorted |coordinates|), counted here without graph.py
+    counts = count_calls(monkeypatch, lattice_ball, lattice_quotient)
+    sizes = ball_sizes(monkeypatch)
+    family = GraphFamily("lattice_zd_ball", {"d": 2, "mu": 0.5, "weight": 2.0})
+    problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^2", g=1.0)
+    study = exhaustion_study(family, problem, (8, 16), universe_radius=32)
+    assert counts["lattice_ball"] == 0 and counts["lattice_quotient"] == 1
+    orbits = [
+        len({(min(abs(x), abs(y)), max(abs(x), abs(y)))
+             for x in range(-r, r + 1) for y in range(-r, r + 1) if abs(x) + abs(y) <= r})
+        for r in (8, 16)
+    ]
+    assert sizes == orbits == [25, 81]
+    assert all(row["converged"] for row in study["rows"])
+
+
+def test_tree_study_solves_on_levels(monkeypatch):
+    counts = count_calls(monkeypatch, tree_ball, tree_quotient)
+    sizes = ball_sizes(monkeypatch)
+    family = GraphFamily("tree_ball", {"branching": 3})
+    problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^4", g=1.0)
+    # the depth-40 universe would have 6e18 vertices; a few steps suffice to count
+    exhaustion_study(family, problem, (3, 5), SolveOptions(max_iters=3), universe_radius=40)
+    assert counts["tree_ball"] == 0 and counts["tree_quotient"] == 1
+    assert sizes == [4, 6]
+
+
+def rows_of(study):
+    return [[row[key] for key in ("R", "gamma", "lambda", "tail_bound", "converged")]
+            for row in study["rows"]]
+
+
+_PATH_DATA = graph_to_dict(path_graph(12, weight=0.7)[0])
+
+
+@pytest.mark.parametrize(
+    "name, params, h, radii",
+    [
+        ("path", {"n": 30}, "1 + dist^2", (4, 8)),
+        ("cycle", {"n": 30}, "1 + dist^2", (4, 8)),
+        ("explicit", {"data": _PATH_DATA, "x0": 0}, "1 + dist^2", (4, 8)),
+        ("lattice_zd_ball", {"d": 1, "radius": 10, "mu": [1.0 + 0.1 * k for k in range(21)]},
+         "1 + dist^2", (4, 8)),
+        ("tree_ball", {"branching": 2, "depth": 4}, [1.0 + k for k in range(31)], (3, 4)),
+    ],
+    ids=["path", "cycle", "explicit", "mu_list", "h_list"],
+)
+def test_studies_without_a_quotient_solve_the_full_balls(monkeypatch, name, params, h, radii):
+    # path, cycle, explicit graphs, a per-vertex mu and a sequence-valued h keep
+    # the full graph: the same rows, bit for bit, as a family with no quotient
+    problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h=h, g=1.0)
+    full = exhaustion_study(FullFamily(name, params), problem, radii)
+    counts = count_calls(monkeypatch, lattice_quotient, tree_quotient)
+    sizes = ball_sizes(monkeypatch)
+    study = exhaustion_study(GraphFamily(name, params), problem, radii)
+    assert counts["lattice_quotient"] == counts["tree_quotient"] == 0
+    assert rows_of(study) == rows_of(full) and study["gamma_est"] == full["gamma_est"]
+    g, x0 = GraphFamily(name, params).materialize(2 * max(radii))
+    assert sizes == [int((graph_distance(g, x0) <= r).sum()) for r in radii]
+
+
+@pytest.mark.parametrize("h", ["1 + dist^2 + 0.001*dist.size", "1 + dist^2/maximum.reduce(dist)"])
+def test_studies_on_formulas_of_the_whole_dist_array_solve_the_full_balls(monkeypatch, h):
+    # an aggregate of dist (its size, its largest entry) may differ between the
+    # ball and its quotient, whose dist has one entry per cell: not radial data
+    problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h=h, g=1.0)
+    full = exhaustion_study(FullFamily("lattice_zd_ball", {"d": 2}), problem, (4, 8))
+    counts = count_calls(monkeypatch, lattice_ball, lattice_quotient)
+    study = exhaustion_study(GraphFamily("lattice_zd_ball", {"d": 2}), problem, (4, 8))
+    assert counts["lattice_ball"] == 1 and counts["lattice_quotient"] == 0
+    assert rows_of(study) == rows_of(full)
+
+
+def test_eigen_tail_bound_uses_vertex_measure():
+    # p = alpha bounds sup |u| by min(h mu) over vertices; on the quotient that
+    # minimum must use a vertex's measure, not its cell's. Here h is least on
+    # the ring at distance 4, whose cells hold 4 or 8 vertices, so a
+    # cell-measure bound would come out too small
+    problem = ProblemFamily(p=4.0, alpha=4.0, delta=0.4, h="1+(dist-4)^2", g=1.0)
+    family = GraphFamily("lattice_zd_ball", {"d": 2})
+    opts = SolveOptions(max_iters=0)
+    cells = exhaustion_study(family, problem, (8,), opts, universe_radius=32)
+    full = exhaustion_study(FullFamily("lattice_zd_ball", {"d": 2}), problem, (8,), opts,
+                            universe_radius=32)
+    got, want = cells["rows"][0]["tail_bound"], full["rows"][0]["tail_bound"]
+    assert abs(got - want) <= 1e-12 * want
