@@ -1,16 +1,15 @@
 """Graph families and formula-defined problem data.
 
 A GraphFamily names a ``graph._FAMILIES`` entry and takes only the params
-that entry lists. On an infinite family the coefficient fields h and g
-cannot be arrays; they are formulas in the graph distance from the
-anchor ("1+dist^4"), evaluated after each ball is materialized.
+that entry lists. The coefficient fields h and g of a ProblemFamily are
+numbers, per-vertex sequences, or formulas in the graph distance from the
+anchor ("1+dist^4") in the grammar of :func:`evaluate_field`, evaluated
+after each ball is materialized.
 """
 
 from __future__ import annotations
 
 import ast
-import numbers
-import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -21,48 +20,56 @@ from .graph import _FAMILIES, WeightedGraph, _integer, generate, graph_distance,
 
 __all__ = ["GraphFamily", "ProblemFamily", "evaluate_field"]
 
-_ALLOWED = re.compile(r"^[0-9a-zA-Z_+\-*/(). ,^]*$")
-_NAMESPACE = {
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "minimum": np.minimum,
-    "maximum": np.maximum,
-    "pi": np.pi,
-    "e": np.e,
-}
-
-_ELEMENTWISE = (
-    ast.Expression, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop,
-    ast.Call, ast.Name, ast.Constant, ast.Load,
+# the formula grammar: its functions (every one a ufunc) with their argument
+# counts, its other names, and its operators
+_FUNCTIONS = {"exp": 1, "log": 1, "sqrt": 1, "abs": 1, "minimum": 2, "maximum": 2}
+_NAMESPACE = {"pi": np.pi, "e": np.e, **{name: getattr(np, name) for name in _FUNCTIONS}}
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Pow, ast.UAdd, ast.USub)
+_GRAMMAR = (
+    "numbers (as floats), the names dist, pi and e, calls of exp, log, sqrt and abs (one argument) "
+    "and minimum and maximum (two), binary + - * / // ** (or ^), and unary + -"
 )
+_SEQUENCES = (list, tuple, np.ndarray)
 
 
-def _elementwise(expr) -> bool:
-    """Whether a field gives each vertex a value from its own distance alone:
-    a number, or a formula whose syntax tree holds only arithmetic, calls of
-    names (every function in the namespace is a ufunc), names and numbers."""
-    if isinstance(expr, numbers.Real) and not isinstance(expr, bool):
+def _in_grammar(node) -> bool:
+    """Whether the syntax tree under ``node`` lies in the formula grammar.
+    Its numbers become floats on the way, so a constant such as 9^9^9
+    overflows at once instead of growing a huge integer."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        node.value = float(node.value)
         return True
-    if not isinstance(expr, str):
-        return False
+    if isinstance(node, ast.Name):
+        return node.id in ("dist", "pi", "e")
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, _OPERATORS) and _in_grammar(node.left) and _in_grammar(node.right)
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, _OPERATORS) and _in_grammar(node.operand)
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords
+        and _FUNCTIONS.get(node.func.id) == len(node.args) and all(map(_in_grammar, node.args))
+    )
+
+
+def _compile(expr: str):
+    """The code of a formula in the grammar; anything else raises ValueError naming it."""
     try:
         tree = ast.parse(expr.replace("^", "**"), mode="eval")
-    except SyntaxError:
-        return False
-    return all(
-        isinstance(node, _ELEMENTWISE)
-        and not (isinstance(node, ast.Call) and not isinstance(node.func, ast.Name))
-        for node in ast.walk(tree)
-    )
+        if _in_grammar(tree.body):
+            return compile(tree, "<field formula>", "eval")
+    except (SyntaxError, ValueError, OverflowError, RecursionError, MemoryError):
+        pass
+    raise ValueError(f"field formula {expr!r} is not in the grammar: {_GRAMMAR}")
 
 
 def evaluate_field(expr, dist: np.ndarray) -> np.ndarray:
     """Evaluate a coefficient field given per-vertex distances.
 
     Accepts a number (constant field), a sequence (explicit values), or a
-    formula string in the variable dist, where ^ means power.
+    formula string in the variable dist, where ^ means power, built as
+    ``_GRAMMAR`` lists; anything else (attributes, subscripts, keywords, @,
+    %, bit operators) raises ValueError naming it. So a formula gives each
+    vertex a value from its own distance alone.
     """
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
@@ -70,27 +77,22 @@ def evaluate_field(expr, dist: np.ndarray) -> np.ndarray:
         raise ValueError("coefficient field cannot be a boolean")
     if isinstance(expr, (int, float)):
         return np.full(n, float(expr))
-    if isinstance(expr, (list, tuple, np.ndarray)):
+    if isinstance(expr, _SEQUENCES):
         arr = np.asarray(expr, dtype=np.float64)
         if arr.shape != (n,):
             raise ValueError(f"explicit field has length {arr.size}, expected {n}")
         return arr
     if not isinstance(expr, str):
         raise ValueError(f"cannot interpret coefficient field {expr!r}")
-    if "__" in expr or not _ALLOWED.match(expr):
-        raise ValueError(f"malformed field formula: {expr!r}")
-    namespace = dict(_NAMESPACE)
-    namespace["dist"] = dist
+    code = _compile(expr)
     try:
-        value = eval(expr.replace("^", "**"), {"__builtins__": {}}, namespace)
+        value = eval(code, {"__builtins__": {}, **_NAMESPACE, "dist": dist})
+        if np.iscomplexobj(value):  # a negative number to a fractional power
+            raise TypeError("the value is complex")
+        # every formula in the grammar gives one number or one per vertex
+        return np.broadcast_to(value, (n,)).astype(np.float64)
     except Exception as exc:
         raise ValueError(f"field formula {expr!r} failed to evaluate: {exc}") from exc
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"field formula {expr!r} has wrong shape {arr.shape}")
-    return arr.copy()
 
 
 @dataclass(frozen=True)
@@ -160,12 +162,9 @@ class ProblemFamily:
     @property
     def radial(self) -> bool:
         """Whether h and g are functions of each vertex's own distance from the
-        anchor: numbers, or formulas built from dist, numbers and the named
-        functions by arithmetic alone. Per-vertex sequences are not, nor is a
-        formula that reads the whole dist array through an attribute
-        (``dist.size``, ``maximum.reduce(dist)``): its value depends on
-        how many vertices share each distance."""
-        return all(_elementwise(f) for f in (self.h, self.g))
+        anchor: neither is a per-vertex sequence. Numbers are, and so is every
+        formula :func:`evaluate_field` accepts."""
+        return not any(isinstance(f, _SEQUENCES) for f in (self.h, self.g))
 
     def on(self, graph: WeightedGraph, x0: int) -> ProblemSpec:
         """Evaluate the data on a concrete graph, anchored at x0."""

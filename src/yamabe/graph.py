@@ -21,13 +21,14 @@ Cost model: construction, truncation and the breadth-first search (behind
 The search is level-synchronous: each hop level costs a fixed few array
 operations (about 13 us on a 2-core Xeon, numpy 2.4) plus C-speed work per
 frontier edge, so large balls pay per edge and long thin graphs pay per level.
-The generators write their CSR arrays straight from a sorted neighbour table
-and check connectivity with the search from their anchor, which they keep;
-a raw or :meth:`WeightedGraph.from_edges` graph checks it with the search
-from vertex 0. A graph keeps the distances from the last source searched,
-and a ball cut by :func:`truncate_ball` inherits those from its anchor, so
-one study or CLI run searches each graph once per source it asks for: once
-in all for a generator graph asked only for its anchor's distances.
+Every graph the package builds comes out of one assembler, which writes the
+CSR arrays from per-row degrees and checks connectivity with the search from
+an anchor (vertex 0 for :meth:`WeightedGraph.from_edges`, the generator's
+anchor otherwise), which the graph keeps. A graph keeps the distances from
+the last source searched, and a ball cut by :func:`truncate_ball` inherits
+those from its anchor instead of searching, so one study or CLI run searches
+each graph once per source it asks for: once in all for a generator graph
+asked only for its anchor's distances.
 
 The quotient builders (:func:`lattice_quotient`, :func:`tree_quotient`)
 cost per cell, not per vertex: the Z^2 ball of radius 128 has 4,225 orbits
@@ -44,7 +45,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -63,20 +63,17 @@ class WeightedGraph:
     constructor included), read-only, so no kernel call rebuilds it. It
     costs 8 * nnz bytes for as long as the graph lives.
 
-    ``connected`` is derived too, but lazily: the first read runs one
-    breadth-first search from vertex 0 and the answer is cached on the
-    instance, which is sound because the arrays are frozen. :meth:`from_edges`
-    reads it to validate; the generators and :func:`truncate_ball` set it, so
-    ``verify.hypotheses_check`` finds it cached; a raw graph pays the search
-    on its first check only.
-
     ``_distance`` is one slot, ``(source, distances)``, holding the hop
-    distances from the last source :func:`graph_distance` searched. A raw or
-    :meth:`from_edges` graph's connectivity check fills it from vertex 0; a
-    generator's check is the search from its anchor, and it fills the slot
-    from there. Another source replaces it, so it costs at most 8 * n bytes.
-    :func:`truncate_ball` fills each ball's slot from its anchor, cut from
-    the parent's distances.
+    distances from the last source :func:`graph_distance` searched. Every
+    built graph has it filled: :meth:`from_edges` from vertex 0, a generator
+    from its anchor, and a :func:`truncate_ball` ball from its anchor, cut
+    from the parent's distances. Another source replaces it, so it costs at
+    most 8 * n bytes.
+
+    ``connected`` reads the slot: every distance it holds is >= 0, whatever
+    its source, since a vertex reachable from none is -1 from every source.
+    Only a raw graph with an empty slot pays a search, from vertex 0, and
+    keeps it.
 
     Use :meth:`from_edges` or the generators below; the raw constructor does
     not validate.
@@ -98,10 +95,12 @@ class WeightedGraph:
     def n(self) -> int:
         return self.mu.shape[0]
 
-    @cached_property
+    @property
     def connected(self) -> bool:
-        """Whether every vertex is reachable from vertex 0 (cached)."""
-        return bool((_slot_distance(self, 0) >= 0).all())
+        """Whether every vertex is reachable: the slot's distances are all >= 0."""
+        kept = self._distance
+        dist = _slot_distance(self, 0) if kept is None else kept[1]
+        return bool((dist >= 0).all())
 
     @property
     def n_edges(self) -> int:
@@ -171,16 +170,7 @@ class WeightedGraph:
         cols = np.concatenate((y, x[off]))
         vals = np.concatenate((w, w[off]))
         order = np.lexsort((cols, rows))
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-        g = cls(indptr=indptr, indices=cols[order], weights=vals[order], mu=mu_arr)
-        g._freeze()
-        if not g.connected:
-            raise ValueError("graph must be connected")
-        return g
-
-    def _freeze(self):
-        for a in (self.indptr, self.indices, self.weights, self.mu):
-            a.setflags(write=False)
+        return _assemble(np.bincount(rows, minlength=n), cols[order], vals[order], mu_arr, 0)
 
 
 def csr_rows(indptr) -> np.ndarray:
@@ -287,15 +277,15 @@ def graph_distance(g: WeightedGraph, x0: int) -> np.ndarray:
     x0 = operator.index(x0)
     if not 0 <= x0 < g.n:
         raise ValueError(f"vertex {x0} out of range")
-    # construction guarantees connectedness, so every entry is >= 0
+    # a built graph is connected, so every entry is >= 0 (a raw one marks unreachable -1)
     return _slot_distance(g, x0)
 
 
 def _slot_distance(g: WeightedGraph, x0: int) -> np.ndarray:
     """The slot's array if it holds ``x0``, else a new search, kept.
 
-    The connectivity check calls this directly: its search is part of
-    construction, not a distance query."""
+    :attr:`WeightedGraph.connected` calls this directly on an empty slot:
+    that search is a connectivity check, not a distance query."""
     kept = g._distance
     if kept is not None and kept[0] == x0:
         return kept[1]
@@ -307,6 +297,24 @@ def _slot_distance(g: WeightedGraph, x0: int) -> np.ndarray:
 def _fill_slot(g: WeightedGraph, x0: int, dist: np.ndarray) -> None:
     dist.setflags(write=False)
     object.__setattr__(g, "_distance", (x0, dist))
+
+
+def _assemble(degree, cols, weights, mu, anchor: int, dist=None) -> WeightedGraph:
+    """The frozen graph whose row x holds the next ``degree[x]`` entries of
+    ``cols`` and ``weights``, with the distances from ``anchor`` in its slot.
+
+    Every graph the package builds ends here. The connectivity check reads
+    those distances: ``dist`` where given (a ball's, cut from its parent's),
+    else the search from ``anchor``.
+    """
+    indptr = np.concatenate(([0], np.cumsum(degree)))
+    g = WeightedGraph(indptr=indptr, indices=cols, weights=weights, mu=mu)
+    for a in (indptr, cols, weights, mu):
+        a.setflags(write=False)
+    _fill_slot(g, anchor, _bfs(indptr, cols, anchor) if dist is None else dist)
+    if not g.connected:
+        raise ValueError("graph must be connected")
+    return g
 
 
 def eccentricity(g: WeightedGraph, x0: int) -> int:
@@ -330,9 +338,9 @@ def truncate_ball(
     therefore need not be nonincreasing in R, and on small balls it can
     rise.
 
-    The ball's cached ``connected`` and its distances from the anchor are
-    set without a search: every kept vertex has a shortest path to x0, and
-    that path stays inside the ball.
+    The ball's distances from the anchor are cut from the parent's, with no
+    search: every kept vertex has a shortest path to x0, and that path stays
+    inside the ball, so the ball is connected too.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -344,17 +352,11 @@ def truncate_ball(
 
     row = g.rows
     emask = keep[row] & keep[g.indices]
-    counts = np.bincount(old_to_new[row[emask]], minlength=new_to_old.shape[0])
-    ball = WeightedGraph(
-        indptr=np.concatenate(([0], np.cumsum(counts))),
-        indices=old_to_new[g.indices[emask]],
-        weights=g.weights[emask],
-        mu=g.mu[new_to_old],
-    )
-    ball._freeze()
-    object.__setattr__(ball, "connected", True)
     anchor = int(old_to_new[x0])
-    _fill_slot(ball, anchor, dist[new_to_old])
+    ball = _assemble(
+        np.bincount(old_to_new[row[emask]], minlength=new_to_old.shape[0]),
+        old_to_new[g.indices[emask]], g.weights[emask], g.mu[new_to_old], anchor, dist[new_to_old],
+    )
     return ball, anchor, new_to_old
 
 
@@ -372,43 +374,28 @@ def _edge_weight(weight) -> float:
     return float(w)
 
 
-def _anchored_graph(nbr, valid, weights, mu_arr, anchor: int) -> WeightedGraph:
-    """Graph in which vertex x is joined to nbr[x, k] wherever valid[x, k], in 0..n-1.
+def _table_graph(nbr, weight, mu, anchor: int) -> tuple[WeightedGraph, int]:
+    """Generator graph in which vertex x is joined to nbr[x, k] wherever that is
+    in 0..n-1, every edge with weight ``weight``.
 
     Each row of the neighbour table must list its neighbours in ascending
-    order and each edge must sit in both of its rows, with the same weight,
-    so the CSR arrays come out as :meth:`WeightedGraph.from_edges` sorts
-    them, with no duplicate search and no sort. ``weights`` holds one
-    weight per valid entry, in row order. The connectivity check is the
-    search from ``anchor``, kept in the distance slot.
+    order and each edge must sit in both of its rows, so the CSR arrays come
+    out as :meth:`WeightedGraph.from_edges` sorts them, with no duplicate
+    search and no sort.
     """
-    indices = nbr[valid]
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(valid, axis=1))))
-    g = WeightedGraph(indptr=indptr, indices=indices, weights=weights, mu=mu_arr)
-    g._freeze()
-    dist = _bfs(indptr, indices, anchor)
-    if (dist < 0).any():
-        raise ValueError("graph must be connected")
-    object.__setattr__(g, "connected", True)
-    _fill_slot(g, anchor, dist)
-    return g
-
-
-def _table_graph(nbr, weight, mu, anchor: int) -> tuple[WeightedGraph, int]:
-    """Generator graph on the neighbour table ``nbr`` (see :func:`_anchored_graph`):
-    every edge has weight ``weight``; entries outside 0..n-1 mark no neighbour."""
     w = _edge_weight(weight)
     mu_arr = _measure(mu, nbr.shape[0])
     valid = (nbr >= 0) & (nbr < nbr.shape[0])
-    return _anchored_graph(nbr, valid, np.full(np.count_nonzero(valid), w), mu_arr, anchor), anchor
+    weights = np.full(np.count_nonzero(valid), w)
+    return _assemble(np.count_nonzero(valid, axis=1), nbr[valid], weights, mu_arr, anchor), anchor
 
 
 def _quotient_graph(nbr, count, size, weight, mu) -> tuple[WeightedGraph, int, np.ndarray]:
     """Quotient of a generator graph by a partition into cells, as ``(graph, 0, cell_size)``.
 
     Row x of ``nbr`` is cell x, with ``size[x]`` vertices, each of which has
-    ``count[x, k]`` neighbours in cell ``nbr[x, k]`` (-1: none); cell 0 is
-    the anchor's. ``mu`` is each vertex's measure: one number, or one per
+    ``count[x, k]`` neighbours in cell ``nbr[x, k]`` (-1: none), listed as
+    :func:`_table_graph` asks; cell 0 is the anchor's. ``mu`` is each vertex's measure: one number, or one per
     cell. The measure and weights are the vertices' summed:
     M = size * mu and E = size[x] * count[x, k] * weight. That integer
     counts the edges between two cells from either end, so both rows of a
@@ -425,7 +412,7 @@ def _quotient_graph(nbr, count, size, weight, mu) -> tuple[WeightedGraph, int, n
         raise ValueError("the cells' measure overflows float64")
     valid = nbr >= 0
     pairs = (size[:, None] * count)[valid].astype(np.float64)
-    return _anchored_graph(nbr, valid, pairs * w, mass, 0), 0, cell_size
+    return _assemble(np.count_nonzero(valid, axis=1), nbr[valid], pairs * w, mass, 0), 0, cell_size
 
 
 def path_graph(n: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]:

@@ -14,7 +14,7 @@ from ._kernels import grad_power_kernel
 from .errors import ConsistencyError, HypothesisError
 from .families import GraphFamily
 from .functionals import ProblemSpec, _check_spec, energy_J
-from .graph import WeightedGraph, as_vertex_function, integrate
+from .graph import WeightedGraph, _integer, as_vertex_function, integrate
 from .operators import p_laplacian
 from .solver import (
     SolveOptions,
@@ -86,7 +86,7 @@ def hypotheses_check(g: WeightedGraph, spec: ProblemSpec) -> dict:
         "(int h^-delta dmu)^delta must be finite",
     )
 
-    # cached per graph: from_edges derived it, a raw graph derives it here once
+    # read off the graph's distance slot: a raw graph with an empty one searches here once
     record("connected", g.connected, True, "graph must be connected")
     return {"passed": True, "checks": checks}
 
@@ -273,27 +273,28 @@ def exhaustion_study(
     ball, and each ball's solve starts from the bump around its anchor, so
     opts.u0 must be None and opts.x0 must keep its default.
 
-    When spec is radial (h and g numbers or elementwise formulas in dist)
-    and family is a GraphFamily with a quotient (a lattice or tree with a
-    scalar mu), every ball is solved on its cells: the same problem on far
-    fewer vertices, with the same gamma and lambda up to rounding.
-    Otherwise it is solved on the ball itself. tail_bound bounds the full
-    graph, so its min(h mu) is taken over vertex measures (a cell's measure
-    over its size).  Invalid input
+    When spec is radial (h and g numbers or formulas in dist, not per-vertex
+    sequences) and family is a GraphFamily with a quotient (a lattice or
+    tree with a scalar mu), every ball is solved on its cells: the same
+    problem on far fewer vertices, with the same gamma and lambda up to
+    rounding. Otherwise it is solved on the ball itself. tail_bound bounds
+    the full graph, so its min(h mu) is taken over vertex measures (a cell's
+    measure over its size).  Invalid input (a radius that is not an integer)
     raises ValueError, and a hypothesis violated anywhere on the universe
     raises HypothesisError before any ball is cut; g vanishing on the
     smallest ball raises InfeasibleConstraintError; a numerical failure of
     one ball's solve raises RuntimeError naming the radius.
     """
-    radii = [int(r) for r in radii]
+    radii = [_integer(r, "radius") for r in radii]
     if not radii:
         raise ValueError("radii must be nonempty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     if radii[0] < 0:
         raise ValueError("radii must be nonnegative")
-    if universe_radius is None:
-        universe_radius = 2 * max(radii)
+    universe_radius = _integer(
+        2 * max(radii) if universe_radius is None else universe_radius, "universe_radius"
+    )
     if universe_radius < max(radii):
         raise ValueError("universe_radius must cover the largest radius")
     if opts is not None and opts.u0 is not None:

@@ -456,6 +456,14 @@ def test_exit_code_policy(tmp_path, capsys, case, command):
 # overrides and the key the error names.
 _EXPLICIT = {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]]}
 _PROBLEM = {"p": 4.0, "alpha": 3.0, "delta": 0.4, "h": "1 + dist^2", "g": 1}
+
+
+def _formula_case(formula):
+    """h outside the formula grammar: the error names the formula and the grammar."""
+    return ({"problem": {**_PROBLEM, "h": formula}},
+            f"field formula {formula!r} is not in the grammar: numbers (as floats), the names dist")
+
+
 INVALID_VALUE_CASES = {
     "misspelled_param": ({"graph": {"family": "path", "params": {"n": 12, "wieght": 5}}}, "wieght"),
     "x0_param_of_a_family": ({"graph": {"family": "path", "params": {"n": 12, "x0": 5}}}, "x0"),
@@ -488,6 +496,13 @@ INVALID_VALUE_CASES = {
         {"graph": {"explicit": {"n": 3, "edges": [[0, 1, 1.0], [1, 2, True]]}}}, "weight"),
     "negative_weight_on_one_vertex": (
         {"graph": {"family": "path", "params": {"n": 1, "weight": -1}}}, "weight"),
+    # "1j" ended in a TypeError traceback, and "True + dist" solved as 1 + dist
+    "complex_formula": _formula_case("1j"),
+    "boolean_in_formula": _formula_case("True + dist"),
+    "attribute_in_formula": _formula_case("dist.size"),
+    "method_in_formula": _formula_case("dist.mean()"),
+    "ufunc_method_in_formula": _formula_case("maximum.reduce(dist)"),
+    "matmul_in_formula": _formula_case("dist @ dist"),
 }
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from yamabe import (
     GraphFamily,
@@ -39,17 +41,93 @@ def test_evaluate_formula():
 
 
 def test_evaluate_formula_rejects_unsafe_input():
-    dist = np.zeros(2)
-    with pytest.raises(ValueError):
-        evaluate_field("__import__('os')", dist)
-    with pytest.raises(ValueError):
-        evaluate_field("dist.__class__", dist)
-    with pytest.raises(ValueError):
-        evaluate_field("dist; dist", dist)
-    with pytest.raises(ValueError):
-        evaluate_field("open('x')", dist)
-    with pytest.raises(ValueError):
-        evaluate_field("nosuchname + 1", dist)
+    # everything outside the grammar fails with one message naming it: "1j"
+    # used to raise TypeError, "True + dist" to evaluate as 1 + dist, and
+    # "dist.mean()" to fail with a bare "'__import__'"
+    dist = np.arange(4.0)
+    for formula in ("__import__('os')", "dist.__class__", "dist; dist", "open('x')", "nosuchname + 1",
+                    "1j", "True + dist", "dist.size", "dist.mean()", "maximum.reduce(dist)",
+                    "dist @ dist", "dist % 2", "dist | 1", "~dist", "dist << 1", "dist[0]",
+                    "maximum(dist, 1, dist)", "exp(dist, dist)", "exp(x=dist)", "exp", "dist(1)",
+                    "'1'", "None", "1 if dist else 2", "dist < 1", "lambda: 1", "(dist := 1)",
+                    "(" * 500 + "dist" + ")" * 500, "-" * 100000 + "1", "1" * 400, "1\x00"):
+        with pytest.raises(ValueError, match="is not in the grammar: numbers"):
+            evaluate_field(formula, dist)
+
+
+def test_evaluate_formula_failures_are_value_errors():
+    # a formula in the grammar that fails to evaluate names itself
+    dist = np.arange(4.0)
+    for formula in ("1/0", "0^-1", "(-1)^0.5", "(-1)^0.5 * dist", "9^9^9"):
+        with pytest.raises(ValueError, match="failed to evaluate"):
+            evaluate_field(formula, dist)
+
+
+def test_evaluate_formula_values():
+    # numbers evaluate as floats; integer-valued formulas keep their values
+    dist = np.arange(6.0)
+    np.testing.assert_array_equal(evaluate_field("2^70 + dist", dist), 2.0**70 + dist)
+    np.testing.assert_array_equal(evaluate_field("7 // 2 + -dist", dist), 3.0 - dist)
+    np.testing.assert_array_equal(evaluate_field("minimum(2, 3) * pi / e", dist), np.full(6, 2 * np.pi / np.e))
+    np.testing.assert_array_equal(evaluate_field("0x10 + 1_0 + 1e1", dist), np.full(6, 36.0))
+    field = evaluate_field("dist", dist)
+    assert field is not dist and field.flags.writeable
+    np.testing.assert_array_equal(field, dist)
+
+
+# the grammar's pieces, for drawing formulas in it
+_LEAVES = st.one_of(
+    st.sampled_from(["dist", "pi", "e"]),
+    st.integers(0, 12).map(str),
+    st.floats(0.0, 10.0).map(repr),
+)
+
+
+def _grown(inner):
+    pair = st.tuples(inner, inner)
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "//", "**", "^"]), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["-", "+", "exp", "log", "sqrt", "abs"]), inner).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(["minimum", "maximum"]), pair).map(
+            lambda t: f"{t[0]}({t[1][0]}, {t[1][1]})"),
+    )
+
+
+_FORMULAS = st.recursive(_LEAVES, _grown, max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FORMULAS, st.data())
+def test_formulas_in_the_grammar_are_elementwise(formula, data):
+    # each vertex's value is a function of its own distance: evaluating on a
+    # subset of the vertices (in any order, with repeats) gives the same bits
+    dist = np.array(data.draw(st.lists(st.integers(0, 20), min_size=1, max_size=30)), float)
+    idx = data.draw(st.lists(st.integers(0, len(dist) - 1), max_size=30))
+    with np.errstate(all="ignore"):
+        try:
+            whole = evaluate_field(formula, dist)
+        except ValueError:
+            # only arithmetic on numbers alone fails (1/0, an overflow), on any vertices
+            with pytest.raises(ValueError, match="failed to evaluate"):
+                evaluate_field(formula, dist[idx])
+            return
+        part = evaluate_field(formula, dist[idx])
+    assert part.dtype == np.float64 and whole[idx].tobytes() == part.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@example("1j")
+@example("True + dist")
+@example("dist.mean()")
+@given(st.text(alphabet="0123456789.+-*/^(), distpexmaxlogsqrtabminuTrj@%&|~<>=[]:;_'\"\x00", max_size=24))
+def test_any_text_evaluates_or_raises_value_error(text):
+    try:
+        field = evaluate_field(text, np.arange(5.0))
+    except ValueError:
+        return
+    assert field.dtype == np.float64 and field.shape == (5,)
 
 
 def test_family_names_validated():
@@ -218,7 +296,9 @@ def test_radial_problem_data():
     assert not ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h=[1.0, 2.0], g=1.0).radial
     assert not ProblemFamily(p=4.0, alpha=3.0, delta=0.4, g=np.ones(3)).radial
     assert ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="exp(-dist) + minimum(dist, 3)").radial
-    # formulas that read the whole dist array, or give no field at all
+    # formulas that would read the whole dist array, or give no field at all,
+    # are outside the grammar: no accepted formula is anything but radial
     for h in ("1 + dist/dist.mean()", "1 + 0.001*dist.size", "maximum.reduce(dist)",
               "dist, dist", "(1 + dist"):
-        assert not ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h=h).radial, h
+        with pytest.raises(ValueError, match="is not in the grammar"):
+            ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h=h).on(*path_graph(4))

@@ -247,6 +247,27 @@ def test_disconnected_raw_graph_is_detected():
         assert err.value.name == "connected"
 
 
+def test_connected_reads_the_distance_slot(monkeypatch):
+    # a raw graph whose slot holds another source's distances answers with no search
+    counts = count_calls(monkeypatch, _bfs)
+    g, _ = lattice_ball(2, 3)
+    raw = WeightedGraph(indptr=g.indptr, indices=g.indices, weights=g.weights, mu=g.mu)
+    graph_distance(raw, 5)
+    assert counts["_bfs"] == 2  # the generator's check and the query
+    assert raw.connected and raw._distance[0] == 5
+    assert counts["_bfs"] == 2
+    # an empty slot is filled from vertex 0, and kept
+    fresh = WeightedGraph(indptr=g.indptr, indices=g.indices, weights=g.weights, mu=g.mu)
+    assert fresh.connected and fresh.connected and fresh._distance[0] == 0
+    assert counts["_bfs"] == 3
+    # a disconnected raw graph reports False from whichever source the slot holds
+    bad = disconnected_raw_graph()
+    for k in (4, 1, 3):
+        graph_distance(bad, k)
+        assert not bad.connected and bad._distance[0] == k
+    assert counts["_bfs"] == 6
+
+
 @pytest.mark.parametrize(
     "make, k",
     [

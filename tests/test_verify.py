@@ -377,6 +377,25 @@ def test_exhaustion_rejects_bad_radii():
         exhaustion_study(family, problem, (2, 4), universe_radius=3)
 
 
+@pytest.mark.parametrize(
+    "radii, universe_radius",
+    [((4.7, 8.2), None), ((4, 8.2), None), ((True, 4), None), (("4", 8), None),
+     ((4, 8), 16.5), ((4, 8), True), ((4, 8), "16")],
+)
+def test_exhaustion_radii_are_integers(monkeypatch, radii, universe_radius):
+    # int() used to turn radii (4.7, 8.2) into (4, 8) and True into radius 1;
+    # they are checked like every config integer, before the universe is built
+    family, problem = lattice_family()
+    counts = count_calls(monkeypatch, lattice_ball, lattice_quotient)
+    with pytest.raises(ValueError, match="must be an integer"):
+        exhaustion_study(family, problem, radii, universe_radius=universe_radius)
+    assert counts["lattice_ball"] == counts["lattice_quotient"] == 0
+    # integral floats stand for their integers, as in a config
+    study = exhaustion_study(family, problem, (4.0, 8.0), universe_radius=16.0)
+    assert [row["R"] for row in study["rows"]] == [4, 8] and study["universe_radius"] == 16
+    assert all(type(row["R"]) is int for row in study["rows"])
+
+
 class FullFamily:
     """A duck-typed family, not a GraphFamily: studies solve on its full balls."""
 
@@ -463,15 +482,16 @@ def test_studies_without_a_quotient_solve_the_full_balls(monkeypatch, name, para
 
 
 @pytest.mark.parametrize("h", ["1 + dist^2 + 0.001*dist.size", "1 + dist^2/maximum.reduce(dist)"])
-def test_studies_on_formulas_of_the_whole_dist_array_solve_the_full_balls(monkeypatch, h):
-    # an aggregate of dist (its size, its largest entry) may differ between the
-    # ball and its quotient, whose dist has one entry per cell: not radial data
+def test_studies_on_formulas_of_the_whole_dist_array_solve_the_full_balls(h):
+    # an aggregate of dist (its size, its largest entry) would differ between
+    # the ball and its quotient, whose dist has one entry per cell. Such
+    # formulas used to send a study to the full balls; the formula grammar has
+    # no attributes, so now they are rejected and every accepted one is radial
     problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h=h, g=1.0)
-    full = exhaustion_study(FullFamily("lattice_zd_ball", {"d": 2}), problem, (4, 8))
-    counts = count_calls(monkeypatch, lattice_ball, lattice_quotient)
-    study = exhaustion_study(GraphFamily("lattice_zd_ball", {"d": 2}), problem, (4, 8))
-    assert counts["lattice_ball"] == 1 and counts["lattice_quotient"] == 0
-    assert rows_of(study) == rows_of(full)
+    assert problem.radial
+    for family in (FullFamily("lattice_zd_ball", {"d": 2}), GraphFamily("lattice_zd_ball", {"d": 2})):
+        with pytest.raises(ValueError, match="is not in the grammar"):
+            exhaustion_study(family, problem, (4, 8))
 
 
 def test_eigen_tail_bound_uses_vertex_measure():
