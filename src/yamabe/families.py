@@ -69,7 +69,9 @@ def evaluate_field(expr, dist: np.ndarray) -> np.ndarray:
     formula string in the variable dist, where ^ means power, built as
     ``_GRAMMAR`` lists; anything else (attributes, subscripts, keywords, @,
     %, bit operators) raises ValueError naming it. So a formula gives each
-    vertex a value from its own distance alone.
+    vertex a value from its own distance alone. Values a formula takes to
+    inf or nan on some vertices (``1/dist`` at the anchor) are returned
+    without numpy's warnings: the hypotheses check names the field.
     """
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
@@ -86,7 +88,8 @@ def evaluate_field(expr, dist: np.ndarray) -> np.ndarray:
         raise ValueError(f"cannot interpret coefficient field {expr!r}")
     code = _compile(expr)
     try:
-        value = eval(code, {"__builtins__": {}, **_NAMESPACE, "dist": dist})
+        with np.errstate(all="ignore"):
+            value = eval(code, {"__builtins__": {}, **_NAMESPACE, "dist": dist})
         if np.iscomplexobj(value):  # a negative number to a fractional power
             raise TypeError("the value is complex")
         # every formula in the grammar gives one number or one per vertex

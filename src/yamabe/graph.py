@@ -58,10 +58,13 @@ class WeightedGraph:
     x != y is stored in both rows with bit-identical weight; self-loops are
     stored once and contribute nothing to any difference operator.
 
-    ``rows`` (nnz), the source vertex of every CSR slot, is derived, not
-    passed: :func:`csr_rows` builds it once when the graph is made (raw
+    ``pairing``, the kernels' view of the edges, is derived, not passed:
+    :func:`csr_pairing` builds it once when the graph is made (raw
     constructor included), read-only, so no kernel call rebuilds it. It
-    costs 8 * nnz bytes for as long as the graph lives.
+    pairs every slot with its mirror, so a CSR in which some slot has no
+    mirror, or repeats another, raises ValueError even from the raw
+    constructor. It costs 16 bytes per slot for as long as the graph lives
+    (the per-slot ``rows`` array it replaced cost 8).
 
     ``_distance`` is one slot, ``(source, distances)``, holding the hop
     distances from the last source :func:`graph_distance` searched. Every
@@ -75,21 +78,22 @@ class WeightedGraph:
     Only a raw graph with an empty slot pays a search, from vertex 0, and
     keeps it.
 
-    Use :meth:`from_edges` or the generators below; the raw constructor does
-    not validate.
+    Use :meth:`from_edges` or the generators below; the raw constructor
+    checks only the pairing.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
     mu: np.ndarray
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    pairing: tuple = field(init=False, repr=False, compare=False)
     _distance: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = csr_rows(self.indptr)
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+        pairing = csr_pairing(self.indptr, self.indices, self.weights)
+        for a in pairing:
+            a.setflags(write=False)
+        object.__setattr__(self, "pairing", pairing)
 
     @property
     def n(self) -> int:
@@ -105,7 +109,7 @@ class WeightedGraph:
     @property
     def n_edges(self) -> int:
         """Number of unordered edges, self-loops counted once."""
-        return int(np.count_nonzero(self.indices >= self.rows))
+        return self.pairing[1].shape[1]
 
     def neighbors(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices and weights of vertex ``x`` (read-only views)."""
@@ -176,6 +180,55 @@ class WeightedGraph:
 def csr_rows(indptr) -> np.ndarray:
     """Row (source vertex) of every CSR slot: x repeated deg(x) times."""
     return np.repeat(np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr))
+
+
+def csr_pairing(indptr, indices, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Every unordered edge's endpoints and the weights of its two slots.
+
+    The edges are the slots (lo, hi) with hi >= lo, m of them, self-loops
+    included, in (lo, hi) order: CSR order whenever every row's columns
+    ascend, as in every graph the package builds. Returns ``(bins, side)``:
+    ``bins`` (2m) holds each edge's hi, then each edge's lo; ``side`` (2, m)
+    holds the weight of its mirror slot (hi, lo), 0.0 for a loop, then the
+    weight of the slot (lo, hi). A kernel that writes an edge's two terms
+    as one (2, m) array reduces them onto their vertices with one
+    ``bincount`` over ``bins``.
+
+    A slot that repeats an earlier one, or that has no mirror, raises
+    ValueError naming it.
+    """
+    rows = csr_rows(indptr)
+    n = indptr.shape[0] - 1
+    slot = None  # the CSR slot at each position, where the slots are reordered
+    if ((indices[1:] <= indices[:-1]) & (rows[1:] == rows[:-1])).any():
+        # some row's columns do not ascend (a raw CSR): take its slots in (row, column) order
+        key = rows * n + indices
+        slot = np.argsort(key, kind="stable")
+        key, rows, indices, weights = key[slot], rows[slot], indices[slot], weights[slot]
+        if (repeat := np.flatnonzero(key[1:] == key[:-1])).size:
+            k = repeat[0] + 1
+            raise ValueError(f"CSR slot {slot[k]} ({rows[k]}, {indices[k]}) repeats an earlier slot")
+    upper = indices >= rows
+    once, below = np.flatnonzero(upper), np.flatnonzero(~upper)
+    bins = np.concatenate((indices[once], rows[once]))
+    hi, lo = bins[:once.size], bins[once.size:]
+    edge = np.flatnonzero(hi != lo)
+    # the other slots in the order of the edges they mirror: the slots are in
+    # (row, column) order, so a stable sort by column puts them in (column, row) order
+    below = below[np.argsort(indices[below], kind="stable")]
+    if edge.size != below.size or (lo[edge] != indices[below]).any() or (hi[edge] != rows[below]).any():
+        want, got = lo[edge] * n + hi[edge], indices[below] * n + rows[below]
+        # keys ascend on both sides: at the first difference the smaller one is unmatched
+        k = int(np.argmax(np.append(want[:got.size] != got[:want.size], True)))
+        lone = once[edge[k]] if k < want.size and (k == got.size or want[k] < got[k]) else below[k]
+        x, y = int(rows[lone]), int(indices[lone])
+        lone = lone if slot is None else slot[lone]
+        raise ValueError(f"CSR slot {lone} ({x}, {y}) has no mirror slot ({y}, {x})")
+
+    side = np.zeros((2, once.size))
+    side[0, edge] = weights[below]
+    side[1] = weights[once]
+    return bins, side
 
 
 def _bfs(indptr, indices, x0) -> np.ndarray:
@@ -350,7 +403,7 @@ def truncate_ball(
     old_to_new = np.full(g.n, -1, dtype=np.int64)
     old_to_new[new_to_old] = np.arange(new_to_old.shape[0], dtype=np.int64)
 
-    row = g.rows
+    row = csr_rows(g.indptr)
     emask = keep[row] & keep[g.indices]
     anchor = int(old_to_new[x0])
     ball = _assemble(
@@ -594,7 +647,7 @@ def generate(family: str, *, cells: bool = False, **params):
 
 def graph_to_dict(g: WeightedGraph) -> dict:
     """Plain-dict form: edges listed once per unordered pair."""
-    row = g.rows
+    row = csr_rows(g.indptr)
     once = g.indices >= row
     edges = [
         [int(x), int(y), float(w)]

@@ -48,7 +48,7 @@ def p_laplacian(g: WeightedGraph, p: float, f) -> np.ndarray:
 
 def _p_laplacian(g: WeightedGraph, p: float, f: np.ndarray) -> np.ndarray:
     return _kernels.p_laplacian_kernel(
-        g.indptr, g.indices, g.weights, g.mu, f, p, g.rows
+        g.indptr, g.indices, g.weights, g.mu, f, p, g.pairing
     )
 
 
@@ -57,7 +57,7 @@ def p_gradient_norm(g: WeightedGraph, p: float, f) -> np.ndarray:
     p = _check_p(p)
     arr = as_vertex_function(g, f)
     power = _kernels.grad_power_kernel(
-        g.indptr, g.indices, g.weights, g.mu, arr, p, g.rows
+        g.indptr, g.indices, g.weights, g.mu, arr, p, g.pairing
     )
     return power ** (1.0 / p)
 
@@ -78,7 +78,7 @@ def dirichlet_energy(g: WeightedGraph, p: float, f) -> float:
 
 def _dirichlet_energy(g: WeightedGraph, p: float, f: np.ndarray) -> float:
     edge_sum, vertex_sum = _kernels.edge_energy_kernel(
-        g.indptr, g.indices, g.weights, g.mu, f, p, g.rows
+        g.indptr, g.indices, g.weights, g.mu, f, p, g.pairing
     )
     scale = max(abs(vertex_sum), abs(edge_sum), 1e-300)
     if abs(vertex_sum - edge_sum) > _IDENTITY_RTOL * scale:

@@ -255,7 +255,7 @@ def _diag_curvature(
     """
     p = spec.p
     edge = 2.0 * g.mu * grad_power_kernel(
-        g.indptr, g.indices, g.weights, g.mu, u, p - 2.0, g.rows
+        g.indptr, g.indices, g.weights, g.mu, u, p - 2.0, g.pairing
     )
     u_pow = np.abs(u) ** (p - 2.0)
     j_diag = edge + spec.h * g.mu * u_pow

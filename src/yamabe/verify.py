@@ -55,7 +55,8 @@ def hypotheses_check(g: WeightedGraph, spec: ProblemSpec) -> dict:
     record("p_range", np.isfinite(p) and p >= 2.0, float(p), "p must satisfy p >= 2")
 
     min_h = float(np.min(spec.h))
-    record("min_h", min_h > 0.0, min_h, "h must be positive everywhere")
+    h_ok = min_h > 0.0 and bool(np.isfinite(spec.h).all())
+    record("min_h", h_ok, min_h, "h must be positive and finite everywhere")
 
     min_hmu = float(np.min(spec.h * g.mu))
     record("min_hmu", min_hmu > 0.0, min_hmu, "h*mu must be positive everywhere")
@@ -124,7 +125,7 @@ def residual_report(
     g_term = eigen_factor * spec.g * plus ** (spec.alpha - 1.0)
     r = -p_laplacian(g, spec.p, u) + spec.h * np.sign(u) * u_pow - g_term
     flow = 2.0 * grad_power_kernel(
-        g.indptr, g.indices, g.weights, g.mu, u, spec.p - 1.0, g.rows
+        g.indptr, g.indices, g.weights, g.mu, u, spec.p - 1.0, g.pairing
     )
     scale = flow + spec.h * u_pow + np.abs(g_term)
     rel = np.abs(r) / np.where(scale > 0.0, scale, 1.0)

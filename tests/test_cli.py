@@ -414,7 +414,7 @@ EXIT_CODE_CASES = {
             "truncation": {"epsilon": 0.5},
         },
         (2, 2, 2),
-        "invalid config: min_h: h must be positive everywhere",
+        "invalid config: min_h: h must be positive and finite everywhere",
     ),
     # h vanishes on the sweep's universe but on neither of its balls
     "h_vanishes_beyond_every_ball": (
@@ -423,7 +423,7 @@ EXIT_CODE_CASES = {
             "problem": {"p": 4.0, "alpha": 3.0, "delta": 0.4, "h": "maximum(12-dist, 0)"},
         },
         (2, 2, 2),
-        "invalid config: min_h: h must be positive everywhere",
+        "invalid config: min_h: h must be positive and finite everywhere",
     ),
     "unknown_truncation_key": (
         {"truncation": {"bogus": 1}},
@@ -503,6 +503,9 @@ INVALID_VALUE_CASES = {
     "method_in_formula": _formula_case("dist.mean()"),
     "ufunc_method_in_formula": _formula_case("maximum.reduce(dist)"),
     "matmul_in_formula": _formula_case("dist @ dist"),
+    # h = +inf at the anchor passed every hypothesis, then failed in the descent
+    "infinite_h": ({"problem": {**_PROBLEM, "h": "1 + 1/dist"}},
+                   "min_h: h must be positive and finite everywhere"),
 }
 
 

@@ -31,7 +31,7 @@ from yamabe import (
     tree_ball,
     truncate_ball,
 )
-from yamabe.graph import _bfs, lattice_quotient, tree_quotient
+from yamabe.graph import _bfs, csr_rows, lattice_quotient, tree_quotient
 
 
 def reference_distance(g, x0):
@@ -234,6 +234,37 @@ def disconnected_raw_graph():
     return WeightedGraph(indptr=indptr, indices=indices, weights=weights, mu=np.ones(5))
 
 
+def raw_graph(indptr, indices, weights):
+    n = len(indptr) - 1
+    return WeightedGraph(indptr=np.array(indptr), indices=np.array(indices),
+                         weights=np.array(weights, dtype=np.float64), mu=np.ones(n))
+
+
+@pytest.mark.parametrize("csr, message", [
+    # path 0-1-2 whose row 2 misses (2, 1), or whose row 1 misses (1, 2)
+    (([0, 1, 3, 3], [1, 0, 2], [1.0] * 3), r"CSR slot 2 \(1, 2\) has no mirror slot \(2, 1\)"),
+    (([0, 1, 2, 3], [1, 0, 1], [1.0] * 3), r"CSR slot 2 \(2, 1\) has no mirror slot \(1, 2\)"),
+    # columns that descend in row 1: the first unmatched slot in (row, column) order is named
+    (([0, 1, 3, 4, 4], [1, 3, 0, 1], [1.0] * 4), r"CSR slot 3 \(2, 1\) has no mirror slot \(1, 2\)"),
+    (([0, 2, 4], [1, 1, 0, 0], [1.0] * 4), r"CSR slot 1 \(0, 1\) repeats an earlier slot"),
+    (([0, 2, 3], [0, 0, 0], [1.0] * 3), r"CSR slot 1 \(0, 0\) repeats an earlier slot"),
+])
+def test_raw_csr_without_its_mirrors_is_rejected(csr, message):
+    with pytest.raises(ValueError, match=message):
+        raw_graph(*csr)
+
+
+def test_pairing_matches_every_slot_to_its_mirror():
+    # columns that descend in row 1, loops at 1 and 2, and unequal mirror weights
+    g = raw_graph([0, 1, 4, 6], [1, 2, 1, 0, 2, 1], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    bins, side = g.pairing
+    assert g.n_edges == 4 and not bins.flags.writeable and not side.flags.writeable
+    # edges (0, 1), (1, 1), (1, 2), (2, 2) in that order: their hi, then their lo
+    np.testing.assert_array_equal(bins, [1, 1, 2, 2, 0, 1, 1, 2])
+    # the mirror slots' weights (0.0 for a loop), then the slots' own
+    np.testing.assert_array_equal(side, [[4.0, 0.0, 6.0, 0.0], [1.0, 3.0, 2.0, 5.0]])
+
+
 def test_disconnected_raw_graph_is_detected():
     g = disconnected_raw_graph()
     assert not g.connected
@@ -419,7 +450,7 @@ def test_generators_match_from_edges(case, data):
         got, want = getattr(g, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     # every slot (x, y) has its mirror (y, x), with the same weight
-    slots = {(int(x), int(y)): w for x, y, w in zip(g.rows, g.indices, g.weights)}
+    slots = {(int(x), int(y)): w for x, y, w in zip(csr_rows(g.indptr), g.indices, g.weights)}
     assert all(slots.get((y, x)) == w for (x, y), w in slots.items())
 
 
@@ -456,7 +487,7 @@ def test_quotients_are_exact(case, data):
     assert cell_size.sum() == g.n
     assert relative_gap(q.volume(), g.volume()) <= 1e-12
     np.testing.assert_array_equal(graph_distance(q, anchor)[cell], graph_distance(g, x0))
-    slots = {(int(x), int(y)): w for x, y, w in zip(q.rows, q.indices, q.weights)}
+    slots = {(int(x), int(y)): w for x, y, w in zip(csr_rows(q.indptr), q.indices, q.weights)}
     assert all(slots.get((y, x)) == w for (x, y), w in slots.items())
 
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))

@@ -9,7 +9,7 @@ import pytest
 import yamabe
 from conftest import count_calls, random_connected_graph
 from yamabe._kernels import edge_energy_kernel, grad_power_kernel, p_laplacian_kernel
-from yamabe.graph import csr_rows
+from yamabe.graph import csr_pairing, csr_rows, lattice_quotient, tree_quotient
 
 
 def p_laplacian_loops(indptr, indices, weights, mu, f, p):
@@ -56,9 +56,9 @@ def test_single_vertex():
     weights = np.array([], dtype=np.float64)
     mu = np.array([1.0])
     f = np.array([3.0])
-    rows = csr_rows(indptr)
-    assert p_laplacian_kernel(indptr, indices, weights, mu, f, 3.0, rows) == 0.0
-    assert edge_energy_kernel(indptr, indices, weights, mu, f, 3.0, rows) == (0.0, 0.0)
+    pairing = csr_pairing(indptr, indices, weights)
+    assert p_laplacian_kernel(indptr, indices, weights, mu, f, 3.0, pairing) == 0.0
+    assert edge_energy_kernel(indptr, indices, weights, mu, f, 3.0, pairing) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
@@ -69,15 +69,15 @@ def test_kernels_match_loop_reference(p):
         csr = (g.indptr, g.indices, g.weights)
         f = rng.standard_normal(g.n)
         np.testing.assert_allclose(
-            p_laplacian_kernel(*csr, g.mu, f, p, g.rows), p_laplacian_loops(*csr, g.mu, f, p),
+            p_laplacian_kernel(*csr, g.mu, f, p, g.pairing), p_laplacian_loops(*csr, g.mu, f, p),
             rtol=1e-12, atol=1e-12,
         )
         np.testing.assert_allclose(
-            grad_power_kernel(*csr, g.mu, f, p, g.rows), grad_power_loops(*csr, g.mu, f, p),
+            grad_power_kernel(*csr, g.mu, f, p, g.pairing), grad_power_loops(*csr, g.mu, f, p),
             rtol=1e-12, atol=1e-14,
         )
         ref = edge_energy_loops(*csr, f, p)
-        edge_sum, _ = edge_energy_kernel(*csr, g.mu, f, p, g.rows)
+        edge_sum, _ = edge_energy_kernel(*csr, g.mu, f, p, g.pairing)
         assert abs(edge_sum - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
@@ -87,9 +87,9 @@ def test_flat_function_gives_exact_zeros():
     csr = (g.indptr, g.indices, g.weights)
     f = np.full(g.n, 1.75)
     for p in (2.0, 3.0):
-        assert np.all(p_laplacian_kernel(*csr, g.mu, f, p, g.rows) == 0.0)
-        assert np.all(grad_power_kernel(*csr, g.mu, f, p, g.rows) == 0.0)
-        assert edge_energy_kernel(*csr, g.mu, f, p, g.rows) == (0.0, 0.0)
+        assert np.all(p_laplacian_kernel(*csr, g.mu, f, p, g.pairing) == 0.0)
+        assert np.all(grad_power_kernel(*csr, g.mu, f, p, g.pairing) == 0.0)
+        assert edge_energy_kernel(*csr, g.mu, f, p, g.pairing) == (0.0, 0.0)
 
 
 def edge_sum_two_pass(indptr, indices, weights, f, p):
@@ -107,7 +107,7 @@ def test_fused_energy_kernel_returns_both_sides(p):
         g = random_connected_graph(rng)
         csr = (g.indptr, g.indices, g.weights)
         f = rng.standard_normal(g.n)
-        edge_sum, vertex_sum = edge_energy_kernel(*csr, g.mu, f, p, g.rows)
+        edge_sum, vertex_sum = edge_energy_kernel(*csr, g.mu, f, p, g.pairing)
         np.testing.assert_allclose(edge_sum, edge_energy_loops(*csr, f, p), rtol=1e-12)
         vertex_ref = float(np.sum(g.mu * grad_power_loops(*csr, g.mu, f, p)))
         np.testing.assert_allclose(vertex_sum, vertex_ref, rtol=1e-12)
@@ -116,25 +116,28 @@ def test_fused_energy_kernel_returns_both_sides(p):
 
 
 def grad_power_with_temporaries(g, f, p):
-    d = f[g.indices] - f[g.rows]
-    return np.bincount(g.rows, weights=g.weights * np.abs(d) ** p, minlength=g.n) / (2.0 * g.mu)
+    rows = csr_rows(g.indptr)
+    d = f[g.indices] - f[rows]
+    return np.bincount(rows, weights=g.weights * np.abs(d) ** p, minlength=g.n) / (2.0 * g.mu)
 
 
 def kernels_with_temporaries(g, f, p):
-    """The three kernels as fresh whole-array expressions, one temporary per step."""
-    d = f[g.indices] - f[g.rows]
+    """The three kernels as fresh whole-array expressions over every CSR slot,
+    one temporary per step."""
+    rows = csr_rows(g.indptr)
+    d = f[g.indices] - f[rows]
     flow = g.weights * np.sign(d) * np.abs(d) ** (p - 1.0)
     contrib = g.weights * np.abs(d) ** p
     power = grad_power_with_temporaries(g, f, p)
     return (
-        np.bincount(g.rows, weights=flow, minlength=g.n) / g.mu,
+        np.bincount(rows, weights=flow, minlength=g.n) / g.mu,
         power,
-        (float(contrib[g.indices >= g.rows].sum()), float((g.mu * power).sum())),
+        (float(contrib[g.indices >= rows].sum()), float((g.mu * power).sum())),
     )
 
 
 def run_kernels(g, f, p):
-    args = (g.indptr, g.indices, g.weights, g.mu, f, p, g.rows)
+    args = (g.indptr, g.indices, g.weights, g.mu, f, p, g.pairing)
     return tuple(kernel(*args) for kernel in KERNELS)
 
 
@@ -142,17 +145,38 @@ def same_bits(got, want):
     return all(a.tobytes() == b.tobytes() for a, b in zip(got[:2], want[:2])) and got[2] == want[2]
 
 
-@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0])
-def test_in_place_kernels_match_temporaries_bit_for_bit(p):
-    # the kernels reuse per-thread slot arrays; the arithmetic must not change.
-    # grad_power also runs at p - 2 (the curvature), down to exponent 0
+def every_builder():
+    """A graph from every builder, then random ones."""
+    yield yamabe.path_graph(9)[0]
+    yield yamabe.cycle_graph(7)[0]
+    yield yamabe.tree_ball(3, 3)[0]
+    for d in (1, 2, 3):
+        yield yamabe.lattice_ball(d, 4)[0]
+    yield lattice_quotient(2, 12)[0]
+    yield lattice_quotient(3, 6)[0]
+    yield tree_quotient(2, 9)[0]
+    g, _ = yamabe.lattice_ball(2, 8)
+    yield yamabe.truncate_ball(g, 40, 5)[0]  # a ball around a vertex that is not the origin
+    # a self-loop (at p = 2 the curvature's |0|^0 = 1 counts its weight once),
+    # unequal weights and a per-vertex mu
+    edges = [(0, 1, 1.5), (1, 1, 2.0), (1, 2, 0.5), (2, 3, 3.0), (3, 4, 1.0), (0, 4, 0.25)]
+    yield yamabe.WeightedGraph.from_edges(5, edges, mu=[1.0, 2.0, 0.5, 1.5, 3.0])
     rng = np.random.default_rng(9)
     for _ in range(25):
-        g = random_connected_graph(rng)
+        yield random_connected_graph(rng)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0])
+def test_in_place_kernels_match_temporaries_bit_for_bit(p):
+    # the kernels work once per unordered edge in per-thread scratch; the
+    # arithmetic must be that of every CSR slot on its own, bit for bit.
+    # grad_power also runs at p - 2 (the curvature), down to exponent 0
+    rng = np.random.default_rng(9)
+    for g in every_builder():
         f = rng.standard_normal(g.n) * 10.0 ** rng.uniform(-3, 3)
         f[rng.integers(0, g.n)] = f[0]  # some zero differences
         assert same_bits(run_kernels(g, f, p), kernels_with_temporaries(g, f, p))
-        low = grad_power_kernel(g.indptr, g.indices, g.weights, g.mu, f, p - 2.0, g.rows)
+        low = grad_power_kernel(g.indptr, g.indices, g.weights, g.mu, f, p - 2.0, g.pairing)
         assert low.tobytes() == grad_power_with_temporaries(g, f, p - 2.0).tobytes()
 
 
@@ -193,20 +217,20 @@ def test_energy_J_is_one_kernel_pass(monkeypatch):
     g, x0 = yamabe.lattice_ball(2, 6)
     spec = yamabe.ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=np.ones(g.n), g=np.ones(g.n))
     u = np.random.default_rng(5).uniform(0.1, 1.0, g.n)
-    counts = count_calls(monkeypatch, *KERNELS, csr_rows)
+    counts = count_calls(monkeypatch, *KERNELS, csr_rows, csr_pairing)
     yamabe.energy_J(g, spec, u)
     assert counts == {"edge_energy_kernel": 1}
 
 
-def test_rows_derived_once_per_graph(monkeypatch):
-    counts = count_calls(monkeypatch, csr_rows)
+def test_pairing_derived_once_per_graph(monkeypatch):
+    counts = count_calls(monkeypatch, csr_pairing)
     g, x0 = yamabe.path_graph(20)
-    assert counts["csr_rows"] == 1
+    assert counts["csr_pairing"] == 1
     spec = yamabe.ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=np.ones(g.n), g=np.ones(g.n))
     yamabe.solve(g, spec, yamabe.SolveOptions(x0=x0))
-    assert counts["csr_rows"] == 1
+    assert counts["csr_pairing"] == 1
     # the universe and one ball per radius; the competitor uses the first ball
     family = yamabe.GraphFamily("lattice_zd_ball", {"d": 1})
     problem = yamabe.ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^4", g=1.0)
     yamabe.exhaustion_study(family, problem, (4, 8))
-    assert counts["csr_rows"] == 1 + 3
+    assert counts["csr_pairing"] == 1 + 3
