@@ -2,38 +2,41 @@
 
 Kernel semantics (CSR arrays ``indptr``, ``indices``, ``weights``, vertex
 measure ``mu``, vertex values ``f``, exponent ``p >= 2``, and ``pairing``,
-the graph's edges with the weights of both their slots, i.e.
+the graph's edges with one weight each, 0.0 on a self-loop, i.e.
 ``WeightedGraph.pairing`` from :func:`yamabe.graph.csr_pairing`):
 
 * ``p_laplacian``: (1/mu(x)) * sum_{y~x} w_xy |f(y)-f(x)|^{p-2} (f(y)-f(x)),
   with |t|^{p-2} t evaluated as sign(t)|t|^{p-1} so t = 0 never raises 0**0.
 * ``grad_power``: (1/(2 mu(x))) * sum_{y~x} w_xy |f(y)-f(x)|^p, i.e. the
   p-th power of the p-gradient norm at each vertex.
-* ``edge_energy``: both sides of the energy identity, ``(edge_sum,
-  vertex_sum)``. edge_sum is the sum over unordered edges {x,y} (each
-  counted once, loops included) of w_xy |f(y)-f(x)|^p; vertex_sum is
-  sum_x mu(x) * grad_power(x), which counts every slot, mirrored ones
-  included. Both come from one |du|^p array, so they agree to rounding
-  only when each edge's two slots carry the same weight.
+* ``edge_energy``: one sum, over unordered edges {x,y} (each counted once)
+  of w_xy |f(y)-f(x)|^p: the right-hand side of the energy identity.
 
 Each kernel works per unordered edge {lo, hi}, of which there are m: it
 gathers f at both ends of every edge with one ``take`` over the pairing's
-bins, subtracts once, d = f(hi) - f(lo), computes one ``abs`` and one power
-per edge, writes the terms of both of the edge's slots with one broadcast
-multiply by the pairing's (2, m) weights, and reduces them onto their
-vertices with one ``bincount`` over the bins. ``indptr``, ``indices`` and
-``weights`` are not read; they stay the first three arguments because
-``perfbench/tracer.py`` reads them from every kernel call.
+bins, subtracts once, d = f(hi) - f(lo), computes one ``abs``, one power
+and one multiply by the edge's weight per edge, writes the term of the
+slot (lo, hi) and its mirror's as one (2, m) array, and reduces them onto
+their vertices with one ``bincount`` over the bins. ``indptr``,
+``indices``, ``weights`` and, in ``edge_energy``, ``mu`` are not read;
+they stay arguments because ``perfbench/tracer.py`` reads the first three
+from every kernel call.
 
 The results are bit-identical to computing every CSR slot on its own:
 
+* the graph's builder has checked that each edge's two slots carry the
+  same weight, bit for bit, so one weight serves both;
 * the mirror slot's difference f(lo) - f(hi) is exactly -d, so both slots
-  see the same |d| and the same powers;
-* sign flips are exact, and so is (-w) x = -(w x);
+  see the same |d| and the same powers, and sign flips are exact;
 * ``bincount`` adds each bin's entries in input order, and the two halves
   of the bins feed vertex x its lower neighbours in ascending order, then
-  its upper ones: CSR slot order whenever each row's columns ascend. A
-  loop's extra entry has weight 0.0 and adds a zero, which changes no sum.
+  its upper ones: CSR slot order, since each row's columns ascend.
+
+A loop's weight is 0.0, so its terms are zeros, which change no sum. On
+its own slot a loop's difference is 0, which gives zero terms too, except
+in ``grad_power`` at exponent 0 (the curvature at p = 2), where
+|0|^0 = 1 would count the loop's weight: with weight 0.0 that diagonal
+is J's exact Hessian.
 
 The per-edge work runs in place in the calling thread's scratch: one
 (2, m) float64 array and two of m, kept while m stays the same
@@ -81,35 +84,32 @@ def _edge_arrays(f, bins, m):
     return arrays
 
 
-def _slot_terms(f, p, pairing):
-    """The scratch with w |f(y) - f(x)|^p on both slots of every edge in ``terms``."""
-    bins, side = pairing
-    arrays = _edge_arrays(f, bins, side.shape[1])
+def _edge_terms(f, p, pairing):
+    """The scratch with w |f(hi) - f(lo)|^p, each edge's one term, in ``once``."""
+    bins, w = pairing
+    arrays = _edge_arrays(f, bins, w.shape[0])
     power = arrays[5]
     power **= p
-    np.multiply(side, power, out=arrays[0])
+    np.multiply(w, power, out=arrays[3])
     return arrays
 
 
 def p_laplacian_kernel(indptr, indices, weights, mu, f, p, pairing):
-    bins, side = pairing
-    terms, flat, mirror, _, d, flow = _edge_arrays(f, bins, side.shape[1])
+    bins, w = pairing
+    _, flat, mirror, once, d, flow = _edge_arrays(f, bins, w.shape[0])
     # w * sign(d) * |d|^(p-1) on the slot (lo, hi); its mirror's difference is -d
     flow **= p - 1.0
     np.copysign(flow, d, out=flow)
-    np.multiply(side, flow, out=terms)
-    np.negative(mirror, out=mirror)
+    np.multiply(w, flow, out=once)
+    np.negative(once, out=mirror)
     return np.bincount(bins, weights=flat, minlength=mu.shape[0]) / mu
 
 
 def grad_power_kernel(indptr, indices, weights, mu, f, p, pairing):
-    flat = _slot_terms(f, p, pairing)[1]
+    _, flat, mirror, once, _, _ = _edge_terms(f, p, pairing)
+    mirror[:] = once
     return np.bincount(pairing[0], weights=flat, minlength=mu.shape[0]) / (2.0 * mu)
 
 
 def edge_energy_kernel(indptr, indices, weights, mu, f, p, pairing):
-    _, flat, _, once, _, _ = _slot_terms(f, p, pairing)
-    edge_sum = float(once.sum())  # each unordered pair once; loops once (zero term)
-    power = np.bincount(pairing[0], weights=flat, minlength=mu.shape[0]) / (2.0 * mu)
-    vertex_sum = float((mu * power).sum())
-    return edge_sum, vertex_sum
+    return float(_edge_terms(f, p, pairing)[3].sum())  # each unordered pair once

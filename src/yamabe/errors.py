@@ -5,8 +5,9 @@ class ConsistencyError(RuntimeError):
     """An internal identity that must hold to rounding was violated.
 
     Raised when two independent computations of the same quantity disagree
-    (e.g. the vertex-sum and edge-sum forms of the Dirichlet energy). This
-    signals a kernel or accounting bug, not bad user input.
+    (e.g. the Lagrange multiplier from the duality pairing and from its
+    closed form on K = 1). This signals a kernel or accounting bug, not bad
+    user input.
     """
 
 

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .functionals import ProblemSpec
-from .graph import _FAMILIES, WeightedGraph, _integer, generate, graph_distance, graph_from_dict
+from .graph import _FAMILIES, WeightedGraph, _as_float, _integer, generate, graph_distance, graph_from_dict
 
 __all__ = ["GraphFamily", "ProblemFamily", "evaluate_field"]
 
@@ -62,13 +62,14 @@ def _compile(expr: str):
     raise ValueError(f"field formula {expr!r} is not in the grammar: {_GRAMMAR}")
 
 
-def evaluate_field(expr, dist: np.ndarray) -> np.ndarray:
+def evaluate_field(expr, dist: np.ndarray, name: str = "field") -> np.ndarray:
     """Evaluate a coefficient field given per-vertex distances.
 
-    Accepts a number (constant field), a sequence (explicit values), or a
-    formula string in the variable dist, where ^ means power, built as
-    ``_GRAMMAR`` lists; anything else (attributes, subscripts, keywords, @,
-    %, bit operators) raises ValueError naming it. So a formula gives each
+    Accepts a number (constant field), a sequence of numbers (explicit
+    values), or a formula string in the variable dist, where ^ means power,
+    built as ``_GRAMMAR`` lists; anything else (booleans, strings among the
+    values, attributes, subscripts, keywords, @, %, bit operators) raises
+    ValueError naming it, or the field by ``name``. So a formula gives each
     vertex a value from its own distance alone. Values a formula takes to
     inf or nan on some vertices (``1/dist`` at the anchor) are returned
     without numpy's warnings: the hypotheses check names the field.
@@ -76,16 +77,16 @@ def evaluate_field(expr, dist: np.ndarray) -> np.ndarray:
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
     if isinstance(expr, bool):
-        raise ValueError("coefficient field cannot be a boolean")
+        raise ValueError(f"{name} cannot be a boolean")
     if isinstance(expr, (int, float)):
         return np.full(n, float(expr))
     if isinstance(expr, _SEQUENCES):
-        arr = np.asarray(expr, dtype=np.float64)
+        arr = _as_float(expr, name)
         if arr.shape != (n,):
-            raise ValueError(f"explicit field has length {arr.size}, expected {n}")
+            raise ValueError(f"explicit {name} has length {arr.size}, expected {n}")
         return arr
     if not isinstance(expr, str):
-        raise ValueError(f"cannot interpret coefficient field {expr!r}")
+        raise ValueError(f"cannot interpret {name} {expr!r}")
     code = _compile(expr)
     try:
         with np.errstate(all="ignore"):
@@ -177,6 +178,6 @@ class ProblemFamily:
             alpha=self.alpha,
             delta=self.delta,
             theta=self.theta,
-            h=evaluate_field(self.h, dist),
-            g=evaluate_field(self.g, dist),
+            h=evaluate_field(self.h, dist, "h"),
+            g=evaluate_field(self.g, dist, "g"),
         )

@@ -61,10 +61,13 @@ class WeightedGraph:
     ``pairing``, the kernels' view of the edges, is derived, not passed:
     :func:`csr_pairing` builds it once when the graph is made (raw
     constructor included), read-only, so no kernel call rebuilds it. It
-    pairs every slot with its mirror, so a CSR in which some slot has no
-    mirror, or repeats another, raises ValueError even from the raw
-    constructor. It costs 16 bytes per slot for as long as the graph lives
-    (the per-slot ``rows`` array it replaced cost 8).
+    pairs every slot with its mirror, so even the raw constructor rejects,
+    with ValueError naming the slot, a CSR in which some row's columns do
+    not strictly ascend (a repeated slot included), some slot has no
+    mirror, or two mirrored slots differ in weight by any amount. Every
+    edge then has one weight, and the energy identity holds by
+    construction. The pairing costs 12 bytes per slot for as long as the
+    graph lives: an 8-byte bin per slot and an 8-byte weight per edge.
 
     ``_distance`` is one slot, ``(source, distances)``, holding the hop
     distances from the last source :func:`graph_distance` searched. Every
@@ -79,7 +82,7 @@ class WeightedGraph:
     keeps it.
 
     Use :meth:`from_edges` or the generators below; the raw constructor
-    checks only the pairing.
+    checks only the pairing's rules.
     """
 
     indptr: np.ndarray
@@ -109,7 +112,7 @@ class WeightedGraph:
     @property
     def n_edges(self) -> int:
         """Number of unordered edges, self-loops counted once."""
-        return self.pairing[1].shape[1]
+        return self.pairing[1].shape[0]
 
     def neighbors(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices and weights of vertex ``x`` (read-only views)."""
@@ -183,31 +186,24 @@ def csr_rows(indptr) -> np.ndarray:
 
 
 def csr_pairing(indptr, indices, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Every unordered edge's endpoints and the weights of its two slots.
+    """Every unordered edge's endpoints and its one weight.
 
     The edges are the slots (lo, hi) with hi >= lo, m of them, self-loops
-    included, in (lo, hi) order: CSR order whenever every row's columns
-    ascend, as in every graph the package builds. Returns ``(bins, side)``:
-    ``bins`` (2m) holds each edge's hi, then each edge's lo; ``side`` (2, m)
-    holds the weight of its mirror slot (hi, lo), 0.0 for a loop, then the
-    weight of the slot (lo, hi). A kernel that writes an edge's two terms
-    as one (2, m) array reduces them onto their vertices with one
-    ``bincount`` over ``bins``.
+    included, in CSR order. Returns ``(bins, w)``: ``bins`` (2m) holds each
+    edge's hi, then each edge's lo; ``w`` (m) holds each edge's weight, 0.0
+    for a loop, which adds nothing to any difference operator. A kernel that
+    writes an edge's two terms as one (2, m) array reduces them onto their
+    vertices with one ``bincount`` over ``bins``.
 
-    A slot that repeats an earlier one, or that has no mirror, raises
-    ValueError naming it.
+    Each row's columns must strictly ascend, and every slot (x, y) must have
+    a mirror slot (y, x) of the same weight, bit for bit; the first slot that
+    breaks a rule raises ValueError naming it.
     """
     rows = csr_rows(indptr)
     n = indptr.shape[0] - 1
-    slot = None  # the CSR slot at each position, where the slots are reordered
-    if ((indices[1:] <= indices[:-1]) & (rows[1:] == rows[:-1])).any():
-        # some row's columns do not ascend (a raw CSR): take its slots in (row, column) order
-        key = rows * n + indices
-        slot = np.argsort(key, kind="stable")
-        key, rows, indices, weights = key[slot], rows[slot], indices[slot], weights[slot]
-        if (repeat := np.flatnonzero(key[1:] == key[:-1])).size:
-            k = repeat[0] + 1
-            raise ValueError(f"CSR slot {slot[k]} ({rows[k]}, {indices[k]}) repeats an earlier slot")
+    if (unsorted := np.flatnonzero((indices[1:] <= indices[:-1]) & (rows[1:] == rows[:-1]))).size:
+        k, x = unsorted[0] + 1, rows[unsorted[0]]
+        raise ValueError(f"CSR slot {k} ({x}, {indices[k]}): the columns of row {x} do not strictly ascend")
     upper = indices >= rows
     once, below = np.flatnonzero(upper), np.flatnonzero(~upper)
     bins = np.concatenate((indices[once], rows[once]))
@@ -222,13 +218,14 @@ def csr_pairing(indptr, indices, weights) -> tuple[np.ndarray, np.ndarray]:
         k = int(np.argmax(np.append(want[:got.size] != got[:want.size], True)))
         lone = once[edge[k]] if k < want.size and (k == got.size or want[k] < got[k]) else below[k]
         x, y = int(rows[lone]), int(indices[lone])
-        lone = lone if slot is None else slot[lone]
         raise ValueError(f"CSR slot {lone} ({x}, {y}) has no mirror slot ({y}, {x})")
-
-    side = np.zeros((2, once.size))
-    side[0, edge] = weights[below]
-    side[1] = weights[once]
-    return bins, side
+    w = weights[once]
+    if (unequal := np.flatnonzero(weights[below] != w[edge])).size:
+        k, j = below[unequal[0]], once[edge[unequal[0]]]
+        x, y, wk, wj = rows[k], indices[k], float(weights[k]), float(weights[j])
+        raise ValueError(f"CSR slot {k} ({x}, {y}) weighs {wk!r} but its mirror slot {j} ({y}, {x}) weighs {wj!r}")
+    w[hi == lo] = 0.0
+    return bins, w
 
 
 def _bfs(indptr, indices, x0) -> np.ndarray:
@@ -254,12 +251,14 @@ def _bfs(indptr, indices, x0) -> np.ndarray:
 
 
 def _as_float(value, what: str) -> np.ndarray:
-    """float64 array of ``value``; a non-numeric one (strings, booleans) raises ValueError."""
+    """float64 array of ``value``; a non-numeric one (strings, booleans, a
+    boolean among the numbers of a list) raises ValueError."""
     arr = np.asarray(value)
     try:
         if arr.dtype.kind in "US":  # numpy would parse "0" as 0.0
             raise TypeError("got a string")
-        if arr.dtype.kind == "b":  # and True as 1.0
+        # and True as 1.0, also among numbers, which do not make the array boolean
+        if arr.dtype.kind == "b" or isinstance(value, (list, tuple)) and any(type(v) is bool for v in value):
             raise TypeError("got a boolean")
         return arr.astype(np.float64, copy=False)
     except TypeError as exc:
@@ -269,9 +268,6 @@ def _as_float(value, what: str) -> np.ndarray:
 def _measure(mu, n: int) -> np.ndarray:
     """Vertex measure, all finite and > 0: scalar ``mu`` broadcast to n vertices, or one each."""
     mu_arr = _as_float(mu, "mu")
-    # a boolean among numbers does not make the array boolean
-    if isinstance(mu, (list, tuple)) and any(type(m) is bool for m in mu):
-        raise ValueError("mu must be numeric: got a boolean")
     if mu_arr.ndim == 0:
         mu_arr = np.full(n, float(mu_arr))
     else:
@@ -427,35 +423,28 @@ def _edge_weight(weight) -> float:
     return float(w)
 
 
-def _table_graph(nbr, weight, mu, anchor: int) -> tuple[WeightedGraph, int]:
-    """Generator graph in which vertex x is joined to nbr[x, k] wherever that is
-    in 0..n-1, every edge with weight ``weight``.
-
-    Each row of the neighbour table must list its neighbours in ascending
-    order and each edge must sit in both of its rows, so the CSR arrays come
-    out as :meth:`WeightedGraph.from_edges` sorts them, with no duplicate
-    search and no sort.
-    """
-    w = _edge_weight(weight)
-    mu_arr = _measure(mu, nbr.shape[0])
-    valid = (nbr >= 0) & (nbr < nbr.shape[0])
-    weights = np.full(np.count_nonzero(valid), w)
-    return _assemble(np.count_nonzero(valid, axis=1), nbr[valid], weights, mu_arr, anchor), anchor
-
-
-def _quotient_graph(nbr, count, size, weight, mu) -> tuple[WeightedGraph, int, np.ndarray]:
-    """Quotient of a generator graph by a partition into cells, as ``(graph, 0, cell_size)``.
+def _quotient_graph(nbr, weight, mu, anchor=0, count=1, size=1) -> tuple[WeightedGraph, int, np.ndarray]:
+    """Quotient of a generator graph by a partition into cells, as ``(graph, anchor, cell_size)``.
 
     Row x of ``nbr`` is cell x, with ``size[x]`` vertices, each of which has
-    ``count[x, k]`` neighbours in cell ``nbr[x, k]`` (-1: none), listed as
-    :func:`_table_graph` asks; cell 0 is the anchor's. ``mu`` is each vertex's measure: one number, or one per
-    cell. The measure and weights are the vertices' summed:
-    M = size * mu and E = size[x] * count[x, k] * weight. That integer
-    counts the edges between two cells from either end, so both rows of a
-    quotient edge get the same float. ``cell_size`` is ``size`` as float64.
+    ``count[x, k]`` neighbours in cell ``nbr[x, k]``; an entry outside
+    0..n-1 marks no neighbour. Each row must list its neighbours in
+    ascending order and each edge must sit in both of its rows, so the CSR
+    arrays come out as :meth:`WeightedGraph.from_edges` sorts them, with no
+    duplicate search and no sort. ``mu`` is each vertex's measure: one
+    number, or one per cell. The measure and weights are the vertices'
+    summed: M = size * mu and E = size[x] * count[x, k] * weight. That
+    integer counts the edges between two cells from either end, so both
+    rows of a quotient edge get the same float. ``cell_size`` is ``size``
+    as float64.
+
+    A generator graph is its own quotient, with one-vertex cells and
+    ``count`` 1, as the defaults give: its weights are ``weight`` and its
+    measure ``mu``, bit for bit.
     """
     w = _edge_weight(weight)
     mu_arr = _measure(mu, nbr.shape[0])
+    size = np.asarray(size)
     try:
         cell_size = size.astype(np.float64)
     except OverflowError:  # a Python int past the float64 range
@@ -463,9 +452,9 @@ def _quotient_graph(nbr, count, size, weight, mu) -> tuple[WeightedGraph, int, n
     mass = cell_size * mu_arr
     if not np.isfinite(mass).all():
         raise ValueError("the cells' measure overflows float64")
-    valid = nbr >= 0
-    pairs = (size[:, None] * count)[valid].astype(np.float64)
-    return _assemble(np.count_nonzero(valid, axis=1), nbr[valid], pairs * w, mass, 0), 0, cell_size
+    valid = (nbr >= 0) & (nbr < nbr.shape[0])
+    pairs = np.broadcast_to(size[..., None] * count, nbr.shape)[valid].astype(np.float64)
+    return _assemble(np.count_nonzero(valid, axis=1), nbr[valid], pairs * w, mass, anchor), anchor, cell_size
 
 
 def path_graph(n: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]:
@@ -473,7 +462,7 @@ def path_graph(n: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]
     if n < 1:
         raise ValueError("n must be >= 1")
     x = np.arange(operator.index(n))
-    return _table_graph(np.column_stack((x - 1, x + 1)), weight, mu, 0)
+    return _quotient_graph(np.column_stack((x - 1, x + 1)), weight, mu)[:2]
 
 
 def cycle_graph(n: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]:
@@ -481,7 +470,7 @@ def cycle_graph(n: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     x = np.arange(operator.index(n))
-    return _table_graph(np.sort(np.column_stack(((x - 1) % n, (x + 1) % n)), axis=1), weight, mu, 0)
+    return _quotient_graph(np.sort(np.column_stack(((x - 1) % n, (x + 1) % n)), axis=1), weight, mu)[:2]
 
 
 def _check_lattice(d: int, radius: int) -> None:
@@ -518,7 +507,7 @@ def lattice_ball(d: int, radius: int, weight: float = 1.0, mu=1.0) -> tuple[Weig
     nbr = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
     nbr[keys[nbr] != target] = -1
     # negation maps the ball to itself reversing the order: the origin is the middle
-    return _table_graph(nbr, weight, mu, len(keys) // 2)
+    return _quotient_graph(nbr, weight, mu, len(keys) // 2)[:2]
 
 
 def lattice_quotient(
@@ -576,7 +565,7 @@ def lattice_quotient(
     for k in range(1, d):
         size //= k - first[:, k] + 1
     size *= np.array([2**k for k in range(d + 1)], dtype=dtype)[np.count_nonzero(cells, axis=1)]
-    return _quotient_graph(nbr, count, size, weight, mu)
+    return _quotient_graph(nbr, weight, mu, count=count, size=size)
 
 
 def _check_tree(branching: int, depth: int) -> None:
@@ -594,7 +583,7 @@ def tree_ball(branching: int, depth: int, weight: float = 1.0, mu=1.0) -> tuple[
     # the root) and children branching * v + 1 .. branching * v + branching (< n)
     v = np.arange(n)
     children = branching * v[:, None] + np.arange(1, branching + 1)
-    return _table_graph(np.column_stack(((v - 1) // branching, children)), weight, mu, 0)
+    return _quotient_graph(np.column_stack(((v - 1) // branching, children)), weight, mu)[:2]
 
 
 def tree_quotient(
@@ -611,7 +600,7 @@ def tree_quotient(
     big = branching ** (depth + 1) >= 2**63
     size = np.array([branching**j for j in range(depth + 1)], dtype=object if big else np.int64)
     nbr = np.column_stack((k - 1, np.where(k < depth, k + 1, -1)))
-    return _quotient_graph(nbr, np.array([1, branching]), size, weight, mu)
+    return _quotient_graph(nbr, weight, mu, count=np.array([1, branching]), size=size)
 
 
 # Each family: its generator, the param that sets its extent, the offset that turns a

@@ -494,6 +494,13 @@ INVALID_VALUE_CASES = {
         {"graph": {"explicit": {**_EXPLICIT, "mu": [1.0, True, 2.0]}}}, "mu"),
     "boolean_edge_weight": (
         {"graph": {"explicit": {"n": 3, "edges": [[0, 1, 1.0], [1, 2, True]]}}}, "weight"),
+    # a per-vertex h read true as 1.0 and "2" as 2.0
+    "boolean_and_string_in_h_list": (
+        {"graph": {"explicit": _EXPLICIT}, "problem": {**_PROBLEM, "h": [True, 1, "2"]}},
+        "h must be numeric: got a string"),
+    "boolean_in_g_list": (
+        {"graph": {"explicit": _EXPLICIT}, "problem": {**_PROBLEM, "g": [1.0, False, 1.0]}},
+        "g must be numeric: got a boolean"),
     "negative_weight_on_one_vertex": (
         {"graph": {"family": "path", "params": {"n": 1, "weight": -1}}}, "weight"),
     # "1j" ended in a TypeError traceback, and "True + dist" solved as 1 + dist

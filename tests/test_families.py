@@ -26,6 +26,13 @@ def test_evaluate_constant_and_sequence():
         evaluate_field(True, dist)
     with pytest.raises(ValueError):
         evaluate_field({"a": 1}, dist)
+    # numpy would read a boolean among the values as 1.0 and a numeric string as a number
+    for values in ([True, 1.0, 2.0], (1.0, 2.0, False), np.array([True, True, False])):
+        with pytest.raises(ValueError, match=r"^h must be numeric: got a boolean$"):
+            evaluate_field(values, dist, "h")
+    for values in ([1.0, "2", 3.0], [True, 1, "2"]):
+        with pytest.raises(ValueError, match=r"^g must be numeric: got a string$"):
+            evaluate_field(values, dist, "g")
 
 
 def test_evaluate_formula():

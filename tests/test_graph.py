@@ -244,10 +244,19 @@ def raw_graph(indptr, indices, weights):
     # path 0-1-2 whose row 2 misses (2, 1), or whose row 1 misses (1, 2)
     (([0, 1, 3, 3], [1, 0, 2], [1.0] * 3), r"CSR slot 2 \(1, 2\) has no mirror slot \(2, 1\)"),
     (([0, 1, 2, 3], [1, 0, 1], [1.0] * 3), r"CSR slot 2 \(2, 1\) has no mirror slot \(1, 2\)"),
-    # columns that descend in row 1: the first unmatched slot in (row, column) order is named
-    (([0, 1, 3, 4, 4], [1, 3, 0, 1], [1.0] * 4), r"CSR slot 3 \(2, 1\) has no mirror slot \(1, 2\)"),
-    (([0, 2, 4], [1, 1, 0, 0], [1.0] * 4), r"CSR slot 1 \(0, 1\) repeats an earlier slot"),
-    (([0, 2, 3], [0, 0, 0], [1.0] * 3), r"CSR slot 1 \(0, 0\) repeats an earlier slot"),
+    # columns that descend in row 1, and repeated slots, which do not ascend strictly
+    (([0, 1, 3, 4, 4], [1, 3, 0, 1], [1.0] * 4),
+     r"CSR slot 2 \(1, 0\): the columns of row 1 do not strictly ascend"),
+    (([0, 2, 4], [1, 1, 0, 0], [1.0] * 4),
+     r"CSR slot 1 \(0, 1\): the columns of row 0 do not strictly ascend"),
+    (([0, 2, 3], [0, 0, 0], [1.0] * 3),
+     r"CSR slot 1 \(0, 0\): the columns of row 0 do not strictly ascend"),
+    # path 0-1-2 whose slot (2, 1) weighs more than its mirror (1, 2): by 1.0, or by one
+    # ulp, which a relative test of the energy identity at 1e-12 would let through
+    (([0, 1, 3, 4], [1, 0, 2, 1], [1.0, 1.0, 1.0, 2.0]),
+     r"^CSR slot 3 \(2, 1\) weighs 2.0 but its mirror slot 2 \(1, 2\) weighs 1.0$"),
+    (([0, 1, 3, 4], [1, 0, 2, 1], [1.0, 1.0, 1.0, np.nextafter(1.0, 2.0)]),
+     r"^CSR slot 3 \(2, 1\) weighs 1.0000000000000002 but its mirror slot 2 \(1, 2\) weighs 1.0$"),
 ])
 def test_raw_csr_without_its_mirrors_is_rejected(csr, message):
     with pytest.raises(ValueError, match=message):
@@ -255,14 +264,15 @@ def test_raw_csr_without_its_mirrors_is_rejected(csr, message):
 
 
 def test_pairing_matches_every_slot_to_its_mirror():
-    # columns that descend in row 1, loops at 1 and 2, and unequal mirror weights
-    g = raw_graph([0, 1, 4, 6], [1, 2, 1, 0, 2, 1], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    bins, side = g.pairing
-    assert g.n_edges == 4 and not bins.flags.writeable and not side.flags.writeable
+    # loops at 1 and 2 among the edges (0, 1) and (1, 2)
+    g = raw_graph([0, 1, 4, 6], [1, 0, 1, 2, 1, 2], [1.0, 1.0, 3.0, 2.0, 2.0, 5.0])
+    bins, w = g.pairing
+    assert g.n_edges == 4 and not bins.flags.writeable and not w.flags.writeable
     # edges (0, 1), (1, 1), (1, 2), (2, 2) in that order: their hi, then their lo
     np.testing.assert_array_equal(bins, [1, 1, 2, 2, 0, 1, 1, 2])
-    # the mirror slots' weights (0.0 for a loop), then the slots' own
-    np.testing.assert_array_equal(side, [[4.0, 0.0, 6.0, 0.0], [1.0, 3.0, 2.0, 5.0]])
+    # one weight per edge, 0.0 for a loop
+    assert w.shape == (4,) and w.dtype == np.float64
+    np.testing.assert_array_equal(w, [1.0, 0.0, 2.0, 0.0])
 
 
 def test_disconnected_raw_graph_is_detected():

@@ -58,7 +58,7 @@ def test_single_vertex():
     f = np.array([3.0])
     pairing = csr_pairing(indptr, indices, weights)
     assert p_laplacian_kernel(indptr, indices, weights, mu, f, 3.0, pairing) == 0.0
-    assert edge_energy_kernel(indptr, indices, weights, mu, f, 3.0, pairing) == (0.0, 0.0)
+    assert edge_energy_kernel(indptr, indices, weights, mu, f, 3.0, pairing) == 0.0
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
@@ -77,7 +77,8 @@ def test_kernels_match_loop_reference(p):
             rtol=1e-12, atol=1e-14,
         )
         ref = edge_energy_loops(*csr, f, p)
-        edge_sum, _ = edge_energy_kernel(*csr, g.mu, f, p, g.pairing)
+        edge_sum = edge_energy_kernel(*csr, g.mu, f, p, g.pairing)
+        assert type(edge_sum) is float
         assert abs(edge_sum - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
@@ -89,7 +90,7 @@ def test_flat_function_gives_exact_zeros():
     for p in (2.0, 3.0):
         assert np.all(p_laplacian_kernel(*csr, g.mu, f, p, g.pairing) == 0.0)
         assert np.all(grad_power_kernel(*csr, g.mu, f, p, g.pairing) == 0.0)
-        assert edge_energy_kernel(*csr, g.mu, f, p, g.pairing) == (0.0, 0.0)
+        assert edge_energy_kernel(*csr, g.mu, f, p, g.pairing) == 0.0
 
 
 def edge_sum_two_pass(indptr, indices, weights, f, p):
@@ -102,23 +103,29 @@ def edge_sum_two_pass(indptr, indices, weights, f, p):
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
 def test_fused_energy_kernel_returns_both_sides(p):
+    # both sides of the energy identity from the kernels: edge_energy's one
+    # edge sum, and the vertex sum of mu * grad_power
     rng = np.random.default_rng(7)
     for _ in range(25):
         g = random_connected_graph(rng)
         csr = (g.indptr, g.indices, g.weights)
         f = rng.standard_normal(g.n)
-        edge_sum, vertex_sum = edge_energy_kernel(*csr, g.mu, f, p, g.pairing)
+        edge_sum = edge_energy_kernel(*csr, g.mu, f, p, g.pairing)
         np.testing.assert_allclose(edge_sum, edge_energy_loops(*csr, f, p), rtol=1e-12)
+        vertex_sum = float(np.sum(g.mu * grad_power_kernel(*csr, g.mu, f, p, g.pairing)))
         vertex_ref = float(np.sum(g.mu * grad_power_loops(*csr, g.mu, f, p)))
         np.testing.assert_allclose(vertex_sum, vertex_ref, rtol=1e-12)
-        # one power array for both sums leaves the edge sum bit for bit unchanged
+        np.testing.assert_allclose(vertex_sum, edge_sum, rtol=1e-12)
+        # one power per edge leaves the edge sum bit for bit that of a pass over the slots
         assert edge_sum == edge_sum_two_pass(*csr, f, p)
 
 
 def grad_power_with_temporaries(g, f, p):
     rows = csr_rows(g.indptr)
     d = f[g.indices] - f[rows]
-    return np.bincount(rows, weights=g.weights * np.abs(d) ** p, minlength=g.n) / (2.0 * g.mu)
+    # a loop's term is zero, at exponent 0 too, where its |0|^0 = 1 would count its weight
+    w = np.where(g.indices == rows, 0.0, g.weights)
+    return np.bincount(rows, weights=w * np.abs(d) ** p, minlength=g.n) / (2.0 * g.mu)
 
 
 def kernels_with_temporaries(g, f, p):
@@ -128,11 +135,10 @@ def kernels_with_temporaries(g, f, p):
     d = f[g.indices] - f[rows]
     flow = g.weights * np.sign(d) * np.abs(d) ** (p - 1.0)
     contrib = g.weights * np.abs(d) ** p
-    power = grad_power_with_temporaries(g, f, p)
     return (
         np.bincount(rows, weights=flow, minlength=g.n) / g.mu,
-        power,
-        (float(contrib[g.indices >= rows].sum()), float((g.mu * power).sum())),
+        grad_power_with_temporaries(g, f, p),
+        float(contrib[g.indices >= rows].sum()),
     )
 
 
@@ -157,8 +163,9 @@ def every_builder():
     yield tree_quotient(2, 9)[0]
     g, _ = yamabe.lattice_ball(2, 8)
     yield yamabe.truncate_ball(g, 40, 5)[0]  # a ball around a vertex that is not the origin
-    # a self-loop (at p = 2 the curvature's |0|^0 = 1 counts its weight once),
-    # unequal weights and a per-vertex mu
+    # a self-loop (weight 0.0 in the pairing, so it adds nothing even to the
+    # curvature at p = 2, where its slot's |0|^0 = 1), unequal weights and a
+    # per-vertex mu
     edges = [(0, 1, 1.5), (1, 1, 2.0), (1, 2, 0.5), (2, 3, 3.0), (3, 4, 1.0), (0, 4, 0.25)]
     yield yamabe.WeightedGraph.from_edges(5, edges, mu=[1.0, 2.0, 0.5, 1.5, 3.0])
     rng = np.random.default_rng(9)
@@ -178,6 +185,26 @@ def test_in_place_kernels_match_temporaries_bit_for_bit(p):
         assert same_bits(run_kernels(g, f, p), kernels_with_temporaries(g, f, p))
         low = grad_power_kernel(g.indptr, g.indices, g.weights, g.mu, f, p - 2.0, g.pairing)
         assert low.tobytes() == grad_power_with_temporaries(g, f, p - 2.0).tobytes()
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0])
+def test_self_loops_do_nothing(p):
+    # a loop at every vertex of a weighted path, then none: the kernels at
+    # exponents p and p - 1, and grad_power at p - 2 (the curvature; exponent
+    # 0 at p = 2, where a loop's slot has |0|^0 = 1), must not see the loops.
+    # Fewer than 8 edges, so numpy adds the edge sum in order and a zero term
+    # changes no bit
+    edges = [(0, 1, 1.5), (1, 2, 0.5), (2, 3, 3.0)]
+    mu = [1.0, 2.0, 0.5, 1.5]
+    plain = yamabe.WeightedGraph.from_edges(4, edges, mu=mu)
+    looped = yamabe.WeightedGraph.from_edges(4, edges + [(x, x, 2.0 + x) for x in range(4)], mu=mu)
+    f = np.random.default_rng(11).standard_normal(4)
+    f[3] = f[2]  # a zero difference
+    for q in (p, p - 1.0):
+        assert same_bits(run_kernels(looped, f, q), run_kernels(plain, f, q))
+    low = [grad_power_kernel(g.indptr, g.indices, g.weights, g.mu, f, p - 2.0, g.pairing)
+           for g in (looped, plain)]
+    assert low[0].tobytes() == low[1].tobytes()
 
 
 def test_kernels_in_concurrent_threads():
