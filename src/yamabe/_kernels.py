@@ -14,13 +14,27 @@ the graph's edges with one weight each, 0.0 on a self-loop, i.e.
 
 Each kernel works per unordered edge {lo, hi}, of which there are m: it
 gathers f at both ends of every edge with one ``take`` over the pairing's
-bins, subtracts once, d = f(hi) - f(lo), computes one ``abs``, one power
-and one multiply by the edge's weight per edge, writes the term of the
-slot (lo, hi) and its mirror's as one (2, m) array, and reduces them onto
-their vertices with one ``bincount`` over the bins. ``indptr``,
-``indices``, ``weights`` and, in ``edge_energy``, ``mu`` are not read;
-they stay arguments because ``perfbench/tracer.py`` reads the first three
-from every kernel call.
+bins, subtracts once, d = f(hi) - f(lo), computes one ``abs`` (the
+gather, :func:`_gather`), then one power and one multiply by the edge's
+weight per edge, writes the term of the slot (lo, hi) and its mirror's as
+one (2, m) array, and reduces them onto their vertices with one
+``bincount`` over the bins. ``indptr``, ``indices``, ``weights`` and, in
+``edge_energy``, ``mu`` are not read; they stay arguments because
+``perfbench/tracer.py`` reads the first three from every kernel call.
+
+One gather serves every kernel call on the same iterate. The thread
+remembers which ``f`` and which ``bins`` its ``d`` and |d| came from, and a
+later call with those very array objects skips the gather, provided ``f``
+is read-only and owns its data, so nothing can have written to it since:
+the solver freezes each iterate it makes, so the energy of a trial, then
+the gradient and the curvature at the accepted one share one gather. A
+writable array, or a read-only view of another array, is gathered on every
+call. (An owner frozen by hand must stay frozen; making it writable again
+and writing to it would go unseen.) Each kernel writes its power of |d|
+into the row of its edge terms, ``np.power(size, e, out=once)``, and
+finishes the terms there, so ``d`` and |d| survive the call; ``np.power``
+gives the bits of ``**`` at the exponents the solver uses, which
+``tests/test_kernels.py`` checks.
 
 The results are bit-identical to computing every CSR slot on its own:
 
@@ -39,16 +53,17 @@ in ``grad_power`` at exponent 0 (the curvature at p = 2), where
 is J's exact Hessian.
 
 The per-edge work runs in place in the calling thread's scratch: one
-(2, m) float64 array and two of m, kept while m stays the same
+(2, m) float64 array and two of m (d and |d|), kept while m stays the same
 (:func:`_edge_arrays`), 16 bytes per slot of the last graph the thread ran
-a kernel on, as when every slot was computed on its own. Fresh
-temporaries on every call made solve time depend on the allocator's
-history: glibc gives freed heap back to the system above a trim threshold
-that only grows when a large block is freed, so once a descent's
-edge-sized temporaries outgrow it, every kernel call faults their pages in
-again. Solves on Z^2 balls of radius 60-120 built by
+a kernel on. Fresh temporaries on every call made solve time depend on the
+allocator's history: glibc gives freed heap back to the system above a
+trim threshold that only grows when a large block is freed, so once a
+descent's edge-sized temporaries outgrow it, every kernel call faults
+their pages in again. Solves on Z^2 balls of radius 60-120 built by
 ``lattice_ball`` took about 12,500 page faults and 1.4x the time each that
-way (2-core Xeon, glibc 2.36, numpy 2.4).
+way (2-core Xeon, glibc 2.36, numpy 2.4). A row of its own for the power
+(20 bytes per slot) made the three kernels about 8% slower per iterate on
+the same balls and host.
 """
 
 import threading
@@ -61,26 +76,40 @@ BACKEND = "numpy"
 _scratch = threading.local()
 
 
+def _gather(f, bins, flat, hi, lo, d, size):
+    """f at both ends of every edge into ``flat`` (``hi`` and ``lo`` its two
+    rows), then d = f(hi) - f(lo) and |d|: one iterate's one gather."""
+    f.take(bins, out=flat, mode="clip")
+    np.subtract(hi, lo, out=d)
+    np.abs(d, out=size)
+
+
 def _edge_arrays(f, bins, m):
     """The calling thread's scratch for m edges, with ``f`` gathered and
     differenced: ``(terms, flat, mirror, once, d, size)``.
 
-    ``terms`` (2, m) holds f(hi), then f(lo), for a kernel to overwrite
-    with the terms of the edges' two slots; ``flat`` is the same 2m
-    entries in ``bins`` order, ``mirror`` and ``once`` its two rows. ``d``
-    is f(hi) - f(lo) and ``size`` is |d|. Each thread has its own, so
-    concurrent kernels never share it; a kernel's result never aliases it.
-    ``bins`` are vertex ids, so ``take``'s clipping never acts; it only
+    ``terms`` (2, m) is where the gather puts f(hi), then f(lo), and where
+    a kernel writes the terms of the edges' two slots; ``flat`` is the same
+    2m entries in ``bins`` order, ``mirror`` and ``once`` its two rows.
+    ``d`` is f(hi) - f(lo) and ``size`` is |d|; no kernel writes to them,
+    so they outlive the call. The gather is skipped when ``f`` and ``bins``
+    are the very arrays the last one used and ``f`` is read-only and owns
+    its data (see the module docstring). Each thread has its own scratch,
+    so concurrent kernels never share it; a kernel's result never aliases
+    it. ``bins`` are vertex ids, so ``take``'s clipping never acts; it only
     spares the checked mode's extra buffer.
     """
     arrays = getattr(_scratch, "arrays", None)
     if arrays is None or arrays[4].shape[0] != m:
         terms = np.empty((2, m))
-        arrays = _scratch.arrays = (terms, terms.reshape(-1), terms[0], terms[1], np.empty(m), np.empty(m))
-    _, flat, hi, lo, d, size = arrays
-    f.take(bins, out=flat, mode="clip")
-    np.subtract(hi, lo, out=d)
-    np.abs(d, out=size)
+        arrays = (terms, terms.reshape(-1), terms[0], terms[1], np.empty(m), np.empty(m))
+        _scratch.arrays, _scratch.source = arrays, None
+    source = _scratch.source
+    if source is None or source[0] is not f or source[1] is not bins or f.flags.writeable:
+        _gather(f, bins, *arrays[1:6])
+        # hold on to f only while it cannot change: read-only, no other array's memory
+        frozen = not f.flags.writeable and f.flags.owndata
+        _scratch.source = (f, bins) if frozen else None
     return arrays
 
 
@@ -88,19 +117,18 @@ def _edge_terms(f, p, pairing):
     """The scratch with w |f(hi) - f(lo)|^p, each edge's one term, in ``once``."""
     bins, w = pairing
     arrays = _edge_arrays(f, bins, w.shape[0])
-    power = arrays[5]
-    power **= p
-    np.multiply(w, power, out=arrays[3])
+    once = np.power(arrays[5], p, out=arrays[3])
+    np.multiply(w, once, out=once)
     return arrays
 
 
 def p_laplacian_kernel(indptr, indices, weights, mu, f, p, pairing):
     bins, w = pairing
-    _, flat, mirror, once, d, flow = _edge_arrays(f, bins, w.shape[0])
+    _, flat, mirror, once, d, size = _edge_arrays(f, bins, w.shape[0])
     # w * sign(d) * |d|^(p-1) on the slot (lo, hi); its mirror's difference is -d
-    flow **= p - 1.0
-    np.copysign(flow, d, out=flow)
-    np.multiply(w, flow, out=once)
+    np.power(size, p - 1.0, out=once)
+    np.copysign(once, d, out=once)
+    np.multiply(w, once, out=once)
     np.negative(once, out=mirror)
     return np.bincount(bins, weights=flat, minlength=mu.shape[0]) / mu
 

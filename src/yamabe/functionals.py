@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, _integrate, as_vertex_function, integrate
+from .graph import WeightedGraph, _as_float, _integrate, _number, as_vertex_function, integrate
 from .operators import _check_p, _dirichlet_energy, _p_laplacian
 
 
@@ -36,7 +36,8 @@ class ProblemSpec:
     ``p >= 2`` and ``2 < alpha <= p`` are the exponents, ``delta`` the
     integrability exponent of 1/h (0 < delta < 1/(p-2); any delta > 0 when
     p = 2), ``theta > 0`` the constraint scale, and ``h``/``g`` per-vertex
-    coefficient arrays. Construction only coerces and checks shapes;
+    coefficient arrays. Construction only coerces and checks types and
+    shapes (a boolean or a string raises ValueError naming the field);
     the semantic hypotheses are checked by ``verify.hypotheses_check``,
     which every solve runs first.
     """
@@ -49,12 +50,10 @@ class ProblemSpec:
     theta: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "theta", float(self.theta))
-        h = np.asarray(self.h, dtype=np.float64)
-        g = np.asarray(self.g, dtype=np.float64)
+        for name in ("p", "alpha", "delta", "theta"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        h = _as_float(self.h, "h")
+        g = _as_float(self.g, "g")
         if h.ndim != 1 or g.ndim != 1:
             raise ValueError("h and g must be one-dimensional vertex arrays")
         if h.shape != g.shape:

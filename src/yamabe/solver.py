@@ -26,6 +26,12 @@ otherwise 1 / (2 (1 - q)), the model's minimizer, which lies in
 power of 2^(1/8) and capped at _STEP_MAX; on this lattice, rounding noise
 cannot change the step, so a relabelled graph takes the same steps.
 After a residual-fallback accept the step is carried over unchanged.
+
+Every iterate is read-only from the moment it is made (``_renormalize``),
+so the kernels gather its edge differences once: the trial's energy does
+it, and the gradient and the curvature at an accepted trial reuse them
+(see ``_kernels``).  ``minimize_constrained`` returns a writable copy of
+the last one, so ``SolveResult``'s arrays are writable.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ from .functionals import (
 )
 from .graph import (
     WeightedGraph,
+    _integer,
+    _number,
     as_vertex_function,
     graph_distance,
     integrate,
@@ -105,6 +113,10 @@ class SolveOptions:
     constraint_tol: ClassVar[float] = 1e-10
 
     def __post_init__(self) -> None:
+        # a boolean, a string or a fractional count raises ValueError naming the field
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters"))
+        object.__setattr__(self, "x0", _integer(self.x0, "x0"))
+        object.__setattr__(self, "grad_tol", _number(self.grad_tol, "grad_tol"))
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if not (self.grad_tol > 0.0 and np.isfinite(self.grad_tol)):
@@ -168,7 +180,7 @@ def _positive_part(u: np.ndarray) -> np.ndarray:
 
 
 def _renormalize(g: WeightedGraph, spec: ProblemSpec, v: np.ndarray):
-    """Clamp to the nonnegative cone and rescale onto K = 1.
+    """Clamp to the nonnegative cone and rescale onto K = 1, read-only.
 
     Returns None when the clamped function carries no constraint mass and
     cannot be normalized.
@@ -177,7 +189,9 @@ def _renormalize(g: WeightedGraph, spec: ProblemSpec, v: np.ndarray):
     k_raw = constraint_K(g, spec, plus)
     if not np.isfinite(k_raw) or k_raw <= 0.0:
         return None
-    return plus * k_raw ** (-1.0 / spec.alpha)
+    u = plus * k_raw ** (-1.0 / spec.alpha)
+    u.flags.writeable = False  # so the kernels may reuse its gather
+    return u
 
 
 def _competitor_energy(g: WeightedGraph, spec: ProblemSpec) -> float:
@@ -380,7 +394,9 @@ def minimize_constrained(
 
     # also true after a stagnated line search at numerical optimality
     converged = _converged(spec, j, lam, sup_r, opts.grad_tol)
-    return u, j, MinimizeTrace(
+    # a copy, not u thawed: a caller who wrote to u and froze it again would
+    # get the differences the kernels gathered from it before
+    return u.copy(), j, MinimizeTrace(
         converged=converged, iters=iters, stagnated=stagnated, trials=trials
     )
 

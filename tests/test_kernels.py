@@ -8,7 +8,7 @@ import pytest
 
 import yamabe
 from conftest import count_calls, random_connected_graph
-from yamabe._kernels import edge_energy_kernel, grad_power_kernel, p_laplacian_kernel
+from yamabe._kernels import _gather, edge_energy_kernel, grad_power_kernel, p_laplacian_kernel
 from yamabe.graph import csr_pairing, csr_rows, lattice_quotient, tree_quotient
 
 
@@ -142,13 +142,27 @@ def kernels_with_temporaries(g, f, p):
     )
 
 
+def frozen(f):
+    """A read-only copy of ``f`` that owns its data: one the kernels may reuse."""
+    out = np.array(f, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+def kernel_call(kernel, g, f, p):
+    return kernel(g.indptr, g.indices, g.weights, g.mu, f, p, g.pairing)
+
+
 def run_kernels(g, f, p):
-    args = (g.indptr, g.indices, g.weights, g.mu, f, p, g.pairing)
-    return tuple(kernel(*args) for kernel in KERNELS)
+    return tuple(kernel_call(kernel, g, f, p) for kernel in KERNELS)
+
+
+def same_output(got, want):
+    return got == want if isinstance(want, float) else got.tobytes() == want.tobytes()
 
 
 def same_bits(got, want):
-    return all(a.tobytes() == b.tobytes() for a, b in zip(got[:2], want[:2])) and got[2] == want[2]
+    return all(same_output(a, b) for a, b in zip(got, want))
 
 
 def every_builder():
@@ -182,9 +196,12 @@ def test_in_place_kernels_match_temporaries_bit_for_bit(p):
     for g in every_builder():
         f = rng.standard_normal(g.n) * 10.0 ** rng.uniform(-3, 3)
         f[rng.integers(0, g.n)] = f[0]  # some zero differences
-        assert same_bits(run_kernels(g, f, p), kernels_with_temporaries(g, f, p))
-        low = grad_power_kernel(g.indptr, g.indices, g.weights, g.mu, f, p - 2.0, g.pairing)
-        assert low.tobytes() == grad_power_with_temporaries(g, f, p - 2.0).tobytes()
+        want = kernels_with_temporaries(g, f, p)
+        low_want = grad_power_with_temporaries(g, f, p - 2.0).tobytes()
+        # a writable array is gathered by every call, a frozen one once for all
+        for values in (f, frozen(f)):
+            assert same_bits(run_kernels(g, values, p), want)
+            assert kernel_call(grad_power_kernel, g, values, p - 2.0).tobytes() == low_want
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0])
@@ -208,13 +225,16 @@ def test_self_loops_do_nothing(p):
 
 
 def test_kernels_in_concurrent_threads():
-    # each thread keeps its own slot arrays: threads alternating graphs of
-    # different sizes (a short switch interval makes them interleave) must
-    # each get the results of a lone call
+    # each thread keeps its own slot arrays and its own record of what they
+    # were gathered from: threads alternating graphs of different sizes, and
+    # two frozen arrays on one graph, from kernel to kernel (a short switch
+    # interval makes them interleave), must each get the per-slot reference
     rng = np.random.default_rng(4)
     graphs = [random_connected_graph(rng, n_min=n, n_max=n) for n in (5, 15, 25, 35)]
     cases = [(g, rng.standard_normal(g.n), 2.0 + k) for k, g in enumerate(graphs)]
     want = [run_kernels(g, f, p) for g, f, p in cases]
+    pair = [(frozen(f), kernels_with_temporaries(g, f, p)) for g, f, p in cases for f in
+            (f, rng.standard_normal(g.n))]
     wrong = []
 
     def work(k):
@@ -222,6 +242,12 @@ def test_kernels_in_concurrent_threads():
             j = (k + i) % len(cases)
             if not same_bits(run_kernels(*cases[j]), want[j]):
                 wrong.append(j)
+            # the kernels in turn, each frozen array for two calls in a row
+            g, _, p = cases[k]
+            for s, kernel in enumerate(KERNELS):
+                f, ref = pair[2 * k + (3 * i + s) // 2 % 2]
+                if not same_output(kernel_call(kernel, g, f, p), ref[s]):
+                    wrong.append((k, i, s))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -238,6 +264,71 @@ def test_kernels_in_concurrent_threads():
 
 
 KERNELS = (p_laplacian_kernel, grad_power_kernel, edge_energy_kernel)
+
+
+def test_writable_array_written_between_calls_gets_fresh_results():
+    rng = np.random.default_rng(12)
+    g = random_connected_graph(rng, n_min=10)
+    f = rng.standard_normal(g.n)
+    for s, kernel in enumerate(KERNELS):
+        run_kernels(g, f, 4.0)
+        f[s] = -2.0 * f[s]
+        assert same_output(kernel_call(kernel, g, f, 4.0), kernels_with_temporaries(g, f, 4.0)[s])
+
+
+def test_read_only_view_of_writable_array_is_never_reused(monkeypatch):
+    rng = np.random.default_rng(13)
+    g = random_connected_graph(rng, n_min=10)
+    base = rng.standard_normal(g.n)
+    view = base[:]
+    view.flags.writeable = False
+    counts = count_calls(monkeypatch, _gather)
+    for s, kernel in enumerate(KERNELS):
+        run_kernels(g, view, 4.0)
+        base[s] = -2.0 * base[s]  # the view sees it, though it cannot write it
+        assert same_output(kernel_call(kernel, g, view, 4.0), kernels_with_temporaries(g, base, 4.0)[s])
+    assert counts["_gather"] == 4 * len(KERNELS)
+    # a frozen owner is gathered once for the three kernels
+    run_kernels(g, frozen(base), 4.0)
+    assert counts["_gather"] == 4 * len(KERNELS) + 1
+
+
+def test_frozen_array_on_two_graphs_with_equal_edge_counts():
+    # a from_edges relabelling has the same m but other bins: each graph
+    # must get its own results from the one frozen array, in any order
+    rng = np.random.default_rng(14)
+    a = random_connected_graph(rng, n_min=12)
+    rows = csr_rows(a.indptr)
+    once = a.indices > rows
+    perm = rng.permutation(a.n)
+    edges = zip(perm[rows[once]].tolist(), perm[a.indices[once]].tolist(), a.weights[once].tolist())
+    mu = np.empty(a.n)
+    mu[perm] = a.mu
+    b = yamabe.WeightedGraph.from_edges(a.n, list(edges), mu=mu)
+    assert a.pairing[1].shape == b.pairing[1].shape
+    assert not np.array_equal(a.pairing[0], b.pairing[0])
+    f = frozen(rng.standard_normal(a.n))
+    want = {id(g): kernels_with_temporaries(g, f, 3.0) for g in (a, b)}
+    for s, kernel in enumerate(KERNELS):
+        for g in (a, b, b, a):
+            assert same_output(kernel_call(kernel, g, f, 3.0), want[id(g)][s])
+
+
+def test_solve_gathers_each_iterate_once(monkeypatch):
+    # energy, gradient and curvature at an iterate share its one gather: one
+    # for the start, one per line-search trial, one for lagrange_multiplier's
+    # energy of the writable u_bar and two for residual_report on u. The
+    # kernel calls are those of one gather per call (44 on this instance)
+    g, x0 = yamabe.path_graph(20)
+    dist = yamabe.graph_distance(g, x0).astype(np.float64)
+    spec = yamabe.ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=1.0 + dist**2, g=np.ones(g.n))
+    counts = count_calls(monkeypatch, *KERNELS, _gather)
+    res = yamabe.solve(g, spec, yamabe.SolveOptions(x0=x0))
+    gathers = counts.pop("_gather")
+    assert counts == {"edge_energy_kernel": 15, "p_laplacian_kernel": 15, "grad_power_kernel": 14}
+    assert gathers <= res.trace.trials + 4 < sum(counts.values())
+    # the iterates are frozen, what solve returns is not
+    assert all(arr.flags.writeable for arr in (res.u_bar, res.u, res.residual))
 
 
 def test_energy_J_is_one_kernel_pass(monkeypatch):

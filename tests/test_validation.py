@@ -102,3 +102,41 @@ def test_connectivity_is_derived_once_per_graph(monkeypatch):
     ball, _, _ = yamabe.truncate_ball(built, 0, 3)
     hypotheses_check(ball, _spec(ball.n))
     assert counts["_bfs"] == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("grad_tol", True), ("grad_tol", "1e-8"), ("x0", True), ("x0", 1.5),
+     ("max_iters", 2.5), ("max_iters", True), ("max_iters", "3")],
+)
+def test_solve_options_reject_booleans_strings_and_fractions(field, value):
+    # each used to run: grad_tol=True certified after 0 iterations, x0=True
+    # started at vertex 1, max_iters=2.5 ran 3 iterations
+    with pytest.raises(ValueError, match=field):
+        SolveOptions(**{field: value})
+
+
+def test_solve_options_take_integral_floats_and_numpy_numbers():
+    opts = SolveOptions(max_iters=3.0, x0=np.int64(2), grad_tol=np.float64(1e-6))
+    assert (opts.max_iters, opts.x0, opts.grad_tol) == (3, 2, 1e-6)
+    assert type(opts.max_iters) is int and type(opts.x0) is int and type(opts.grad_tol) is float
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("theta", "2"), ("theta", True), ("delta", True), ("p", np.True_), ("alpha", "3"),
+     ("h", np.ones(4, dtype=bool)), ("h", [1.0, True, 1.0, 1.0]), ("g", "1"), ("g", [1, 1, 1, "1"])],
+)
+def test_problem_spec_rejects_booleans_and_strings(field, value):
+    # theta="2" used to solve with theta = 2; True and a boolean h with 1.0
+    fields = dict(p=2.5, alpha=2.25, delta=0.4, theta=1.0, h=np.ones(4), g=np.ones(4))
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ProblemSpec(**fields)
+
+
+def test_problem_spec_takes_numpy_numbers_and_integer_lists():
+    spec = ProblemSpec(p=np.int64(4), alpha=np.float32(3.0), delta=0.4, h=[1, 2, 3], g=(1, 1, 1))
+    assert (spec.p, spec.alpha, spec.theta) == (4.0, 3.0, 1.0)
+    assert type(spec.p) is float
+    assert spec.h.dtype == np.float64 and spec.h.tolist() == [1.0, 2.0, 3.0]
