@@ -16,7 +16,12 @@ graph and coerce and check each vertex function once (see
 ``graph.as_vertex_function``), then compute with the private twins
 ``_p_laplacian``, ``_dirichlet_energy`` and ``_integrate``, which trust a
 validated float64 vertex array. So one solver iterate is checked once per
-public call instead of once per layer it passes through.
+public call instead of once per layer it passes through. The descent
+(``solver.minimize_constrained``) calls ``energy_J`` on every line-search
+trial, so each of its iterates is checked there, ``J_gradient`` on its
+first iterate and ``constraint_K`` on its last; its other evaluations
+(constraint mass, residual, curvature) run in ``solver._Evaluator``, which
+checks nothing and gives the bits of these functions at u >= 0.
 """
 
 from __future__ import annotations

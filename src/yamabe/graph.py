@@ -11,7 +11,8 @@ Vertex functions are plain float64 numpy arrays of length ``graph.n``;
 
 Validation contract (shared with ``functionals`` and ``operators``): public
 functions coerce and check every vertex function they take, through
-:func:`as_vertex_function` (float64, length ``graph.n``, all finite).
+:func:`as_vertex_function` (numeric, not a string or a boolean; float64,
+length ``graph.n``, all finite).
 ``_``-prefixed functions such as :func:`_integrate` assume a vertex array
 that has already passed that check and do not repeat it, so the solver's
 inner loop pays for validation once per public call, not once per layer.
@@ -295,8 +296,10 @@ def _number(value, what: str) -> float:
 
 
 def as_vertex_function(g: WeightedGraph, f) -> np.ndarray:
-    """Coerce ``f`` to a float64 vertex function on ``g`` and validate it."""
-    arr = np.asarray(f, dtype=np.float64)
+    """Coerce ``f`` to a float64 vertex function on ``g`` and validate it:
+    numeric (no strings or booleans, see ``_as_float``), one entry per
+    vertex, all finite. A float64 array comes back as itself."""
+    arr = _as_float(f, "vertex function")
     if arr.shape != (g.n,):
         raise ValueError(f"vertex function has shape {arr.shape}, expected ({g.n},)")
     if not np.isfinite(arr).all():

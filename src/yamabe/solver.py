@@ -7,7 +7,7 @@ of a positive diagonal curvature, which keeps it a guaranteed descent
 direction for the merit function M(u) = J(u) / K(u)^{p/alpha} while
 absorbing the stiffness of rapidly growing h.  The diagonal is J's for
 alpha < p and the Lagrangian's, J'' - lam K'', for alpha = p, where the
-constraint's curvature cancels J's h-term (see _diag_curvature).  After
+constraint's curvature cancels J's h-term (see _Evaluator.curvature).  After
 every trial step the iterate is clamped to the nonnegative cone and
 renormalized back onto the constraint set, which is exact because K is
 alpha-homogeneous on nonnegative functions.  Steps are accepted on an Armijo decrease of the energy or,
@@ -27,15 +27,25 @@ power of 2^(1/8) and capped at _STEP_MAX; on this lattice, rounding noise
 cannot change the step, so a relabelled graph takes the same steps.
 After a residual-fallback accept the step is carried over unchanged.
 
-Every iterate is read-only from the moment it is made (``_renormalize``),
-so the kernels gather its edge differences once: the trial's energy does
-it, and the gradient and the curvature at an accepted trial reuse them
-(see ``_kernels``).  ``minimize_constrained`` returns a writable copy of
-the last one, so ``SolveResult``'s arrays are writable.
+One evaluator per solve (``_Evaluator``) computes each trial's constraint
+mass, the residual and the curvature, with their coefficient products made
+once, and checks nothing.  The checks run on the public path: every
+trial's energy goes through ``energy_J``, whose input check
+(``graph.as_vertex_function``) runs on it, the first residual through
+``J_gradient``; the sup bound is checked at every accepted iterate, and
+K = 1 at the last one by ``constraint_K``.
+
+Every iterate is read-only from the moment it is made
+(``_Evaluator.renormalize``), so the kernels gather its edge differences
+once: the trial's energy does it, and the gradient and the curvature at an
+accepted trial reuse them (see ``_kernels``).  ``minimize_constrained``
+returns a writable copy of the last one, so ``SolveResult``'s arrays are
+writable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -51,7 +61,6 @@ from .errors import (
 from .functionals import (
     ProblemSpec,
     _check_spec,
-    _Gprime_field,
     constraint_K,
     energy_J,
     J_gradient,
@@ -65,6 +74,7 @@ from .graph import (
     integrate,
     truncate_ball,
 )
+from .operators import _p_laplacian
 
 __all__ = [
     "SolveOptions",
@@ -93,7 +103,7 @@ _ARMIJO = 1e-4
 _STEP_FLOOR = 1e-12
 _J_RESOLUTION = 1e-12
 # On the alpha = p branch the curvature diagonal is never taken below this
-# fraction of J's own diagonal (see _diag_curvature).
+# fraction of J's own diagonal (see _Evaluator.curvature).
 _LAGRANGIAN_FLOOR = 1e-3
 
 
@@ -175,29 +185,10 @@ class TruncationChoice:
     epsilon: float
 
 
-def _positive_part(u: np.ndarray) -> np.ndarray:
-    return np.maximum(u, 0.0)
-
-
-def _renormalize(g: WeightedGraph, spec: ProblemSpec, v: np.ndarray):
-    """Clamp to the nonnegative cone and rescale onto K = 1, read-only.
-
-    Returns None when the clamped function carries no constraint mass and
-    cannot be normalized.
-    """
-    plus = _positive_part(v)
-    k_raw = constraint_K(g, spec, plus)
-    if not np.isfinite(k_raw) or k_raw <= 0.0:
-        return None
-    u = plus * k_raw ** (-1.0 / spec.alpha)
-    u.flags.writeable = False  # so the kernels may reuse its gather
-    return u
-
-
 def _competitor_energy(g: WeightedGraph, spec: ProblemSpec) -> float:
     """Energy of the uniform function rescaled onto K = 1, an upper bound
     for the constrained infimum."""
-    v = _renormalize(g, spec, np.ones(g.n))
+    v = _Evaluator(g, spec).renormalize(np.ones(g.n))
     if v is None:
         raise InfeasibleConstraintError(
             "g vanishes on the whole graph; the uniform competitor carries "
@@ -206,12 +197,11 @@ def _competitor_energy(g: WeightedGraph, spec: ProblemSpec) -> float:
     return energy_J(g, spec, v)
 
 
-def _initial_iterate(
-    g: WeightedGraph, spec: ProblemSpec, opts: SolveOptions
-) -> np.ndarray:
+def _initial_iterate(ev: _Evaluator, opts: SolveOptions) -> np.ndarray:
+    g = ev.g
     if opts.u0 is not None:
         v = as_vertex_function(g, opts.u0)
-        if not np.any(_positive_part(v) > 0.0):
+        if not np.any(v > 0.0):
             raise ValueError("initial iterate u0 has no positive part")
     else:
         if not 0 <= opts.x0 < g.n:
@@ -219,7 +209,7 @@ def _initial_iterate(
         dist = graph_distance(g, opts.x0).astype(np.float64)
         spread = max(1.0, float(dist.max()) / 4.0)
         v = np.exp(-((dist / spread) ** 2))
-    u = _renormalize(g, spec, v)
+    u = ev.renormalize(v)
     if u is None:
         raise InfeasibleConstraintError(
             "constraint mass is zero on the initial iterate; "
@@ -227,59 +217,96 @@ def _initial_iterate(
         )
     return u
 
-def _check_sup_bound(spec: ProblemSpec, u: np.ndarray, j: float, min_hmu: float):
-    # sup |u|^p * min(h mu) <= J(u) must hold for every feasible iterate
-    sup = float(np.abs(u).max())
+
+def _check_sup_bound(spec: ProblemSpec, u: np.ndarray, j: float, min_hmu: float) -> float:
+    """sup u, after checking sup |u|^p * min(h mu) <= J(u), which must hold
+    for every feasible iterate; an iterate of the descent is >= 0."""
+    sup = float(u.max())
     if min_hmu * sup**spec.p > j * (1.0 + 1e-12) + 1e-300:
         raise ConsistencyError(
             "energy accounting violated: sup bound "
             f"{min_hmu * sup ** spec.p:.17g} exceeds J = {j:.17g}"
         )
+    return sup
 
 
-def _residual_state(g: WeightedGraph, spec: ProblemSpec, u: np.ndarray, j: float):
-    """Euler-Lagrange residual of the constrained problem at a feasible u."""
-    w = J_gradient(g, spec, u)
-    lam = spec.p * j / spec.alpha
-    r = w - lam * _Gprime_field(spec, u)
-    return r, lam
+class _Evaluator:
+    """The descent's own evaluations on one (graph, spec), with their
+    products of coefficients made once.  It trusts its iterates, read-only,
+    finite and >= 0 (+0.0 at the zeros): it validates nothing and leaves out
+    the public functions' ``abs``, ``sign`` and ``maximum`` passes, exact at
+    u >= 0.  Products keep their operand order, e.g. ((alpha theta) g)
+    u^(alpha-1), so ``mass`` and ``residual`` give the bits of
+    ``constraint_K`` and of J_gradient(u) - lam _Gprime_field(u)."""
 
+    def __init__(self, g: WeightedGraph, spec: ProblemSpec):
+        _check_spec(g, spec)
+        self.g, self.spec = g, spec
+        self.theta_g = spec.theta * spec.g
+        self.alpha_theta_g = spec.alpha * spec.theta * spec.g
+        self.mu_h = g.mu * spec.h
+        self.min_hmu = float(self.mu_h.min())
 
-def _diag_curvature(
-    g: WeightedGraph, spec: ProblemSpec, u: np.ndarray, lam: float
-) -> np.ndarray:
-    """Diagonal curvature that scales the descent direction, floored away from zero.
+    def mass(self, u: np.ndarray) -> float:
+        """K(u) of a function u >= 0."""
+        return float((self.g.mu * (self.theta_g * u ** self.spec.alpha)).sum())
 
-    For alpha < p this is the diagonal of the coordinate Hessian of J,
-    H_xx = p(p-1) [sum_y w_xy |du|^{p-2} + h(x) mu(x) |u(x)|^{p-2}]; the
-    p-Laplacian part degenerates on flat regions for p > 2, so the floor
-    keeps the preconditioned direction finite there.
+    def renormalize(self, v: np.ndarray):
+        """Clamp to the nonnegative cone and rescale onto K = 1, read-only.
 
-    For alpha = p it is the diagonal of the Lagrangian Hessian J'' - lam K''
-    at the current multiplier lam = p J / alpha:
-    p(p-1) [sum_y w_xy |du|^{p-2} + mu(x) |u(x)|^{p-2} (h(x) - lam theta g(x))].
-    Wherever h is proportional to g the constraint's curvature cancels J's
-    h-term, so J's diagonal overstates the curvature along K = 1 by that
-    whole term and the flat instances (h = g = 1) stall at the step cap.
-    The Lagrangian diagonal can vanish or go negative, so it is floored at
-    _LAGRANGIAN_FLOOR times J's.  For alpha < p it is not used: nothing
-    cancels there, and it slows convergence on most instances.
+        Returns None when the clamped function carries no constraint mass and
+        cannot be normalized.
+        """
+        plus = np.maximum(v, 0.0)
+        k_raw = self.mass(plus)
+        if not math.isfinite(k_raw) or k_raw <= 0.0:
+            return None
+        u = plus * k_raw ** (-1.0 / self.spec.alpha)
+        u.flags.writeable = False  # so the kernels may reuse its gather
+        return u
 
-    At p = 2 both powers are 1 (0**0 is 1); 2 < alpha <= p rules p = 2 out.
-    """
-    p = spec.p
-    edge = 2.0 * g.mu * grad_power_kernel(
-        g.indptr, g.indices, g.weights, g.mu, u, p - 2.0, g.pairing
-    )
-    u_pow = np.abs(u) ** (p - 2.0)
-    j_diag = edge + spec.h * g.mu * u_pow
-    if spec.alpha == p:
-        lagrangian = edge + g.mu * u_pow * (spec.h - lam * spec.theta * spec.g)
-        diag = p * (p - 1.0) * np.maximum(lagrangian, _LAGRANGIAN_FLOOR * j_diag)
-    else:
-        diag = p * (p - 1.0) * j_diag
-    floor = 1e-12 * max(float(diag.max()), 1.0)
-    return np.maximum(diag, floor)
+    def residual(self, u: np.ndarray, j: float, w: np.ndarray | None = None):
+        """Euler-Lagrange residual r = J'(u) - lam K'(u) at a feasible u, and
+        lam = p J / alpha; ``w``, J'(u), is computed here unless given."""
+        p, alpha = self.spec.p, self.spec.alpha
+        if w is None:
+            w = p * (self.spec.h * u ** (p - 1.0) - _p_laplacian(self.g, p, u))
+        lam = p * j / alpha
+        return w - lam * (self.alpha_theta_g * u ** (alpha - 1.0)), lam
+
+    def curvature(self, u: np.ndarray, lam: float) -> np.ndarray:
+        """Diagonal curvature that scales the descent direction, floored away from zero.
+
+        For alpha < p this is the diagonal of the coordinate Hessian of J,
+        H_xx = p(p-1) [sum_y w_xy |du|^{p-2} + h(x) mu(x) |u(x)|^{p-2}]; the
+        p-Laplacian part degenerates on flat regions for p > 2, so the floor
+        keeps the preconditioned direction finite there.
+
+        For alpha = p it is the diagonal of the Lagrangian Hessian J'' - lam K''
+        at the current multiplier lam = p J / alpha:
+        p(p-1) [sum_y w_xy |du|^{p-2} + mu(x) |u(x)|^{p-2} (h(x) - lam theta g(x))].
+        Wherever h is proportional to g the constraint's curvature cancels J's
+        h-term, so J's diagonal overstates the curvature along K = 1 by that
+        whole term and the flat instances (h = g = 1) stall at the step cap.
+        The Lagrangian diagonal can vanish or go negative, so it is floored at
+        _LAGRANGIAN_FLOOR times J's.  For alpha < p it is not used: nothing
+        cancels there, and it slows convergence on most instances.
+
+        At p = 2 both powers are 1 (0**0 is 1); 2 < alpha <= p rules p = 2 out.
+        """
+        g, spec, p = self.g, self.spec, self.spec.p
+        edge = 2.0 * g.mu * grad_power_kernel(
+            g.indptr, g.indices, g.weights, g.mu, u, p - 2.0, g.pairing
+        )
+        u_pow = u ** (p - 2.0)
+        j_diag = edge + self.mu_h * u_pow
+        if spec.alpha == p:
+            lagrangian = edge + g.mu * u_pow * (spec.h - lam * spec.theta * spec.g)
+            diag = p * (p - 1.0) * np.maximum(lagrangian, _LAGRANGIAN_FLOOR * j_diag)
+        else:
+            diag = p * (p - 1.0) * j_diag
+        floor = 1e-12 * max(float(diag.max()), 1.0)
+        return np.maximum(diag, floor)
 
 
 def _converged(
@@ -319,18 +346,16 @@ def minimize_constrained(
     """
     if opts is None:
         opts = SolveOptions()
-    _check_spec(g, spec)
+    ev = _Evaluator(g, spec)
     if not np.any(spec.g > 0.0):
         raise InfeasibleConstraintError("g vanishes identically; K(u) = 1 is empty")
 
-    u = _initial_iterate(g, spec, opts)
+    u = _initial_iterate(ev, opts)
     j = energy_J(g, spec, u)
-    min_hmu = float((spec.h * g.mu).min())
-    _check_sup_bound(spec, u, j, min_hmu)
-    sup_u = float(u.max())
+    sup_u = _check_sup_bound(spec, u, j, ev.min_hmu)
 
     step = _STEP_INIT
-    r, lam = _residual_state(g, spec, u, j)
+    r, lam = ev.residual(u, j, J_gradient(g, spec, u))
     sup_r = float(np.abs(r).max())
 
     stagnated = False
@@ -340,8 +365,9 @@ def minimize_constrained(
 
     while iters < opts.max_iters and not _converged(spec, j, lam, sup_r, opts.grad_tol):
         iters += 1
-        d = -(g.mu * r) / _diag_curvature(g, spec, u, lam)
-        slope = float((g.mu * r * d).sum())
+        mu_r = g.mu * r
+        d = -mu_r / ev.curvature(u, lam)
+        slope = float((mu_r * d).sum())
         sup_d = float(np.abs(d).max())
         s = step
         accepted = False
@@ -350,7 +376,7 @@ def minimize_constrained(
             if s * sup_d > big * (1.0 + sup_u):
                 s *= _BACKTRACK
                 continue
-            cand = _renormalize(g, spec, u + s * d)
+            cand = ev.renormalize(u + s * d)
             if cand is None:
                 s *= _BACKTRACK
                 continue
@@ -362,7 +388,7 @@ def minimize_constrained(
             # energy decreases below float resolution: fall back to a
             # plain residual decrease, never letting J creep upward
             if j_cand <= j + _J_RESOLUTION * (1.0 + abs(j)):
-                r_cand, lam_cand = _residual_state(g, spec, cand, j_cand)
+                r_cand, lam_cand = ev.residual(cand, j_cand)
                 sup_cand = float(np.abs(r_cand).max())
                 if sup_cand <= 0.9 * sup_r:
                     accepted = True
@@ -377,11 +403,10 @@ def minimize_constrained(
         if polish is None and j - j_cand > _J_RESOLUTION * (1.0 + abs(j)):
             step = _next_step(s, j - j_cand, slope)
         u, j = cand, j_cand
-        _check_sup_bound(spec, u, j, min_hmu)
-        sup_u = float(u.max())
+        sup_u = _check_sup_bound(spec, u, j, ev.min_hmu)
 
         if polish is None:
-            r, lam = _residual_state(g, spec, u, j)
+            r, lam = ev.residual(u, j)
             sup_r = float(np.abs(r).max())
         else:
             r, lam, sup_r = polish
@@ -411,7 +436,7 @@ def lagrange_multiplier(g: WeightedGraph, spec: ProblemSpec, u_bar: np.ndarray) 
     """
     _check_spec(g, spec)
     u_bar = as_vertex_function(g, u_bar)
-    mass = float(integrate(g, spec.g * _positive_part(u_bar) ** spec.alpha))
+    mass = float(integrate(g, spec.g * np.maximum(u_bar, 0.0) ** spec.alpha))
     denom = spec.alpha * spec.theta * mass
     if denom <= 0.0:
         raise DegenerateConstraintError(

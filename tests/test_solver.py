@@ -36,7 +36,10 @@ from yamabe import (
     solve,
     tree_ball,
 )
-from yamabe.solver import _next_step
+from test_kernels import every_builder
+from yamabe._kernels import grad_power_kernel
+from yamabe.functionals import _Gprime_field
+from yamabe.solver import _LAGRANGIAN_FLOOR, _Evaluator, _next_step
 
 
 def make_spec(graph, p, alpha, delta=0.4, theta=1.0, h=1.0, g_coef=1.0):
@@ -213,6 +216,65 @@ def test_line_search_spends_about_one_trial_per_iteration(monkeypatch):
     # one energy pass for the start, then one per trial
     assert counts["energy_J"] == 1 + trace.trials
     assert trace.trials / trace.iters <= 1.5
+
+
+@pytest.mark.parametrize("max_iters", [0, 4, 20000])
+@pytest.mark.parametrize("alpha", [3.0, 4.0])
+def test_descent_calls_the_gradient_and_the_constraint_once(monkeypatch, max_iters, alpha):
+    # the descent evaluates its own iterates: J_gradient runs on the first
+    # one and constraint_K on the last, however many iterations run between
+    g, x0 = path_graph(20)
+    dist = graph_distance(g, x0).astype(np.float64)
+    spec = ProblemSpec(p=4.0, alpha=alpha, delta=0.4, h=1.0 + dist**2, g=np.ones(g.n))
+    counts = count_calls(monkeypatch, J_gradient, constraint_K, energy_J)
+    _, _, trace = minimize_constrained(g, spec, SolveOptions(x0=x0, max_iters=max_iters))
+    assert trace.iters == max_iters or trace.converged and trace.iters > 4
+    assert counts == {"J_gradient": 1, "constraint_K": 1, "energy_J": 1 + trace.trials}
+
+
+def curvature_reference(g, spec, u, lam):
+    """The descent's curvature diagonal (see ``_Evaluator.curvature``) with
+    the abs pass and the coefficient products of every call."""
+    p = spec.p
+    edge = 2.0 * g.mu * grad_power_kernel(g.indptr, g.indices, g.weights, g.mu, u, p - 2.0, g.pairing)
+    u_pow = np.abs(u) ** (p - 2.0)
+    j_diag = edge + spec.h * g.mu * u_pow
+    if spec.alpha == p:
+        lagrangian = edge + g.mu * u_pow * (spec.h - lam * spec.theta * spec.g)
+        diag = p * (p - 1.0) * np.maximum(lagrangian, _LAGRANGIAN_FLOOR * j_diag)
+    else:
+        diag = p * (p - 1.0) * j_diag
+    return np.maximum(diag, 1e-12 * max(float(diag.max()), 1.0))
+
+
+@pytest.mark.parametrize("p", [2.2, 2.5, 3.0, 4.0, 6.0])
+def test_evaluator_matches_the_public_functions_bit_for_bit(p):
+    # the descent's evaluator checks nothing and skips the abs, sign and
+    # maximum passes on its iterates, frozen and >= 0 with exact zeros; its
+    # constraint mass, residual and curvature must keep every bit
+    rng = np.random.default_rng(21)
+    for g in every_builder():
+        for alpha in (2.0 + 0.5 * (p - 2.0), p):
+            h, coef = random_positive_spec_fields(rng, g.n)
+            theta = float(rng.uniform(0.5, 2.0))
+            spec = ProblemSpec(p=p, alpha=alpha, delta=0.4, theta=theta, h=h, g=coef)
+            ev = _Evaluator(g, spec)
+            v = rng.standard_normal(g.n) * 10.0 ** rng.uniform(-3, 3)
+            v[np.argmax(coef)] = 1.0  # constraint mass
+            v[np.argmin(coef)] = -1.0  # and an exact zero; coef has a 1.0 and a smaller entry
+            plus = np.maximum(v, 0.0)
+            assert ev.mass(plus) == constraint_K(g, spec, plus)
+            u = ev.renormalize(v)
+            assert not u.flags.writeable and (u == 0.0).any()
+            assert u.tobytes() == (plus * constraint_K(g, spec, plus) ** (-1.0 / alpha)).tobytes()
+            assert ev.mass(u) == constraint_K(g, spec, u)
+            j = energy_J(g, spec, u)
+            r, lam = ev.residual(u, j)
+            assert lam == p * j / alpha
+            assert r.tobytes() == (J_gradient(g, spec, u) - lam * _Gprime_field(spec, u)).tobytes()
+            assert ev.residual(u, j, J_gradient(g, spec, u))[0].tobytes() == r.tobytes()
+            for mult in (lam, 10.0 * lam):  # the larger puts more vertices on the Lagrangian's floor
+                assert ev.curvature(u, mult).tobytes() == curvature_reference(g, spec, u, mult).tobytes()
 
 
 @pytest.mark.parametrize("s", [2.0**-3, 2.0**0.375, 1.0, 4.0, 8.0])

@@ -62,6 +62,19 @@ def test_public_evaluators_validate_their_input(name):
         bad[g.n // 2] = bad_value
         with pytest.raises(ValueError, match="non-finite"):
             call(g, spec, bad)
+    # numpy would read "1" and True as 1.0, so strings and booleans are checked for
+    for bad, what in (([str(x) for x in good], "string"), (good > 1.0, "boolean"),
+                      ([True] + good[1:].tolist(), "boolean")):
+        with pytest.raises(ValueError, match=f"^vertex function must be numeric: got a {what}$"):
+            call(g, spec, bad)
+
+
+@pytest.mark.parametrize("entry", [minimize_constrained, solve])
+def test_boolean_initial_iterate_is_rejected(entry):
+    # a boolean u0 is no vertex function, though numpy would read it as ones
+    g, x0 = yamabe.path_graph(12)
+    with pytest.raises(ValueError, match="^vertex function must be numeric: got a boolean$"):
+        entry(g, _spec(g.n), SolveOptions(u0=np.ones(g.n, dtype=bool), x0=x0))
 
 
 @pytest.mark.parametrize("entry", [minimize_constrained, solve])

@@ -1,0 +1,218 @@
+"""Compare this checkout's outputs with those of another checkout.
+
+    python tools/against_base.py BASE_DIR
+
+BASE_DIR is a checkout of the commit to compare with (CI passes a worktree
+of a pull request's base commit). In this checkout and in BASE_DIR, each
+importing its own ``src``, the script
+
+* hashes, with one SHA-256 per set, u_bar, u, the residual, gamma, lambda,
+  the iterations and the line-search trials of acceptance 12's 180 grid
+  solves, and of the six lattice-large solves on the Z^2 ball of radius 60
+  (p = 4, alpha in {2.5, 3, 3.5}, h = 1 + dist^2 or 1 + dist^4), so that a
+  change that moves one grid iterate shows;
+* runs the ``yamabe`` CLI 14 times (``RUNS``) on the README's config (a
+  d = 1 lattice), a Z^2 ball of radius 40, a binary tree of depth 8, a
+  binary tree and a Z^3 ball sized by the sweep's radius, an explicit graph
+  (built by ``from_edges``) with a self-loop, unequal weights and a
+  per-vertex mu, and p = alpha on a cycle of 20 (h = 1) and on a path of 30
+  (h = 1 + dist^2; only solve, as its sweep exits 1 on the free-boundary
+  rise of gamma on small balls), keeping each run's files, its stdout and
+  its exit code.
+
+It prints a Markdown summary on stdout: whether the two digests are
+identical, whether the CLI outputs are byte-identical (else which files
+differ), and, for each sweep.csv that differs, the largest relative
+difference of its gamma, lambda and tail_bound columns (rounding drift is
+about 1e-16). The verdicts are reported, not gated: the script exits 0
+whatever it finds, since a performance change may move rounding on purpose.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HEAD = Path(__file__).resolve().parent.parent
+
+PROBLEM = {"p": 4, "alpha": 3, "delta": 0.4, "theta": 1, "h": "1 + dist^4", "g": 1}
+GRAPHS = {
+    "z2_r40": {"family": "lattice_zd_ball", "params": {"d": 2, "radius": 40}},
+    "tree_b2_d8": {"family": "tree_ball", "params": {"branching": 2, "depth": 8}},
+    "tree_b2": {"family": "tree_ball", "params": {"branching": 2}},
+    "z3": {"family": "lattice_zd_ball", "params": {"d": 3}},
+    "explicit_loop": {"explicit": {
+        "n": 6,
+        "edges": [[0, 1, 1.0], [1, 2, 2.5], [2, 2, 0.5], [2, 3, 1.0],
+                  [3, 4, 0.75], [4, 5, 3.0], [0, 5, 1.5]],
+        "mu": [1.0, 2.0, 0.5, 1.5, 1.0, 2.5],
+    }},
+}
+# p = alpha, where the descent's curvature runs grad_power at exponent p - 2
+FLAT = {
+    "cycle_flat": ({"family": "cycle", "params": {"n": 20}},
+                   {"p": 4, "alpha": 4, "delta": 0.4, "theta": 1, "h": 1, "g": 1}),
+    "path_flat": ({"family": "path", "params": {"n": 30}},
+                  {"p": 3, "alpha": 3, "delta": 0.4, "theta": 1, "h": "1 + dist^2", "g": 1}),
+}
+# (config, command and its options), one CLI run each
+RUNS = (
+    ("readme", "solve"),
+    ("readme", "sweep --radii 4,8,16,32"),
+    ("readme", "verify --trials 1000"),
+    ("z2_r40", "solve"),
+    ("z2_r40", "sweep --radii 4,8,16,32"),
+    ("tree_b2_d8", "solve"),
+    ("tree_b2_d8", "sweep --radii 4,6,8"),
+    ("tree_b2", "sweep --radii 4,6,8"),
+    ("z3", "sweep --radii 4,8,12"),
+    ("explicit_loop", "solve"),
+    ("explicit_loop", "verify --trials 1000"),
+    ("cycle_flat", "solve"),
+    ("cycle_flat", "sweep --radii 4,8,16"),
+    ("path_flat", "solve"),
+)
+CLI = 'import sys; sys.path.insert(0, "src"); from yamabe.cli import main; sys.exit(main(sys.argv[1:]))'
+
+
+def digest() -> None:
+    """Print the two digests of the checkout in the working directory."""
+    import hashlib
+
+    sys.path.insert(0, str(Path.cwd() / "src"))
+    import numpy as np
+    from yamabe import (ProblemSpec, SolveOptions, cycle_graph, graph_distance,
+                        lattice_ball, path_graph, solve, tree_ball)
+
+    def one(instances):
+        sha = hashlib.sha256()
+        for (graph, x0), p, alpha, delta, k in instances:
+            dist = graph_distance(graph, x0).astype(np.float64)
+            h = 1.0 + dist**k if k else np.ones(graph.n)
+            spec = ProblemSpec(p=p, alpha=alpha, delta=delta, theta=1.0, h=h, g=np.ones(graph.n))
+            res = solve(graph, spec, SolveOptions(x0=x0))
+            for arr in (res.u_bar, res.u, res.residual):
+                sha.update(arr.tobytes())
+            sha.update(np.array([res.gamma, res.lam, res.iters, res.trace.trials]).tobytes())
+        return sha.hexdigest()
+
+    grid = [(graph, p, alpha, min(0.4, 0.9 / (p - 2.0)), k)
+            for graph in (path_graph(30), lattice_ball(2, 10), tree_ball(2, 6), cycle_graph(20))
+            for p in (2.2, 2.5, 3.0, 4.0, 6.0)
+            for alpha in sorted({a for a in (2.25, 2.5, 3.0, 4.0, 6.0, p) if 2.0 < a <= p})
+            for k in (0, 2, 4)]
+    z2 = lattice_ball(2, 60)
+    print("grid", one(grid))
+    print("z2_r60", one([(z2, 4.0, alpha, 0.25, k) for alpha in (2.5, 3.0, 3.5) for k in (2, 4)]))
+
+
+def write_configs(work: Path) -> None:
+    block = re.search(r"```json\n(.*?)```", (HEAD / "README.md").read_text(), re.DOTALL).group(1)
+    (work / "readme.json").write_text(block)
+    configs = {name: (graph, PROBLEM) for name, graph in GRAPHS.items()} | FLAT
+    for name, (graph, problem) in configs.items():
+        config = {"graph": graph, "problem": problem, "solver": {"grad_tol": 1e-8, "seed": 0}}
+        (work / f"{name}.json").write_text(json.dumps(config))
+
+
+def run_tree(tree: Path, work: Path, side: str) -> str:
+    """Run the digest and the CLI runs in ``tree``, the outputs under
+    work/outputs-<side>; returns the digest's output."""
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--digest"], cwd=tree,
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    ).stdout
+    for cfg, args in RUNS:
+        folder = work / f"outputs-{side}" / cfg
+        folder.mkdir(parents=True, exist_ok=True)
+        cmd = args.split()[0]
+        with open(folder / f"{cmd}.stdout", "w") as fh:
+            rc = subprocess.run(
+                [sys.executable, "-c", CLI, *args.split(),
+                 "--config", str(work / f"{cfg}.json"), "--out", str(folder / cmd)],
+                cwd=tree, stdin=subprocess.DEVNULL, stdout=fh,
+            ).returncode
+        with open(folder / f"{cmd}.stdout", "a") as fh:
+            fh.write(f"exit {rc}\n")
+    return out
+
+
+def files(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def sweep_drift(base: dict[str, bytes], head: dict[str, bytes]) -> list[str]:
+    """The largest relative difference of gamma, lambda and tail_bound in
+    each sweep.csv that differs but has the same radii and converged flags."""
+    lines = []
+    for name in sorted(head):
+        if not name.endswith("sweep/sweep.csv") or name not in base or base[name] == head[name]:
+            continue
+        rows = [list(csv.reader(side[name].decode().splitlines())) for side in (base, head)]
+        same_shape = len(rows[0]) == len(rows[1]) and all(
+            b[0] == h[0] and b[4] == h[4] for b, h in zip(rows[0][1:], rows[1][1:])
+        )
+        config = name.split("/")[0]
+        if not same_shape:
+            lines.append(f"- {config} sweep.csv: radii or converged flags differ")
+            continue
+        worst = max(
+            abs(float(h[k]) - float(b[k])) / max(abs(float(b[k])), 1e-300)
+            for b, h in zip(rows[0][1:], rows[1][1:]) for k in (1, 2, 3)
+        )
+        lines.append(f"- {config} sweep.csv: largest relative difference {worst:.2e}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--digest"]:
+        digest()
+        return 0
+    if len(argv) != 1 or not Path(argv[0]).is_dir():
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    base_dir = Path(argv[0]).resolve()
+    rev = subprocess.run(["git", "-C", str(base_dir), "rev-parse", "HEAD"],
+                         capture_output=True, text=True).stdout.strip() or str(base_dir)
+    with tempfile.TemporaryDirectory(prefix="against-base-") as tmp:
+        work = Path(tmp)
+        write_configs(work)
+        trees = (("head", HEAD), ("base", base_dir))
+        digests = {side: run_tree(tree, work, side) for side, tree in trees}
+        outputs = {side: files(work / f"outputs-{side}") for side in ("head", "base")}
+
+    solves = ("u_bar, u, residual, gamma, lambda, iterations and trials of the 180 grid "
+              "solves and the six Z^2 R=60 solves")
+    ran = all(re.fullmatch(r"grid [0-9a-f]{64}\nz2_r60 [0-9a-f]{64}\n", out) for out in digests.values())
+    if ran and digests["head"] == digests["base"]:
+        print(f"{solves} vs base {rev}: identical")
+    else:
+        print(f"{solves} vs base {rev}: {'differs' if ran else 'did not run'}")
+        for side in ("head", "base"):
+            print("\n".join(f"- {side}: {line}" for line in digests[side].splitlines()))
+    what = (f"yamabe CLI, {len(RUNS)} runs: solve and sweep on the README, Z^2 R=40, tree and "
+            "p = alpha cycle configs, sweep on radius-sized tree and Z^3 configs, solve and "
+            "verify on an explicit graph with a self-loop (and verify on the README's), "
+            "solve on a p = alpha path")
+    base, head = outputs["base"], outputs["head"]
+    differ = sorted(name for name in set(base) | set(head) if base.get(name) != head.get(name))
+    if not differ:
+        print(f"{what} vs base {rev}: byte-identical")
+    else:
+        print(f"{what} vs base {rev}: these files differ")
+        for name in differ:
+            only = "" if name in base and name in head else "head" if name in head else "base"
+            print(f"- {name}" + (f" (only in {only})" if only else ""))
+        for line in sweep_drift(base, head):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
