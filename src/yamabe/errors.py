@@ -4,10 +4,10 @@
 class ConsistencyError(RuntimeError):
     """An internal identity that must hold to rounding was violated.
 
-    Raised when two independent computations of the same quantity disagree
-    (e.g. the Lagrange multiplier from the duality pairing and from its
-    closed form on K = 1). This signals a kernel or accounting bug, not bad
-    user input.
+    Raised when the descent's last iterate has drifted off K = 1, when an
+    iterate breaks the sup bound min(h mu) sup u^p <= J(u), and when
+    ``lagrange_multiplier`` is given a u_bar off K = 1 (beyond 1e-8). Inside
+    ``solve`` this signals a kernel or accounting bug, not bad user input.
     """
 
 
@@ -27,7 +27,7 @@ class InfeasibleConstraintError(RuntimeError):
 
 
 class DegenerateConstraintError(RuntimeError):
-    """Multiplier extraction hit a nonpositive constraint integral."""
+    """Multiplier extraction hit a nonpositive constraint integral or multiplier."""
 
 
 class TruncationError(RuntimeError):

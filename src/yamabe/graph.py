@@ -299,11 +299,16 @@ def as_vertex_function(g: WeightedGraph, f) -> np.ndarray:
     """Coerce ``f`` to a float64 vertex function on ``g`` and validate it:
     numeric (no strings or booleans, see ``_as_float``), one entry per
     vertex, all finite. A float64 array comes back as itself."""
-    arr = _as_float(f, "vertex function")
-    if arr.shape != (g.n,):
-        raise ValueError(f"vertex function has shape {arr.shape}, expected ({g.n},)")
+    return _finite_vector(f, g.n, "vertex function")
+
+
+def _finite_vector(value, n: int, what: str) -> np.ndarray:
+    """``value`` as a float64 array of n finite entries; else ValueError naming ``what``."""
+    arr = _as_float(value, what)
+    if arr.shape != (n,):
+        raise ValueError(f"{what} has shape {arr.shape}, expected ({n},)")
     if not np.isfinite(arr).all():
-        raise ValueError("vertex function contains non-finite entries")
+        raise ValueError(f"{what} contains non-finite entries")
     return arr
 
 

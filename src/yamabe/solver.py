@@ -33,7 +33,8 @@ once, and checks nothing.  The checks run on the public path: every
 trial's energy goes through ``energy_J``, whose input check
 (``graph.as_vertex_function``) runs on it, the first residual through
 ``J_gradient``; the sup bound is checked at every accepted iterate, and
-K = 1 at the last one by ``constraint_K``.
+K = 1 at the last one by ``constraint_K``.  ``solve`` evaluates nothing more:
+that K and the last J give the multiplier lam = p J / (alpha K).
 
 Every iterate is read-only from the moment it is made
 (``_Evaluator.renormalize``), so the kernels gather its edge differences
@@ -67,11 +68,11 @@ from .functionals import (
 )
 from .graph import (
     WeightedGraph,
+    _finite_vector,
     _integer,
     _number,
     as_vertex_function,
     graph_distance,
-    integrate,
     truncate_ball,
 )
 from .operators import _p_laplacian
@@ -137,12 +138,14 @@ class SolveOptions:
 class MinimizeTrace:
     """How a descent ended: iters line searches were run, with trials
     energy evaluations among them, and stagnated means the last one found
-    no step.  No per-iterate history is kept."""
+    no step; k_value is K(u_bar), from the final check that K = 1.  No
+    per-iterate history is kept."""
 
     converged: bool
     iters: int
     stagnated: bool
     trials: int
+    k_value: float
 
 
 @dataclass
@@ -339,9 +342,10 @@ def minimize_constrained(
     """Minimize J over the set K = 1 intersected with the nonnegative cone.
 
     Returns (u_bar, gamma, trace) where gamma = J(u_bar) is the attained
-    energy level.  Raises InfeasibleConstraintError when the constraint
-    set is empty (g identically zero) and ConsistencyError when an
-    iterate violates the uniform sup bound, which would mean the energy
+    energy level and trace.k_value = K(u_bar).  Raises
+    InfeasibleConstraintError when the constraint set is empty (g
+    identically zero) and ConsistencyError when an iterate violates the
+    uniform sup bound or K(u_bar) drifts off 1, which would mean the energy
     bookkeeping itself is broken.
     """
     if opts is None:
@@ -411,10 +415,10 @@ def minimize_constrained(
         else:
             r, lam, sup_r = polish
 
-    k_final = constraint_K(g, spec, u)
-    if abs(k_final - 1.0) > opts.constraint_tol:
+    k_value = constraint_K(g, spec, u)
+    if abs(k_value - 1.0) > opts.constraint_tol:
         raise ConsistencyError(
-            f"constraint drifted off K = 1: K = {k_final:.17g}"
+            f"constraint drifted off K = 1: K = {k_value:.17g}"
         )
 
     # also true after a stagnated line search at numerical optimality
@@ -422,38 +426,30 @@ def minimize_constrained(
     # a copy, not u thawed: a caller who wrote to u and froze it again would
     # get the differences the kernels gathered from it before
     return u.copy(), j, MinimizeTrace(
-        converged=converged, iters=iters, stagnated=stagnated, trials=trials
+        converged=converged, iters=iters, stagnated=stagnated, trials=trials, k_value=k_value
     )
 
 
-def lagrange_multiplier(g: WeightedGraph, spec: ProblemSpec, u_bar: np.ndarray) -> float:
-    """Multiplier lam with J'(u_bar) = lam K'(u_bar) at a constrained minimizer.
-
-    Computes the duality pairing p J / (alpha theta int g u^alpha) and
-    cross-checks it against the closed form p J / alpha valid on K = 1;
-    disagreement beyond 1e-8 relative means u_bar is not on the
-    constraint set and raises ConsistencyError.
-    """
-    _check_spec(g, spec)
-    u_bar = as_vertex_function(g, u_bar)
-    mass = float(integrate(g, spec.g * np.maximum(u_bar, 0.0) ** spec.alpha))
-    denom = spec.alpha * spec.theta * mass
-    if denom <= 0.0:
+def _multiplier(spec: ProblemSpec, j: float, k: float) -> float:
+    """lam = p J / (alpha K) of J(u) and K(u), as J'(u) u = p J(u) and K'(u) u = alpha K(u)."""
+    lam = spec.p * j / (spec.alpha * k) if k > 0.0 else 0.0
+    if not lam > 0.0:
         raise DegenerateConstraintError(
-            "constraint derivative vanishes at u_bar; multiplier is undefined"
+            f"multiplier is undefined or not positive: J = {j:.17g}, K = {k:.17g}"
         )
-    j = energy_J(g, spec, u_bar)
-    lam_pair = spec.p * j / denom
-    lam_simple = spec.p * j / spec.alpha
-    if abs(lam_pair - lam_simple) > 1e-8 * max(abs(lam_simple), 1e-300):
-        raise ConsistencyError(
-            "multiplier mismatch: pairing gives "
-            f"{lam_pair:.17g}, constraint form gives {lam_simple:.17g}; "
-            "u_bar is off the constraint set"
-        )
-    if lam_pair <= 0.0:
-        raise DegenerateConstraintError("multiplier is not positive")
-    return lam_pair
+    return lam
+
+
+def lagrange_multiplier(g: WeightedGraph, spec: ProblemSpec, u_bar: np.ndarray) -> float:
+    """Multiplier lam = p J(u_bar) / (alpha K(u_bar)) of J'(u_bar) = lam K'(u_bar)
+    at a constrained minimizer.  Raises ConsistencyError when u_bar is off the
+    constraint set, |K(u_bar) - 1| > 1e-8, and DegenerateConstraintError when
+    K(u_bar) or lam is not positive."""
+    k = constraint_K(g, spec, u_bar)
+    lam = _multiplier(spec, energy_J(g, spec, u_bar), k)
+    if abs(k - 1.0) > 1e-8:
+        raise ConsistencyError(f"u_bar is off the constraint set: K(u_bar) = {k:.17g}")
+    return lam
 
 
 def rescale_solution(spec: ProblemSpec, u_bar: np.ndarray, lam: float):
@@ -463,13 +459,15 @@ def rescale_solution(spec: ProblemSpec, u_bar: np.ndarray, lam: float):
     kappa = (p / (alpha lam theta))^{1/(p - alpha)} absorbs the
     multiplier entirely and the eigenvalue factor is 1.  For p = alpha
     no scaling can change the balance and the factor lam theta is
-    reported instead.
+    reported instead.  u_bar must be a finite numeric vertex array on the
+    spec's vertices and lam a number; anything else raises ValueError.
     """
-    u_bar = np.asarray(u_bar, dtype=np.float64)
+    u_bar = _finite_vector(u_bar, spec.n, "u_bar")
+    lam = _number(lam, "lam")
     if spec.p < spec.alpha:
         raise ValueError("rescaling requires p >= alpha")
     if not (lam > 0.0 and np.isfinite(lam)):
-        raise ValueError("multiplier must be positive and finite")
+        raise ValueError("multiplier lam must be positive and finite")
     if spec.p == spec.alpha:
         return u_bar.copy(), lam * spec.theta
     kappa = (spec.p / (spec.alpha * lam * spec.theta)) ** (1.0 / (spec.p - spec.alpha))
@@ -487,7 +485,8 @@ def solve(
         opts = SolveOptions()
     hyp = hypotheses_check(g, spec)
     u_bar, gamma, trace = minimize_constrained(g, spec, opts)
-    lam = lagrange_multiplier(g, spec, u_bar)
+    # gamma and trace.k_value are the bits of J(u_bar) and K(u_bar)
+    lam = _multiplier(spec, gamma, trace.k_value)
     u, eigen_factor = rescale_solution(spec, u_bar, lam)
     report = residual_report(g, spec, u, eigen_factor=eigen_factor)
     cert = positivity_certificate(g, u)
@@ -510,7 +509,7 @@ def solve(
         converged=converged,
         positive=cert.passed,
         min_u=cert.min_u,
-        k_value=constraint_K(g, spec, u_bar),
+        k_value=trace.k_value,
         eigen_factor_is_unit=abs(eigen_factor - 1.0) <= 1e-8,
         hypotheses=hyp,
         trace=trace,
@@ -579,10 +578,16 @@ def choose_truncation_radius(
     constraint mass (g > 0 somewhere on it), with its K-tail bound.
 
     The bound estimates the infimum by the uniform competitor's energy.
-    Raises HypothesisError when a hypothesis fails on the whole graph,
+    epsilon must be a number and x0 and r_max integers: a boolean, a string
+    or a fraction raises ValueError naming the argument.  Raises
+    HypothesisError when a hypothesis fails on the whole graph,
     InfeasibleConstraintError when g vanishes on it, and TruncationError,
     carrying the best achieved tail, when no admissible radius exists.
     """
+    epsilon = _number(epsilon, "epsilon")
+    x0 = _integer(x0, "x0")
+    if r_max is not None:
+        r_max = _integer(r_max, "r_max")
     if not (epsilon > 0.0 and np.isfinite(epsilon)):
         raise ValueError("epsilon must be a positive finite number")
     if not 0 <= x0 < g.n:

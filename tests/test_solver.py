@@ -232,6 +232,24 @@ def test_descent_calls_the_gradient_and_the_constraint_once(monkeypatch, max_ite
     assert counts == {"J_gradient": 1, "constraint_K": 1, "energy_J": 1 + trace.trials}
 
 
+@pytest.mark.parametrize("alpha, theta", [(3.0, 1.0), (3.0, 2.5), (4.0, 2.5)])
+def test_solve_evaluates_nothing_after_the_descent(monkeypatch, alpha, theta):
+    # lam = p J / (alpha K) and k_value are the descent's last J and K:
+    # solve adds no energy_J, constraint_K or lagrange_multiplier call
+    g, x0 = path_graph(20)
+    dist = graph_distance(g, x0).astype(np.float64)
+    spec = ProblemSpec(p=4.0, alpha=alpha, delta=0.4, theta=theta, h=1.0 + dist**2, g=np.ones(g.n))
+    counts = count_calls(monkeypatch, J_gradient, constraint_K, energy_J, lagrange_multiplier)
+    res = solve(g, spec, SolveOptions(x0=x0))
+    assert counts["lagrange_multiplier"] == 0
+    assert counts == {"J_gradient": 1, "constraint_K": 1, "energy_J": 1 + res.trace.trials}
+    # the public multiplier gives the same bits from its own J and K of u_bar
+    assert res.k_value == res.trace.k_value == constraint_K(g, spec, res.u_bar)
+    assert res.gamma == energy_J(g, spec, res.u_bar)
+    assert res.lam == lagrange_multiplier(g, spec, res.u_bar)
+    assert res.lam == spec.p * res.gamma / (alpha * res.k_value)
+
+
 def curvature_reference(g, spec, u, lam):
     """The descent's curvature diagonal (see ``_Evaluator.curvature``) with
     the abs pass and the coefficient products of every call."""

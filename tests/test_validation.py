@@ -14,6 +14,7 @@ from yamabe import (
     ProblemSpec,
     SolveOptions,
     WeightedGraph,
+    choose_truncation_radius,
     constraint_K,
     dirichlet_energy,
     energy_J,
@@ -21,9 +22,11 @@ from yamabe import (
     integrate,
     J_gradient,
     K_derivative_action,
+    lagrange_multiplier,
     minimize_constrained,
     p_gradient_norm,
     p_laplacian,
+    rescale_solution,
     solve,
 )
 from yamabe.graph import _bfs, as_vertex_function
@@ -86,10 +89,36 @@ def test_nan_initial_iterate_is_rejected(entry):
         entry(g, _spec(g.n), SolveOptions(u0=u0, x0=x0))
 
 
+@pytest.mark.parametrize("entry", [minimize_constrained, solve])
+@pytest.mark.parametrize("opts, match", [
+    (dict(u0=-np.ones(12)), "u0 has no positive part"),
+    (dict(u0=np.zeros(12)), "u0 has no positive part"),
+    (dict(x0=12), "x0 out of range"),
+    (dict(x0=-1), "x0 out of range"),
+])
+def test_initial_iterate_without_positive_part_or_anchor_is_rejected(entry, opts, match):
+    g, _ = yamabe.path_graph(12)
+    with pytest.raises(ValueError, match=match):
+        entry(g, _spec(g.n), SolveOptions(**opts))
+
+
+@pytest.mark.parametrize("entry", [
+    energy_J, constraint_K, J_gradient, lagrange_multiplier,
+    lambda g, s, f: K_derivative_action(g, s, f, f),
+    lambda g, s, f: hypotheses_check(g, s),
+    lambda g, s, f: minimize_constrained(g, s),
+    lambda g, s, f: solve(g, s),
+])
+def test_spec_on_another_vertex_count_is_rejected(entry):
+    g, _ = yamabe.path_graph(6)
+    with pytest.raises(ValueError, match="^problem coefficients live on 7 vertices, graph has 6$"):
+        entry(g, _spec(g.n + 1), np.ones(g.n))
+
+
 def test_solve_validates_each_iterate_a_bounded_number_of_times(monkeypatch):
     # each line-search trial is checked by constraint_K and energy_J, each
     # accepted or polish-tested iterate by J_gradient; the rest of the
-    # pipeline (start, multiplier, certificates) adds a fixed handful
+    # pipeline (start, certificates) adds a fixed handful
     g, x0 = yamabe.path_graph(20)
     dist = yamabe.graph_distance(g, x0).astype(np.float64)
     spec = _spec(g.n, h=1.0 + dist**2)
@@ -153,3 +182,57 @@ def test_problem_spec_takes_numpy_numbers_and_integer_lists():
     assert (spec.p, spec.alpha, spec.theta) == (4.0, 3.0, 1.0)
     assert type(spec.p) is float
     assert spec.h.dtype == np.float64 and spec.h.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("h, g", [(np.ones((2, 2)), np.ones((2, 2))), (np.ones(4), np.ones((4, 1))),
+                                  (np.ones(4), np.ones(5)), (np.ones(3), np.ones(4))])
+def test_problem_spec_rejects_misshapen_coefficients(h, g):
+    with pytest.raises(ValueError, match="^h and g must"):
+        ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=h, g=g)
+
+
+@pytest.mark.parametrize("u_bar, lam, match", [
+    (["1", "2", "3"], 2.0, "^u_bar must be numeric: got a string$"),
+    (np.ones(3, dtype=bool), 2.0, "^u_bar must be numeric: got a boolean$"),
+    ([1.0, True, 1.0], 2.0, "^u_bar must be numeric: got a boolean$"),
+    (np.ones(7), 2.0, r"^u_bar has shape \(7,\), expected \(3,\)$"),
+    (np.ones((3, 1)), 2.0, r"^u_bar has shape \(3, 1\), expected \(3,\)$"),
+    ([1.0, np.nan, 1.0], 2.0, "^u_bar contains non-finite entries$"),
+    ([1.0, 1.0, np.inf], 2.0, "^u_bar contains non-finite entries$"),
+    (np.ones(3), True, "^lam must be a number, got True$"),
+    (np.ones(3), "2", "^lam must be a number, got '2'$"),
+    (np.ones(3), np.nan, "^multiplier lam must be positive and finite$"),
+])
+def test_rescale_solution_rejects_malformed_input(u_bar, lam, match):
+    # each used to return an array: numpy read "1" and True as 1.0 and
+    # broadcast any length
+    spec = _spec(3)
+    with pytest.raises(ValueError, match=match):
+        rescale_solution(spec, u_bar, lam)
+
+
+def _truncation_problem():
+    g, x0 = yamabe.lattice_ball(1, 6)
+    dist = yamabe.graph_distance(g, x0).astype(np.float64)
+    return g, x0, _spec(g.n, h=1.0 + dist**4)
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("epsilon", True), ("epsilon", "0.5"), ("r_max", 2.5), ("r_max", True), ("r_max", "4"),
+    ("x0", True), ("x0", 1.5),
+])
+def test_truncation_choice_rejects_booleans_strings_and_fractions(arg, value):
+    # epsilon=True used to be taken as 1 and kept in TruncationChoice.epsilon;
+    # r_max=2.5 and epsilon="0.5" raised TypeError
+    g, x0, spec = _truncation_problem()
+    args = dict(x0=x0, epsilon=0.5, r_max=None)
+    args[arg] = value
+    with pytest.raises(ValueError, match=f"^{arg} must be"):
+        choose_truncation_radius(g, spec, **args)
+
+
+def test_truncation_choice_takes_integral_floats_and_numpy_numbers():
+    g, x0, spec = _truncation_problem()
+    want = choose_truncation_radius(g, spec, x0, 0.5, r_max=6)
+    got = choose_truncation_radius(g, spec, np.int64(x0), np.float32(0.5), r_max=6.0)
+    assert got == want and type(got.epsilon) is float

@@ -375,6 +375,8 @@ def test_exhaustion_rejects_bad_radii():
         exhaustion_study(family, problem, (8, 2))
     with pytest.raises(ValueError):
         exhaustion_study(family, problem, (2, 4), universe_radius=3)
+    with pytest.raises(ValueError, match="radii must be nonnegative"):
+        exhaustion_study(family, problem, (-1, 4))
 
 
 @pytest.mark.parametrize(

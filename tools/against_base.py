@@ -11,8 +11,9 @@ importing its own ``src``, the script
   solves, and of the six lattice-large solves on the Z^2 ball of radius 60
   (p = 4, alpha in {2.5, 3, 3.5}, h = 1 + dist^2 or 1 + dist^4), so that a
   change that moves one grid iterate shows;
-* runs the ``yamabe`` CLI 14 times (``RUNS``) on the README's config (a
-  d = 1 lattice), a Z^2 ball of radius 40, a binary tree of depth 8, a
+* runs the ``yamabe`` CLI 16 times (``RUNS``) on the README's config (a
+  d = 1 lattice), a Z^2 ball of radius 40 (also with theta = 2.5, the
+  only runs where theta g is not g), a binary tree of depth 8, a
   binary tree and a Z^3 ball sized by the sweep's radius, an explicit graph
   (built by ``from_edges``) with a self-loop, unequal weights and a
   per-vertex mu, and p = alpha on a cycle of 20 (h = 1) and on a path of 30
@@ -22,10 +23,12 @@ importing its own ``src``, the script
 
 It prints a Markdown summary on stdout: whether the two digests are
 identical, whether the CLI outputs are byte-identical (else which files
-differ), and, for each sweep.csv that differs, the largest relative
-difference of its gamma, lambda and tail_bound columns (rounding drift is
-about 1e-16). The verdicts are reported, not gated: the script exits 0
-whatever it finds, since a performance change may move rounding on purpose.
+differ), and, for each CSV file and report.json that differs, the largest
+relative difference in each numeric column (a JSON file's top-level
+numbers) that differs (rounding drift is about 1e-16, but a residual, a
+near-cancellation of O(1) terms, moves far more relative to itself). The
+verdicts are reported, not gated: the script exits 0 whatever it finds,
+since a performance change may move rounding on purpose.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ from pathlib import Path
 HEAD = Path(__file__).resolve().parent.parent
 
 PROBLEM = {"p": 4, "alpha": 3, "delta": 0.4, "theta": 1, "h": "1 + dist^4", "g": 1}
+Z2_R40 = {"family": "lattice_zd_ball", "params": {"d": 2, "radius": 40}}
 GRAPHS = {
-    "z2_r40": {"family": "lattice_zd_ball", "params": {"d": 2, "radius": 40}},
+    "z2_r40": Z2_R40,
     "tree_b2_d8": {"family": "tree_ball", "params": {"branching": 2, "depth": 8}},
     "tree_b2": {"family": "tree_ball", "params": {"branching": 2}},
     "z3": {"family": "lattice_zd_ball", "params": {"d": 3}},
@@ -53,8 +57,11 @@ GRAPHS = {
         "mu": [1.0, 2.0, 0.5, 1.5, 1.0, 2.5],
     }},
 }
-# p = alpha, where the descent's curvature runs grad_power at exponent p - 2
-FLAT = {
+# configs with their own problem: theta = 2.5, so that K and the multiplier
+# depend on theta, and p = alpha, where the descent's curvature runs
+# grad_power at exponent p - 2
+OWN_PROBLEM = {
+    "z2_r40_theta": (Z2_R40, PROBLEM | {"theta": 2.5}),
     "cycle_flat": ({"family": "cycle", "params": {"n": 20}},
                    {"p": 4, "alpha": 4, "delta": 0.4, "theta": 1, "h": 1, "g": 1}),
     "path_flat": ({"family": "path", "params": {"n": 30}},
@@ -67,6 +74,8 @@ RUNS = (
     ("readme", "verify --trials 1000"),
     ("z2_r40", "solve"),
     ("z2_r40", "sweep --radii 4,8,16,32"),
+    ("z2_r40_theta", "solve"),
+    ("z2_r40_theta", "sweep --radii 4,8,16,32"),
     ("tree_b2_d8", "solve"),
     ("tree_b2_d8", "sweep --radii 4,6,8"),
     ("tree_b2", "sweep --radii 4,6,8"),
@@ -114,7 +123,7 @@ def digest() -> None:
 def write_configs(work: Path) -> None:
     block = re.search(r"```json\n(.*?)```", (HEAD / "README.md").read_text(), re.DOTALL).group(1)
     (work / "readme.json").write_text(block)
-    configs = {name: (graph, PROBLEM) for name, graph in GRAPHS.items()} | FLAT
+    configs = {name: (graph, PROBLEM) for name, graph in GRAPHS.items()} | OWN_PROBLEM
     for name, (graph, problem) in configs.items():
         config = {"graph": graph, "problem": problem, "solver": {"grad_tol": 1e-8, "seed": 0}}
         (work / f"{name}.json").write_text(json.dumps(config))
@@ -147,26 +156,41 @@ def files(root: Path) -> dict[str, bytes]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def sweep_drift(base: dict[str, bytes], head: dict[str, bytes]) -> list[str]:
-    """The largest relative difference of gamma, lambda and tail_bound in
-    each sweep.csv that differs but has the same radii and converged flags."""
+def columns(name: str, data: bytes) -> dict[str, list[str]] | None:
+    """A CSV file's columns, or a JSON file's top-level scalars as columns of
+    one entry; None for other files."""
+    text = data.decode()
+    if name.endswith(".csv"):
+        header, *rows = csv.reader(text.splitlines())
+        return {col: [row[i] for row in rows] for i, col in enumerate(header)}
+    if name.endswith(".json"):
+        return {key: [str(value)] for key, value in json.loads(text).items()
+                if not isinstance(value, (dict, list))}
+    return None
+
+
+def drift(base: dict[str, bytes], head: dict[str, bytes]) -> list[str]:
+    """For each CSV or JSON file that differs, the columns that differ: a
+    numeric one with its largest relative difference, any other by name."""
     lines = []
     for name in sorted(head):
-        if not name.endswith("sweep/sweep.csv") or name not in base or base[name] == head[name]:
+        if name not in base or base[name] == head[name]:
             continue
-        rows = [list(csv.reader(side[name].decode().splitlines())) for side in (base, head)]
-        same_shape = len(rows[0]) == len(rows[1]) and all(
-            b[0] == h[0] and b[4] == h[4] for b, h in zip(rows[0][1:], rows[1][1:])
-        )
-        config = name.split("/")[0]
-        if not same_shape:
-            lines.append(f"- {config} sweep.csv: radii or converged flags differ")
+        old, new = columns(name, base[name]), columns(name, head[name])
+        if old is None:
             continue
-        worst = max(
-            abs(float(h[k]) - float(b[k])) / max(abs(float(b[k])), 1e-300)
-            for b, h in zip(rows[0][1:], rows[1][1:]) for k in (1, 2, 3)
-        )
-        lines.append(f"- {config} sweep.csv: largest relative difference {worst:.2e}")
+        if old.keys() != new.keys() or any(len(old[key]) != len(new[key]) for key in old):
+            lines.append(f"- {name}: columns or rows differ")
+            continue
+        parts = []
+        for key in (key for key in old if old[key] != new[key]):
+            try:
+                worst = max(abs(float(h) - float(b)) / max(abs(float(b)), 1e-300)
+                            for b, h in zip(old[key], new[key]))
+                parts.append(f"{key} {worst:.2e}")
+            except ValueError:
+                parts.append(f"{key} (not numeric)")
+        lines.append(f"- {name}: largest relative difference in " + ", ".join(parts))
     return lines
 
 
@@ -196,10 +220,10 @@ def main(argv: list[str]) -> int:
         print(f"{solves} vs base {rev}: {'differs' if ran else 'did not run'}")
         for side in ("head", "base"):
             print("\n".join(f"- {side}: {line}" for line in digests[side].splitlines()))
-    what = (f"yamabe CLI, {len(RUNS)} runs: solve and sweep on the README, Z^2 R=40, tree and "
-            "p = alpha cycle configs, sweep on radius-sized tree and Z^3 configs, solve and "
-            "verify on an explicit graph with a self-loop (and verify on the README's), "
-            "solve on a p = alpha path")
+    what = (f"yamabe CLI, {len(RUNS)} runs: solve and sweep on the README, Z^2 R=40 (theta 1 "
+            "and 2.5), tree and p = alpha cycle configs, sweep on radius-sized tree and Z^3 "
+            "configs, solve and verify on an explicit graph with a self-loop (and verify on the "
+            "README's), solve on a p = alpha path")
     base, head = outputs["base"], outputs["head"]
     differ = sorted(name for name in set(base) | set(head) if base.get(name) != head.get(name))
     if not differ:
@@ -209,7 +233,7 @@ def main(argv: list[str]) -> int:
         for name in differ:
             only = "" if name in base and name in head else "head" if name in head else "base"
             print(f"- {name}" + (f" (only in {only})" if only else ""))
-        for line in sweep_drift(base, head):
+        for line in drift(base, head):
             print(line)
     return 0
 
