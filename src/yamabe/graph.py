@@ -38,13 +38,17 @@ as the radius grows; a tree has one cell per level, which its search pays
 as one hop level each. On a 2-core Xeon (numpy 2.4) the radius-128
 Z^2 quotient takes about 7 ms against about 19 ms for the ball and its
 anchor's distances, and the depth-128 binary-tree quotient about 2 ms.
+A lattice or tree ball with a scalar mu builds its own quotient, and the
+map from its vertices to their cells (one sort of the points' orbit keys),
+only when a solve first asks (:func:`_orbit_quotient`): for the Z^2 ball
+of radius 120 that ask takes about 10 ms, 7 of them the quotient, against
+about 27 ms for the ball itself, and the ball is built no slower.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +86,17 @@ class WeightedGraph:
     Only a raw graph with an empty slot pays a search, from vertex 0, and
     keeps it.
 
+    ``_orbits`` is one slot, ``(anchor, orbits)``, filled only by
+    :func:`lattice_ball` and :func:`tree_ball` given a scalar ``mu``: their
+    symmetries that fix the anchor (the signed coordinate permutations, the
+    permutations of each vertex's subtrees) preserve the graph and mu. Until
+    :func:`_orbit_quotient` first asks, ``orbits`` is a function that builds
+    them, so a generator pays nothing for the slot; the first ask replaces
+    it with ``(cell, first, quotient)``: each vertex's cell, numbered as
+    :func:`lattice_quotient` or :func:`tree_quotient` numbers them, each
+    cell's lowest vertex, and that builder's quotient graph. Every other
+    graph keeps None.
+
     Use :meth:`from_edges` or the generators below; the raw constructor
     checks only the pairing's rules.
     """
@@ -92,6 +107,7 @@ class WeightedGraph:
     mu: np.ndarray
     pairing: tuple = field(init=False, repr=False, compare=False)
     _distance: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _orbits: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairing = csr_pairing(self.indptr, self.indices, self.weights)
@@ -330,8 +346,8 @@ def graph_distance(g: WeightedGraph, x0: int) -> np.ndarray:
     concurrent reader never pairs one source with another source's array,
     and a race between two sources costs at most a repeated search.
     """
-    # a float source raises TypeError whether or not the slot holds its value
-    x0 = operator.index(x0)
+    # a boolean, a string or a fraction raises ValueError whether or not the slot holds its value
+    x0 = _integer(x0, "x0")
     if not 0 <= x0 < g.n:
         raise ValueError(f"vertex {x0} out of range")
     # a built graph is connected, so every entry is >= 0 (a raw one marks unreachable -1)
@@ -354,6 +370,24 @@ def _slot_distance(g: WeightedGraph, x0: int) -> np.ndarray:
 def _fill_slot(g: WeightedGraph, x0: int, dist: np.ndarray) -> None:
     dist.setflags(write=False)
     object.__setattr__(g, "_distance", (x0, dist))
+
+
+def _orbit_quotient(g: WeightedGraph, x0: int):
+    """``(cell, first, quotient)`` of the graph's orbits around ``x0`` (see
+    :class:`WeightedGraph`), built on the first ask and kept, or None when
+    the graph keeps no orbits around ``x0``. Like the distance slot, it is
+    read once and written as one tuple, so a race costs at most a repeated
+    build."""
+    kept = g._orbits
+    if kept is None or kept[0] != x0:
+        return None
+    anchor, orbits = kept
+    if callable(orbits):
+        orbits = orbits()
+        for a in orbits[:2]:
+            a.setflags(write=False)
+        object.__setattr__(g, "_orbits", (anchor, orbits))
+    return orbits
 
 
 def _assemble(degree, cols, weights, mu, anchor: int, dist=None) -> WeightedGraph:
@@ -397,8 +431,10 @@ def truncate_ball(
 
     The ball's distances from the anchor are cut from the parent's, with no
     search: every kept vertex has a shortest path to x0, and that path stays
-    inside the ball, so the ball is connected too.
+    inside the ball, so the ball is connected too. ``x0`` and ``radius``
+    must be integers: a boolean, a string or a fraction raises ValueError.
     """
+    x0, radius = _integer(x0, "x0"), _integer(radius, "radius")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     dist = graph_distance(g, x0)
@@ -465,27 +501,39 @@ def _quotient_graph(nbr, weight, mu, anchor=0, count=1, size=1) -> tuple[Weighte
     return _assemble(np.count_nonzero(valid, axis=1), nbr[valid], pairs * w, mass, anchor), anchor, cell_size
 
 
+def _keep_orbits(g: WeightedGraph, anchor: int, mu, build) -> tuple[WeightedGraph, int]:
+    """``(g, anchor)``, with ``build`` kept in the orbit slot when ``mu`` is one number."""
+    if np.ndim(mu) == 0:
+        object.__setattr__(g, "_orbits", (anchor, build))
+    return g, anchor
+
+
 def path_graph(n: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]:
     """Path on n vertices; anchor vertex is 0 (left end)."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = np.arange(operator.index(n))
+    x = np.arange(n)
     return _quotient_graph(np.column_stack((x - 1, x + 1)), weight, mu)[:2]
 
 
 def cycle_graph(n: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]:
     """Cycle on n >= 3 vertices; anchor vertex is 0."""
+    n = _integer(n, "n")
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    x = np.arange(operator.index(n))
+    x = np.arange(n)
     return _quotient_graph(np.sort(np.column_stack(((x - 1) % n, (x + 1) % n)), axis=1), weight, mu)[:2]
 
 
-def _check_lattice(d: int, radius: int) -> None:
+def _check_lattice(d, radius) -> tuple[int, int]:
+    """``(d, radius)`` as ints, d >= 1 and radius >= 0; else ValueError naming the param."""
+    d, radius = _integer(d, "d"), _integer(radius, "radius")
     if d < 1:
         raise ValueError("d must be >= 1")
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    return d, radius
 
 
 def lattice_ball(d: int, radius: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]:
@@ -494,13 +542,14 @@ def lattice_ball(d: int, radius: int, weight: float = 1.0, mu=1.0) -> tuple[Weig
     Vertices are the lattice points with l1 norm <= radius (hop distance on
     Z^d equals the l1 distance), numbered in lexicographic order of their
     coordinates; edges join nearest neighbors inside the ball. Anchor vertex
-    is the origin.
+    is the origin. With a scalar ``mu`` the graph keeps its orbits under the
+    signed permutations of the coordinates (see :class:`WeightedGraph`).
     """
-    _check_lattice(d, radius)
+    d, radius = _check_lattice(d, radius)
 
     # append one coordinate z at a time, |z| <= remaining l1 budget, ascending, so the
     # row-major keys in the box [-radius, radius]^d stay sorted (Python ints past int64)
-    width = 2 * int(radius) + 1
+    width = 2 * radius + 1
     keys = np.zeros(1, dtype=np.int64 if width ** (d + 1) < 2**63 else object)
     budget = np.array([radius])
     for _ in range(d):
@@ -515,7 +564,28 @@ def lattice_ball(d: int, radius: int, weight: float = 1.0, mu=1.0) -> tuple[Weig
     nbr = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
     nbr[keys[nbr] != target] = -1
     # negation maps the ball to itself reversing the order: the origin is the middle
-    return _quotient_graph(nbr, weight, mu, len(keys) // 2)[:2]
+    g, anchor = _quotient_graph(nbr, weight, mu, len(keys) // 2)[:2]
+    return _keep_orbits(
+        g, anchor, mu, lambda: (*_lattice_cells(d, radius, keys), lattice_quotient(d, radius, weight, mu)[0])
+    )
+
+
+def _lattice_cells(d: int, radius: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each :func:`lattice_ball` point's cell in :func:`lattice_quotient`'s
+    numbering, and each cell's lowest point, from the points' keys.
+
+    A point's orbit is its sorted absolute coordinates; their base-(radius + 2)
+    keys ascend with the cells' lexicographic order, and every cell holds a
+    point, so a cell's number is its key's rank among the points' keys.
+    """
+    width, base = 2 * radius + 1, radius + 2
+    coords = np.column_stack([keys // width**axis % width - radius for axis in range(d)])
+    a = np.sort(np.abs(coords), axis=1)
+    orbit = a[:, 0]
+    for k in range(1, d):
+        orbit = orbit * base + a[:, k]
+    _, first, cell = np.unique(orbit, return_index=True, return_inverse=True)
+    return cell.astype(np.int64), first
 
 
 def lattice_quotient(
@@ -531,11 +601,11 @@ def lattice_quotient(
     ``(graph, 0, cell_size)``: see :func:`_quotient_graph` for its measure
     and weights.
     """
-    _check_lattice(d, radius)
+    d, radius = _check_lattice(d, radius)
     # nondecreasing tuples, one coordinate at a time: with m coordinates left, the next
     # is at least the last and leaves room for the m - 1 after it: next * m <= budget;
     # their base-(radius + 2) keys ascend with them (Python ints past int64)
-    base = int(radius) + 2
+    base = radius + 2
     dtype = np.int64 if base ** (d + 1) < 2**63 else object
     cells, keys = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=dtype)
     last, budget = np.zeros(1, dtype=np.int64), np.array([radius], dtype=np.int64)
@@ -576,22 +646,32 @@ def lattice_quotient(
     return _quotient_graph(nbr, weight, mu, count=count, size=size)
 
 
-def _check_tree(branching: int, depth: int) -> None:
+def _check_tree(branching, depth) -> tuple[int, int]:
+    """``(branching, depth)`` as ints, branching >= 2 and depth >= 0; else ValueError naming the param."""
+    branching, depth = _integer(branching, "branching"), _integer(depth, "depth")
     if branching < 2:
         raise ValueError("branching must be >= 2")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    return branching, depth
 
 
 def tree_ball(branching: int, depth: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]:
-    """Rooted tree with fixed branching, truncated at ``depth``; anchor is the root."""
-    _check_tree(branching, depth)
-    n = sum(branching**k for k in range(depth + 1))
+    """Rooted tree with fixed branching, truncated at ``depth``; anchor is the
+    root. With a scalar ``mu`` the graph keeps its orbits, its levels (see
+    :class:`WeightedGraph`)."""
+    branching, depth = _check_tree(branching, depth)
+    level = [branching**k for k in range(depth + 1)]
     # vertices are numbered level by level: v has parent (v - 1) // branching (-1 for
     # the root) and children branching * v + 1 .. branching * v + branching (< n)
-    v = np.arange(n)
+    v = np.arange(sum(level))
     children = branching * v[:, None] + np.arange(1, branching + 1)
-    return _quotient_graph(np.column_stack(((v - 1) // branching, children)), weight, mu)[:2]
+    g, anchor = _quotient_graph(np.column_stack(((v - 1) // branching, children)), weight, mu)[:2]
+    return _keep_orbits(g, anchor, mu, lambda: (
+        np.repeat(np.arange(depth + 1), level),
+        np.cumsum([0] + level[:-1]),
+        tree_quotient(branching, depth, weight, mu)[0],
+    ))
 
 
 def tree_quotient(
@@ -603,7 +683,7 @@ def tree_quotient(
     children, so M_k = branching^k mu and E_{k,k+1} = branching^(k+1) weight
     (mu: one number, or one per level). Returns ``(graph, 0, cell_size)``.
     """
-    _check_tree(branching, depth)
+    branching, depth = _check_tree(branching, depth)
     k = np.arange(depth + 1)
     big = branching ** (depth + 1) >= 2**63
     size = np.array([branching**j for j in range(depth + 1)], dtype=object if big else np.int64)

@@ -40,14 +40,17 @@ Every iterate is read-only from the moment it is made
 (``_Evaluator.renormalize``), so the kernels gather its edge differences
 once: the trial's energy does it, and the gradient and the curvature at an
 accepted trial reuse them (see ``_kernels``).  ``minimize_constrained``
-returns a writable copy of the last one, so ``SolveResult``'s arrays are
-writable.
+returns a writable copy of the last one.  ``solve`` freezes the rescaled
+u too, so ``residual_report``'s two kernels share one gather of it, and
+returns a writable copy of it, so ``SolveResult``'s arrays are writable.
+A radial problem on a lattice or tree ball runs its descent on the ball's
+orbit quotient (see ``solve``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -71,6 +74,7 @@ from .graph import (
     _finite_vector,
     _integer,
     _number,
+    _orbit_quotient,
     as_vertex_function,
     graph_distance,
     truncate_ball,
@@ -296,6 +300,12 @@ class _Evaluator:
         cancels there, and it slows convergence on most instances.
 
         At p = 2 both powers are 1 (0**0 is 1); 2 < alpha <= p rules p = 2 out.
+
+        The floor is 1e-12 max(max(diag / mu), 1) mu: a fraction of the largest
+        curvature density, in the measure's units.  So on an orbit quotient,
+        whose cell of size s has s times its vertices' measure and diagonal,
+        the floor scales with the cell, and the direction -mu r / diag is the
+        one the full graph takes at each of the cell's vertices.
         """
         g, spec, p = self.g, self.spec, self.spec.p
         edge = 2.0 * g.mu * grad_power_kernel(
@@ -308,7 +318,8 @@ class _Evaluator:
             diag = p * (p - 1.0) * np.maximum(lagrangian, _LAGRANGIAN_FLOOR * j_diag)
         else:
             diag = p * (p - 1.0) * j_diag
-        floor = 1e-12 * max(float(diag.max()), 1.0)
+        # a density floor; where mu is 1 it is 1e-12 max(diag.max(), 1), bit for bit
+        floor = 1e-12 * max(float((diag / g.mu).max()), 1.0) * g.mu
         return np.maximum(diag, floor)
 
 
@@ -474,22 +485,58 @@ def rescale_solution(spec: ProblemSpec, u_bar: np.ndarray, lam: float):
     return kappa * u_bar, 1.0
 
 
+def _orbit_problem(g: WeightedGraph, spec: ProblemSpec, opts: SolveOptions):
+    """``(quotient, its spec, cell)`` when the descent may run on g's orbit
+    quotient: g keeps orbits around opts.x0 (a lattice or tree ball with a
+    scalar mu, started at its anchor), opts.u0 is None, and h and g are each
+    exactly equal on every cell.  Else None."""
+    if opts.u0 is not None:
+        return None
+    orbits = _orbit_quotient(g, opts.x0)
+    if orbits is None:
+        return None
+    cell, first, quotient = orbits
+    if not all(np.array_equal(f[first][cell], f) for f in (spec.h, spec.g)):
+        return None
+    return quotient, spec.restrict(first), cell
+
+
 def solve(
     g: WeightedGraph, spec: ProblemSpec, opts: SolveOptions | None = None
 ) -> SolveResult:
     """Full pipeline: check hypotheses, minimize, extract and absorb the
-    multiplier, and certify the rescaled function as a positive solution."""
+    multiplier, and certify the rescaled function as a positive solution.
+
+    On a :func:`~yamabe.graph.lattice_ball` or :func:`~yamabe.graph.tree_ball`
+    with a scalar mu, started from the bump at its anchor (opts.u0 None and
+    opts.x0 the anchor), with h and g constant on each orbit of the
+    symmetries that fix the anchor, the descent runs on the orbit quotient:
+    the solution is unique for alpha < p and the first eigenfunction for
+    p = alpha, so those symmetries fix it and it is constant on each orbit,
+    where the quotient's p-Laplacian is the graph's.  Its u_bar is lifted to
+    the graph with one gather; the hypotheses, the multiplier, the rescaling,
+    the residual and the positivity certificate are all taken on the full
+    graph.  Any other input is solved on the graph itself.
+    """
     from .verify import hypotheses_check, positivity_certificate, residual_report
 
     if opts is None:
         opts = SolveOptions()
     hyp = hypotheses_check(g, spec)
-    u_bar, gamma, trace = minimize_constrained(g, spec, opts)
+    orbits = _orbit_problem(g, spec, opts)
+    if orbits is None:
+        u_bar, gamma, trace = minimize_constrained(g, spec, opts)
+    else:
+        quotient, spec_q, cell = orbits
+        u_cells, gamma, trace = minimize_constrained(quotient, spec_q, replace(opts, x0=0))
+        u_bar = u_cells[cell]
     # gamma and trace.k_value are the bits of J(u_bar) and K(u_bar)
     lam = _multiplier(spec, gamma, trace.k_value)
     u, eigen_factor = rescale_solution(spec, u_bar, lam)
+    u.flags.writeable = False  # u owns its data: the report's two kernels share its gather
     report = residual_report(g, spec, u, eigen_factor=eigen_factor)
     cert = positivity_certificate(g, u)
+    u = u.copy()
     converged = (
         trace.converged
         and cert.passed
@@ -551,8 +598,13 @@ def k_tail_bound(
     what makes truncation converge. On a quotient, ``cell_size`` holds each
     cell's vertex count: the p = alpha branch bounds sup |u| by min(h mu)
     over vertices, so it takes each vertex's measure, g.mu / cell_size,
-    not its cell's.
+    not its cell's.  tail_value and gamma_est must be nonnegative numbers:
+    a boolean, a string, NaN or a negative value raises ValueError naming it.
     """
+    tail_value, gamma_est = _number(tail_value, "tail_value"), _number(gamma_est, "gamma_est")
+    for name, value in (("tail_value", tail_value), ("gamma_est", gamma_est)):
+        if not value >= 0.0:
+            raise ValueError(f"{name} must be nonnegative, got {value!r}")
     p, alpha, delta, theta = spec.p, spec.alpha, spec.delta, spec.theta
     g_max = float(np.max(spec.g))
     min_h = float(np.min(spec.h))

@@ -14,7 +14,7 @@ from ._kernels import grad_power_kernel
 from .errors import ConsistencyError, HypothesisError
 from .families import GraphFamily
 from .functionals import ProblemSpec, _check_spec, energy_J
-from .graph import WeightedGraph, _integer, as_vertex_function, integrate
+from .graph import WeightedGraph, _integer, _number, as_vertex_function, integrate
 from .operators import p_laplacian
 from .solver import (
     SolveOptions,
@@ -117,8 +117,13 @@ def residual_report(
     + h |u|^{p-1} + eigen_factor g u_+^{alpha-1}), which lies in [0, 1] up
     to rounding and is 0 where every term vanishes.  Unlike |r|, it does
     not shrink with u, so a wrong tail shows up as rel near 1.
+    eigen_factor must be a positive finite number: a boolean, a string, NaN
+    or anything else raises ValueError naming it.
     """
     _check_spec(g, spec)
+    eigen_factor = _number(eigen_factor, "eigen_factor")
+    if not (eigen_factor > 0.0 and np.isfinite(eigen_factor)):
+        raise ValueError(f"eigen_factor must be positive and finite, got {eigen_factor!r}")
     u = as_vertex_function(g, u)
     plus = np.maximum(u, 0.0)
     u_pow = np.abs(u) ** (spec.p - 1.0)

@@ -367,9 +367,12 @@ def test_graph_distance_is_read_only():
     with pytest.raises(ValueError):
         dist[0] = 5
     np.testing.assert_array_equal(graph_distance(g, x0), reference_distance(g, x0))
-    # the slot holds x0, but a float source is still not a vertex id
-    with pytest.raises(TypeError):
-        graph_distance(g, float(x0))
+    # the slot holds x0, but a fraction or a boolean is still not a vertex id;
+    # an integral float is one, as everywhere else a vertex id is read
+    for bad in (x0 + 0.5, True, "12"):
+        with pytest.raises(ValueError, match=r"^x0 must be an integer, got "):
+            graph_distance(g, bad)
+    assert graph_distance(g, float(x0)) is graph_distance(g, x0)
 
 
 @pytest.mark.parametrize(

@@ -316,9 +316,10 @@ def test_frozen_array_on_two_graphs_with_equal_edge_counts():
 
 def test_solve_gathers_each_iterate_once(monkeypatch):
     # energy, gradient and curvature at an iterate share its one gather: one
-    # for the start, one per line-search trial and two for residual_report on
-    # u; the multiplier takes the descent's J and K and runs no kernel. The
-    # kernel calls are those of one gather per call (43 on this instance)
+    # for the start, one per line-search trial and one for residual_report on
+    # u, which solve freezes so that its two kernels share it; the multiplier
+    # takes the descent's J and K and runs no kernel. The kernel calls are
+    # those of one gather per call (43 on this instance)
     g, x0 = yamabe.path_graph(20)
     dist = yamabe.graph_distance(g, x0).astype(np.float64)
     spec = yamabe.ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=1.0 + dist**2, g=np.ones(g.n))
@@ -326,9 +327,9 @@ def test_solve_gathers_each_iterate_once(monkeypatch):
     res = yamabe.solve(g, spec, yamabe.SolveOptions(x0=x0))
     gathers = counts.pop("_gather")
     assert counts == {"edge_energy_kernel": 14, "p_laplacian_kernel": 15, "grad_power_kernel": 14}
-    assert gathers <= res.trace.trials + 3 < sum(counts.values())
-    # the iterates are frozen, what solve returns is not
-    assert all(arr.flags.writeable for arr in (res.u_bar, res.u, res.residual))
+    assert gathers <= res.trace.trials + 2 < sum(counts.values())
+    # the iterates and u are frozen, what solve returns is not: copies that own their data
+    assert all(arr.flags.writeable and arr.flags.owndata for arr in (res.u_bar, res.u, res.residual))
 
 
 def test_energy_J_is_one_kernel_pass(monkeypatch):

@@ -262,7 +262,8 @@ def curvature_reference(g, spec, u, lam):
         diag = p * (p - 1.0) * np.maximum(lagrangian, _LAGRANGIAN_FLOOR * j_diag)
     else:
         diag = p * (p - 1.0) * j_diag
-    return np.maximum(diag, 1e-12 * max(float(diag.max()), 1.0))
+    # the floor is a fraction of the largest curvature density, diag / mu
+    return np.maximum(diag, 1e-12 * max(float((diag / g.mu).max()), 1.0) * g.mu)
 
 
 @pytest.mark.parametrize("p", [2.2, 2.5, 3.0, 4.0, 6.0])

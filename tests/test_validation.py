@@ -29,7 +29,7 @@ from yamabe import (
     rescale_solution,
     solve,
 )
-from yamabe.graph import _bfs, as_vertex_function
+from yamabe.graph import _bfs, as_vertex_function, lattice_quotient, tree_quotient
 
 
 def _spec(n, **kwargs):
@@ -236,3 +236,84 @@ def test_truncation_choice_takes_integral_floats_and_numpy_numbers():
     want = choose_truncation_radius(g, spec, x0, 0.5, r_max=6)
     got = choose_truncation_radius(g, spec, np.int64(x0), np.float32(0.5), r_max=6.0)
     assert got == want and type(got.epsilon) is float
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: yamabe.lattice_ball(2, True), "^radius must be an integer, got True$"),
+    (lambda: yamabe.lattice_ball(2, 2.5), "^radius must be an integer, got 2.5$"),
+    (lambda: yamabe.lattice_ball(2.5, 3), "^d must be an integer, got 2.5$"),
+    (lambda: yamabe.lattice_ball("2", 3), "^d must be an integer, got '2'$"),
+    (lambda: yamabe.tree_ball(2, 2.5), "^depth must be an integer, got 2.5$"),
+    (lambda: yamabe.tree_ball(True, 3), "^branching must be an integer, got True$"),
+    (lambda: yamabe.path_graph(2.5), "^n must be an integer, got 2.5$"),
+    (lambda: yamabe.cycle_graph(True), "^n must be an integer, got True$"),
+    (lambda: lattice_quotient(2, 2.5), "^radius must be an integer, got 2.5$"),
+    (lambda: lattice_quotient(False, 2), "^d must be an integer, got False$"),
+    (lambda: tree_quotient(2.5, 2), "^branching must be an integer, got 2.5$"),
+    (lambda: tree_quotient(2, "3"), "^depth must be an integer, got '3'$"),
+])
+def test_generators_reject_booleans_strings_and_fractions(build, match):
+    # lattice_ball(2, True) built radius 1; 2.5 raised numpy's TypeError, and
+    # lattice_quotient(2, 2.5) a CSR slot without its mirror
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("build, sizes", [
+    (yamabe.lattice_ball, (2, 3)),
+    (yamabe.tree_ball, (3, 2)),
+    (lattice_quotient, (3, 2)),
+    (tree_quotient, (2, 4)),
+])
+def test_generators_take_integral_floats_and_numpy_integers(build, sizes):
+    want = build(*sizes)[0]
+    got = build(float(sizes[0]), np.int64(sizes[1]))[0]
+    for name in ("indptr", "indices", "weights", "mu"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert yamabe.path_graph(np.int32(4))[0].n == yamabe.cycle_graph(4.0)[0].n == 4
+
+
+@pytest.mark.parametrize("tail_value, gamma_est, match", [
+    (-1.0, 1.0, r"^tail_value must be nonnegative, got -1.0$"),
+    (np.nan, 1.0, r"^tail_value must be nonnegative, got nan$"),
+    (True, 1.0, r"^tail_value must be a number, got True$"),
+    ("0.5", 1.0, r"^tail_value must be a number, got '0.5'$"),
+    (0.5, -2.0, r"^gamma_est must be nonnegative, got -2.0$"),
+    (0.5, False, r"^gamma_est must be a number, got False$"),
+])
+def test_k_tail_bound_rejects_bad_scalars(tail_value, gamma_est, match):
+    # a negative tail gave the complex number (1.54+0.68j), and True was taken as 1
+    g, x0, spec = _truncation_problem()
+    with pytest.raises(ValueError, match=match):
+        yamabe.k_tail_bound(g, spec, tail_value, gamma_est)
+    assert yamabe.k_tail_bound(g, spec, np.float32(0.5), 1) == yamabe.k_tail_bound(g, spec, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("factor, match", [
+    (True, r"^eigen_factor must be a number, got True$"),
+    ("x", r"^eigen_factor must be a number, got 'x'$"),
+    (np.nan, r"^eigen_factor must be positive and finite, got nan$"),
+    (np.inf, r"^eigen_factor must be positive and finite, got inf$"),
+    (0.0, r"^eigen_factor must be positive and finite, got 0.0$"),
+    (-1.0, r"^eigen_factor must be positive and finite, got -1.0$"),
+])
+def test_residual_report_rejects_bad_eigen_factors(factor, match):
+    # True was taken as 1, nan gave a report of nans and "x" a UFuncTypeError
+    g, x0, spec = _truncation_problem()
+    with pytest.raises(ValueError, match=match):
+        yamabe.residual_report(g, spec, np.ones(g.n), eigen_factor=factor)
+
+
+@pytest.mark.parametrize("x0, radius, match", [
+    (0, 2.5, r"^radius must be an integer, got 2.5$"),
+    (0, True, r"^radius must be an integer, got True$"),
+    (True, 2, r"^x0 must be an integer, got True$"),
+    (0.5, 2, r"^x0 must be an integer, got 0.5$"),
+])
+def test_truncate_ball_rejects_booleans_and_fractions(x0, radius, match):
+    # radius 2.5 and True were taken as a cut at 2 and at 1
+    g, _ = yamabe.path_graph(6)
+    with pytest.raises(ValueError, match=match):
+        yamabe.truncate_ball(g, x0, radius)
+    ball, anchor, kept = yamabe.truncate_ball(g, np.int64(1), 2.0)
+    assert (ball.n, anchor) == (4, 1) and kept.tolist() == [0, 1, 2, 3]

@@ -10,7 +10,8 @@ importing its own ``src``, the script
   the iterations and the line-search trials of acceptance 12's 180 grid
   solves, and of the six lattice-large solves on the Z^2 ball of radius 60
   (p = 4, alpha in {2.5, 3, 3.5}, h = 1 + dist^2 or 1 + dist^4), so that a
-  change that moves one grid iterate shows;
+  change that moves one grid iterate shows, and keeps each solve's gamma,
+  lambda, iterations, trials and convergence;
 * runs the ``yamabe`` CLI 16 times (``RUNS``) on the README's config (a
   d = 1 lattice), a Z^2 ball of radius 40 (also with theta = 2.5, the
   only runs where theta g is not g), a binary tree of depth 8, a
@@ -22,10 +23,12 @@ importing its own ``src``, the script
   its exit code.
 
 It prints a Markdown summary on stdout: whether the two digests are
-identical, whether the CLI outputs are byte-identical (else which files
-differ), and, for each CSV file and report.json that differs, the largest
-relative difference in each numeric column (a JSON file's top-level
-numbers) that differs (rounding drift is about 1e-16, but a residual, a
+identical (for a set that differs, the largest relative change in gamma
+and in lambda, and each side's iteration and trial totals and number of
+converged solves), whether the CLI outputs are byte-identical (else which
+files differ), and, for each CSV file and report.json that differs, the
+largest relative difference in each numeric column (a JSON file's
+top-level numbers) that differs (rounding drift is about 1e-16, but a residual, a
 near-cancellation of O(1) terms, moves far more relative to itself). The
 verdicts are reported, not gated: the script exits 0 whatever it finds,
 since a performance change may move rounding on purpose.
@@ -100,6 +103,7 @@ def digest() -> None:
 
     def one(instances):
         sha = hashlib.sha256()
+        solves = {"gamma": [], "lambda": [], "iters": [], "trials": [], "converged": []}
         for (graph, x0), p, alpha, delta, k in instances:
             dist = graph_distance(graph, x0).astype(np.float64)
             h = 1.0 + dist**k if k else np.ones(graph.n)
@@ -108,7 +112,9 @@ def digest() -> None:
             for arr in (res.u_bar, res.u, res.residual):
                 sha.update(arr.tobytes())
             sha.update(np.array([res.gamma, res.lam, res.iters, res.trace.trials]).tobytes())
-        return sha.hexdigest()
+            for key, value in zip(solves, (res.gamma, res.lam, res.iters, res.trace.trials, res.converged)):
+                solves[key].append(value)
+        return {"sha256": sha.hexdigest(), **solves}
 
     grid = [(graph, p, alpha, min(0.4, 0.9 / (p - 2.0)), k)
             for graph in (path_graph(30), lattice_ball(2, 10), tree_ball(2, 6), cycle_graph(20))
@@ -116,8 +122,38 @@ def digest() -> None:
             for alpha in sorted({a for a in (2.25, 2.5, 3.0, 4.0, 6.0, p) if 2.0 < a <= p})
             for k in (0, 2, 4)]
     z2 = lattice_ball(2, 60)
-    print("grid", one(grid))
-    print("z2_r60", one([(z2, 4.0, alpha, 0.25, k) for alpha in (2.5, 3.0, 3.5) for k in (2, 4)]))
+    z2_r60 = [(z2, 4.0, alpha, 0.25, k) for alpha in (2.5, 3.0, 3.5) for k in (2, 4)]
+    print(json.dumps({"grid": one(grid), "z2_r60": one(z2_r60)}))
+
+
+def digest_drift(digests: dict[str, dict]) -> list[str]:
+    """For each digest set that differs: the largest relative change in
+    gamma and lambda from base to head, and each side's iteration and trial
+    totals and its count of converged solves."""
+    lines = []
+    base, head = digests["base"], digests["head"]
+    for name in head:
+        if head[name]["sha256"] == base[name]["sha256"]:
+            continue
+        worst = {key: max(abs(h - b) / abs(b) for b, h in zip(base[name][key], head[name][key]))
+                 for key in ("gamma", "lambda")}
+        lines.append(f"- {name}: largest relative change gamma {worst['gamma']:.2e}, "
+                     f"lambda {worst['lambda']:.2e}")
+        for side, sets in digests.items():
+            solves = sets[name]
+            lines.append(f"- {name} {side}: {sum(solves['iters'])} iterations, "
+                         f"{sum(solves['trials'])} trials, "
+                         f"{sum(solves['converged'])} of {len(solves['converged'])} converged")
+    return lines
+
+
+def read_digest(out: str) -> dict | None:
+    """The digest's sets, or None when it did not run to its end."""
+    try:
+        sets = json.loads(out)
+    except ValueError:
+        return None
+    return sets if isinstance(sets, dict) and sets.keys() == {"grid", "z2_r60"} else None
 
 
 def write_configs(work: Path) -> None:
@@ -213,13 +249,16 @@ def main(argv: list[str]) -> int:
 
     solves = ("u_bar, u, residual, gamma, lambda, iterations and trials of the 180 grid "
               "solves and the six Z^2 R=60 solves")
-    ran = all(re.fullmatch(r"grid [0-9a-f]{64}\nz2_r60 [0-9a-f]{64}\n", out) for out in digests.values())
-    if ran and digests["head"] == digests["base"]:
+    sets = {side: read_digest(out) for side, out in digests.items()}
+    if None in sets.values():
+        print(f"{solves} vs base {rev}: did not run")
+        for side in (side for side in ("head", "base") if sets[side] is None):
+            print("\n".join(f"- {side}: {line}" for line in digests[side].splitlines()))
+    elif sets["head"] == sets["base"]:
         print(f"{solves} vs base {rev}: identical")
     else:
-        print(f"{solves} vs base {rev}: {'differs' if ran else 'did not run'}")
-        for side in ("head", "base"):
-            print("\n".join(f"- {side}: {line}" for line in digests[side].splitlines()))
+        print(f"{solves} vs base {rev}: differs")
+        print("\n".join(digest_drift(sets)))
     what = (f"yamabe CLI, {len(RUNS)} runs: solve and sweep on the README, Z^2 R=40 (theta 1 "
             "and 2.5), tree and p = alpha cycle configs, sweep on radius-sized tree and Z^3 "
             "configs, solve and verify on an explicit graph with a self-loop (and verify on the "
