@@ -317,3 +317,27 @@ def test_truncate_ball_rejects_booleans_and_fractions(x0, radius, match):
         yamabe.truncate_ball(g, x0, radius)
     ball, anchor, kept = yamabe.truncate_ball(g, np.int64(1), 2.0)
     assert (ball.n, anchor) == (4, 1) and kept.tolist() == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("trials, seed, match", [
+    (2.5, 0, r"^trials must be an integer, got 2.5$"),
+    (True, 0, r"^trials must be an integer, got True$"),
+    ("3", 0, r"^trials must be an integer, got '3'$"),
+    (3, 2.5, r"^seed must be an integer, got 2.5$"),
+    (3, "7", r"^seed must be an integer, got '7'$"),
+    (3, True, r"^seed must be an integer, got True$"),
+    (3, -1, r"^seed must be >= 0, got -1$"),
+])
+def test_inequality_suite_rejects_bad_trials_and_seeds(trials, seed, match):
+    # seed=True was written to the report as "seed": true; the fractions and
+    # strings raised numpy's or a TypeError, and -1 numpy's "expected non-negative integer"
+    g, _ = yamabe.path_graph(5)
+    with pytest.raises(ValueError, match=match):
+        yamabe.inequality_suite(g, _spec(g.n), trials, seed)
+
+
+def test_inequality_suite_takes_integral_floats_and_numpy_integers():
+    g, _ = yamabe.path_graph(5)
+    want = yamabe.inequality_suite(g, _spec(g.n), 7, 3)
+    got = yamabe.inequality_suite(g, _spec(g.n), 7.0, np.int64(3))
+    assert got == want and type(got["seed"]) is int and type(got["trials"]) is int

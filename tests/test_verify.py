@@ -1,8 +1,11 @@
 """Hypothesis checks, residual and positivity certificates, inequality suite."""
 
+import json
+
 import numpy as np
 import pytest
 
+import inequality_reference
 from conftest import count_calls
 from yamabe import (
     GraphFamily,
@@ -24,7 +27,8 @@ from yamabe import (
     residual_report,
     solve,
 )
-from yamabe.graph import _bfs, lattice_quotient, tree_ball, tree_quotient
+from yamabe import verify
+from yamabe.graph import _bfs, cycle_graph, lattice_quotient, tree_ball, tree_quotient
 
 
 def spec_on(graph, p=4.0, alpha=3.0, delta=0.4, theta=1.0, h=1.0, g_coef=1.0):
@@ -224,6 +228,59 @@ def test_inequality_suite_rejects_bad_trials():
     g, _ = path_graph(4)
     with pytest.raises(ValueError):
         inequality_suite(g, spec_on(g), trials=0, seed=0)
+
+
+SUITE_GRAPHS = {
+    "path6": lambda: path_graph(6),
+    "cycle20": lambda: cycle_graph(20),
+    "z2_r10": lambda: lattice_ball(2, 10),
+    "tree_b2_d6": lambda: tree_ball(2, 6),
+    # 3,281 vertices: four trials per block, so 1,000 trials run 250 blocks
+    "z2_r40": lambda: lattice_ball(2, 40),
+    "loop_mu": lambda: (WeightedGraph.from_edges(
+        6,
+        [(0, 1, 1.0), (1, 2, 2.5), (2, 2, 0.5), (2, 3, 1.0), (3, 4, 0.75), (4, 5, 3.0), (0, 5, 1.5)],
+        mu=[1.0, 2.0, 0.3, 1.5, 1.1, 2.5],
+    ), 0),
+}
+
+
+@pytest.mark.parametrize("name, p", [
+    ("path6", 4.0), ("cycle20", 2.5), ("z2_r10", 4.0), ("tree_b2_d6", 6.0), ("z2_r40", 4.0), ("loop_mu", 3.0),
+])
+def test_inequality_suite_in_blocks_matches_one_trial_at_a_time(name, p):
+    # the same report, bit for bit, on either side of every block boundary; h
+    # is no integer, so that mu h |u|^p rounds by the order of its products
+    g, x0 = SUITE_GRAPHS[name]()
+    dist = graph_distance(g, x0).astype(np.float64)
+    h = (1.0 + dist**4) * np.exp(0.1 * np.sin(np.arange(g.n)))
+    spec = ProblemSpec(p=p, alpha=min(p, 3.0), delta=min(0.4, 0.9 / (p - 2.0)), h=h, g=np.ones(g.n))
+    rows = verify._BLOCK_VALUES // g.n
+    for trials in sorted({1, 7, 1000, rows - 1, rows, rows + 1} - {0}):
+        for seed in (0, 1, 2026):
+            got = inequality_suite(g, spec, trials, seed)
+            want = inequality_reference.reference_inequality_suite(g, spec, trials, seed)
+            assert got == want, (trials, seed)
+            assert json.dumps(got) == json.dumps(want)
+
+
+def test_ratio_update_counts_each_row_as_one_update():
+    # NaN ratios (inf / inf), rows without a positive rhs and violations,
+    # against one call of the one-trial-at-a-time update per row
+    rng = np.random.default_rng(5)
+    lhs = rng.uniform(0.0, 2.0, (40, 9))
+    rhs = rng.uniform(-0.5, 2.0, (40, 9))
+    lhs[3, 4] = rhs[3, 4] = np.inf
+    lhs[17, 0] = rhs[17, 0] = np.inf
+    rhs[8] = -1.0
+    lhs[30, 2], rhs[30, 2] = np.inf, 1.0
+    want = {"violations": 0, "max_ratio": 0.0}
+    got = dict(want)
+    with np.errstate(invalid="ignore"):
+        for row_l, row_r in zip(lhs, rhs):
+            inequality_reference._ratio_update(want, row_l, row_r)
+        verify._ratio_update(got, lhs, rhs)
+    assert got == want and want["violations"] > 0 and want["max_ratio"] == np.inf
 
 
 def lattice_family():

@@ -12,7 +12,7 @@ importing its own ``src``, the script
   (p = 4, alpha in {2.5, 3, 3.5}, h = 1 + dist^2 or 1 + dist^4), so that a
   change that moves one grid iterate shows, and keeps each solve's gamma,
   lambda, iterations, trials and convergence;
-* runs the ``yamabe`` CLI 16 times (``RUNS``) on the README's config (a
+* runs the ``yamabe`` CLI 18 times (``RUNS``) on the README's config (a
   d = 1 lattice), a Z^2 ball of radius 40 (also with theta = 2.5, the
   only runs where theta g is not g), a binary tree of depth 8, a
   binary tree and a Z^3 ball sized by the sweep's radius, an explicit graph
@@ -20,7 +20,9 @@ importing its own ``src``, the script
   per-vertex mu, and p = alpha on a cycle of 20 (h = 1) and on a path of 30
   (h = 1 + dist^2; only solve, as its sweep exits 1 on the free-boundary
   rise of gamma on small balls), keeping each run's files, its stdout and
-  its exit code.
+  its exit code. Its ``verify`` runs on the README's config, the Z^2 ball
+  and the tree cross the inequality suite's block boundaries (4, 250 and
+  32 blocks of trials).
 
 It prints a Markdown summary on stdout: whether the two digests are
 identical (for a set that differs, the largest relative change in gamma
@@ -77,10 +79,12 @@ RUNS = (
     ("readme", "verify --trials 1000"),
     ("z2_r40", "solve"),
     ("z2_r40", "sweep --radii 4,8,16,32"),
+    ("z2_r40", "verify --trials 1000"),
     ("z2_r40_theta", "solve"),
     ("z2_r40_theta", "sweep --radii 4,8,16,32"),
     ("tree_b2_d8", "solve"),
     ("tree_b2_d8", "sweep --radii 4,6,8"),
+    ("tree_b2_d8", "verify --trials 1000"),
     ("tree_b2", "sweep --radii 4,6,8"),
     ("z3", "sweep --radii 4,8,12"),
     ("explicit_loop", "solve"),
@@ -261,8 +265,8 @@ def main(argv: list[str]) -> int:
         print("\n".join(digest_drift(sets)))
     what = (f"yamabe CLI, {len(RUNS)} runs: solve and sweep on the README, Z^2 R=40 (theta 1 "
             "and 2.5), tree and p = alpha cycle configs, sweep on radius-sized tree and Z^3 "
-            "configs, solve and verify on an explicit graph with a self-loop (and verify on the "
-            "README's), solve on a p = alpha path")
+            "configs, solve and verify on an explicit graph with a self-loop, verify on the "
+            "README, Z^2 R=40 (theta 1) and depth-8 tree configs, solve on a p = alpha path")
     base, head = outputs["base"], outputs["head"]
     differ = sorted(name for name in set(base) | set(head) if base.get(name) != head.get(name))
     if not differ:
