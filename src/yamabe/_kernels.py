@@ -52,10 +52,11 @@ in ``grad_power`` at exponent 0 (the curvature at p = 2), where
 |0|^0 = 1 would count the loop's weight: with weight 0.0 that diagonal
 is J's exact Hessian.
 
-The per-edge work runs in place in the calling thread's scratch: one
-(2, m) float64 array and two of m (d and |d|), kept while m stays the same
-(:func:`_edge_arrays`), 16 bytes per slot of the last graph the thread ran
-a kernel on. Fresh temporaries on every call made solve time depend on the
+The per-edge work runs in place in the calling thread's scratch: a
+(2, m) float64 array and two of m (d and |d|), views of one buffer that
+only grows (:func:`_edge_arrays`), 16 bytes per slot of the largest graph
+the thread has run a kernel on, so a solve's orbit quotient and its full
+graph share it. Fresh temporaries on every call made solve time depend on the
 allocator's history: glibc gives freed heap back to the system above a
 trim threshold that only grows when a large block is freed, so once a
 descent's edge-sized temporaries outgrow it, every kernel call faults
@@ -86,7 +87,8 @@ def _gather(f, bins, flat, hi, lo, d, size):
 
 def _edge_arrays(f, bins, m):
     """The calling thread's scratch for m edges, with ``f`` gathered and
-    differenced: ``(terms, flat, mirror, once, d, size)``.
+    differenced: ``(terms, flat, mirror, once, d, size)``, views of a
+    buffer replaced only by a larger one.
 
     ``terms`` (2, m) is where the gather puts f(hi), then f(lo), and where
     a kernel writes the terms of the edges' two slots; ``flat`` is the same
@@ -101,8 +103,12 @@ def _edge_arrays(f, bins, m):
     """
     arrays = getattr(_scratch, "arrays", None)
     if arrays is None or arrays[4].shape[0] != m:
-        terms = np.empty((2, m))
-        arrays = (terms, terms.reshape(-1), terms[0], terms[1], np.empty(m), np.empty(m))
+        buffer = getattr(_scratch, "buffer", None)
+        if buffer is None or buffer.shape[0] < 4 * m:
+            buffer = _scratch.buffer = np.empty(4 * m)
+        flat, d, size = np.split(buffer[: 4 * m], [2 * m, 3 * m])
+        terms = flat.reshape(2, m)
+        arrays = (terms, flat, terms[0], terms[1], d, size)
         _scratch.arrays, _scratch.source = arrays, None
     source = _scratch.source
     if source is None or source[0] is not f or source[1] is not bins or f.flags.writeable:

@@ -268,9 +268,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_radii(text: str | None) -> list[int]:
-    if not text:
-        raise ValueError("sweep needs a nonempty --radii list")
+def _parse_radii(text: str) -> list[int]:
     radii = [int(tok) for tok in text.split(",") if tok.strip()]
     if not radii:
         raise ValueError("sweep needs a nonempty --radii list")

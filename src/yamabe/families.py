@@ -16,7 +16,8 @@ from typing import Mapping
 import numpy as np
 
 from .functionals import ProblemSpec
-from .graph import _FAMILIES, WeightedGraph, _as_float, _integer, generate, graph_distance, graph_from_dict
+from .graph import (_FAMILIES, WeightedGraph, _as_float, _family_params, _integer, generate,
+                    graph_distance, graph_from_dict)
 
 __all__ = ["GraphFamily", "ProblemFamily", "evaluate_field"]
 
@@ -127,25 +128,13 @@ class GraphFamily:
         quotient as on the member. Params are checked the same way, with the
         same messages.
         """
-        params = dict(self.params)
-        if self.name == "explicit":
-            allowed = {"data", "x0"}
-        else:
-            _, extent, offset, shape, quotient = _FAMILIES[self.name]
-            allowed = {extent, *shape, "weight", "mu"}
-        unknown = set(params) - allowed
-        if unknown:
-            raise ValueError(f"unknown {self.name} params: {sorted(unknown)}")
+        params = _family_params(self.name, self.params, radius, by_radius=True)
         if self.name == "explicit":
             if cells:
                 return None
             return graph_from_dict(params["data"]), _integer(params.get("x0", 0), "graph param x0")
-        fill = None if radius is None or offset is None else radius + offset
-        size = params.get(extent, fill)
-        if size is None:
-            alt = " or a radius" if offset is not None and extent != "radius" else ""
-            raise ValueError(f"{self.name} family needs {extent}{alt}")
-        for key, default in {**shape, extent: size}.items():
+        _, extent, _, shape, quotient = _FAMILIES[self.name]
+        for key, default in {**shape, extent: params[extent]}.items():
             params[key] = _integer(params.get(key, default), f"graph param {key}")
         if cells and (quotient is None or np.ndim(params.get("mu", 1.0))):
             return None

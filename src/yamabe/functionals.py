@@ -71,14 +71,14 @@ class ProblemSpec:
         return self.h.shape[0]
 
     def restrict(self, new_to_old: np.ndarray) -> "ProblemSpec":
-        """Same exponents with coefficients restricted to a subgraph."""
+        """Same exponents with coefficients restricted to a subgraph (indexing copies them)."""
         return ProblemSpec(
             p=self.p,
             alpha=self.alpha,
             delta=self.delta,
             theta=self.theta,
-            h=self.h[new_to_old].copy(),
-            g=self.g[new_to_old].copy(),
+            h=self.h[new_to_old],
+            g=self.g[new_to_old],
         )
 
 

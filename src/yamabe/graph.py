@@ -703,16 +703,34 @@ _FAMILIES = {
 }
 
 
+def _family_params(family: str, params, radius=None, by_radius: bool = False) -> dict:
+    """``params`` of a ``_FAMILIES`` family, or of the explicit one (``data``, ``x0``), as a
+    new dict; with ``by_radius``, a missing extent is ``radius`` plus the family's offset, if
+    it has one. An unlisted param or a missing extent raises ValueError naming it."""
+    extent, offset, allowed = "data", None, {"data", "x0"}
+    if family != "explicit":
+        _, extent, offset, shape, _ = _FAMILIES[family]
+        allowed = {extent, *shape, "weight", "mu"}
+    unknown = set(params) - allowed
+    if unknown:
+        raise ValueError(f"unknown {family} params: {sorted(unknown)}")
+    if extent in params:
+        return dict(params)
+    if radius is None or not by_radius or offset is None:
+        alt = " or a radius" if by_radius and offset is not None and extent != "radius" else ""
+        raise ValueError(f"{family} family needs {extent}{alt}")
+    return {**params, extent: radius + offset}
+
+
 def generate(family: str, *, cells: bool = False, **params):
     """Dispatch to a named generator; returns (graph, anchor vertex). With
     ``cells``, to the family's quotient builder instead; returns (graph,
-    anchor, cell_size), and a family without one raises ValueError."""
-    try:
-        builder = _FAMILIES[family][4 if cells else 0]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}"
-        ) from None
+    anchor, cell_size). An unknown family, a family without a quotient, or a
+    param the family does not list or lacks, raises ValueError naming it."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
+    params = _family_params(family, params)
+    builder = _FAMILIES[family][4 if cells else 0]
     if builder is None:
         raise ValueError(f"family {family!r} has no quotient")
     return builder(**params)

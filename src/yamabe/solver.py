@@ -75,7 +75,6 @@ from .graph import (
     _integer,
     _number,
     _orbit_quotient,
-    as_vertex_function,
     graph_distance,
     truncate_ball,
 )
@@ -114,16 +113,13 @@ _LAGRANGIAN_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tuning knobs for the constrained descent.
-
-    u0 is the first iterate before renormalization; None means a
+    """Tuning knobs for the constrained descent, which starts from the
     distance-Gaussian bump around x0.  constraint_tol, the drift of K
     from 1 that the final iterate may show, is a fixed constant.
     """
 
     max_iters: int = 20000
     grad_tol: float = 1e-8
-    u0: np.ndarray | None = None
     x0: int = 0
     constraint_tol: ClassVar[float] = 1e-10
 
@@ -205,18 +201,13 @@ def _competitor_energy(g: WeightedGraph, spec: ProblemSpec) -> float:
 
 
 def _initial_iterate(ev: _Evaluator, opts: SolveOptions) -> np.ndarray:
+    """The distance-Gaussian bump around opts.x0, renormalized onto K = 1."""
     g = ev.g
-    if opts.u0 is not None:
-        v = as_vertex_function(g, opts.u0)
-        if not np.any(v > 0.0):
-            raise ValueError("initial iterate u0 has no positive part")
-    else:
-        if not 0 <= opts.x0 < g.n:
-            raise ValueError("x0 out of range")
-        dist = graph_distance(g, opts.x0).astype(np.float64)
-        spread = max(1.0, float(dist.max()) / 4.0)
-        v = np.exp(-((dist / spread) ** 2))
-    u = ev.renormalize(v)
+    if not 0 <= opts.x0 < g.n:
+        raise ValueError("x0 out of range")
+    dist = graph_distance(g, opts.x0).astype(np.float64)
+    spread = max(1.0, float(dist.max()) / 4.0)
+    u = ev.renormalize(np.exp(-((dist / spread) ** 2)))
     if u is None:
         raise InfeasibleConstraintError(
             "constraint mass is zero on the initial iterate; "
@@ -488,10 +479,8 @@ def rescale_solution(spec: ProblemSpec, u_bar: np.ndarray, lam: float):
 def _orbit_problem(g: WeightedGraph, spec: ProblemSpec, opts: SolveOptions):
     """``(quotient, its spec, cell)`` when the descent may run on g's orbit
     quotient: g keeps orbits around opts.x0 (a lattice or tree ball with a
-    scalar mu, started at its anchor), opts.u0 is None, and h and g are each
-    exactly equal on every cell.  Else None."""
-    if opts.u0 is not None:
-        return None
+    scalar mu, started at its anchor), and h and g are each exactly equal on
+    every cell.  Else None."""
     orbits = _orbit_quotient(g, opts.x0)
     if orbits is None:
         return None
@@ -508,8 +497,8 @@ def solve(
     multiplier, and certify the rescaled function as a positive solution.
 
     On a :func:`~yamabe.graph.lattice_ball` or :func:`~yamabe.graph.tree_ball`
-    with a scalar mu, started from the bump at its anchor (opts.u0 None and
-    opts.x0 the anchor), with h and g constant on each orbit of the
+    with a scalar mu, started from the bump at its anchor (opts.x0 the
+    anchor), with h and g constant on each orbit of the
     symmetries that fix the anchor, the descent runs on the orbit quotient:
     the solution is unique for alpha < p and the first eigenfunction for
     p = alpha, so those symmetries fix it and it is constant on each orbit,

@@ -306,7 +306,7 @@ def exhaustion_study(
     anchor)) and spec evaluates problem data on them (spec.on(graph,
     anchor) -> ProblemSpec).  All truncations are cut from one universe
     ball, and each ball's solve starts from the bump around its anchor, so
-    opts.u0 must be None and opts.x0 must keep its default.
+    opts.x0 must keep its default.
 
     When spec is radial (h and g numbers or formulas in dist, not per-vertex
     sequences) and family is a GraphFamily with a quotient (a lattice or
@@ -332,8 +332,6 @@ def exhaustion_study(
     )
     if universe_radius < max(radii):
         raise ValueError("universe_radius must cover the largest radius")
-    if opts is not None and opts.u0 is not None:
-        raise ValueError("exhaustion_study builds each ball's start; u0 must be None")
     if opts is not None and opts.x0 != SolveOptions.x0:
         raise ValueError(
             "exhaustion_study starts each ball at its anchor; x0 must keep its default"

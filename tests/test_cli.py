@@ -203,6 +203,9 @@ def test_sweep_empty_radii(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "radii" in capsys.readouterr().err
+    # separators without a number are no radii either
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--radii", ","]) == 2
+    assert capsys.readouterr().err == "invalid config: sweep needs a nonempty --radii list\n"
 
 
 def test_sweep_unsorted_radii(tmp_path, capsys):
@@ -430,6 +433,37 @@ EXIT_CODE_CASES = {
         (2, 2, 2),
         "invalid config: unknown truncation keys: ['bogus']",
     ),
+    # not an object: the whole file
+    "root_not_an_object": (
+        [{"graph": {"family": "path", "params": {"n": 12}}}],
+        (2, 2, 2),
+        "invalid config: config root must be a JSON object",
+    ),
+    "no_graph_section": (
+        {"graph": None},
+        (2, 2, 2),
+        "invalid config: config needs a graph section",
+    ),
+    "graph_without_family": (
+        {"graph": {"params": {"n": 12}}},
+        (2, 2, 2),
+        "invalid config: graph section needs a family name or an explicit graph",
+    ),
+    "graph_params_not_an_object": (
+        {"graph": {"family": "path", "params": [12]}},
+        (2, 2, 2),
+        "invalid config: graph params must be a JSON object",
+    ),
+    "problem_without_p": (
+        {"problem": {"alpha": 3.0, "delta": 0.4}},
+        (2, 2, 2),
+        "invalid config: problem section needs p",
+    ),
+    "empty_truncation": (
+        {"truncation": {}},
+        (2, 2, 2),
+        "invalid config: truncation section needs epsilon",
+    ),
 }
 
 
@@ -438,7 +472,11 @@ EXIT_CODE_CASES = {
 def test_exit_code_policy(tmp_path, capsys, case, command):
     overrides, codes, message = EXIT_CODE_CASES[case]
     expected = codes[("solve", "verify", "sweep").index(command)]
-    cfg = write_config(tmp_path, **overrides)
+    if isinstance(overrides, dict):
+        cfg = write_config(tmp_path, **overrides)
+    else:
+        cfg = str(tmp_path / "config.json")
+        Path(cfg).write_text(json.dumps(overrides))
     extra = {"solve": [], "sweep": ["--radii", "4,8"], "verify": ["--trials", "20"]}[command]
     out = tmp_path / "out"
     argv = [command, "--config", cfg, "--out", str(out)] + extra

@@ -220,6 +220,13 @@ def test_unlisted_param_is_rejected(name, params, bad):
         GraphFamily(name, params).materialize(2)
 
 
+@pytest.mark.parametrize("cells", [False, True])
+def test_explicit_family_needs_data(cells):
+    # raised KeyError: 'data' from materialize(), and materialize(cells=True) returned None
+    with pytest.raises(ValueError, match="^explicit family needs data$"):
+        GraphFamily("explicit", {"x0": 0}).materialize(cells=cells)
+
+
 def test_explicit_family_roundtrip():
     base, _ = path_graph(4)
     fam = GraphFamily("explicit", {"data": graph_to_dict(base), "x0": 2})

@@ -637,6 +637,19 @@ def test_generate_dispatch():
         generate("path", cells=True, n=4)
 
 
+def test_generate_rejects_unknown_and_missing_params():
+    # both raised TypeError from the generator's own signature
+    for cells in (False, True):
+        with pytest.raises(ValueError, match=r"^unknown tree_ball params: \['bogus'\]$"):
+            generate("tree_ball", cells=cells, depth=3, bogus=1)
+        with pytest.raises(ValueError, match="^tree_ball family needs depth$"):
+            generate("tree_ball", cells=cells)
+    with pytest.raises(ValueError, match=r"^unknown path params: \['bogus'\]$"):
+        generate("path", n=3, bogus=1)
+    with pytest.raises(ValueError, match="^path family needs n$"):
+        generate("path")
+
+
 def test_quotient_mu_is_each_cells_vertex_measure():
     # one number or one per cell; a per-vertex array of the ball does not fit
     q, _, _ = tree_quotient(2, 2, mu=[1.0, 2.0, 3.0])

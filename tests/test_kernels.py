@@ -8,6 +8,7 @@ import pytest
 
 import yamabe
 from conftest import count_calls, random_connected_graph
+from yamabe import _kernels
 from yamabe._kernels import _gather, edge_energy_kernel, grad_power_kernel, p_laplacian_kernel
 from yamabe.graph import csr_pairing, csr_rows, lattice_quotient, tree_quotient
 
@@ -264,6 +265,32 @@ def test_kernels_in_concurrent_threads():
 
 
 KERNELS = (p_laplacian_kernel, grad_power_kernel, edge_energy_kernel)
+
+
+def test_scratch_grows_and_is_never_reallocated():
+    # a quotient solve switches between its quotient and the full graph, with
+    # a frozen iterate on each: one buffer, grown once, serves both, and each
+    # switch gathers afresh
+    quotient, (ball, _) = lattice_quotient(2, 6)[0], yamabe.lattice_ball(2, 6)
+    rng = np.random.default_rng(14)
+    cases = [(g, frozen(rng.standard_normal(g.n))) for g in (quotient, ball)]
+    want = [kernels_with_temporaries(g, f, 4.0) for g, f in cases]
+    buffers, wrong = [], []
+
+    def work():
+        for i in range(6):
+            g, f = cases[i % 2]
+            if not same_bits(run_kernels(g, f, 4.0), want[i % 2]):
+                wrong.append(i)
+            buffers.append(_kernels._scratch.buffer)
+
+    thread = threading.Thread(target=work)  # a thread of its own starts with no scratch
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and wrong == []
+    assert buffers[0].shape == (4 * quotient.pairing[1].shape[0],)
+    assert buffers[1].shape == (4 * ball.pairing[1].shape[0],)
+    assert all(b is buffers[1] for b in buffers[1:])
 
 
 def test_writable_array_written_between_calls_gets_fresh_results():

@@ -204,17 +204,15 @@ def one_vertex_off(spec, field):
 @pytest.mark.parametrize("make", ["z2", "tree2"])
 @pytest.mark.parametrize(
     "case",
-    ["h_at_one_vertex", "g_at_one_vertex", "x0_not_the_anchor", "u0_given"],
+    ["h_at_one_vertex", "g_at_one_vertex", "x0_not_the_anchor"],
 )
 def test_anything_not_radial_takes_the_full_graph(monkeypatch, make, case):
     g, x0 = GRAPHS[make]()
     spec, opts = radial_spec(g, x0, 4.0, 3.0), SolveOptions(x0=x0)
     if case in ("h_at_one_vertex", "g_at_one_vertex"):
         spec = one_vertex_off(spec, case[0])
-    elif case == "x0_not_the_anchor":
-        opts = SolveOptions(x0=x0 + 1)
     else:
-        opts = SolveOptions(x0=x0, u0=np.ones(g.n))
+        opts = SolveOptions(x0=x0 + 1)
     sizes = descent_sizes(monkeypatch)
     res = solve(g, spec, opts)
     assert sizes == [g.n]

@@ -73,33 +73,11 @@ def test_public_evaluators_validate_their_input(name):
 
 
 @pytest.mark.parametrize("entry", [minimize_constrained, solve])
-def test_boolean_initial_iterate_is_rejected(entry):
-    # a boolean u0 is no vertex function, though numpy would read it as ones
-    g, x0 = yamabe.path_graph(12)
-    with pytest.raises(ValueError, match="^vertex function must be numeric: got a boolean$"):
-        entry(g, _spec(g.n), SolveOptions(u0=np.ones(g.n, dtype=bool), x0=x0))
-
-
-@pytest.mark.parametrize("entry", [minimize_constrained, solve])
-def test_nan_initial_iterate_is_rejected(entry):
-    g, x0 = yamabe.path_graph(12)
-    u0 = np.ones(g.n)
-    u0[3] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        entry(g, _spec(g.n), SolveOptions(u0=u0, x0=x0))
-
-
-@pytest.mark.parametrize("entry", [minimize_constrained, solve])
-@pytest.mark.parametrize("opts, match", [
-    (dict(u0=-np.ones(12)), "u0 has no positive part"),
-    (dict(u0=np.zeros(12)), "u0 has no positive part"),
-    (dict(x0=12), "x0 out of range"),
-    (dict(x0=-1), "x0 out of range"),
-])
-def test_initial_iterate_without_positive_part_or_anchor_is_rejected(entry, opts, match):
+@pytest.mark.parametrize("x0", [12, -1])
+def test_anchor_out_of_range_is_rejected(entry, x0):
     g, _ = yamabe.path_graph(12)
-    with pytest.raises(ValueError, match=match):
-        entry(g, _spec(g.n), SolveOptions(**opts))
+    with pytest.raises(ValueError, match="x0 out of range"):
+        entry(g, _spec(g.n), SolveOptions(x0=x0))
 
 
 @pytest.mark.parametrize("entry", [
@@ -231,6 +209,12 @@ def test_truncation_choice_rejects_booleans_strings_and_fractions(arg, value):
         choose_truncation_radius(g, spec, **args)
 
 
+def test_truncation_choice_rejects_a_negative_r_max():
+    g, x0, spec = _truncation_problem()
+    with pytest.raises(ValueError, match="^r_max must be nonnegative$"):
+        choose_truncation_radius(g, spec, x0, 0.5, r_max=-1)
+
+
 def test_truncation_choice_takes_integral_floats_and_numpy_numbers():
     g, x0, spec = _truncation_problem()
     want = choose_truncation_radius(g, spec, x0, 0.5, r_max=6)
@@ -255,6 +239,16 @@ def test_truncation_choice_takes_integral_floats_and_numpy_numbers():
 def test_generators_reject_booleans_strings_and_fractions(build, match):
     # lattice_ball(2, True) built radius 1; 2.5 raised numpy's TypeError, and
     # lattice_quotient(2, 2.5) a CSR slot without its mirror
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: yamabe.tree_ball(2, -1), "^depth must be >= 0$"),
+    # 2^1100 vertices on the last level: its cell's measure is no float64
+    (lambda: tree_quotient(2, 1100), "^the cells' measure overflows float64$"),
+])
+def test_generators_reject_sizes_out_of_range(build, match):
     with pytest.raises(ValueError, match=match):
         build()
 

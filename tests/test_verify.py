@@ -8,6 +8,7 @@ import pytest
 import inequality_reference
 from conftest import count_calls
 from yamabe import (
+    DegenerateConstraintError,
     GraphFamily,
     HypothesisError,
     InfeasibleConstraintError,
@@ -385,20 +386,6 @@ def test_universe_hypotheses_come_before_tails(n, h):
     assert err.value.name == "min_h"
 
 
-def test_exhaustion_rejects_u0():
-    # one u0 cannot fit balls of different sizes; it used to fail at the
-    # first ball with "vertex function has shape (33,), expected (9,)"
-    class NoUniverse(GraphFamily):
-        # builds both the ball and its quotient: neither may run first
-        def materialize(self, radius=None, cells=False):
-            raise AssertionError("universe built before the u0 check")
-
-    _, problem = lattice_family()
-    family = NoUniverse("lattice_zd_ball", {"d": 1})
-    with pytest.raises(ValueError, match="u0 must be None"):
-        exhaustion_study(family, problem, (4, 8), SolveOptions(u0=np.ones(33)))
-
-
 def test_exhaustion_rejects_x0():
     # each ball starts at its own anchor; x0 = 7 used to be replaced by it
     # silently, giving rows identical to the default's
@@ -409,6 +396,22 @@ def test_exhaustion_rejects_x0():
     study = exhaustion_study(family, problem, (4, 8), SolveOptions())
     assert [row["R"] for row in study["rows"]] == [4, 8]
     assert all(row["converged"] for row in study["rows"])
+
+
+def test_exhaustion_names_the_radius_a_solve_failed_at(monkeypatch):
+    family = GraphFamily("path", {"n": 40})
+    problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^2", g=1.0)
+
+    def failing(g, spec, opts):
+        # the radius-8 ball of the path has 9 vertices
+        if g.n == 9:
+            raise DegenerateConstraintError("multiplier is undefined")
+        return solve(g, spec, opts)
+
+    monkeypatch.setattr(verify, "solve", failing)
+    with pytest.raises(RuntimeError, match="^solve failed at radius 8: multiplier is undefined$") as err:
+        exhaustion_study(family, problem, (4, 8, 12))
+    assert isinstance(err.value.__cause__, DegenerateConstraintError)
 
 
 def test_exhaustion_runs_one_search(monkeypatch):
