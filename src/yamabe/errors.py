@@ -23,7 +23,14 @@ class HypothesisError(ValueError):
 
 
 class InfeasibleConstraintError(RuntimeError):
-    """The constraint level set is unreachable (e.g. g vanishes identically)."""
+    """The constraint level set K = 1 is unreachable.
+
+    Raised by ``solver._Evaluator.onto_constraint`` when the descent's start
+    bump (in ``minimize_constrained``) or the uniform competitor (in
+    ``choose_truncation_radius`` and ``exhaustion_study``) cannot be put on
+    K = 1: g vanishes on every vertex, so the set is empty, or float64
+    cannot reach it, as K underflows to 0 or K or alpha theta g overflows.
+    """
 
 
 class DegenerateConstraintError(RuntimeError):

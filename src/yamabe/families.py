@@ -10,6 +10,8 @@ after each ball is materialized.
 from __future__ import annotations
 
 import ast
+import numbers
+import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -53,11 +55,15 @@ def _in_grammar(node) -> bool:
 
 
 def _compile(expr: str):
-    """The code of a formula in the grammar; anything else raises ValueError naming it."""
+    """The code of a formula in the grammar; anything else raises ValueError naming it.
+    A SyntaxWarning of the parser ("1if dist else 2") is raised as a SyntaxError,
+    so nothing is printed before that ValueError."""
     try:
-        tree = ast.parse(expr.replace("^", "**"), mode="eval")
-        if _in_grammar(tree.body):
-            return compile(tree, "<field formula>", "eval")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(expr.replace("^", "**"), mode="eval")
+            if _in_grammar(tree.body):
+                return compile(tree, "<field formula>", "eval")
     except (SyntaxError, ValueError, OverflowError, RecursionError, MemoryError):
         pass
     raise ValueError(f"field formula {expr!r} is not in the grammar: {_GRAMMAR}")
@@ -66,20 +72,21 @@ def _compile(expr: str):
 def evaluate_field(expr, dist: np.ndarray, name: str = "field") -> np.ndarray:
     """Evaluate a coefficient field given per-vertex distances.
 
-    Accepts a number (constant field), a sequence of numbers (explicit
-    values), or a formula string in the variable dist, where ^ means power,
-    built as ``_GRAMMAR`` lists; anything else (booleans, strings among the
-    values, attributes, subscripts, keywords, @, %, bit operators) raises
-    ValueError naming it, or the field by ``name``. So a formula gives each
-    vertex a value from its own distance alone. Values a formula takes to
+    Accepts a real number (constant field; numpy scalars too), a sequence
+    of numbers (explicit values), or a formula string in the variable dist,
+    where ^ means power, built as ``_GRAMMAR`` lists; anything else
+    (booleans, numpy's too, strings among the values, attributes,
+    subscripts, keywords, @, %, bit operators) raises ValueError naming it,
+    or the field by ``name``. So a formula gives each vertex a value from
+    its own distance alone. Values a formula takes to
     inf or nan on some vertices (``1/dist`` at the anchor) are returned
     without numpy's warnings: the hypotheses check names the field.
     """
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
-    if isinstance(expr, bool):
+    if isinstance(expr, (bool, np.bool_)):
         raise ValueError(f"{name} cannot be a boolean")
-    if isinstance(expr, (int, float)):
+    if isinstance(expr, numbers.Real):
         return np.full(n, float(expr))
     if isinstance(expr, _SEQUENCES):
         arr = _as_float(expr, name)

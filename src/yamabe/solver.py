@@ -56,19 +56,9 @@ from typing import ClassVar
 import numpy as np
 
 from ._kernels import grad_power_kernel
-from .errors import (
-    ConsistencyError,
-    DegenerateConstraintError,
-    InfeasibleConstraintError,
-    TruncationError,
-)
-from .functionals import (
-    ProblemSpec,
-    _check_spec,
-    constraint_K,
-    energy_J,
-    J_gradient,
-)
+from .errors import (ConsistencyError, DegenerateConstraintError, InfeasibleConstraintError,
+                     TruncationError)
+from .functionals import ProblemSpec, _check_spec, constraint_K, energy_J, J_gradient
 from .graph import (
     WeightedGraph,
     _finite_vector,
@@ -191,29 +181,19 @@ class TruncationChoice:
 def _competitor_energy(g: WeightedGraph, spec: ProblemSpec) -> float:
     """Energy of the uniform function rescaled onto K = 1, an upper bound
     for the constrained infimum."""
-    v = _Evaluator(g, spec).renormalize(np.ones(g.n))
-    if v is None:
-        raise InfeasibleConstraintError(
-            "g vanishes on the whole graph; the uniform competitor carries "
-            "no constraint mass"
-        )
+    v = _Evaluator(g, spec).onto_constraint(np.ones(g.n), "the uniform competitor")
     return energy_J(g, spec, v)
 
 
 def _initial_iterate(ev: _Evaluator, opts: SolveOptions) -> np.ndarray:
-    """The distance-Gaussian bump around opts.x0, renormalized onto K = 1."""
+    """The distance-Gaussian bump around opts.x0, renormalized onto K = 1; it
+    is >= e^-16 at every vertex, so only g can keep it off K = 1."""
     g = ev.g
     if not 0 <= opts.x0 < g.n:
         raise ValueError("x0 out of range")
     dist = graph_distance(g, opts.x0).astype(np.float64)
     spread = max(1.0, float(dist.max()) / 4.0)
-    u = ev.renormalize(np.exp(-((dist / spread) ** 2)))
-    if u is None:
-        raise InfeasibleConstraintError(
-            "constraint mass is zero on the initial iterate; "
-            "g must be positive somewhere the iterate is"
-        )
-    return u
+    return ev.onto_constraint(np.exp(-((dist / spread) ** 2)), "the start bump")
 
 
 def _check_sup_bound(spec: ProblemSpec, u: np.ndarray, j: float, min_hmu: float) -> float:
@@ -240,8 +220,9 @@ class _Evaluator:
     def __init__(self, g: WeightedGraph, spec: ProblemSpec):
         _check_spec(g, spec)
         self.g, self.spec = g, spec
-        self.theta_g = spec.theta * spec.g
-        self.alpha_theta_g = spec.alpha * spec.theta * spec.g
+        with np.errstate(over="ignore", invalid="ignore"):  # onto_constraint names an overflow
+            self.theta_g = spec.theta * spec.g
+            self.alpha_theta_g = spec.alpha * spec.theta * spec.g
         self.mu_h = g.mu * spec.h
         self.min_hmu = float(self.mu_h.min())
 
@@ -249,12 +230,27 @@ class _Evaluator:
         """K(u) of a function u >= 0."""
         return float((self.g.mu * (self.theta_g * u ** self.spec.alpha)).sum())
 
-    def renormalize(self, v: np.ndarray):
-        """Clamp to the nonnegative cone and rescale onto K = 1, read-only.
+    def onto_constraint(self, v: np.ndarray, what: str) -> np.ndarray:
+        """``renormalize(v)`` of a start function v > 0 named ``what``, where
+        float64 reaches K = 1 (g >= 0 assumed); else InfeasibleConstraintError
+        with the reason, sought only then.  No RuntimeWarning escapes."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = self.renormalize(v)
+            if u is not None and math.isfinite(self.alpha_theta_g.max()):
+                return u
+            k = self.mass(v)
+        if not np.any(self.spec.g > 0.0):
+            reason = "g vanishes on every vertex, so K(u) = 1 is empty"
+        elif k == 0.0:
+            reason = "the constraint mass K underflows to 0 although g > 0 somewhere"
+        else:
+            reason = ("the constraint mass K" if k == math.inf
+                      else "the coefficient product alpha theta g") + " overflows float64"
+        raise InfeasibleConstraintError(f"{reason}; {what} cannot be put on K = 1")
 
-        Returns None when the clamped function carries no constraint mass and
-        cannot be normalized.
-        """
+    def renormalize(self, v: np.ndarray):
+        """Clamp to the nonnegative cone and rescale onto K = 1, read-only; None
+        where the clamped function's K is not positive and finite."""
         plus = np.maximum(v, 0.0)
         k_raw = self.mass(plus)
         if not math.isfinite(k_raw) or k_raw <= 0.0:
@@ -344,18 +340,17 @@ def minimize_constrained(
     """Minimize J over the set K = 1 intersected with the nonnegative cone.
 
     Returns (u_bar, gamma, trace) where gamma = J(u_bar) is the attained
-    energy level and trace.k_value = K(u_bar).  Raises
-    InfeasibleConstraintError when the constraint set is empty (g
-    identically zero) and ConsistencyError when an iterate violates the
+    energy level and trace.k_value = K(u_bar).  The start bump's
+    renormalization (``_Evaluator.onto_constraint``) raises
+    InfeasibleConstraintError when K = 1 is empty (g vanishes on every
+    vertex) or out of float64's reach (K underflows to 0, or K or alpha theta
+    g overflows).  ConsistencyError is raised when an iterate violates the
     uniform sup bound or K(u_bar) drifts off 1, which would mean the energy
     bookkeeping itself is broken.
     """
     if opts is None:
         opts = SolveOptions()
     ev = _Evaluator(g, spec)
-    if not np.any(spec.g > 0.0):
-        raise InfeasibleConstraintError("g vanishes identically; K(u) = 1 is empty")
-
     u = _initial_iterate(ev, opts)
     j = energy_J(g, spec, u)
     sup_u = _check_sup_bound(spec, u, j, ev.min_hmu)

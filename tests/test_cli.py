@@ -5,6 +5,7 @@ import logging
 import re
 import shutil
 import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,19 @@ def test_solve_bad_config_file(tmp_path, capsys):
     assert main(["solve", "--config", str(broken), "--out", str(tmp_path)]) == 2
     assert main(["solve", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+def test_formula_parse_warning_is_not_printed(tmp_path, capsys):
+    # the parser warns of "1if" before the grammar rejects the formula: only
+    # the exit-2 line may reach stderr
+    cfg = write_config(tmp_path, problem={"p": 4.0, "alpha": 3.0, "delta": 0.4, "h": "1if dist else 2"})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: field formula '1if dist else 2' is not in the grammar")
+    assert err.count("\n") == 1
 
 
 def test_solve_with_truncation_section(tmp_path):
@@ -406,7 +420,8 @@ EXIT_CODE_CASES = {
                         "g": "maximum(dist - 5, 0)"},
         },
         (0, 0, 1),
-        "infeasible constraint: g vanishes",
+        "infeasible constraint: g vanishes on every vertex, so K(u) = 1 is empty; "
+        "the uniform competitor cannot be put on K = 1",
     ),
     # h = 0 at the anchor: the truncation choice checks the hypotheses
     # before it computes a tail bound from h

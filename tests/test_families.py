@@ -1,5 +1,7 @@
 """Coefficient formulas and radius-parametrized graph families."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +35,30 @@ def test_evaluate_constant_and_sequence():
     for values in ([1.0, "2", 3.0], [True, 1, "2"]):
         with pytest.raises(ValueError, match=r"^g must be numeric: got a string$"):
             evaluate_field(values, dist, "g")
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.float32(2.0), np.float64(2.5), np.bool_(True), True])
+def test_evaluate_numpy_scalar_constants(value):
+    # a numpy number is a constant field, as it is to ProblemSpec; a boolean is no number
+    dist = np.array([0.0, 1.0, 2.0])
+    if isinstance(value, (bool, np.bool_)):
+        with pytest.raises(ValueError, match=r"^h cannot be a boolean$"):
+            evaluate_field(value, dist, "h")
+    else:
+        field = evaluate_field(value, dist, "h")
+        assert field.dtype == np.float64
+        np.testing.assert_array_equal(field, np.full(3, float(value)))
+
+
+def test_formula_parse_warnings_stay_inside():
+    # "1if" is an invalid decimal literal, which the parser only warns of: the
+    # formula fails with the grammar's ValueError and no warning is shown
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for formula in ("1if dist else 2", "1or dist", "0x1for"):
+            with pytest.raises(ValueError, match="is not in the grammar: numbers"):
+                evaluate_field(formula, np.arange(3.0))
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_evaluate_formula():

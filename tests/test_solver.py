@@ -343,10 +343,36 @@ def test_constraint_exact_on_every_result():
 def test_vanishing_g_is_infeasible():
     g, _ = path_graph(4)
     spec = make_spec(g, 4.0, 3.0, g_coef=0.0)
-    with pytest.raises(InfeasibleConstraintError):
+    empty = r"^g vanishes on every vertex, so K\(u\) = 1 is empty; the start bump"
+    with pytest.raises(InfeasibleConstraintError, match=empty):
         minimize_constrained(g, spec)
-    with pytest.raises(InfeasibleConstraintError):
+    with pytest.raises(InfeasibleConstraintError, match=empty):
         solve(g, spec)
+
+
+@pytest.mark.parametrize("n, what", [
+    # the mass of 12 vertices overflows; on one vertex it is 1e308, but 3 g is inf
+    (12, "the constraint mass K overflows float64"),
+    (1, "the coefficient product alpha theta g overflows float64"),
+])
+def test_overflowing_constraint_is_infeasible(n, what):
+    # no RuntimeWarning escapes (they are errors here): the error names the overflow
+    g, _ = path_graph(n)
+    spec = make_spec(g, 4.0, 3.0, g_coef=1e308)
+    for run in (minimize_constrained, solve):
+        with pytest.raises(InfeasibleConstraintError, match=f"^{what}; the start bump"):
+            run(g, spec)
+    with pytest.raises(InfeasibleConstraintError, match=f"^{what}; the uniform competitor"):
+        choose_truncation_radius(g, spec, 0, 1.0)
+
+
+def test_underflowing_constraint_is_infeasible():
+    # g > 0 at one vertex, but theta g rounds to 0: K = 1 is out of float64's reach
+    g, _ = path_graph(3)
+    spec = ProblemSpec(p=4.0, alpha=3.0, delta=0.4, theta=0.1, h=np.ones(3), g=[5e-324, 0.0, 0.0])
+    with pytest.raises(InfeasibleConstraintError, match="^the constraint mass K underflows to 0 "
+                       "although g > 0 somewhere; the start bump cannot be put on K = 1$"):
+        minimize_constrained(g, spec)
 
 
 def test_options_validation():
