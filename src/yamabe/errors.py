@@ -29,7 +29,8 @@ class InfeasibleConstraintError(RuntimeError):
     bump (in ``minimize_constrained``) or the uniform competitor (in
     ``choose_truncation_radius`` and ``exhaustion_study``) cannot be put on
     K = 1: g vanishes on every vertex, so the set is empty, or float64
-    cannot reach it, as K underflows to 0 or K or alpha theta g overflows.
+    cannot reach it, as K underflows to 0 or K or alpha theta g overflows,
+    or g is negative or not finite where the hypotheses were not checked.
     """
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import numbers
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -33,6 +34,7 @@ _GRAMMAR = (
     "and minimum and maximum (two), binary + - * / // ** (or ^), and unary + -"
 )
 _SEQUENCES = (list, tuple, np.ndarray)
+_PARSE_LOCK = threading.Lock()
 
 
 def _in_grammar(node) -> bool:
@@ -57,13 +59,17 @@ def _in_grammar(node) -> bool:
 def _compile(expr: str):
     """The code of a formula in the grammar; anything else raises ValueError naming it.
     A SyntaxWarning of the parser ("1if dist else 2") is raised as a SyntaxError,
-    so nothing is printed before that ValueError."""
+    so nothing is printed before that ValueError.  The filter that does so is
+    process-wide while the parse runs: ``_PARSE_LOCK`` keeps two parses from
+    interleaving their filter changes, but a SyntaxWarning another thread
+    issues meanwhile is raised too, and a ``catch_warnings`` another thread
+    leaves meanwhile restores the filters it saved, dropping this one."""
     try:
-        with warnings.catch_warnings():
+        with _PARSE_LOCK, warnings.catch_warnings():
             warnings.simplefilter("error", SyntaxWarning)
             tree = ast.parse(expr.replace("^", "**"), mode="eval")
-            if _in_grammar(tree.body):
-                return compile(tree, "<field formula>", "eval")
+        if _in_grammar(tree.body):
+            return compile(tree, "<field formula>", "eval")
     except (SyntaxError, ValueError, OverflowError, RecursionError, MemoryError):
         pass
     raise ValueError(f"field formula {expr!r} is not in the grammar: {_GRAMMAR}")

@@ -56,9 +56,19 @@ from typing import ClassVar
 import numpy as np
 
 from ._kernels import grad_power_kernel
-from .errors import (ConsistencyError, DegenerateConstraintError, InfeasibleConstraintError,
-                     TruncationError)
-from .functionals import ProblemSpec, _check_spec, constraint_K, energy_J, J_gradient
+from .errors import (
+    ConsistencyError,
+    DegenerateConstraintError,
+    InfeasibleConstraintError,
+    TruncationError,
+)
+from .functionals import (
+    ProblemSpec,
+    _check_spec,
+    constraint_K,
+    energy_J,
+    J_gradient,
+)
 from .graph import (
     WeightedGraph,
     _finite_vector,
@@ -178,10 +188,10 @@ class TruncationChoice:
     epsilon: float
 
 
-def _competitor_energy(g: WeightedGraph, spec: ProblemSpec) -> float:
+def _competitor_energy(g: WeightedGraph, spec: ProblemSpec, what: str) -> float:
     """Energy of the uniform function rescaled onto K = 1, an upper bound
-    for the constrained infimum."""
-    v = _Evaluator(g, spec).onto_constraint(np.ones(g.n), "the uniform competitor")
+    for the constrained infimum; ``what`` names it and its graph."""
+    v = _Evaluator(g, spec).onto_constraint(np.ones(g.n), what)
     return energy_J(g, spec, v)
 
 
@@ -232,20 +242,24 @@ class _Evaluator:
 
     def onto_constraint(self, v: np.ndarray, what: str) -> np.ndarray:
         """``renormalize(v)`` of a start function v > 0 named ``what``, where
-        float64 reaches K = 1 (g >= 0 assumed); else InfeasibleConstraintError
-        with the reason, sought only then.  No RuntimeWarning escapes."""
+        float64 reaches K = 1; else InfeasibleConstraintError with the reason,
+        sought only then.  No RuntimeWarning escapes."""
         with np.errstate(over="ignore", invalid="ignore"):
             u = self.renormalize(v)
             if u is not None and math.isfinite(self.alpha_theta_g.max()):
                 return u
             k = self.mass(v)
-        if not np.any(self.spec.g > 0.0):
+        g = self.spec.g
+        if not np.all(np.isfinite(g) & (g >= 0.0)):
+            reason = "g must be nonnegative and finite"
+        elif not np.any(g > 0.0):
             reason = "g vanishes on every vertex, so K(u) = 1 is empty"
         elif k == 0.0:
             reason = "the constraint mass K underflows to 0 although g > 0 somewhere"
-        else:
-            reason = ("the constraint mass K" if k == math.inf
-                      else "the coefficient product alpha theta g") + " overflows float64"
+        elif k == math.inf:
+            reason = "the constraint mass K overflows float64"
+        else:  # K is positive and finite, so only alpha theta g is not
+            reason = "the coefficient product alpha theta g overflows float64"
         raise InfeasibleConstraintError(f"{reason}; {what} cannot be put on K = 1")
 
     def renormalize(self, v: np.ndarray):
@@ -340,13 +354,12 @@ def minimize_constrained(
     """Minimize J over the set K = 1 intersected with the nonnegative cone.
 
     Returns (u_bar, gamma, trace) where gamma = J(u_bar) is the attained
-    energy level and trace.k_value = K(u_bar).  The start bump's
-    renormalization (``_Evaluator.onto_constraint``) raises
-    InfeasibleConstraintError when K = 1 is empty (g vanishes on every
-    vertex) or out of float64's reach (K underflows to 0, or K or alpha theta
-    g overflows).  ConsistencyError is raised when an iterate violates the
-    uniform sup bound or K(u_bar) drifts off 1, which would mean the energy
-    bookkeeping itself is broken.
+    energy level and trace.k_value = K(u_bar).  Raises
+    InfeasibleConstraintError when the start bump cannot be put on K = 1
+    (``_Evaluator.onto_constraint`` names why: K = 1 is empty, out of
+    float64's reach, or g is invalid) and ConsistencyError when an iterate
+    violates the uniform sup bound or K(u_bar) drifts off 1, which would
+    mean the energy bookkeeping itself is broken.
     """
     if opts is None:
         opts = SolveOptions()
@@ -632,7 +645,7 @@ def choose_truncation_radius(
     limit = len(tails) - 1 if r_max is None else min(r_max, len(tails) - 1)
     if limit < 0:
         raise ValueError("r_max must be nonnegative")
-    gamma_est = _competitor_energy(g, spec)
+    gamma_est = _competitor_energy(g, spec, "the uniform competitor on the whole graph")
     # a smaller ball has K = 0 identically, so K(u) = 1 is empty there
     r_mass = int(dist[spec.g > 0.0].min())
     admissible = np.flatnonzero(tails[r_mass : limit + 1] <= epsilon)

@@ -350,7 +350,9 @@ def exhaustion_study(
         if gamma_est is None:
             # energy of the uniform competitor on the smallest ball bounds
             # every gamma_R with R >= radii[0] from above
-            gamma_est = _competitor_energy(ball, spec_r)
+            gamma_est = _competitor_energy(
+                ball, spec_r, f"the uniform competitor on the radius-{radius} ball"
+            )
         try:
             res = solve(ball, spec_r, replace(base_opts, x0=anchor))
         except RuntimeError as exc:

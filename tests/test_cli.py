@@ -421,7 +421,7 @@ EXIT_CODE_CASES = {
         },
         (0, 0, 1),
         "infeasible constraint: g vanishes on every vertex, so K(u) = 1 is empty; "
-        "the uniform competitor cannot be put on K = 1",
+        "the uniform competitor on the radius-4 ball cannot be put on K = 1",
     ),
     # h = 0 at the anchor: the truncation choice checks the hypotheses
     # before it computes a tail bound from h

@@ -1,6 +1,7 @@
 """Coefficient formulas and radius-parametrized graph families."""
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ def test_formula_parse_warnings_stay_inside():
             with pytest.raises(ValueError, match="is not in the grammar: numbers"):
                 evaluate_field(formula, np.arange(3.0))
     assert not caught, [str(w.message) for w in caught]
+
+
+def test_formula_parses_in_threads_leave_the_filters():
+    # each parse installs and removes its filter under one lock, so
+    # concurrent parses cannot leave "error::SyntaxWarning" installed
+    filters = list(warnings.filters)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for _ in pool.map(lambda i: evaluate_field(f"{i} + dist", np.arange(3.0)), range(200)):
+            pass
+    assert warnings.filters == filters
 
 
 def test_evaluate_formula():

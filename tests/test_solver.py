@@ -366,6 +366,17 @@ def test_overflowing_constraint_is_infeasible(n, what):
         choose_truncation_radius(g, spec, 0, 1.0)
 
 
+@pytest.mark.parametrize("g_values", [[1.0, -1e3, -1e3, -1e3], [1.0, np.nan, 0.0, 0.0]])
+def test_invalid_g_is_named(g_values):
+    # K < 0 or K = nan: neither an overflow nor an empty set (solve's hypotheses check
+    # would reject this g first; minimize_constrained does not run it)
+    g, _ = path_graph(4)
+    spec = ProblemSpec(p=4.0, alpha=3.0, delta=0.4, theta=1.0, h=np.ones(4), g=g_values)
+    with pytest.raises(InfeasibleConstraintError, match="^g must be nonnegative and finite; "
+                       "the start bump cannot be put on K = 1$"):
+        minimize_constrained(g, spec)
+
+
 def test_underflowing_constraint_is_infeasible():
     # g > 0 at one vertex, but theta g rounds to 0: K = 1 is out of float64's reach
     g, _ = path_graph(3)

@@ -335,10 +335,10 @@ def test_competitor_without_constraint_mass_is_infeasible():
     # the study and the truncation choice raise the same error class
     family = GraphFamily("path", {"n": 30})
     problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^2", g="maximum(dist - 3, 0)")
-    with pytest.raises(InfeasibleConstraintError, match="uniform competitor"):
+    with pytest.raises(InfeasibleConstraintError, match="uniform competitor on the radius-2 ball"):
         exhaustion_study(family, problem, (2, 4))
     g, _ = path_graph(5)
-    with pytest.raises(InfeasibleConstraintError, match="uniform competitor"):
+    with pytest.raises(InfeasibleConstraintError, match="uniform competitor on the whole graph"):
         choose_truncation_radius(g, spec_on(g, g_coef=0.0), 0, 1.0)
 
 
