@@ -1,5 +1,7 @@
 """Coefficient formulas and radius-parametrized graph families."""
 
+import ast
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -62,14 +64,24 @@ def test_formula_parse_warnings_stay_inside():
     assert not caught, [str(w.message) for w in caught]
 
 
-def test_formula_parses_in_threads_leave_the_filters():
+def test_formula_parses_in_threads_leave_the_filters(monkeypatch):
     # each parse installs and removes its filter under one lock, so
-    # concurrent parses cannot leave "error::SyntaxWarning" installed
-    filters = list(warnings.filters)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        for _ in pool.map(lambda i: evaluate_field(f"{i} + dist", np.arange(3.0)), range(200)):
-            pass
-    assert warnings.filters == filters
+    # concurrent parses cannot leave "error::SyntaxWarning" installed; a
+    # parse that sleeps lets the threads interleave inside it
+    parse = ast.parse
+
+    def slow_parse(*args, **kwargs):
+        time.sleep(0.001)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", slow_parse)
+    with warnings.catch_warnings():
+        # unlike the suite's own filters, these lack "error::SyntaxWarning"
+        warnings.simplefilter("default", SyntaxWarning)
+        filters = list(warnings.filters)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(lambda i: evaluate_field(f"{i} + dist", np.arange(3.0)), range(200)))
+        assert warnings.filters == filters
 
 
 def test_evaluate_formula():
