@@ -46,6 +46,15 @@ The results are bit-identical to computing every CSR slot on its own:
   of the bins feed vertex x its lower neighbours in ascending order, then
   its upper ones: CSR slot order, since each row's columns ascend.
 
+``edge_energy_rows`` is ``edge_energy`` on each row of a block of vertex
+functions. It gathers the block's edge ends with one ``take(bins, axis=1)``,
+then runs the kernel's steps in its order on C-contiguous (rows, m) arrays:
+the exact difference, ``abs`` and weight multiply, the power in the loop a
+contiguous row runs, and a sum along the contiguous last axis, the same
+pairwise sum over each row as over that row alone; so each row gets the
+kernel's bits. Sub-blocks of at most ``values // m`` rows (one row when m
+exceeds ``values``) keep its arrays near ``2 * values`` floats.
+
 A loop's weight is 0.0, so its terms are zeros, which change no sum. On
 its own slot a loop's difference is 0, which gives zero terms too, except
 in ``grad_power`` at exponent 0 (the curvature at p = 2), where
@@ -147,3 +156,20 @@ def grad_power_kernel(indptr, indices, weights, mu, f, p, pairing):
 
 def edge_energy_kernel(indptr, indices, weights, mu, f, p, pairing):
     return float(_edge_terms(f, p, pairing)[3].sum())  # each unordered pair once
+
+
+def edge_energy_rows(f, p, pairing, values):
+    """``edge_energy_kernel`` on each row of the 2-D block ``f``, as one
+    array, in sub-blocks of at most ``values // m`` rows."""
+    bins, w = pairing
+    m = w.shape[0]
+    energy = np.empty(f.shape[0])
+    step = max(1, values // max(m, 1))
+    for k in range(0, f.shape[0], step):
+        ends = f[k : k + step].take(bins, axis=1)
+        d = np.subtract(ends[:, :m], ends[:, m:])
+        np.abs(d, out=d)
+        np.power(d, p, out=d)
+        np.multiply(w, d, out=d)
+        d.sum(axis=1, out=energy[k : k + step])
+    return energy

@@ -36,7 +36,7 @@ are printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import os
 import sys
@@ -110,6 +110,15 @@ def dumps17(obj, indent: int = 0) -> str:
     if hasattr(obj, "tolist"):
         return dumps17(obj.tolist(), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _write_csv(path: str, header: str, line: str, rows) -> None:
+    """A header, then ``line.format(*row)`` for each row, in one formatting pass.
+    No field (an int, a float, true or false) needs quotes, so these are the
+    bytes ``csv.writer`` would write."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(itertools.starmap(line.format, rows))
 
 
 def _write_json(path: str, obj) -> None:
@@ -250,13 +259,12 @@ def cmd_solve(args) -> int:
         "hypotheses": res.hypotheses,
     }
     _write_json(os.path.join(args.out, "report.json"), report)
-    with open(
-        os.path.join(args.out, "solution.csv"), "w", encoding="utf-8", newline=""
-    ) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["vertex", "u", "residual"])
-        for x in range(graph.n):
-            writer.writerow([x, _fmt(res.u[x]), _fmt(res.residual[x])])
+    _write_csv(
+        os.path.join(args.out, "solution.csv"),
+        "vertex,u,residual",
+        "{},{:.17g},{:.17g}\n",
+        zip(range(graph.n), res.u.tolist(), res.residual.tolist()),
+    )
     print(
         f"gamma={_fmt(res.gamma)} lambda={_fmt(res.lam)} "
         f"eigen_factor={_fmt(res.eigen_factor)} converged={res.converged}"
@@ -280,21 +288,16 @@ def cmd_sweep(args) -> int:
     conf = _load_config(args)
     study = exhaustion_study(conf.graph, conf.problem, radii, conf.options)
     os.makedirs(args.out, exist_ok=True)
-    with open(
-        os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8", newline=""
-    ) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["R", "gamma", "lambda", "tail_bound", "converged"])
-        for row in study["rows"]:
-            writer.writerow(
-                [
-                    row["R"],
-                    _fmt(row["gamma"]),
-                    _fmt(row["lambda"]),
-                    _fmt(row["tail_bound"]),
-                    "true" if row["converged"] else "false",
-                ]
-            )
+    _write_csv(
+        os.path.join(args.out, "sweep.csv"),
+        "R,gamma,lambda,tail_bound,converged",
+        "{},{:.17g},{:.17g},{:.17g},{}\n",
+        (
+            (row["R"], row["gamma"], row["lambda"], row["tail_bound"],
+             "true" if row["converged"] else "false")
+            for row in study["rows"]
+        ),
+    )
     for row in study["rows"]:
         print(
             f"R={row['R']} gamma={_fmt(row['gamma'])} "

@@ -1,17 +1,21 @@
 """CLI subcommands: exit codes, report files, determinism."""
 
+import csv
+import io
 import json
 import logging
 import re
 import shutil
 import subprocess
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import count_calls
+from yamabe import cli
 from yamabe.cli import dumps17, main
 from yamabe.graph import _bfs
 
@@ -423,6 +427,16 @@ EXIT_CODE_CASES = {
         "infeasible constraint: g vanishes on every vertex, so K(u) = 1 is empty; "
         "the uniform competitor on the radius-4 ball cannot be put on K = 1",
     ),
+    # h and mu are finite, h mu overflows: named before a solve meets J = nan
+    # or the suite divides inf by inf
+    "hmu_overflows": (
+        {
+            "graph": {"family": "path", "params": {"n": 5, "mu": 1e300}},
+            "problem": {"p": 4.0, "alpha": 3.0, "delta": 0.4, "h": 1e10, "g": 1},
+        },
+        (2, 2, 2),
+        "invalid config: min_hmu: h*mu must be positive everywhere and must not overflow float64",
+    ),
     # h = 0 at the anchor: the truncation choice checks the hypotheses
     # before it computes a tail bound from h
     "h_vanishes_under_truncation": (
@@ -614,6 +628,68 @@ def test_readme_solve_runs_one_search(tmp_path, monkeypatch, capsys):
     argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]
     assert main(argv) == 0, capsys.readouterr().err
     assert counts["_bfs"] == 1
+
+
+# floats whose 17-digit text is easy to get wrong: a signed zero, the
+# smallest subnormal, a near-overflow, an exact and an inexact decimal
+CSV_FLOATS = [-0.0, 5e-324, 1e308, 1.0, 0.1, -1e-300, 1.0 / 3.0]
+
+
+def csv_writer_bytes(header, rows):
+    """The CSV files' former rendering: csv.writer with _fmt's floats."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [format(float(v), ".17g") if isinstance(v, float) else v for v in row] for row in rows
+    )
+    return buf.getvalue().encode()
+
+
+def test_solution_csv_is_the_csv_writer_rendering(tmp_path, monkeypatch, capsys):
+    real_solve = cli.solve
+    written = {}
+
+    def solve(graph, spec, opts):
+        res = real_solve(graph, spec, opts)
+        k = len(CSV_FLOATS)
+        written["u"] = np.concatenate([CSV_FLOATS, res.u[k:]])
+        written["residual"] = np.concatenate([CSV_FLOATS[::-1], res.residual[k:]])
+        return replace(res, **written)
+
+    monkeypatch.setattr(cli, "solve", solve)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    want = csv_writer_bytes(
+        ["vertex", "u", "residual"],
+        [[x, float(v), float(r)] for x, (v, r) in enumerate(zip(written["u"], written["residual"]))],
+    )
+    assert (out / "solution.csv").read_bytes() == want
+    assert b"\n0,-0,0.33333333333333331\n1,4.9406564584124654e-324,-1e-300\n" in want
+    capsys.readouterr()
+
+
+def test_sweep_csv_is_the_csv_writer_rendering(tmp_path, monkeypatch, capsys):
+    # numpy floats and Python floats, a tail bound of inf, an unconverged ball
+    values = [np.float64(0.1), *CSV_FLOATS, np.inf]
+    rows = [
+        {"R": 4 * (k + 1), "gamma": values[k], "lambda": values[-1 - k],
+         "tail_bound": values[(k + 3) % len(values)], "converged": k != 5}
+        for k in range(len(values))
+    ]
+    monkeypatch.setattr(cli, "exhaustion_study", lambda *args: {"rows": rows})
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--radii", "4,8"]) == 1
+    assert "not converged at radii [24]" in capsys.readouterr().err
+    want = csv_writer_bytes(
+        ["R", "gamma", "lambda", "tail_bound", "converged"],
+        [[row["R"], float(row["gamma"]), float(row["lambda"]), float(row["tail_bound"]),
+          "true" if row["converged"] else "false"] for row in rows],
+    )
+    assert (out / "sweep.csv").read_bytes() == want
+    assert b",inf," in want and b"4.9406564584124654e-324" in want and b",false\n" in want
 
 
 def test_dumps17_serializer():

@@ -1,6 +1,7 @@
 """Hypothesis checks, residual and positivity certificates, inequality suite."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from yamabe import (
     solve,
 )
 from yamabe import verify
+from yamabe._kernels import edge_energy_kernel, edge_energy_rows
 from yamabe.graph import _bfs, cycle_graph, lattice_quotient, tree_ball, tree_quotient
 
 
@@ -106,6 +108,24 @@ def test_hypotheses_other_failures():
         with pytest.raises(HypothesisError) as err:
             hypotheses_check(g, spec_on(g, **kwargs))
         assert err.value.name == name
+
+
+def test_hypotheses_hmu_overflow_is_named():
+    # h and mu are each finite, their product overflows float64; passed on
+    # as min_hmu = inf, it ends a solve in J = nan
+    g, _ = path_graph(5, mu=1e300)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(HypothesisError, match="must not overflow float64") as err:
+            hypotheses_check(g, spec_on(g, h=1e10))
+    assert not caught, [str(w.message) for w in caught]
+    assert err.value.name == "min_hmu"
+    # one overflowing vertex is enough, though the minimum is finite
+    h = np.ones(g.n)
+    h[3] = 1e10
+    with pytest.raises(HypothesisError, match="must not overflow float64"):
+        hypotheses_check(g, spec_on(g, h=h))
+    assert hypotheses_check(g, spec_on(g, h=1.0))["passed"]
 
 
 def test_residual_exact_zero_cases():
@@ -246,6 +266,11 @@ SUITE_GRAPHS = {
 }
 
 
+# z2_r40 has 6,400 edges, so the energy pass scores two rows per edge
+# sub-block: 1,151 trials end on a block of 3 rows, split 2 + 1
+UNEVEN_TRIALS = {"z2_r40": (1151,)}
+
+
 @pytest.mark.parametrize("name, p", [
     ("path6", 4.0), ("cycle20", 2.5), ("z2_r10", 4.0), ("tree_b2_d6", 6.0), ("z2_r40", 4.0), ("loop_mu", 3.0),
 ])
@@ -257,12 +282,32 @@ def test_inequality_suite_in_blocks_matches_one_trial_at_a_time(name, p):
     h = (1.0 + dist**4) * np.exp(0.1 * np.sin(np.arange(g.n)))
     spec = ProblemSpec(p=p, alpha=min(p, 3.0), delta=min(0.4, 0.9 / (p - 2.0)), h=h, g=np.ones(g.n))
     rows = verify._BLOCK_VALUES // g.n
-    for trials in sorted({1, 7, 1000, rows - 1, rows, rows + 1} - {0}):
+    for trials in sorted({1, 7, 1000, rows - 1, rows, rows + 1, *UNEVEN_TRIALS.get(name, ())} - {0}):
         for seed in (0, 1, 2026):
             got = inequality_suite(g, spec, trials, seed)
             want = inequality_reference.reference_inequality_suite(g, spec, trials, seed)
             assert got == want, (trials, seed)
             assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("p", [2.2, 2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("name, per_sub_block", [
+    # a self-loop and a per-vertex mu: all five rows in one sub-block
+    ("loop_mu", 2340),
+    # 6,400 edges: sub-blocks of 2, 2 and 1 rows
+    ("z2_r40", 2),
+    # 33,124 edges, more than _BLOCK_VALUES: one row per sub-block
+    ("z2_r91", 0),
+])
+def test_edge_energy_rows_is_the_kernel_row_by_row(name, per_sub_block, p):
+    g, _ = lattice_ball(2, 91) if name == "z2_r91" else SUITE_GRAPHS[name]()
+    assert verify._BLOCK_VALUES // g.pairing[1].shape[0] == per_sub_block
+    scale = np.array([[0.1], [1.0], [3.0], [0.0], [7.5]])
+    block = np.random.default_rng(3).standard_normal((5, g.n)) * scale
+    got = edge_energy_rows(block, p, g.pairing, verify._BLOCK_VALUES)
+    want = [edge_energy_kernel(g.indptr, g.indices, g.weights, g.mu, row, p, g.pairing) for row in block]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert got[3] == 0.0
 
 
 def test_ratio_update_counts_each_row_as_one_update():

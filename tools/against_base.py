@@ -12,7 +12,7 @@ importing its own ``src``, the script
   (p = 4, alpha in {2.5, 3, 3.5}, h = 1 + dist^2 or 1 + dist^4), so that a
   change that moves one grid iterate shows, and keeps each solve's gamma,
   lambda, iterations, trials and convergence;
-* runs the ``yamabe`` CLI 18 times (``RUNS``) on the README's config (a
+* runs the ``yamabe`` CLI 19 times (``RUNS``) on the README's config (a
   d = 1 lattice), a Z^2 ball of radius 40 (also with theta = 2.5, the
   only runs where theta g is not g), a binary tree of depth 8, a
   binary tree and a Z^3 ball sized by the sweep's radius, an explicit graph
@@ -22,7 +22,9 @@ importing its own ``src``, the script
   rise of gamma on small balls), keeping each run's files, its stdout and
   its exit code. Its ``verify`` runs on the README's config, the Z^2 ball
   and the tree cross the inequality suite's block boundaries (4, 250 and
-  32 blocks of trials).
+  32 blocks of trials); a second one on the Z^2 ball, of 1,151 trials,
+  ends on a partial block of 3 trials, which the energy pass splits into
+  edge sub-blocks of 2 and 1.
 
 It prints a Markdown summary on stdout: whether the two digests are
 identical (for a set that differs, the largest relative change in gamma
@@ -80,6 +82,7 @@ RUNS = (
     ("z2_r40", "solve"),
     ("z2_r40", "sweep --radii 4,8,16,32"),
     ("z2_r40", "verify --trials 1000"),
+    ("z2_r40", "verify --trials 1151"),
     ("z2_r40_theta", "solve"),
     ("z2_r40_theta", "sweep --radii 4,8,16,32"),
     ("tree_b2_d8", "solve"),
@@ -179,14 +182,15 @@ def run_tree(tree: Path, work: Path, side: str) -> str:
     for cfg, args in RUNS:
         folder = work / f"outputs-{side}" / cfg
         folder.mkdir(parents=True, exist_ok=True)
-        cmd = args.split()[0]
-        with open(folder / f"{cmd}.stdout", "w") as fh:
+        # one name per run, e.g. verify_trials_1000, as a config runs a command more than once
+        run = "_".join(token.lstrip("-") for token in args.split())
+        with open(folder / f"{run}.stdout", "w") as fh:
             rc = subprocess.run(
                 [sys.executable, "-c", CLI, *args.split(),
-                 "--config", str(work / f"{cfg}.json"), "--out", str(folder / cmd)],
+                 "--config", str(work / f"{cfg}.json"), "--out", str(folder / run)],
                 cwd=tree, stdin=subprocess.DEVNULL, stdout=fh,
             ).returncode
-        with open(folder / f"{cmd}.stdout", "a") as fh:
+        with open(folder / f"{run}.stdout", "a") as fh:
             fh.write(f"exit {rc}\n")
     return out
 
@@ -266,7 +270,8 @@ def main(argv: list[str]) -> int:
     what = (f"yamabe CLI, {len(RUNS)} runs: solve and sweep on the README, Z^2 R=40 (theta 1 "
             "and 2.5), tree and p = alpha cycle configs, sweep on radius-sized tree and Z^3 "
             "configs, solve and verify on an explicit graph with a self-loop, verify on the "
-            "README, Z^2 R=40 (theta 1) and depth-8 tree configs, solve on a p = alpha path")
+            "README, Z^2 R=40 (theta 1; 1,000 and 1,151 trials) and depth-8 tree configs, "
+            "solve on a p = alpha path")
     base, head = outputs["base"], outputs["head"]
     differ = sorted(name for name in set(base) | set(head) if base.get(name) != head.get(name))
     if not differ:
