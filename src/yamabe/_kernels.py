@@ -22,19 +22,15 @@ one (2, m) array, and reduces them onto their vertices with one
 ``edge_energy``, ``mu`` are not read; they stay arguments because
 ``perfbench/tracer.py`` reads the first three from every kernel call.
 
-One gather serves every kernel call on the same iterate. The thread
-remembers which ``f`` and which ``bins`` its ``d`` and |d| came from, and a
-later call with those very array objects skips the gather, provided ``f``
-is read-only and owns its data, so nothing can have written to it since:
-the solver freezes each iterate it makes, so the energy of a trial, then
-the gradient and the curvature at the accepted one share one gather. A
-writable array, or a read-only view of another array, is gathered on every
-call. (An owner frozen by hand must stay frozen; making it writable again
-and writing to it would go unseen.) Each kernel writes its power of |d|
-into the row of its edge terms, ``np.power(size, e, out=once)``, and
-finishes the terms there, so ``d`` and |d| survive the call; ``np.power``
-gives the bits of ``**`` at the exponents the solver uses, which
-``tests/test_kernels.py`` checks.
+One gather serves every kernel call on the array the thread holds
+(:func:`hold`): the solver hands over each iterate it makes, writes to none
+and releases the hold before an array leaves the package, so the energy of a
+trial, then the gradient and the curvature at the accepted one share one
+gather. Every other array is gathered on every call, so no caller's array is
+served stale differences. Each kernel writes its power of |d| into the row
+of its edge terms, ``np.power(size, e, out=once)``, and finishes the terms
+there, so ``d`` and |d| survive the call; ``np.power`` gives the bits of
+``**`` at the solver's exponents, which ``tests/test_kernels.py`` checks.
 
 The results are bit-identical to computing every CSR slot on its own:
 
@@ -86,6 +82,12 @@ BACKEND = "numpy"
 _scratch = threading.local()
 
 
+def hold(f):
+    """Let the calling thread's kernels reuse their gather of ``f``, which must
+    not change, until the next ``hold``; ``hold(None)`` releases it."""
+    _scratch.held, _scratch.source = f, None
+
+
 def _gather(f, bins, flat, hi, lo, d, size):
     """f at both ends of every edge into ``flat`` (``hi`` and ``lo`` its two
     rows), then d = f(hi) - f(lo) and |d|: one iterate's one gather."""
@@ -102,13 +104,12 @@ def _edge_arrays(f, bins, m):
     ``terms`` (2, m) is where the gather puts f(hi), then f(lo), and where
     a kernel writes the terms of the edges' two slots; ``flat`` is the same
     2m entries in ``bins`` order, ``mirror`` and ``once`` its two rows.
-    ``d`` is f(hi) - f(lo) and ``size`` is |d|; no kernel writes to them,
-    so they outlive the call. The gather is skipped when ``f`` and ``bins``
-    are the very arrays the last one used and ``f`` is read-only and owns
-    its data (see the module docstring). Each thread has its own scratch,
-    so concurrent kernels never share it; a kernel's result never aliases
-    it. ``bins`` are vertex ids, so ``take``'s clipping never acts; it only
-    spares the checked mode's extra buffer.
+    ``d`` is f(hi) - f(lo) and ``size`` is |d|; no kernel writes to them, so
+    they outlive the call, and a call on the held ``f`` (:func:`hold`) with
+    the ``bins`` of its last gather skips the gather. Each thread has its
+    own scratch, so concurrent kernels never share it; a kernel's result
+    never aliases it. ``bins`` are vertex ids, so ``take``'s clipping never
+    acts; it only spares the checked mode's extra buffer.
     """
     arrays = getattr(_scratch, "arrays", None)
     if arrays is None or arrays[4].shape[0] != m:
@@ -120,11 +121,9 @@ def _edge_arrays(f, bins, m):
         arrays = (terms, flat, terms[0], terms[1], d, size)
         _scratch.arrays, _scratch.source = arrays, None
     source = _scratch.source
-    if source is None or source[0] is not f or source[1] is not bins or f.flags.writeable:
+    if source is None or source[0] is not f or source[1] is not bins:
         _gather(f, bins, *arrays[1:6])
-        # hold on to f only while it cannot change: read-only, no other array's memory
-        frozen = not f.flags.writeable and f.flags.owndata
-        _scratch.source = (f, bins) if frozen else None
+        _scratch.source = (f, bins) if f is getattr(_scratch, "held", None) else None
     return arrays
 
 

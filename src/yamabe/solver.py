@@ -36,13 +36,11 @@ trial's energy goes through ``energy_J``, whose input check
 K = 1 at the last one by ``constraint_K``.  ``solve`` evaluates nothing more:
 that K and the last J give the multiplier lam = p J / (alpha K).
 
-Every iterate is read-only from the moment it is made
-(``_Evaluator.renormalize``), so the kernels gather its edge differences
-once: the trial's energy does it, and the gradient and the curvature at an
-accepted trial reuse them (see ``_kernels``).  ``minimize_constrained``
-returns a writable copy of the last one.  ``solve`` freezes the rescaled
-u too, so ``residual_report``'s two kernels share one gather of it, and
-returns a writable copy of it, so ``SolveResult``'s arrays are writable.
+Each iterate is handed to the kernels as it is made (``_kernels.hold`` in
+``_Evaluator.renormalize``), so they gather its edge differences once: the
+trial's energy does it, and the gradient and the curvature at an accepted
+trial reuse them; ``solve`` hands over the rescaled u for
+``residual_report``'s two kernels.  Both release it before returning.
 A radial problem on a lattice or tree ball runs its descent on the ball's
 orbit quotient (see ``solve``).
 """
@@ -55,7 +53,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._kernels import grad_power_kernel
+from ._kernels import grad_power_kernel, hold
 from .errors import (
     ConsistencyError,
     DegenerateConstraintError,
@@ -220,8 +218,8 @@ def _check_sup_bound(spec: ProblemSpec, u: np.ndarray, j: float, min_hmu: float)
 
 class _Evaluator:
     """The descent's own evaluations on one (graph, spec), with their
-    products of coefficients made once.  It trusts its iterates, read-only,
-    finite and >= 0 (+0.0 at the zeros): it validates nothing and leaves out
+    products of coefficients made once.  It trusts its iterates, finite
+    and >= 0 (+0.0 at the zeros): it validates nothing and leaves out
     the public functions' ``abs``, ``sign`` and ``maximum`` passes, exact at
     u >= 0.  Products keep their operand order, e.g. ((alpha theta) g)
     u^(alpha-1), so ``mass`` and ``residual`` give the bits of
@@ -263,14 +261,14 @@ class _Evaluator:
         raise InfeasibleConstraintError(f"{reason}; {what} cannot be put on K = 1")
 
     def renormalize(self, v: np.ndarray):
-        """Clamp to the nonnegative cone and rescale onto K = 1, read-only; None
-        where the clamped function's K is not positive and finite."""
+        """Clamp to the nonnegative cone and rescale onto K = 1, handed to the
+        kernels; None where the clamped function's K is not positive and finite."""
         plus = np.maximum(v, 0.0)
         k_raw = self.mass(plus)
         if not math.isfinite(k_raw) or k_raw <= 0.0:
             return None
         u = plus * k_raw ** (-1.0 / self.spec.alpha)
-        u.flags.writeable = False  # so the kernels may reuse its gather
+        hold(u)
         return u
 
     def residual(self, u: np.ndarray, j: float, w: np.ndarray | None = None):
@@ -433,9 +431,8 @@ def minimize_constrained(
 
     # also true after a stagnated line search at numerical optimality
     converged = _converged(spec, j, lam, sup_r, opts.grad_tol)
-    # a copy, not u thawed: a caller who wrote to u and froze it again would
-    # get the differences the kernels gathered from it before
-    return u.copy(), j, MinimizeTrace(
+    hold(None)
+    return u, j, MinimizeTrace(
         converged=converged, iters=iters, stagnated=stagnated, trials=trials, k_value=k_value
     )
 
@@ -530,10 +527,10 @@ def solve(
     # gamma and trace.k_value are the bits of J(u_bar) and K(u_bar)
     lam = _multiplier(spec, gamma, trace.k_value)
     u, eigen_factor = rescale_solution(spec, u_bar, lam)
-    u.flags.writeable = False  # u owns its data: the report's two kernels share its gather
+    hold(u)  # the report's two kernels share one gather of u
     report = residual_report(g, spec, u, eigen_factor=eigen_factor)
+    hold(None)
     cert = positivity_certificate(g, u)
-    u = u.copy()
     converged = (
         trace.converged
         and cert.passed

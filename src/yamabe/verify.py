@@ -189,6 +189,8 @@ def inequality_suite(
     relative slack is an implementation bug, not a numerical finding.
     The seed is recorded in the report for replay.  Two of the
     inequalities need p > 2, which the hypotheses 2 < alpha <= p imply.
+    After its argument checks it runs ``hypotheses_check``: outside the
+    hypotheses a ratio can be inf/inf, which the suite would drop.
 
     The replay contract is the order of the draws within a trial:
     gj_pointwise draws normal(n), then uniform(0, 1/(p-2)); holder_embedding
@@ -211,6 +213,7 @@ def inequality_suite(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not spec.p > 2.0:
         raise ValueError("inequality_suite needs p > 2")
+    hypotheses_check(g, spec)
     rng = np.random.default_rng(seed)
     p, alpha, delta = spec.p, spec.alpha, spec.delta
     n = g.n

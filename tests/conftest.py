@@ -83,3 +83,17 @@ def record_accepted_iterates(monkeypatch):
 
     monkeypatch.setattr(solver, "_check_sup_bound", recording)
     return seen
+
+
+def raise_trial_energies(monkeypatch):
+    """Make ``solver.energy_J`` add 1 to every energy after the first, the
+    descent's start: no line-search trial can then lower J."""
+    import yamabe.solver as solver
+
+    energy, calls = solver.energy_J, []
+
+    def raised(g, spec, u):
+        calls.append(None)
+        return energy(g, spec, u) + (1.0 if len(calls) > 1 else 0.0)
+
+    monkeypatch.setattr(solver, "energy_J", raised)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_calls
+from conftest import count_calls, raise_trial_energies
 from yamabe import cli
 from yamabe.cli import dumps17, main
 from yamabe.graph import _bfs
@@ -314,6 +314,19 @@ def test_unconverged_solve_keeps_its_reports(tmp_path, capsys):
     assert "converged=False" in captured.out
     assert "solver failure: not converged after 2 iterations" in captured.err
     assert json.loads((out / "report.json").read_text())["converged"] is False
+    assert (out / "solution.csv").exists()
+
+
+def test_stagnated_solve_keeps_its_reports(tmp_path, capsys, monkeypatch):
+    # the first line search finds no step, so the descent stops after one
+    # iteration: the reports say so and the run fails
+    raise_trial_energies(monkeypatch)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert "solver failure: not converged after 1 iterations" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False and report["iters"] == 1
     assert (out / "solution.csv").exists()
 
 

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ import yamabe
 from conftest import count_calls, random_connected_graph
 from yamabe import _kernels
 from yamabe._kernels import _gather, edge_energy_kernel, grad_power_kernel, p_laplacian_kernel
+from yamabe.functionals import J_gradient, energy_J
 from yamabe.graph import csr_pairing, csr_rows, lattice_quotient, tree_quotient
+from yamabe.operators import dirichlet_energy, p_gradient_norm, p_laplacian
+from yamabe.verify import residual_report
 
 
 def p_laplacian_loops(indptr, indices, weights, mu, f, p):
@@ -144,10 +148,20 @@ def kernels_with_temporaries(g, f, p):
 
 
 def frozen(f):
-    """A read-only copy of ``f`` that owns its data: one the kernels may reuse."""
+    """A read-only copy of ``f`` that owns its data."""
     out = np.array(f, dtype=np.float64)
     out.flags.writeable = False
     return out
+
+
+@contextmanager
+def held(f):
+    """``f`` handed to the calling thread's kernels, which reuse one gather of it."""
+    _kernels.hold(f)
+    try:
+        yield f
+    finally:
+        _kernels.hold(None)
 
 
 def kernel_call(kernel, g, f, p):
@@ -199,10 +213,12 @@ def test_in_place_kernels_match_temporaries_bit_for_bit(p):
         f[rng.integers(0, g.n)] = f[0]  # some zero differences
         want = kernels_with_temporaries(g, f, p)
         low_want = grad_power_with_temporaries(g, f, p - 2.0).tobytes()
-        # a writable array is gathered by every call, a frozen one once for all
-        for values in (f, frozen(f)):
-            assert same_bits(run_kernels(g, values, p), want)
-            assert kernel_call(grad_power_kernel, g, values, p - 2.0).tobytes() == low_want
+        # an array not held is gathered by every call, the held one once for all
+        assert same_bits(run_kernels(g, f, p), want)
+        assert kernel_call(grad_power_kernel, g, f, p - 2.0).tobytes() == low_want
+        with held(f):
+            assert same_bits(run_kernels(g, f, p), want)
+            assert kernel_call(grad_power_kernel, g, f, p - 2.0).tobytes() == low_want
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0])
@@ -226,15 +242,16 @@ def test_self_loops_do_nothing(p):
 
 
 def test_kernels_in_concurrent_threads():
-    # each thread keeps its own slot arrays and its own record of what they
-    # were gathered from: threads alternating graphs of different sizes, and
-    # two frozen arrays on one graph, from kernel to kernel (a short switch
-    # interval makes them interleave), must each get the per-slot reference
+    # each thread keeps its own slot arrays, its own held array and its own
+    # record of what they were gathered from: threads alternating graphs of
+    # different sizes, and two arrays on one graph, each handed over in turn,
+    # from kernel to kernel (a short switch interval makes them interleave),
+    # must each get the per-slot reference
     rng = np.random.default_rng(4)
     graphs = [random_connected_graph(rng, n_min=n, n_max=n) for n in (5, 15, 25, 35)]
     cases = [(g, rng.standard_normal(g.n), 2.0 + k) for k, g in enumerate(graphs)]
     want = [run_kernels(g, f, p) for g, f, p in cases]
-    pair = [(frozen(f), kernels_with_temporaries(g, f, p)) for g, f, p in cases for f in
+    pair = [(f, kernels_with_temporaries(g, f, p)) for g, f, p in cases for f in
             (f, rng.standard_normal(g.n))]
     wrong = []
 
@@ -243,10 +260,12 @@ def test_kernels_in_concurrent_threads():
             j = (k + i) % len(cases)
             if not same_bits(run_kernels(*cases[j]), want[j]):
                 wrong.append(j)
-            # the kernels in turn, each frozen array for two calls in a row
+            # the kernels in turn, each array of the pair handed over for two calls in a row
             g, _, p = cases[k]
             for s, kernel in enumerate(KERNELS):
                 f, ref = pair[2 * k + (3 * i + s) // 2 % 2]
+                if (3 * i + s) % 2 == 0:
+                    _kernels.hold(f)
                 if not same_output(kernel_call(kernel, g, f, p), ref[s]):
                     wrong.append((k, i, s))
 
@@ -269,17 +288,18 @@ KERNELS = (p_laplacian_kernel, grad_power_kernel, edge_energy_kernel)
 
 def test_scratch_grows_and_is_never_reallocated():
     # a quotient solve switches between its quotient and the full graph, with
-    # a frozen iterate on each: one buffer, grown once, serves both, and each
+    # a held iterate on each: one buffer, grown once, serves both, and each
     # switch gathers afresh
     quotient, (ball, _) = lattice_quotient(2, 6)[0], yamabe.lattice_ball(2, 6)
     rng = np.random.default_rng(14)
-    cases = [(g, frozen(rng.standard_normal(g.n))) for g in (quotient, ball)]
+    cases = [(g, rng.standard_normal(g.n)) for g in (quotient, ball)]
     want = [kernels_with_temporaries(g, f, 4.0) for g, f in cases]
     buffers, wrong = [], []
 
     def work():
         for i in range(6):
             g, f = cases[i % 2]
+            _kernels.hold(f)
             if not same_bits(run_kernels(g, f, 4.0), want[i % 2]):
                 wrong.append(i)
             buffers.append(_kernels._scratch.buffer)
@@ -315,14 +335,51 @@ def test_read_only_view_of_writable_array_is_never_reused(monkeypatch):
         base[s] = -2.0 * base[s]  # the view sees it, though it cannot write it
         assert same_output(kernel_call(kernel, g, view, 4.0), kernels_with_temporaries(g, base, 4.0)[s])
     assert counts["_gather"] == 4 * len(KERNELS)
-    # a frozen owner is gathered once for the three kernels
+    # so is a caller's frozen array that owns its data; only the held array is
+    # gathered once for the three kernels
     run_kernels(g, frozen(base), 4.0)
-    assert counts["_gather"] == 4 * len(KERNELS) + 1
+    assert counts["_gather"] == 5 * len(KERNELS)
+    with held(base.copy()) as f:
+        run_kernels(g, f, 4.0)
+    assert counts["_gather"] == 5 * len(KERNELS) + 1
+
+
+PUBLIC = {
+    "p_laplacian": lambda g, spec, u: p_laplacian(g, spec.p, u),
+    "p_gradient_norm": lambda g, spec, u: p_gradient_norm(g, spec.p, u),
+    "dirichlet_energy": lambda g, spec, u: dirichlet_energy(g, spec.p, u),
+    "energy_J": energy_J,
+    "J_gradient": J_gradient,
+    "residual_report": residual_report,
+}
+
+
+def result_bits(result):
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if isinstance(result, float):
+        return result
+    return tuple(result_bits(value) for value in vars(result).values())
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_array_frozen_again_after_a_write_gets_fresh_results(name):
+    # a caller who freezes an array, thaws it, writes to it and freezes it
+    # again must get the new array's results, not the differences gathered
+    # from the old one
+    g, _ = yamabe.path_graph(5)
+    spec = yamabe.ProblemSpec(p=3.0, alpha=2.5, delta=0.4, h=np.ones(5), g=np.ones(5))
+    u = frozen(np.arange(5.0))
+    PUBLIC[name](g, spec, u)
+    u.flags.writeable = True
+    u[2] = 10.0
+    u.flags.writeable = False
+    assert result_bits(PUBLIC[name](g, spec, u)) == result_bits(PUBLIC[name](g, spec, u.copy()))
 
 
 def test_frozen_array_on_two_graphs_with_equal_edge_counts():
     # a from_edges relabelling has the same m but other bins: each graph
-    # must get its own results from the one frozen array, in any order
+    # must get its own results from the one held array, in any order
     rng = np.random.default_rng(14)
     a = random_connected_graph(rng, n_min=12)
     rows = csr_rows(a.indptr)
@@ -334,17 +391,18 @@ def test_frozen_array_on_two_graphs_with_equal_edge_counts():
     b = yamabe.WeightedGraph.from_edges(a.n, list(edges), mu=mu)
     assert a.pairing[1].shape == b.pairing[1].shape
     assert not np.array_equal(a.pairing[0], b.pairing[0])
-    f = frozen(rng.standard_normal(a.n))
+    f = rng.standard_normal(a.n)
     want = {id(g): kernels_with_temporaries(g, f, 3.0) for g in (a, b)}
-    for s, kernel in enumerate(KERNELS):
-        for g in (a, b, b, a):
-            assert same_output(kernel_call(kernel, g, f, 3.0), want[id(g)][s])
+    with held(f):
+        for s, kernel in enumerate(KERNELS):
+            for g in (a, b, b, a):
+                assert same_output(kernel_call(kernel, g, f, 3.0), want[id(g)][s])
 
 
 def test_solve_gathers_each_iterate_once(monkeypatch):
     # energy, gradient and curvature at an iterate share its one gather: one
     # for the start, one per line-search trial and one for residual_report on
-    # u, which solve freezes so that its two kernels share it; the multiplier
+    # u, which solve hands over so that its two kernels share it; the multiplier
     # takes the descent's J and K and runs no kernel. The kernel calls are
     # those of one gather per call (43 on this instance)
     g, x0 = yamabe.path_graph(20)
@@ -355,8 +413,9 @@ def test_solve_gathers_each_iterate_once(monkeypatch):
     gathers = counts.pop("_gather")
     assert counts == {"edge_energy_kernel": 14, "p_laplacian_kernel": 15, "grad_power_kernel": 14}
     assert gathers <= res.trace.trials + 2 < sum(counts.values())
-    # the iterates and u are frozen, what solve returns is not: copies that own their data
+    # what solve returns are its own writable arrays, released from the kernels
     assert all(arr.flags.writeable and arr.flags.owndata for arr in (res.u_bar, res.u, res.residual))
+    assert _kernels._scratch.held is None
 
 
 def test_energy_J_is_one_kernel_pass(monkeypatch):

@@ -9,6 +9,7 @@ from conftest import (
     count_calls,
     random_connected_graph,
     random_positive_spec_fields,
+    raise_trial_energies,
     record_accepted_iterates,
 )
 from yamabe import (
@@ -37,9 +38,10 @@ from yamabe import (
     tree_ball,
 )
 from test_kernels import every_builder
+from yamabe import _kernels
 from yamabe._kernels import grad_power_kernel
 from yamabe.functionals import _Gprime_field
-from yamabe.solver import _LAGRANGIAN_FLOOR, _Evaluator, _next_step
+from yamabe.solver import _LAGRANGIAN_FLOOR, _STEP_FLOOR, _Evaluator, _next_step
 
 
 def make_spec(graph, p, alpha, delta=0.4, theta=1.0, h=1.0, g_coef=1.0):
@@ -269,8 +271,9 @@ def curvature_reference(g, spec, u, lam):
 @pytest.mark.parametrize("p", [2.2, 2.5, 3.0, 4.0, 6.0])
 def test_evaluator_matches_the_public_functions_bit_for_bit(p):
     # the descent's evaluator checks nothing and skips the abs, sign and
-    # maximum passes on its iterates, frozen and >= 0 with exact zeros; its
-    # constraint mass, residual and curvature must keep every bit
+    # maximum passes on its iterates, handed to the kernels and >= 0 with
+    # exact zeros; its constraint mass, residual and curvature must keep
+    # every bit
     rng = np.random.default_rng(21)
     for g in every_builder():
         for alpha in (2.0 + 0.5 * (p - 2.0), p):
@@ -284,7 +287,7 @@ def test_evaluator_matches_the_public_functions_bit_for_bit(p):
             plus = np.maximum(v, 0.0)
             assert ev.mass(plus) == constraint_K(g, spec, plus)
             u = ev.renormalize(v)
-            assert not u.flags.writeable and (u == 0.0).any()
+            assert _kernels._scratch.held is u and (u == 0.0).any()
             assert u.tobytes() == (plus * constraint_K(g, spec, plus) ** (-1.0 / alpha)).tobytes()
             assert ev.mass(u) == constraint_K(g, spec, u)
             j = energy_J(g, spec, u)
@@ -294,6 +297,7 @@ def test_evaluator_matches_the_public_functions_bit_for_bit(p):
             assert ev.residual(u, j, J_gradient(g, spec, u))[0].tobytes() == r.tobytes()
             for mult in (lam, 10.0 * lam):  # the larger puts more vertices on the Lagrangian's floor
                 assert ev.curvature(u, mult).tobytes() == curvature_reference(g, spec, u, mult).tobytes()
+    _kernels.hold(None)
 
 
 @pytest.mark.parametrize("s", [2.0**-3, 2.0**0.375, 1.0, 4.0, 8.0])
@@ -331,6 +335,21 @@ def test_energy_history_never_creeps_up(monkeypatch):
     assert j[-1] == gamma
     assert np.all(np.diff(j) <= 1e-12 * (1.0 + np.abs(j[:-1])))
     assert trace.converged
+
+
+def test_descent_stagnates_when_no_trial_lowers_the_energy(monkeypatch):
+    # neither the Armijo test nor the residual fallback accepts a raised J, so
+    # the first line search halves its step from 1 down past _STEP_FLOOR and
+    # the descent stops there, stagnated and unconverged
+    g, x0 = path_graph(12)
+    dist = graph_distance(g, x0).astype(np.float64)
+    spec = make_spec(g, 4.0, 3.0, h=1.0 + dist**2)
+    raise_trial_energies(monkeypatch)
+    res = solve(g, spec, SolveOptions(x0=x0))
+    assert 2.0 ** -(res.trace.trials - 1) >= _STEP_FLOOR > 2.0**-res.trace.trials
+    assert res.trace.trials == 40
+    assert res.trace.stagnated and res.trace.iters == 1 == res.iters
+    assert not res.trace.converged and not res.converged
 
 
 def test_constraint_exact_on_every_result():

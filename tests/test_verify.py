@@ -251,6 +251,23 @@ def test_inequality_suite_rejects_bad_trials():
         inequality_suite(g, spec_on(g), trials=0, seed=0)
 
 
+def test_inequality_suite_checks_the_hypotheses():
+    # h mu = 1e310 overflows: every bd_sup_bound and holder_embedding ratio
+    # would be inf/inf, dropped, and the suite would pass. It names the
+    # hypothesis instead, with no warning, after its own argument checks
+    g, _ = path_graph(5, mu=1e300)
+    spec = spec_on(g, h=1e10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HypothesisError) as err:
+            inequality_suite(g, spec, trials=20, seed=0)
+    assert err.value.name == "min_hmu"
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        inequality_suite(g, spec, trials=0, seed=0)
+    with pytest.raises(ValueError, match="p > 2"):
+        inequality_suite(g, spec_on(g, p=2.0, alpha=2.0 + 1e-6, delta=0.7, h=1e10), 20, 0)
+
+
 SUITE_GRAPHS = {
     "path6": lambda: path_graph(6),
     "cycle20": lambda: cycle_graph(20),

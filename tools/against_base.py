@@ -12,15 +12,18 @@ importing its own ``src``, the script
   (p = 4, alpha in {2.5, 3, 3.5}, h = 1 + dist^2 or 1 + dist^4), so that a
   change that moves one grid iterate shows, and keeps each solve's gamma,
   lambda, iterations, trials and convergence;
-* runs the ``yamabe`` CLI 19 times (``RUNS``) on the README's config (a
+* runs the ``yamabe`` CLI 20 times (``RUNS``) on the README's config (a
   d = 1 lattice), a Z^2 ball of radius 40 (also with theta = 2.5, the
   only runs where theta g is not g), a binary tree of depth 8, a
   binary tree and a Z^3 ball sized by the sweep's radius, an explicit graph
   (built by ``from_edges``) with a self-loop, unequal weights and a
-  per-vertex mu, and p = alpha on a cycle of 20 (h = 1) and on a path of 30
+  per-vertex mu, and p = alpha on a cycle of 20 (h = 1), on a path of 30
   (h = 1 + dist^2; only solve, as its sweep exits 1 on the free-boundary
-  rise of gamma on small balls), keeping each run's files, its stdout and
-  its exit code. Its ``verify`` runs on the README's config, the Z^2 ball
+  rise of gamma on small balls) and on a binary tree sized by the sweep's
+  radius (h = 1 + dist^2; radii 8, 12 and 16, as gamma rises at radius 6:
+  the only run whose p = alpha K-tail bound divides by the sizes of real
+  orbit cells, up to 2^32), keeping each run's files, its stdout and its
+  exit code. Its ``verify`` runs on the README's config, the Z^2 ball
   and the tree cross the inequality suite's block boundaries (4, 250 and
   32 blocks of trials); a second one on the Z^2 ball, of 1,151 trials,
   ends on a partial block of 3 trials, which the energy pass splits into
@@ -66,13 +69,15 @@ GRAPHS = {
 }
 # configs with their own problem: theta = 2.5, so that K and the multiplier
 # depend on theta, and p = alpha, where the descent's curvature runs
-# grad_power at exponent p - 2
+# grad_power at exponent p - 2 and k_tail_bound takes each vertex's measure
 OWN_PROBLEM = {
     "z2_r40_theta": (Z2_R40, PROBLEM | {"theta": 2.5}),
     "cycle_flat": ({"family": "cycle", "params": {"n": 20}},
                    {"p": 4, "alpha": 4, "delta": 0.4, "theta": 1, "h": 1, "g": 1}),
     "path_flat": ({"family": "path", "params": {"n": 30}},
                   {"p": 3, "alpha": 3, "delta": 0.4, "theta": 1, "h": "1 + dist^2", "g": 1}),
+    "tree_flat": ({"family": "tree_ball", "params": {"branching": 2}},
+                  {"p": 4, "alpha": 4, "delta": 0.4, "theta": 1, "h": "1 + dist^2", "g": 1}),
 }
 # (config, command and its options), one CLI run each
 RUNS = (
@@ -95,6 +100,7 @@ RUNS = (
     ("cycle_flat", "solve"),
     ("cycle_flat", "sweep --radii 4,8,16"),
     ("path_flat", "solve"),
+    ("tree_flat", "sweep --radii 8,12,16"),
 )
 CLI = 'import sys; sys.path.insert(0, "src"); from yamabe.cli import main; sys.exit(main(sys.argv[1:]))'
 
@@ -271,7 +277,7 @@ def main(argv: list[str]) -> int:
             "and 2.5), tree and p = alpha cycle configs, sweep on radius-sized tree and Z^3 "
             "configs, solve and verify on an explicit graph with a self-loop, verify on the "
             "README, Z^2 R=40 (theta 1; 1,000 and 1,151 trials) and depth-8 tree configs, "
-            "solve on a p = alpha path")
+            "solve on a p = alpha path, sweep on a p = alpha radius-sized tree")
     base, head = outputs["base"], outputs["head"]
     differ = sorted(name for name in set(base) | set(head) if base.get(name) != head.get(name))
     if not differ:
