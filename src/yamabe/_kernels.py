@@ -23,14 +23,16 @@ one (2, m) array, and reduces them onto their vertices with one
 ``perfbench/tracer.py`` reads the first three from every kernel call.
 
 One gather serves every kernel call on the array the thread holds
-(:func:`hold`): the solver hands over each iterate it makes, writes to none
-and releases the hold before an array leaves the package, so the energy of a
-trial, then the gradient and the curvature at the accepted one share one
-gather. Every other array is gathered on every call, so no caller's array is
-served stale differences. Each kernel writes its power of |d| into the row
-of its edge terms, ``np.power(size, e, out=once)``, and finishes the terms
-there, so ``d`` and |d| survive the call; ``np.power`` gives the bits of
-``**`` at the solver's exponents, which ``tests/test_kernels.py`` checks.
+(:func:`hold`). Only the solver holds: its descent hands over its start and
+each trial it evaluates, and ``solve`` its rescaled u for the residual
+report; it writes to none and releases the hold on every exit, a raised
+error included. So the energy of a trial, then the gradient and the
+curvature at the accepted one share one gather. Every other array is
+gathered on every call, so no caller's array is served stale differences.
+Each kernel writes its power of |d| into the row of its edge terms,
+``np.power(size, e, out=once)``, and finishes the terms there, so ``d``
+and |d| survive the call; ``np.power`` gives the bits of ``**`` at the
+solver's exponents, which ``tests/test_kernels.py`` checks.
 
 The results are bit-identical to computing every CSR slot on its own:
 

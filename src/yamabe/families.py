@@ -58,15 +58,17 @@ def _in_grammar(node) -> bool:
 
 def _compile(expr: str):
     """The code of a formula in the grammar; anything else raises ValueError naming it.
-    A SyntaxWarning of the parser ("1if dist else 2") is raised as a SyntaxError,
-    so nothing is printed before that ValueError.  The filter that does so is
-    process-wide while the parse runs: ``_PARSE_LOCK`` keeps two parses from
-    interleaving their filter changes, but a SyntaxWarning another thread
-    issues meanwhile is raised too, and a ``catch_warnings`` another thread
-    leaves meanwhile restores the filters it saved, dropping this one."""
+    A SyntaxWarning or DeprecationWarning of the parser ("1if dist else 2", or
+    "'\\d'" before Python 3.12) is raised as a SyntaxError, so nothing is
+    printed before that ValueError.  The filters that do so are process-wide
+    while the parse runs: ``_PARSE_LOCK`` keeps two parses from interleaving
+    their filter changes, but such a warning another thread issues meanwhile
+    is raised too, and a ``catch_warnings`` another thread leaves meanwhile
+    restores the filters it saved, dropping these."""
     try:
         with _PARSE_LOCK, warnings.catch_warnings():
             warnings.simplefilter("error", SyntaxWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             tree = ast.parse(expr.replace("^", "**"), mode="eval")
         if _in_grammar(tree.body):
             return compile(tree, "<field formula>", "eval")
@@ -145,7 +147,11 @@ class GraphFamily:
         if self.name == "explicit":
             if cells:
                 return None
-            return graph_from_dict(params["data"]), _integer(params.get("x0", 0), "graph param x0")
+            graph = graph_from_dict(params["data"])
+            x0 = _integer(params.get("x0", 0), "graph param x0")
+            if not 0 <= x0 < graph.n:
+                raise ValueError(f"graph param x0 must be a vertex 0..{graph.n - 1} of n = {graph.n}, got {x0}")
+            return graph, x0
         _, extent, _, shape, quotient = _FAMILIES[self.name]
         for key, default in {**shape, extent: params[extent]}.items():
             params[key] = _integer(params.get(key, default), f"graph param {key}")

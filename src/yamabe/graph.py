@@ -25,11 +25,10 @@ frontier edge, so large balls pay per edge and long thin graphs pay per level.
 Every graph the package builds comes out of one assembler, which writes the
 CSR arrays from per-row degrees and checks connectivity with the search from
 an anchor (vertex 0 for :meth:`WeightedGraph.from_edges`, the generator's
-anchor otherwise), which the graph keeps. A graph keeps the distances from
-the last source searched, and a ball cut by :func:`truncate_ball` inherits
-those from its anchor instead of searching, so one study or CLI run searches
-each graph once per source it asks for: once in all for a generator graph
-asked only for its anchor's distances.
+anchor otherwise), and keeps those distances; a ball cut by
+:func:`truncate_ball` inherits its anchor's from the parent instead of
+searching. So each graph is searched once, for its anchor, and only a query
+from another source pays a search of its own.
 
 The quotient builders (:func:`lattice_quotient`, :func:`tree_quotient`)
 cost per cell, not per vertex: the Z^2 ball of radius 128 has 4,225 orbits
@@ -74,25 +73,22 @@ class WeightedGraph:
     construction. The pairing costs 12 bytes per slot for as long as the
     graph lives: an 8-byte bin per slot and an 8-byte weight per edge.
 
-    ``_distance`` is one slot, ``(source, distances)``, holding the hop
-    distances from the last source :func:`graph_distance` searched. Every
-    built graph has it filled: :meth:`from_edges` from vertex 0, a generator
-    from its anchor, and a :func:`truncate_ball` ball from its anchor, cut
-    from the parent's distances. Another source replaces it, so it costs at
-    most 8 * n bytes.
+    ``_distance`` is ``(anchor, distances)``, the hop distances from the
+    anchor the graph was built around, written once when it is made:
+    :meth:`from_edges` from vertex 0, a generator from its anchor, and a
+    :func:`truncate_ball` ball from its anchor, cut from the parent's
+    distances. Nothing replaces it. A raw graph has None.
 
-    ``connected`` reads the slot: every distance it holds is >= 0, whatever
-    its source, since a vertex reachable from none is -1 from every source.
-    Only a raw graph with an empty slot pays a search, from vertex 0, and
-    keeps it.
+    ``connected`` reads those distances; a raw graph searches from vertex 0
+    on every ask.
 
-    ``_orbits`` is one slot, ``(anchor, orbits)``, filled only by
-    :func:`lattice_ball` and :func:`tree_ball` given a scalar ``mu``: their
-    symmetries that fix the anchor (the signed coordinate permutations, the
-    permutations of each vertex's subtrees) preserve the graph and mu. Until
-    :func:`_orbit_quotient` first asks, ``orbits`` is a function that builds
-    them, so a generator pays nothing for the slot; the first ask replaces
-    it with ``(cell, first, quotient)``: each vertex's cell, numbered as
+    ``_orbits`` is filled only by :func:`lattice_ball` and :func:`tree_ball`
+    given a scalar ``mu``: their symmetries that fix the anchor (the signed
+    coordinate permutations, the permutations of each vertex's subtrees)
+    preserve the graph and mu. Until :func:`_orbit_quotient` first asks, it
+    is a function that builds the orbits, so a generator pays nothing for
+    it; the first ask replaces it with ``(cell, first, quotient)``: each
+    vertex's cell, numbered as
     :func:`lattice_quotient` or :func:`tree_quotient` numbers them, each
     cell's lowest vertex, and that builder's quotient graph. Every other
     graph keeps None.
@@ -107,7 +103,7 @@ class WeightedGraph:
     mu: np.ndarray
     pairing: tuple = field(init=False, repr=False, compare=False)
     _distance: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _orbits: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _orbits: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairing = csr_pairing(self.indptr, self.indices, self.weights)
@@ -121,9 +117,8 @@ class WeightedGraph:
 
     @property
     def connected(self) -> bool:
-        """Whether every vertex is reachable: the slot's distances are all >= 0."""
-        kept = self._distance
-        dist = _slot_distance(self, 0) if kept is None else kept[1]
+        """Whether every vertex is reachable from the anchor (a raw graph's vertex 0)."""
+        dist = _bfs(self.indptr, self.indices, 0) if self._distance is None else self._distance[1]
         return bool((dist >= 0).all())
 
     @property
@@ -340,59 +335,41 @@ def _integrate(g: WeightedGraph, arr: np.ndarray) -> float:
 def graph_distance(g: WeightedGraph, x0: int) -> np.ndarray:
     """Hop-count distance from ``x0`` to every vertex (read-only int64 array).
 
-    The result is kept in the graph's one distance slot, so asking again for
-    the same source returns the same array without a search; copy it before
-    writing to it. The slot is read once and written as one tuple, so a
-    concurrent reader never pairs one source with another source's array,
-    and a race between two sources costs at most a repeated search.
+    The anchor's are the graph's own, the same array on every ask; any
+    other source is searched afresh and not kept. Copy before writing.
     """
-    # a boolean, a string or a fraction raises ValueError whether or not the slot holds its value
+    # a boolean, a string or a fraction raises ValueError, even for the anchor
     x0 = _integer(x0, "x0")
     if not 0 <= x0 < g.n:
         raise ValueError(f"vertex {x0} out of range")
-    # a built graph is connected, so every entry is >= 0 (a raw one marks unreachable -1)
-    return _slot_distance(g, x0)
-
-
-def _slot_distance(g: WeightedGraph, x0: int) -> np.ndarray:
-    """The slot's array if it holds ``x0``, else a new search, kept.
-
-    :attr:`WeightedGraph.connected` calls this directly on an empty slot:
-    that search is a connectivity check, not a distance query."""
     kept = g._distance
     if kept is not None and kept[0] == x0:
         return kept[1]
+    # a built graph is connected, so every entry is >= 0 (a raw one marks unreachable -1)
     dist = _bfs(g.indptr, g.indices, x0)
-    _fill_slot(g, x0, dist)
-    return dist
-
-
-def _fill_slot(g: WeightedGraph, x0: int, dist: np.ndarray) -> None:
     dist.setflags(write=False)
-    object.__setattr__(g, "_distance", (x0, dist))
+    return dist
 
 
 def _orbit_quotient(g: WeightedGraph, x0: int):
     """``(cell, first, quotient)`` of the graph's orbits around ``x0`` (see
     :class:`WeightedGraph`), built on the first ask and kept, or None when
-    the graph keeps no orbits around ``x0``. Like the distance slot, it is
-    read once and written as one tuple, so a race costs at most a repeated
-    build."""
-    kept = g._orbits
-    if kept is None or kept[0] != x0:
+    the graph keeps no orbits around ``x0``. It is read once and written as
+    one tuple, so a race costs at most a repeated build."""
+    orbits = g._orbits
+    if orbits is None or g._distance[0] != x0:
         return None
-    anchor, orbits = kept
     if callable(orbits):
         orbits = orbits()
         for a in orbits[:2]:
             a.setflags(write=False)
-        object.__setattr__(g, "_orbits", (anchor, orbits))
+        object.__setattr__(g, "_orbits", orbits)
     return orbits
 
 
 def _assemble(degree, cols, weights, mu, anchor: int, dist=None) -> WeightedGraph:
     """The frozen graph whose row x holds the next ``degree[x]`` entries of
-    ``cols`` and ``weights``, with the distances from ``anchor`` in its slot.
+    ``cols`` and ``weights``, keeping the distances from ``anchor``.
 
     Every graph the package builds ends here. The connectivity check reads
     those distances: ``dist`` where given (a ball's, cut from its parent's),
@@ -400,9 +377,10 @@ def _assemble(degree, cols, weights, mu, anchor: int, dist=None) -> WeightedGrap
     """
     indptr = np.concatenate(([0], np.cumsum(degree)))
     g = WeightedGraph(indptr=indptr, indices=cols, weights=weights, mu=mu)
-    for a in (indptr, cols, weights, mu):
+    dist = _bfs(indptr, cols, anchor) if dist is None else dist
+    for a in (indptr, cols, weights, mu, dist):
         a.setflags(write=False)
-    _fill_slot(g, anchor, _bfs(indptr, cols, anchor) if dist is None else dist)
+    object.__setattr__(g, "_distance", (anchor, dist))
     if not g.connected:
         raise ValueError("graph must be connected")
     return g
@@ -502,9 +480,9 @@ def _quotient_graph(nbr, weight, mu, anchor=0, count=1, size=1) -> tuple[Weighte
 
 
 def _keep_orbits(g: WeightedGraph, anchor: int, mu, build) -> tuple[WeightedGraph, int]:
-    """``(g, anchor)``, with ``build`` kept in the orbit slot when ``mu`` is one number."""
+    """``(g, anchor)``, with ``build`` kept as its orbits when ``mu`` is one number."""
     if np.ndim(mu) == 0:
-        object.__setattr__(g, "_orbits", (anchor, build))
+        object.__setattr__(g, "_orbits", build)
     return g, anchor
 
 

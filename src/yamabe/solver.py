@@ -36,11 +36,12 @@ trial's energy goes through ``energy_J``, whose input check
 K = 1 at the last one by ``constraint_K``.  ``solve`` evaluates nothing more:
 that K and the last J give the multiplier lam = p J / (alpha K).
 
-Each iterate is handed to the kernels as it is made (``_kernels.hold`` in
-``_Evaluator.renormalize``), so they gather its edge differences once: the
+The descent hands its start and each trial it evaluates to the kernels
+(``_kernels.hold``), so they gather its edge differences once: the
 trial's energy does it, and the gradient and the curvature at an accepted
 trial reuse them; ``solve`` hands over the rescaled u for
-``residual_report``'s two kernels.  Both release it before returning.
+``residual_report``'s two kernels.  Nothing else holds, and both release
+the hold on every exit, a raised error included.
 A radial problem on a lattice or tree ball runs its descent on the ball's
 orbit quotient (see ``solve``).
 """
@@ -261,15 +262,13 @@ class _Evaluator:
         raise InfeasibleConstraintError(f"{reason}; {what} cannot be put on K = 1")
 
     def renormalize(self, v: np.ndarray):
-        """Clamp to the nonnegative cone and rescale onto K = 1, handed to the
-        kernels; None where the clamped function's K is not positive and finite."""
+        """Clamp to the nonnegative cone and rescale onto K = 1; None where the
+        clamped function's K is not positive and finite."""
         plus = np.maximum(v, 0.0)
         k_raw = self.mass(plus)
         if not math.isfinite(k_raw) or k_raw <= 0.0:
             return None
-        u = plus * k_raw ** (-1.0 / self.spec.alpha)
-        hold(u)
-        return u
+        return plus * k_raw ** (-1.0 / self.spec.alpha)
 
     def residual(self, u: np.ndarray, j: float, w: np.ndarray | None = None):
         """Euler-Lagrange residual r = J'(u) - lam K'(u) at a feasible u, and
@@ -362,79 +361,83 @@ def minimize_constrained(
     if opts is None:
         opts = SolveOptions()
     ev = _Evaluator(g, spec)
-    u = _initial_iterate(ev, opts)
-    j = energy_J(g, spec, u)
-    sup_u = _check_sup_bound(spec, u, j, ev.min_hmu)
-
-    step = _STEP_INIT
-    r, lam = ev.residual(u, j, J_gradient(g, spec, u))
-    sup_r = float(np.abs(r).max())
-
-    stagnated = False
-    iters = 0
-    trials = 0
-    big = 1e8
-
-    while iters < opts.max_iters and not _converged(spec, j, lam, sup_r, opts.grad_tol):
-        iters += 1
-        mu_r = g.mu * r
-        d = -mu_r / ev.curvature(u, lam)
-        slope = float((mu_r * d).sum())
-        sup_d = float(np.abs(d).max())
-        s = step
-        accepted = False
-        polish = None
-        while s >= _STEP_FLOOR:
-            if s * sup_d > big * (1.0 + sup_u):
-                s *= _BACKTRACK
-                continue
-            cand = ev.renormalize(u + s * d)
-            if cand is None:
-                s *= _BACKTRACK
-                continue
-            j_cand = energy_J(g, spec, cand)
-            trials += 1
-            if j_cand <= j + _ARMIJO * s * slope:
-                accepted = True
-                break
-            # energy decreases below float resolution: fall back to a
-            # plain residual decrease, never letting J creep upward
-            if j_cand <= j + _J_RESOLUTION * (1.0 + abs(j)):
-                r_cand, lam_cand = ev.residual(cand, j_cand)
-                sup_cand = float(np.abs(r_cand).max())
-                if sup_cand <= 0.9 * sup_r:
-                    accepted = True
-                    polish = (r_cand, lam_cand, sup_cand)
-                    break
-            s *= _BACKTRACK
-        if not accepted:
-            stagnated = True
-            break
-
-        step = s
-        if polish is None and j - j_cand > _J_RESOLUTION * (1.0 + abs(j)):
-            step = _next_step(s, j - j_cand, slope)
-        u, j = cand, j_cand
+    try:
+        u = _initial_iterate(ev, opts)
+        hold(u)
+        j = energy_J(g, spec, u)
         sup_u = _check_sup_bound(spec, u, j, ev.min_hmu)
 
-        if polish is None:
-            r, lam = ev.residual(u, j)
-            sup_r = float(np.abs(r).max())
-        else:
-            r, lam, sup_r = polish
+        step = _STEP_INIT
+        r, lam = ev.residual(u, j, J_gradient(g, spec, u))
+        sup_r = float(np.abs(r).max())
 
-    k_value = constraint_K(g, spec, u)
-    if abs(k_value - 1.0) > opts.constraint_tol:
-        raise ConsistencyError(
-            f"constraint drifted off K = 1: K = {k_value:.17g}"
+        stagnated = False
+        iters = 0
+        trials = 0
+        big = 1e8
+
+        while iters < opts.max_iters and not _converged(spec, j, lam, sup_r, opts.grad_tol):
+            iters += 1
+            mu_r = g.mu * r
+            d = -mu_r / ev.curvature(u, lam)
+            slope = float((mu_r * d).sum())
+            sup_d = float(np.abs(d).max())
+            s = step
+            accepted = False
+            polish = None
+            while s >= _STEP_FLOOR:
+                if s * sup_d > big * (1.0 + sup_u):
+                    s *= _BACKTRACK
+                    continue
+                cand = ev.renormalize(u + s * d)
+                if cand is None:
+                    s *= _BACKTRACK
+                    continue
+                hold(cand)
+                j_cand = energy_J(g, spec, cand)
+                trials += 1
+                if j_cand <= j + _ARMIJO * s * slope:
+                    accepted = True
+                    break
+                # energy decreases below float resolution: fall back to a
+                # plain residual decrease, never letting J creep upward
+                if j_cand <= j + _J_RESOLUTION * (1.0 + abs(j)):
+                    r_cand, lam_cand = ev.residual(cand, j_cand)
+                    sup_cand = float(np.abs(r_cand).max())
+                    if sup_cand <= 0.9 * sup_r:
+                        accepted = True
+                        polish = (r_cand, lam_cand, sup_cand)
+                        break
+                s *= _BACKTRACK
+            if not accepted:
+                stagnated = True
+                break
+
+            step = s
+            if polish is None and j - j_cand > _J_RESOLUTION * (1.0 + abs(j)):
+                step = _next_step(s, j - j_cand, slope)
+            u, j = cand, j_cand
+            sup_u = _check_sup_bound(spec, u, j, ev.min_hmu)
+
+            if polish is None:
+                r, lam = ev.residual(u, j)
+                sup_r = float(np.abs(r).max())
+            else:
+                r, lam, sup_r = polish
+
+        k_value = constraint_K(g, spec, u)
+        if abs(k_value - 1.0) > opts.constraint_tol:
+            raise ConsistencyError(
+                f"constraint drifted off K = 1: K = {k_value:.17g}"
+            )
+
+        # also true after a stagnated line search at numerical optimality
+        converged = _converged(spec, j, lam, sup_r, opts.grad_tol)
+        return u, j, MinimizeTrace(
+            converged=converged, iters=iters, stagnated=stagnated, trials=trials, k_value=k_value
         )
-
-    # also true after a stagnated line search at numerical optimality
-    converged = _converged(spec, j, lam, sup_r, opts.grad_tol)
-    hold(None)
-    return u, j, MinimizeTrace(
-        converged=converged, iters=iters, stagnated=stagnated, trials=trials, k_value=k_value
-    )
+    finally:
+        hold(None)
 
 
 def _multiplier(spec: ProblemSpec, j: float, k: float) -> float:
@@ -528,8 +531,10 @@ def solve(
     lam = _multiplier(spec, gamma, trace.k_value)
     u, eigen_factor = rescale_solution(spec, u_bar, lam)
     hold(u)  # the report's two kernels share one gather of u
-    report = residual_report(g, spec, u, eigen_factor=eigen_factor)
-    hold(None)
+    try:
+        report = residual_report(g, spec, u, eigen_factor=eigen_factor)
+    finally:
+        hold(None)
     cert = positivity_certificate(g, u)
     converged = (
         trace.converged

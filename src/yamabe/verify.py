@@ -93,7 +93,7 @@ def hypotheses_check(g: WeightedGraph, spec: ProblemSpec) -> dict:
         "(int h^-delta dmu)^delta must be finite",
     )
 
-    # read off the graph's distance slot: a raw graph with an empty one searches here once
+    # read off the anchor's distances the graph keeps: a raw graph searches here, on every check
     record("connected", g.connected, True, "graph must be connected")
     return {"passed": True, "checks": checks}
 

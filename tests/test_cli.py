@@ -470,6 +470,17 @@ EXIT_CODE_CASES = {
         (2, 2, 2),
         "invalid config: min_h: h must be positive and finite everywhere",
     ),
+    # an explicit graph's x0 past its vertices, named with n before any distance is asked for
+    "explicit_x0_out_of_range": (
+        {"graph": {"explicit": {"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]}, "x0": 9}},
+        (2, 2, 2),
+        "invalid config: graph param x0 must be a vertex 0..3 of n = 4, got 9",
+    ),
+    "explicit_x0_negative": (
+        {"graph": {"explicit": {"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]}, "x0": -1}},
+        (2, 2, 2),
+        "invalid config: graph param x0 must be a vertex 0..3 of n = 4, got -1",
+    ),
     "unknown_truncation_key": (
         {"truncation": {"bogus": 1}},
         (2, 2, 2),

@@ -54,11 +54,12 @@ def test_evaluate_numpy_scalar_constants(value):
 
 
 def test_formula_parse_warnings_stay_inside():
-    # "1if" is an invalid decimal literal, which the parser only warns of: the
-    # formula fails with the grammar's ValueError and no warning is shown
+    # "1if" is an invalid decimal literal and "\d" an invalid escape, which the
+    # parser only warns of (the escape with a DeprecationWarning before Python
+    # 3.12): the formula fails with the grammar's ValueError and no warning is shown
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for formula in ("1if dist else 2", "1or dist", "0x1for"):
+        for formula in ("1if dist else 2", "1or dist", "0x1for", "'\\d'", "b'\\q'"):
             with pytest.raises(ValueError, match="is not in the grammar: numbers"):
                 evaluate_field(formula, np.arange(3.0))
     assert not caught, [str(w.message) for w in caught]

@@ -281,7 +281,7 @@ def test_disconnected_raw_graph_is_detected():
     np.testing.assert_array_equal(graph_distance(g, 1), [1, 0, 1, -1, -1])
     np.testing.assert_array_equal(graph_distance(g, 4), reference_distance(g, 4))
     spec = ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=np.ones(5), g=np.ones(5))
-    # the cached answer fails every check, not only the first
+    # every check fails, not only the first
     for _ in range(2):
         with pytest.raises(HypothesisError) as err:
             hypotheses_check(g, spec)
@@ -289,24 +289,24 @@ def test_disconnected_raw_graph_is_detected():
 
 
 def test_connected_reads_the_distance_slot(monkeypatch):
-    # a raw graph whose slot holds another source's distances answers with no search
+    # a built graph answers from its anchor's distances, with no search
     counts = count_calls(monkeypatch, _bfs)
     g, _ = lattice_ball(2, 3)
+    assert counts["_bfs"] == 1  # the generator's check
+    graph_distance(g, 5)
+    assert g.connected and g.connected and g._distance[0] == 12
+    assert counts["_bfs"] == 2  # and the query from 5
+    # a raw graph keeps nothing: it searches from vertex 0 on every ask
     raw = WeightedGraph(indptr=g.indptr, indices=g.indices, weights=g.weights, mu=g.mu)
     graph_distance(raw, 5)
-    assert counts["_bfs"] == 2  # the generator's check and the query
-    assert raw.connected and raw._distance[0] == 5
-    assert counts["_bfs"] == 2
-    # an empty slot is filled from vertex 0, and kept
-    fresh = WeightedGraph(indptr=g.indptr, indices=g.indices, weights=g.weights, mu=g.mu)
-    assert fresh.connected and fresh.connected and fresh._distance[0] == 0
-    assert counts["_bfs"] == 3
-    # a disconnected raw graph reports False from whichever source the slot holds
+    assert raw.connected and raw.connected and raw._distance is None
+    assert counts["_bfs"] == 5
+    # and reports False however it was asked before
     bad = disconnected_raw_graph()
     for k in (4, 1, 3):
         graph_distance(bad, k)
-        assert not bad.connected and bad._distance[0] == k
-    assert counts["_bfs"] == 6
+        assert not bad.connected and bad._distance is None
+    assert counts["_bfs"] == 11
 
 
 @pytest.mark.parametrize(
@@ -317,22 +317,33 @@ def test_connected_reads_the_distance_slot(monkeypatch):
         (lambda: tree_ball(3, 3)[0], 17),
         (lambda: lattice_ball(2, 4)[0], 3),
         (disconnected_raw_graph, 4),
+        (lambda: WeightedGraph.from_edges(5, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 4, 0.5)]), 3),
+        (lambda: lattice_quotient(2, 4)[0], 7),
+        (lambda: truncate_ball(*lattice_ball(2, 5), 3)[0], 9),
+        # a ball around another vertex than its parent's anchor
+        (lambda: truncate_ball(lattice_ball(2, 5)[0], 7, 3)[0], 4),
     ],
-    ids=["path", "cycle", "tree", "z2", "disconnected_raw"],
+    ids=["path", "cycle", "tree", "z2", "disconnected_raw", "from_edges", "quotient", "ball",
+         "off_anchor_ball"],
 )
 def test_distance_slot_follows_the_source(make, k):
-    # the slot keeps one source at a time; switching back and forth must
-    # never hand out the other source's distances
+    # the graph keeps its anchor's distances; a query from another source is
+    # searched, never handed the anchor's, and replaces nothing
     g = make()
+    kept = g._distance
     for x0 in (0, k, 0, k):
         np.testing.assert_array_equal(graph_distance(g, x0), reference_distance(g, x0))
+        assert g._distance is kept
+    if kept is not None:
+        anchor, dist = kept
+        assert graph_distance(g, anchor) is dist
+        np.testing.assert_array_equal(dist, reference_distance(g, anchor))
 
 
 def test_distance_slot_under_concurrent_sources():
-    # threads asking one small graph for different sources race on the slot
-    # (a short switch interval makes them interleave); each must still get
-    # its own source's distances. A slot written as two separate attributes
-    # (source, then array) fails this.
+    # threads asking one small graph for different sources, its anchor among
+    # them, interleave (a short switch interval makes them); each must get
+    # its own source's distances.
     g, _ = path_graph(5)
     sources = [0, 1, 3, 4]
     want = {x0: np.abs(np.arange(5) - x0) for x0 in sources}
@@ -367,7 +378,7 @@ def test_graph_distance_is_read_only():
     with pytest.raises(ValueError):
         dist[0] = 5
     np.testing.assert_array_equal(graph_distance(g, x0), reference_distance(g, x0))
-    # the slot holds x0, but a fraction or a boolean is still not a vertex id;
+    # x0 is the anchor, but a fraction or a boolean is still not a vertex id;
     # an integral float is one, as everywhere else a vertex id is read
     for bad in (x0 + 0.5, True, "12"):
         with pytest.raises(ValueError, match=r"^x0 must be an integer, got "):

@@ -418,6 +418,43 @@ def test_solve_gathers_each_iterate_once(monkeypatch):
     assert _kernels._scratch.held is None
 
 
+def test_no_array_stays_held(monkeypatch):
+    # only the descent and solve's residual report hold an array, and each
+    # releases it on every exit: the truncation choice's uniform competitor,
+    # an exhaustion study, a solve and a descent that raises leave nothing held
+    import yamabe.solver as solver
+
+    def held_now():
+        return getattr(_kernels._scratch, "held", None)
+
+    g, x0 = yamabe.lattice_ball(2, 10)
+    dist = yamabe.graph_distance(g, x0).astype(np.float64)
+    spec = yamabe.ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=1.0 + dist**2, g=np.ones(g.n))
+    _kernels.hold(None)
+    yamabe.choose_truncation_radius(g, spec, x0, epsilon=0.5)
+    assert held_now() is None
+    family = yamabe.GraphFamily("lattice_zd_ball", {"d": 2})
+    problem = yamabe.ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^4", g=1.0)
+    yamabe.exhaustion_study(family, problem, (4, 8))
+    assert held_now() is None
+    yamabe.solve(g, spec, yamabe.SolveOptions(x0=x0))
+    assert held_now() is None
+
+    # the sup bound fails at the first accepted trial, which the descent holds
+    check, seen = solver._check_sup_bound, []
+
+    def failing(spec, u, j, min_hmu):
+        seen.append(held_now() is u)
+        if len(seen) > 1:
+            raise yamabe.ConsistencyError("injected")
+        return check(spec, u, j, min_hmu)
+
+    monkeypatch.setattr(solver, "_check_sup_bound", failing)
+    with pytest.raises(yamabe.ConsistencyError, match="injected"):
+        yamabe.minimize_constrained(g, spec, yamabe.SolveOptions(x0=x0))
+    assert seen == [True, True] and held_now() is None
+
+
 def test_energy_J_is_one_kernel_pass(monkeypatch):
     g, x0 = yamabe.lattice_ball(2, 6)
     spec = yamabe.ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=np.ones(g.n), g=np.ones(g.n))

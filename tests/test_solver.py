@@ -287,7 +287,8 @@ def test_evaluator_matches_the_public_functions_bit_for_bit(p):
             plus = np.maximum(v, 0.0)
             assert ev.mass(plus) == constraint_K(g, spec, plus)
             u = ev.renormalize(v)
-            assert _kernels._scratch.held is u and (u == 0.0).any()
+            assert getattr(_kernels._scratch, "held", None) is not u and (u == 0.0).any()
+            _kernels.hold(u)  # as the descent holds its iterates
             assert u.tobytes() == (plus * constraint_K(g, spec, plus) ** (-1.0 / alpha)).tobytes()
             assert ev.mass(u) == constraint_K(g, spec, u)
             j = energy_J(g, spec, u)
@@ -445,8 +446,8 @@ def distance_spec(graph, anchor, p=4.0, alpha=3.0, delta=0.4):
     ids=["path", "tree", "z2"],
 )
 def test_solve_on_a_warm_distance_slot_matches_a_fresh_graph(make):
-    # the spec's search leaves warm's slot at the anchor, so the start reuses
-    # it; the fresh copy's start searches (or reuses its construction's search)
+    # warm's anchor distances were asked for by its spec before the solve,
+    # fresh's only by the solve's start: the answer must not depend on it
     warm, x0 = make()
     spec = distance_spec(warm, x0)
     fresh, _ = make()

@@ -12,12 +12,14 @@ importing its own ``src``, the script
   (p = 4, alpha in {2.5, 3, 3.5}, h = 1 + dist^2 or 1 + dist^4), so that a
   change that moves one grid iterate shows, and keeps each solve's gamma,
   lambda, iterations, trials and convergence;
-* runs the ``yamabe`` CLI 20 times (``RUNS``) on the README's config (a
+* runs the ``yamabe`` CLI 22 times (``RUNS``) on the README's config (a
   d = 1 lattice), a Z^2 ball of radius 40 (also with theta = 2.5, the
   only runs where theta g is not g), a binary tree of depth 8, a
   binary tree and a Z^3 ball sized by the sweep's radius, an explicit graph
   (built by ``from_edges``) with a self-loop, unequal weights and a
-  per-vertex mu, and p = alpha on a cycle of 20 (h = 1), on a path of 30
+  per-vertex mu, from its anchor and from vertex 3 (the only runs that ask
+  for distances from a vertex other than a graph's anchor), and p = alpha
+  on a cycle of 20 (h = 1), on a path of 30
   (h = 1 + dist^2; only solve, as its sweep exits 1 on the free-boundary
   rise of gamma on small balls) and on a binary tree sized by the sweep's
   radius (h = 1 + dist^2; radii 8, 12 and 16, as gamma rises at radius 6:
@@ -55,17 +57,20 @@ HEAD = Path(__file__).resolve().parent.parent
 
 PROBLEM = {"p": 4, "alpha": 3, "delta": 0.4, "theta": 1, "h": "1 + dist^4", "g": 1}
 Z2_R40 = {"family": "lattice_zd_ball", "params": {"d": 2, "radius": 40}}
+EXPLICIT_LOOP = {
+    "n": 6,
+    "edges": [[0, 1, 1.0], [1, 2, 2.5], [2, 2, 0.5], [2, 3, 1.0],
+              [3, 4, 0.75], [4, 5, 3.0], [0, 5, 1.5]],
+    "mu": [1.0, 2.0, 0.5, 1.5, 1.0, 2.5],
+}
 GRAPHS = {
     "z2_r40": Z2_R40,
     "tree_b2_d8": {"family": "tree_ball", "params": {"branching": 2, "depth": 8}},
     "tree_b2": {"family": "tree_ball", "params": {"branching": 2}},
     "z3": {"family": "lattice_zd_ball", "params": {"d": 3}},
-    "explicit_loop": {"explicit": {
-        "n": 6,
-        "edges": [[0, 1, 1.0], [1, 2, 2.5], [2, 2, 0.5], [2, 3, 1.0],
-                  [3, 4, 0.75], [4, 5, 3.0], [0, 5, 1.5]],
-        "mu": [1.0, 2.0, 0.5, 1.5, 1.0, 2.5],
-    }},
+    "explicit_loop": {"explicit": EXPLICIT_LOOP},
+    # x0 is not the graph's anchor (vertex 0), so every distance is a search from 3
+    "explicit_loop_x3": {"explicit": EXPLICIT_LOOP, "x0": 3},
 }
 # configs with their own problem: theta = 2.5, so that K and the multiplier
 # depend on theta, and p = alpha, where the descent's curvature runs
@@ -97,6 +102,8 @@ RUNS = (
     ("z3", "sweep --radii 4,8,12"),
     ("explicit_loop", "solve"),
     ("explicit_loop", "verify --trials 1000"),
+    ("explicit_loop_x3", "solve"),
+    ("explicit_loop_x3", "verify --trials 1000"),
     ("cycle_flat", "solve"),
     ("cycle_flat", "sweep --radii 4,8,16"),
     ("path_flat", "solve"),
@@ -275,8 +282,8 @@ def main(argv: list[str]) -> int:
         print("\n".join(digest_drift(sets)))
     what = (f"yamabe CLI, {len(RUNS)} runs: solve and sweep on the README, Z^2 R=40 (theta 1 "
             "and 2.5), tree and p = alpha cycle configs, sweep on radius-sized tree and Z^3 "
-            "configs, solve and verify on an explicit graph with a self-loop, verify on the "
-            "README, Z^2 R=40 (theta 1; 1,000 and 1,151 trials) and depth-8 tree configs, "
+            "configs, solve and verify on an explicit graph with a self-loop (x0 = 0 and 3), "
+            "verify on the README, Z^2 R=40 (theta 1; 1,000 and 1,151 trials) and depth-8 tree configs, "
             "solve on a p = alpha path, sweep on a p = alpha radius-sized tree")
     base, head = outputs["base"], outputs["head"]
     differ = sorted(name for name in set(base) | set(head) if base.get(name) != head.get(name))
