@@ -18,10 +18,11 @@ for it, plus weight and mu), or else {"explicit": {"n":..., "edges":...,
 seed) and the truncation section (keys epsilon, r_max) are optional.
 An integer key takes an integer or an integral float, a number key any
 number; neither takes a boolean or a string.
-Every solve starts from the bump around the graph's anchor, the ball's
-anchor under truncation.  seed, --seed over it, seeds verify's
-inequality suite; solve and sweep draw nothing random.  Every command
-reads and checks the whole config through one parser.
+Every solve's descent starts around the graph's anchor, the ball's
+anchor under truncation (see solver._initial_iterate).  seed, --seed
+over it, seeds verify's inequality suite; solve and sweep draw nothing
+random.  Every command reads and checks the whole config through one
+parser.
 
 Exit codes, the same for every command: 0 success; 1 numerical failure,
 any RuntimeError (non-convergence, a solution that is not positive, a

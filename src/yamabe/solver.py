@@ -77,7 +77,7 @@ from .graph import (
     graph_distance,
     truncate_ball,
 )
-from .operators import _p_laplacian
+from .operators import _check_p, _p_laplacian
 
 __all__ = [
     "SolveOptions",
@@ -112,9 +112,9 @@ _LAGRANGIAN_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tuning knobs for the constrained descent, which starts from the
-    distance-Gaussian bump around x0.  constraint_tol, the drift of K
-    from 1 that the final iterate may show, is a fixed constant.
+    """Tuning knobs for the constrained descent, which starts around x0
+    (see ``_initial_iterate``).  constraint_tol, the drift of K from 1
+    that the final iterate may show, is a fixed constant.
     """
 
     max_iters: int = 20000
@@ -195,14 +195,39 @@ def _competitor_energy(g: WeightedGraph, spec: ProblemSpec, what: str) -> float:
 
 
 def _initial_iterate(ev: _Evaluator, opts: SolveOptions) -> np.ndarray:
-    """The distance-Gaussian bump around opts.x0, renormalized onto K = 1; it
-    is >= e^-16 at every vertex, so only g can keep it off K = 1."""
-    g = ev.g
+    """The descent's start around opts.x0, renormalized onto K = 1.
+
+    For alpha < p it is (balance + inflow) / 2, floored at the smallest
+    normal float64.  balance = ((g/h)_+ / max(g/h))^(1/(p-alpha)) solves the
+    vertex equation without its p-Laplacian (the Thomas-Fermi profile), and
+    inflow(x) = prod_{k=1..dist(x0,x)} min(1, (h_k/h_0)^(-1/(p-1))), with h_k
+    the smallest h on hop shell k, is the tail in which h u^(p-1) is fed only
+    by the inner shell, which balance underestimates when p - alpha is
+    small.  Both are radial, so the start on an orbit quotient is the
+    graph's, and constant h and g start at the exact minimizer.  For
+    p = alpha it is the distance-Gaussian bump.  Either start lies in (0, 1]
+    whatever h and g are, so only g can keep it off K = 1."""
+    g, spec = ev.g, ev.spec
     if not 0 <= opts.x0 < g.n:
         raise ValueError("x0 out of range")
-    dist = graph_distance(g, opts.x0).astype(np.float64)
-    spread = max(1.0, float(dist.max()) / 4.0)
-    return ev.onto_constraint(np.exp(-((dist / spread) ** 2)), "the start bump")
+    dist = graph_distance(g, opts.x0)
+    if not spec.alpha < spec.p:
+        spread = max(1.0, float(dist.max()) / 4.0)
+        start = np.exp(-((dist.astype(np.float64) / spread) ** 2))
+    else:
+        with np.errstate(all="ignore"):
+            ratio = spec.g / spec.h
+            # a negative, infinite or NaN ratio contributes nothing
+            ratio = np.where((ratio > 0.0) & (ratio < math.inf), ratio, 0.0)
+            top = float(ratio.max())
+            balance = (ratio / top) ** (1.0 / (spec.p - spec.alpha)) if top > 0.0 else ratio
+            shell_h = np.full(int(dist.max()) + 1, math.inf)
+            np.minimum.at(shell_h, dist, spec.h)
+            # fmin keeps 1 where a nonpositive or NaN h makes the power NaN
+            factor = np.fmin(1.0, (shell_h[1:] / shell_h[0]) ** (-1.0 / (spec.p - 1.0)))
+            inflow = np.concatenate(([1.0], np.cumprod(factor)))[dist]
+            start = np.maximum(0.5 * (balance + inflow), np.finfo(np.float64).tiny)
+    return ev.onto_constraint(start, "the descent's start")
 
 
 def _check_sup_bound(spec: ProblemSpec, u: np.ndarray, j: float, min_hmu: float) -> float:
@@ -228,6 +253,7 @@ class _Evaluator:
 
     def __init__(self, g: WeightedGraph, spec: ProblemSpec):
         _check_spec(g, spec)
+        _check_p(spec.p)
         self.g, self.spec = g, spec
         with np.errstate(over="ignore", invalid="ignore"):  # onto_constraint names an overflow
             self.theta_g = spec.theta * spec.g
@@ -352,7 +378,7 @@ def minimize_constrained(
 
     Returns (u_bar, gamma, trace) where gamma = J(u_bar) is the attained
     energy level and trace.k_value = K(u_bar).  Raises
-    InfeasibleConstraintError when the start bump cannot be put on K = 1
+    InfeasibleConstraintError when the start cannot be put on K = 1
     (``_Evaluator.onto_constraint`` names why: K = 1 is empty, out of
     float64's reach, or g is invalid) and ConsistencyError when an iterate
     violates the uniform sup bound or K(u_bar) drifts off 1, which would
@@ -505,8 +531,8 @@ def solve(
     multiplier, and certify the rescaled function as a positive solution.
 
     On a :func:`~yamabe.graph.lattice_ball` or :func:`~yamabe.graph.tree_ball`
-    with a scalar mu, started from the bump at its anchor (opts.x0 the
-    anchor), with h and g constant on each orbit of the
+    with a scalar mu, started at its anchor (opts.x0 the anchor), with h
+    and g constant on each orbit of the
     symmetries that fix the anchor, the descent runs on the orbit quotient:
     the solution is unique for alpha < p and the first eigenfunction for
     p = alpha, so those symmetries fix it and it is constant on each orbit,

@@ -318,8 +318,8 @@ def exhaustion_study(
     family materializes graphs by radius (family.materialize(R) -> (graph,
     anchor)) and spec evaluates problem data on them (spec.on(graph,
     anchor) -> ProblemSpec).  All truncations are cut from one universe
-    ball, and each ball's solve starts from the bump around its anchor, so
-    opts.x0 must keep its default.
+    ball, and each ball's solve starts around its anchor, so opts.x0 must
+    keep its default.
 
     When spec is radial (h and g numbers or formulas in dist, not per-vertex
     sequences) and family is a GraphFamily with a quotient (a lattice or

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end criteria, one printed verdict each.
+"""Acceptance gate: thirteen end-to-end criteria, one printed verdict each.
 
 Each test prints one ACCEPTANCE line with its verdict and the measured
 quantity, then asserts. Tolerances are pinned here on purpose; loosening
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph, record_accepted_iterates
+from manufactured import alpha_below_p_set
 from yamabe import (
     ProblemSpec,
     SolveOptions,
@@ -422,5 +423,30 @@ def test_criterion_12_grid_certified_and_positive(capsys):
         capsys, 12, "grid-certified-and-positive", ok,
         f"{count} instances, {count - len(failed)} certified and positive, "
         f"{total_iters} iterations" + (f", failed: {failed}" if failed else ""),
+    )
+    assert ok, line
+
+
+def test_criterion_13_manufactured_alpha_below_p(capsys):
+    # The 48 alpha < p manufactured instances (tests/manufactured.py): u_ref
+    # is the exact solution. Every one must end certified; the worst
+    # |u/u_ref - 1| per graph and |gamma/gamma_ref - 1| are printed, not gated.
+    failed, count, total_iters, worst, worst_gamma = [], 0, 0, {}, 0.0
+    for name, graph, x0, profile, spec, u_ref, gamma_ref in alpha_below_p_set():
+        res = solve(graph, spec, SolveOptions(x0=x0))
+        count += 1
+        total_iters += res.iters
+        worst[name] = max(worst.get(name, 0.0), float(np.abs(res.u / u_ref - 1.0).max()))
+        worst_gamma = max(worst_gamma, abs(res.gamma / gamma_ref - 1.0))
+        if not (res.converged and res.positive):
+            failed.append(f"{name} p={spec.p:g} alpha={spec.alpha:g} u_ref={profile}: "
+                          f"converged={res.converged}, min u={res.min_u:.3g}")
+    ok = count == 48 and not failed
+    errors = ", ".join(f"{name} {err:.2g}" for name, err in worst.items())
+    line = _verdict(
+        capsys, 13, "manufactured-alpha-below-p", ok,
+        f"{count} instances, {count - len(failed)} certified, {total_iters} iterations, "
+        f"worst |u/u_ref - 1|: {errors}, worst |gamma/gamma_ref - 1| {worst_gamma:.2g}"
+        + (f", failed: {failed}" if failed else ""),
     )
     assert ok, line

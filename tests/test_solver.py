@@ -38,10 +38,17 @@ from yamabe import (
     tree_ball,
 )
 from test_kernels import every_builder
+from test_orbits import descent_sizes
 from yamabe import _kernels
 from yamabe._kernels import grad_power_kernel
 from yamabe.functionals import _Gprime_field
-from yamabe.solver import _LAGRANGIAN_FLOOR, _STEP_FLOOR, _Evaluator, _next_step
+from yamabe.solver import (
+    _LAGRANGIAN_FLOOR,
+    _STEP_FLOOR,
+    _Evaluator,
+    _initial_iterate,
+    _next_step,
+)
 
 
 def make_spec(graph, p, alpha, delta=0.4, theta=1.0, h=1.0, g_coef=1.0):
@@ -363,7 +370,7 @@ def test_constraint_exact_on_every_result():
 def test_vanishing_g_is_infeasible():
     g, _ = path_graph(4)
     spec = make_spec(g, 4.0, 3.0, g_coef=0.0)
-    empty = r"^g vanishes on every vertex, so K\(u\) = 1 is empty; the start bump"
+    empty = r"^g vanishes on every vertex, so K\(u\) = 1 is empty; the descent's start"
     with pytest.raises(InfeasibleConstraintError, match=empty):
         minimize_constrained(g, spec)
     with pytest.raises(InfeasibleConstraintError, match=empty):
@@ -380,7 +387,7 @@ def test_overflowing_constraint_is_infeasible(n, what):
     g, _ = path_graph(n)
     spec = make_spec(g, 4.0, 3.0, g_coef=1e308)
     for run in (minimize_constrained, solve):
-        with pytest.raises(InfeasibleConstraintError, match=f"^{what}; the start bump"):
+        with pytest.raises(InfeasibleConstraintError, match=f"^{what}; the descent's start"):
             run(g, spec)
     with pytest.raises(InfeasibleConstraintError, match=f"^{what}; the uniform competitor"):
         choose_truncation_radius(g, spec, 0, 1.0)
@@ -393,7 +400,7 @@ def test_invalid_g_is_named(g_values):
     g, _ = path_graph(4)
     spec = ProblemSpec(p=4.0, alpha=3.0, delta=0.4, theta=1.0, h=np.ones(4), g=g_values)
     with pytest.raises(InfeasibleConstraintError, match="^g must be nonnegative and finite; "
-                       "the start bump cannot be put on K = 1$"):
+                       "the descent's start cannot be put on K = 1$"):
         minimize_constrained(g, spec)
 
 
@@ -402,8 +409,77 @@ def test_underflowing_constraint_is_infeasible():
     g, _ = path_graph(3)
     spec = ProblemSpec(p=4.0, alpha=3.0, delta=0.4, theta=0.1, h=np.ones(3), g=[5e-324, 0.0, 0.0])
     with pytest.raises(InfeasibleConstraintError, match="^the constraint mass K underflows to 0 "
-                       "although g > 0 somewhere; the start bump cannot be put on K = 1$"):
+                       "although g > 0 somewhere; the descent's start cannot be put on K = 1$"):
         minimize_constrained(g, spec)
+
+
+@pytest.mark.parametrize("h, g_values", [
+    ([1.0, 0.0, -2.0, np.nan], [1.0, -1e3, np.inf, np.nan]),
+    ([1e-300, 1e300, np.inf, 1.0], [1e300, 1e-300, 0.0, -0.0]),
+    ([0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]),
+    ([np.nan, -1.0, 0.0, np.inf], [-1.0, 1.0, np.nan, 2.0]),
+])
+@pytest.mark.parametrize("alpha", [3.0, 3.999, 4.0])
+def test_start_is_positive_and_finite_whatever_h_and_g(monkeypatch, h, g_values, alpha):
+    # the function handed to onto_constraint, before any check of h or g
+    starts = []
+    monkeypatch.setattr(_Evaluator, "onto_constraint", lambda ev, v, what: starts.append(v))
+    g, _ = path_graph(4)
+    spec = ProblemSpec(p=4.0, alpha=alpha, delta=0.4, theta=1.0, h=h, g=g_values)
+    with np.errstate(all="raise"):
+        _initial_iterate(_Evaluator(g, spec), SolveOptions())
+    (start,) = starts
+    assert np.all(np.isfinite(start) & (start > 0.0)) and start.max() <= 1.0
+
+
+@pytest.mark.parametrize("p, alpha", [(1.0, 0.5), (1.5, 1.25), (np.nan, 3.0), (np.inf, 3.0)])
+def test_invalid_p_is_named_before_the_start(p, alpha):
+    # the alpha < p start takes powers 1/(p - alpha) and -1/(p - 1), so p is
+    # checked first: p = 1 raises the same ValueError as any p < 2
+    g, _ = path_graph(4)
+    spec = make_spec(g, p, alpha)
+    with pytest.raises(ValueError, match="^p must be a real number >= 2"):
+        minimize_constrained(g, spec)
+
+
+@pytest.mark.parametrize("make, descent_n", [
+    (lambda: path_graph(12), 12),
+    (lambda: lattice_ball(2, 10), 36),  # the Z^2 ball's orbit cells
+], ids=["path12", "z2r10"])
+def test_constant_coefficients_start_at_the_minimizer(monkeypatch, make, descent_n):
+    # for alpha < p and constant h and g the start is constant, and the constant
+    # on K = 1, (theta g vol)^(-1/alpha), is the minimizer: no iteration is run
+    g, x0 = make()
+    spec = make_spec(g, 4.0, 3.0, theta=1.5, h=2.5, g_coef=0.75)
+    sizes = descent_sizes(monkeypatch)
+    res = solve(g, spec, SolveOptions(x0=x0))
+    c = (1.5 * 0.75 * g.volume()) ** (-1.0 / 3.0)
+    assert res.iters == 0 and res.converged
+    assert sizes == [descent_n]
+    np.testing.assert_allclose(res.u_bar, c, rtol=4e-16, atol=0.0)
+
+
+STEEP = {
+    "path30": lambda: path_graph(30),
+    "path60": lambda: path_graph(60),
+    "z2r40": lambda: lattice_ball(2, 40),
+}
+
+
+@pytest.mark.parametrize("p, alpha, graphs", [
+    (4.0, 3.9, ["path60", "z2r40"]),
+    (2.5, 2.25, ["path30", "path60", "z2r40"]),
+])
+def test_steep_h_stays_certified_positive(p, alpha, graphs):
+    # h = 1 + dist^24: the profile underflows on the tail, where the floor
+    # keeps the start positive; a start that was 0 there stays 0 (min u = 0),
+    # and the distance bump left p = 2.5, alpha = 2.25 uncertified with min u = 0
+    for name in graphs:
+        g, x0 = STEEP[name]()
+        dist = graph_distance(g, x0).astype(np.float64)
+        spec = make_spec(g, p, alpha, h=1.0 + dist**24)
+        res = solve(g, spec, SolveOptions(x0=x0))
+        assert res.converged and res.positive and res.min_u > 0.0, name
 
 
 def test_options_validation():

@@ -381,15 +381,16 @@ def test_exhaustion_certifies_monotonicity_failure():
 
 def test_exhaustion_monotonicity_skips_unconverged_balls():
     # two iterations leave every ball unconverged; their gammas are only
-    # upper bounds of the ball levels and rise from R = 8 to R = 16, which
-    # used to raise ConsistencyError although no ball was certified
+    # upper bounds of the ball levels and rise from R = 4 to R = 8 (p = alpha,
+    # which starts from the bump), which used to raise ConsistencyError
+    # although no ball was certified
     family = GraphFamily("path", {"n": 20})
-    problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^2", g=1.0)
+    problem = ProblemFamily(p=4.0, alpha=4.0, delta=0.4, h="1 + dist^2", g=1.0)
     study = exhaustion_study(family, problem, (4, 8, 16, 32), SolveOptions(max_iters=2))
     rows = study["rows"]
     assert [row["R"] for row in rows] == [4, 8, 16, 32]
     assert not any(row["converged"] for row in rows)
-    assert rows[2]["gamma"] > rows[1]["gamma"]
+    assert rows[1]["gamma"] > rows[0]["gamma"]
 
 
 def test_competitor_without_constraint_mass_is_infeasible():

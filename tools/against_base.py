@@ -6,12 +6,13 @@ BASE_DIR is a checkout of the commit to compare with (CI passes a worktree
 of a pull request's base commit). In this checkout and in BASE_DIR, each
 importing its own ``src``, the script
 
-* hashes, with one SHA-256 per set, u_bar, u, the residual, gamma, lambda,
-  the iterations and the line-search trials of acceptance 12's 180 grid
-  solves, and of the six lattice-large solves on the Z^2 ball of radius 60
-  (p = 4, alpha in {2.5, 3, 3.5}, h = 1 + dist^2 or 1 + dist^4), so that a
-  change that moves one grid iterate shows, and keeps each solve's gamma,
-  lambda, iterations, trials and convergence;
+* hashes, with one SHA-256 per set and branch (alpha < p, p = alpha), u_bar,
+  u, the residual, gamma, lambda, the iterations and the line-search trials
+  of acceptance 12's 180 grid solves, and of the six lattice-large solves on
+  the Z^2 ball of radius 60 (p = 4, alpha in {2.5, 3, 3.5}, h = 1 + dist^2
+  or 1 + dist^4), so that a change that moves one grid iterate shows, and
+  keeps each solve's gamma, lambda, iterations, trials, convergence,
+  positivity certificate and rel (``residual_rel_sup``);
 * runs the ``yamabe`` CLI 22 times (``RUNS``) on the README's config (a
   d = 1 lattice), a Z^2 ball of radius 40 (also with theta = 2.5, the
   only runs where theta g is not g), a binary tree of depth 8, a
@@ -32,9 +33,11 @@ importing its own ``src``, the script
   edge sub-blocks of 2 and 1.
 
 It prints a Markdown summary on stdout: whether the two digests are
-identical (for a set that differs, the largest relative change in gamma
-and in lambda, and each side's iteration and trial totals and number of
-converged solves), whether the CLI outputs are byte-identical (else which
+identical (for a set that differs, the branches that differ, the largest
+relative change in gamma and in lambda, and each side's trial total and
+number of converged solves), for each set, branch and side the number of
+solves with rel above 1e-10, 1e-6, 1e-2 and 0.5, the number certified
+positive and the iteration total, whether the CLI outputs are byte-identical (else which
 files differ), and, for each CSV file and report.json that differs, the
 largest relative difference in each numeric column (a JSON file's
 top-level numbers) that differs (rounding drift is about 1e-16, but a residual, a
@@ -112,6 +115,10 @@ RUNS = (
 CLI = 'import sys; sys.path.insert(0, "src"); from yamabe.cli import main; sys.exit(main(sys.argv[1:]))'
 
 
+BRANCHES = ("alpha < p", "p = alpha")
+REL_LEVELS = (1e-10, 1e-6, 1e-2, 0.5)
+
+
 def digest() -> None:
     """Print the two digests of the checkout in the working directory."""
     import hashlib
@@ -122,19 +129,22 @@ def digest() -> None:
                         lattice_ball, path_graph, solve, tree_ball)
 
     def one(instances):
-        sha = hashlib.sha256()
-        solves = {"gamma": [], "lambda": [], "iters": [], "trials": [], "converged": []}
+        sha = {branch: hashlib.sha256() for branch in BRANCHES}
+        solves = {key: [] for key in ("branch", "gamma", "lambda", "iters", "trials",
+                                      "converged", "positive", "rel")}
         for (graph, x0), p, alpha, delta, k in instances:
             dist = graph_distance(graph, x0).astype(np.float64)
             h = 1.0 + dist**k if k else np.ones(graph.n)
             spec = ProblemSpec(p=p, alpha=alpha, delta=delta, theta=1.0, h=h, g=np.ones(graph.n))
             res = solve(graph, spec, SolveOptions(x0=x0))
-            for arr in (res.u_bar, res.u, res.residual):
-                sha.update(arr.tobytes())
-            sha.update(np.array([res.gamma, res.lam, res.iters, res.trace.trials]).tobytes())
-            for key, value in zip(solves, (res.gamma, res.lam, res.iters, res.trace.trials, res.converged)):
+            branch = BRANCHES[alpha == p]
+            for arr in (res.u_bar, res.u, res.residual,
+                        np.array([res.gamma, res.lam, res.iters, res.trace.trials])):
+                sha[branch].update(arr.tobytes())
+            for key, value in zip(solves, (branch, res.gamma, res.lam, res.iters, res.trace.trials,
+                                           res.converged, res.positive, res.residual_rel_sup)):
                 solves[key].append(value)
-        return {"sha256": sha.hexdigest(), **solves}
+        return {"sha256": {branch: sha[branch].hexdigest() for branch in BRANCHES}, **solves}
 
     grid = [(graph, p, alpha, min(0.4, 0.9 / (p - 2.0)), k)
             for graph in (path_graph(30), lattice_ball(2, 10), tree_ball(2, 6), cycle_graph(20))
@@ -147,23 +157,44 @@ def digest() -> None:
 
 
 def digest_drift(digests: dict[str, dict]) -> list[str]:
-    """For each digest set that differs: the largest relative change in
-    gamma and lambda from base to head, and each side's iteration and trial
-    totals and its count of converged solves."""
+    """For each digest set that differs: the branches whose solves differ,
+    the largest relative change in gamma and lambda from base to head, and
+    each side's trial total and its count of converged solves."""
     lines = []
     base, head = digests["base"], digests["head"]
     for name in head:
-        if head[name]["sha256"] == base[name]["sha256"]:
+        if head[name] == base[name]:
             continue
+        moved = [branch for branch in BRANCHES
+                 if head[name]["sha256"][branch] != base[name]["sha256"][branch]]
         worst = {key: max(abs(h - b) / abs(b) for b, h in zip(base[name][key], head[name][key]))
                  for key in ("gamma", "lambda")}
-        lines.append(f"- {name}: largest relative change gamma {worst['gamma']:.2e}, "
-                     f"lambda {worst['lambda']:.2e}")
+        lines.append(f"- {name}: {' and '.join(moved) or 'no branch'} differs; largest relative "
+                     f"change gamma {worst['gamma']:.2e}, lambda {worst['lambda']:.2e}")
         for side, sets in digests.items():
             solves = sets[name]
-            lines.append(f"- {name} {side}: {sum(solves['iters'])} iterations, "
-                         f"{sum(solves['trials'])} trials, "
+            lines.append(f"- {name} {side}: {sum(solves['trials'])} trials, "
                          f"{sum(solves['converged'])} of {len(solves['converged'])} converged")
+    return lines
+
+
+def branch_accuracy(digests: dict[str, dict]) -> list[str]:
+    """For each digest set, branch and side: how many solves have rel, the
+    relative defect of the vertex equation, above each of REL_LEVELS, how
+    many are certified positive, and the iteration total."""
+    lines = []
+    for name in digests["head"]:
+        for branch in BRANCHES:
+            for side, sets in digests.items():
+                solves = sets[name]
+                picked = [i for i, b in enumerate(solves["branch"]) if b == branch]
+                if not picked:
+                    continue
+                rel = "/".join(str(sum(solves["rel"][i] > level for i in picked))
+                               for level in REL_LEVELS)
+                lines.append(f"- {name}, {branch}, {side}: rel > 1e-10/1e-6/1e-2/0.5 in {rel}, "
+                             f"{sum(solves['positive'][i] for i in picked)} of {len(picked)} "
+                             f"positive, {sum(solves['iters'][i] for i in picked)} iterations")
     return lines
 
 
@@ -275,11 +306,10 @@ def main(argv: list[str]) -> int:
         print(f"{solves} vs base {rev}: did not run")
         for side in (side for side in ("head", "base") if sets[side] is None):
             print("\n".join(f"- {side}: {line}" for line in digests[side].splitlines()))
-    elif sets["head"] == sets["base"]:
-        print(f"{solves} vs base {rev}: identical")
     else:
-        print(f"{solves} vs base {rev}: differs")
-        print("\n".join(digest_drift(sets)))
+        same = sets["head"] == sets["base"]
+        print(f"{solves} vs base {rev}: {'identical' if same else 'differs'}")
+        print("\n".join(digest_drift(sets) + branch_accuracy(sets)))
     what = (f"yamabe CLI, {len(RUNS)} runs: solve and sweep on the README, Z^2 R=40 (theta 1 "
             "and 2.5), tree and p = alpha cycle configs, sweep on radius-sized tree and Z^3 "
             "configs, solve and verify on an explicit graph with a self-loop (x0 = 0 and 3), "
