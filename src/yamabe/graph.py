@@ -18,25 +18,23 @@ that has already passed that check and do not repeat it, so the solver's
 inner loop pays for validation once per public call, not once per layer.
 
 Cost model: construction, truncation and the breadth-first search (behind
-``graph_distance`` and the connectivity check) are whole-array numpy code.
-The search is level-synchronous: each hop level costs a fixed few array
-operations (about 13 us on a 2-core Xeon, numpy 2.4) plus C-speed work per
-frontier edge, so large balls pay per edge and long thin graphs pay per level.
-Every graph the package builds comes out of one assembler, which writes the
-CSR arrays from per-row degrees and checks connectivity with the search from
-an anchor (vertex 0 for :meth:`WeightedGraph.from_edges`, the generator's
-anchor otherwise), and keeps those distances; a ball cut by
-:func:`truncate_ball` inherits its anchor's from the parent instead of
-searching. So each graph is searched once, for its anchor, and only a query
-from another source pays a search of its own.
+``graph_distance``) are whole-array numpy code. The search is
+level-synchronous: each hop level costs a fixed few array operations (about
+13 us on a 2-core Xeon, numpy 2.4) plus C-speed work per frontier edge, so
+large balls pay per edge and long thin graphs pay per level. Every graph the
+package builds comes out of one assembler, which writes the CSR arrays from
+per-row degrees and keeps the hop distances from an anchor. A generator and
+a quotient builder state their anchor's distances in closed form, and a ball
+cut by :func:`truncate_ball` cuts them from its parent's; the assembler
+certifies a stated labelling, and with it connectivity, in one pass over the
+edges. Only :meth:`WeightedGraph.from_edges` searches, from vertex 0, and
+only a query from another source than the anchor pays a search of its own.
+A ball also inherits its parent's edge pairing instead of deriving it.
 
 The quotient builders (:func:`lattice_quotient`, :func:`tree_quotient`)
 cost per cell, not per vertex: the Z^2 ball of radius 128 has 4,225 orbits
 for its 33,025 points, and Z^d about 2^d d! times fewer orbits than points
-as the radius grows; a tree has one cell per level, which its search pays
-as one hop level each. On a 2-core Xeon (numpy 2.4) the radius-128
-Z^2 quotient takes about 7 ms against about 19 ms for the ball and its
-anchor's distances, and the depth-128 binary-tree quotient about 2 ms.
+as the radius grows; a tree has one cell per level.
 A lattice or tree ball with a scalar mu builds its own quotient, and the
 map from its vertices to their cells (one sort of the points' orbit keys),
 only when a solve first asks (:func:`_orbit_quotient`): for the Z^2 ball
@@ -48,7 +46,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -72,12 +70,17 @@ class WeightedGraph:
     edge then has one weight, and the energy identity holds by
     construction. The pairing costs 12 bytes per slot for as long as the
     graph lives: an 8-byte bin per slot and an 8-byte weight per edge.
+    The one exception is private: a :func:`truncate_ball` ball hands over
+    its parent's pairing, cut and relabelled (``_pairing``), which is
+    already what :func:`csr_pairing` would derive, so it is not derived
+    again.
 
     ``_distance`` is ``(anchor, distances)``, the hop distances from the
     anchor the graph was built around, written once when it is made:
-    :meth:`from_edges` from vertex 0, a generator from its anchor, and a
-    :func:`truncate_ball` ball from its anchor, cut from the parent's
-    distances. Nothing replaces it. A raw graph has None.
+    :meth:`from_edges` searches from vertex 0, a generator states its
+    anchor's and a :func:`truncate_ball` ball cuts its anchor's from the
+    parent's; :func:`_assemble` certifies a stated labelling. Nothing
+    replaces it. A raw graph has None.
 
     ``connected`` reads those distances; a raw graph searches from vertex 0
     on every ask.
@@ -101,12 +104,13 @@ class WeightedGraph:
     indices: np.ndarray
     weights: np.ndarray
     mu: np.ndarray
+    _pairing: InitVar[tuple | None] = None
     pairing: tuple = field(init=False, repr=False, compare=False)
     _distance: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _orbits: object = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        pairing = csr_pairing(self.indptr, self.indices, self.weights)
+    def __post_init__(self, _pairing):
+        pairing = csr_pairing(self.indptr, self.indices, self.weights) if _pairing is None else _pairing
         for a in pairing:
             a.setflags(write=False)
         object.__setattr__(self, "pairing", pairing)
@@ -335,8 +339,11 @@ def _integrate(g: WeightedGraph, arr: np.ndarray) -> float:
 def graph_distance(g: WeightedGraph, x0: int) -> np.ndarray:
     """Hop-count distance from ``x0`` to every vertex (read-only int64 array).
 
-    The anchor's are the graph's own, the same array on every ask; any
-    other source is searched afresh and not kept. Copy before writing.
+    The anchor's are the graph's own, the same array on every ask, stated
+    by its builder (or found by :meth:`WeightedGraph.from_edges`' search)
+    and certified when it was made; any other source is searched afresh
+    and not kept, and this is the only place a built graph searches. Copy
+    before writing.
     """
     # a boolean, a string or a fraction raises ValueError, even for the anchor
     x0 = _integer(x0, "x0")
@@ -367,22 +374,40 @@ def _orbit_quotient(g: WeightedGraph, x0: int):
     return orbits
 
 
-def _assemble(degree, cols, weights, mu, anchor: int, dist=None) -> WeightedGraph:
+def _assemble(degree, cols, weights, mu, anchor: int, dist=None, pairing=None) -> WeightedGraph:
     """The frozen graph whose row x holds the next ``degree[x]`` entries of
     ``cols`` and ``weights``, keeping the distances from ``anchor``.
 
-    Every graph the package builds ends here. The connectivity check reads
-    those distances: ``dist`` where given (a ball's, cut from its parent's),
-    else the search from ``anchor``.
+    Every graph the package builds ends here. ``dist`` is the builder's own
+    int64 labelling of the hop distances from ``anchor`` (a generator's
+    closed form, a ball's cut from its parent's); without one, the search
+    from ``anchor`` finds them. A stated labelling is certified in one pass
+    over the pairing: the anchor is 0, every edge's ends differ by at most 1,
+    and every other vertex has a neighbour exactly one closer. A labelling
+    that passes is the hop distance (the last rule bounds it from above by
+    induction outwards, the second from below), so every vertex is
+    reachable; one that fails, like a search that misses a vertex, raises
+    ValueError("graph must be connected"). ``pairing``, where given, is the
+    graph's own (see :class:`WeightedGraph`).
     """
     indptr = np.concatenate(([0], np.cumsum(degree)))
-    g = WeightedGraph(indptr=indptr, indices=cols, weights=weights, mu=mu)
-    dist = _bfs(indptr, cols, anchor) if dist is None else dist
+    g = WeightedGraph(indptr=indptr, indices=cols, weights=weights, mu=mu, _pairing=pairing)
+    if dist is None:
+        dist = _bfs(indptr, cols, anchor)
+        connected = (dist >= 0).all()
+    else:
+        ends = g.pairing[0].reshape(2, -1)
+        step = np.subtract(*dist[ends])  # each edge's hi minus its lo
+        closer = np.zeros(g.n, dtype=bool)
+        closer[ends[0, step == 1]] = True
+        closer[ends[1, step == -1]] = True
+        closer[anchor] = True
+        connected = dist[anchor] == 0 and closer.all() and (np.abs(step) <= 1).all()
+    if not connected:
+        raise ValueError("graph must be connected")
     for a in (indptr, cols, weights, mu, dist):
         a.setflags(write=False)
     object.__setattr__(g, "_distance", (anchor, dist))
-    if not g.connected:
-        raise ValueError("graph must be connected")
     return g
 
 
@@ -409,7 +434,11 @@ def truncate_ball(
 
     The ball's distances from the anchor are cut from the parent's, with no
     search: every kept vertex has a shortest path to x0, and that path stays
-    inside the ball, so the ball is connected too. ``x0`` and ``radius``
+    inside the ball, so the ball is connected too (:func:`_assemble`
+    certifies the cut distances in one pass). Its pairing is the parent's
+    too: the edges with both ends kept, in the parent's order and
+    relabelled by the ascending map of kept ids, which is what
+    :func:`csr_pairing` derives from the ball's CSR. ``x0`` and ``radius``
     must be integers: a boolean, a string or a fraction raises ValueError.
     """
     x0, radius = _integer(x0, "x0"), _integer(radius, "radius")
@@ -423,10 +452,13 @@ def truncate_ball(
 
     row = csr_rows(g.indptr)
     emask = keep[row] & keep[g.indices]
+    ends, w = g.pairing[0].reshape(2, -1), g.pairing[1]
+    both = keep[ends].all(axis=0)
     anchor = int(old_to_new[x0])
     ball = _assemble(
         np.bincount(old_to_new[row[emask]], minlength=new_to_old.shape[0]),
         old_to_new[g.indices[emask]], g.weights[emask], g.mu[new_to_old], anchor, dist[new_to_old],
+        (old_to_new[np.compress(both, ends, axis=1)].ravel(), w[both]),
     )
     return ball, anchor, new_to_old
 
@@ -445,12 +477,14 @@ def _edge_weight(weight) -> float:
     return float(w)
 
 
-def _quotient_graph(nbr, weight, mu, anchor=0, count=1, size=1) -> tuple[WeightedGraph, int, np.ndarray]:
+def _quotient_graph(nbr, weight, mu, dist, anchor=0, count=1, size=1) -> tuple[WeightedGraph, int, np.ndarray]:
     """Quotient of a generator graph by a partition into cells, as ``(graph, anchor, cell_size)``.
 
     Row x of ``nbr`` is cell x, with ``size[x]`` vertices, each of which has
     ``count[x, k]`` neighbours in cell ``nbr[x, k]``; an entry outside
-    0..n-1 marks no neighbour. Each row must list its neighbours in
+    0..n-1 marks no neighbour. ``dist`` (int64) is each cell's hop distance
+    from the anchor's, which :func:`_assemble` certifies instead of
+    searching. Each row must list its neighbours in
     ascending order and each edge must sit in both of its rows, so the CSR
     arrays come out as :meth:`WeightedGraph.from_edges` sorts them, with no
     duplicate search and no sort. ``mu`` is each vertex's measure: one
@@ -476,7 +510,7 @@ def _quotient_graph(nbr, weight, mu, anchor=0, count=1, size=1) -> tuple[Weighte
         raise ValueError("the cells' measure overflows float64")
     valid = (nbr >= 0) & (nbr < nbr.shape[0])
     pairs = np.broadcast_to(size[..., None] * count, nbr.shape)[valid].astype(np.float64)
-    return _assemble(np.count_nonzero(valid, axis=1), nbr[valid], pairs * w, mass, anchor), anchor, cell_size
+    return _assemble(np.count_nonzero(valid, axis=1), nbr[valid], pairs * w, mass, anchor, dist), anchor, cell_size
 
 
 def _keep_orbits(g: WeightedGraph, anchor: int, mu, build) -> tuple[WeightedGraph, int]:
@@ -492,7 +526,7 @@ def path_graph(n: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]
     if n < 1:
         raise ValueError("n must be >= 1")
     x = np.arange(n)
-    return _quotient_graph(np.column_stack((x - 1, x + 1)), weight, mu)[:2]
+    return _quotient_graph(np.column_stack((x - 1, x + 1)), weight, mu, x)[:2]
 
 
 def cycle_graph(n: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int]:
@@ -501,7 +535,8 @@ def cycle_graph(n: int, weight: float = 1.0, mu=1.0) -> tuple[WeightedGraph, int
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     x = np.arange(n)
-    return _quotient_graph(np.sort(np.column_stack(((x - 1) % n, (x + 1) % n)), axis=1), weight, mu)[:2]
+    nbr = np.sort(np.column_stack(((x - 1) % n, (x + 1) % n)), axis=1)
+    return _quotient_graph(nbr, weight, mu, np.minimum(x, n - x))[:2]
 
 
 def _check_lattice(d, radius) -> tuple[int, int]:
@@ -542,7 +577,7 @@ def lattice_ball(d: int, radius: int, weight: float = 1.0, mu=1.0) -> tuple[Weig
     nbr = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
     nbr[keys[nbr] != target] = -1
     # negation maps the ball to itself reversing the order: the origin is the middle
-    g, anchor = _quotient_graph(nbr, weight, mu, len(keys) // 2)[:2]
+    g, anchor = _quotient_graph(nbr, weight, mu, radius - budget, len(keys) // 2)[:2]
     return _keep_orbits(
         g, anchor, mu, lambda: (*_lattice_cells(d, radius, keys), lattice_quotient(d, radius, weight, mu)[0])
     )
@@ -608,7 +643,8 @@ def lattice_quotient(
     # tuple, so these targets ascend and are distinct: no sort, no duplicates
     power = np.array([base ** (d - 1 - k) for k in range(d)], dtype=dtype)
     down = np.where((first == col) & (cells > 0), keys[:, None] - power, -1)
-    inside = (cells.sum(axis=1) < radius)[:, None]
+    dist = cells.sum(axis=1)
+    inside = (dist < radius)[:, None]
     up = np.where((end == col) & inside, keys[:, None] + power, -1)[:, ::-1]
     target = np.concatenate((down, up), axis=1)
     nbr = np.where(target >= 0, np.searchsorted(keys, target), -1)
@@ -621,7 +657,7 @@ def lattice_quotient(
     for k in range(1, d):
         size //= k - first[:, k] + 1
     size *= np.array([2**k for k in range(d + 1)], dtype=dtype)[np.count_nonzero(cells, axis=1)]
-    return _quotient_graph(nbr, weight, mu, count=count, size=size)
+    return _quotient_graph(nbr, weight, mu, dist, count=count, size=size)
 
 
 def _check_tree(branching, depth) -> tuple[int, int]:
@@ -644,9 +680,11 @@ def tree_ball(branching: int, depth: int, weight: float = 1.0, mu=1.0) -> tuple[
     # the root) and children branching * v + 1 .. branching * v + branching (< n)
     v = np.arange(sum(level))
     children = branching * v[:, None] + np.arange(1, branching + 1)
-    g, anchor = _quotient_graph(np.column_stack(((v - 1) // branching, children)), weight, mu)[:2]
+    # a vertex's level is its distance from the root, and its cell among the orbits
+    depth_of = np.repeat(np.arange(depth + 1), level)
+    g, anchor = _quotient_graph(np.column_stack(((v - 1) // branching, children)), weight, mu, depth_of)[:2]
     return _keep_orbits(g, anchor, mu, lambda: (
-        np.repeat(np.arange(depth + 1), level),
+        depth_of,
         np.cumsum([0] + level[:-1]),
         tree_quotient(branching, depth, weight, mu)[0],
     ))
@@ -666,7 +704,7 @@ def tree_quotient(
     big = branching ** (depth + 1) >= 2**63
     size = np.array([branching**j for j in range(depth + 1)], dtype=object if big else np.int64)
     nbr = np.column_stack((k - 1, np.where(k < depth, k + 1, -1)))
-    return _quotient_graph(nbr, weight, mu, count=np.array([1, branching]), size=size)
+    return _quotient_graph(nbr, weight, mu, k, count=np.array([1, branching]), size=size)
 
 
 # Each family: its generator, the param that sets its extent, the offset that turns a

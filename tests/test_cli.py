@@ -645,13 +645,13 @@ def test_readme_config_runs_as_documented(tmp_path, capsys):
 
 
 def test_readme_solve_runs_one_search(tmp_path, monkeypatch, capsys):
-    # the universe's connectivity search is the one from its anchor; the
-    # coefficients, the tails, the cut and the ball's start reuse it
+    # the universe's builder states its anchor's distances; the coefficients,
+    # the tails, the cut and the ball's start reuse them, so nothing searches
     counts = count_calls(monkeypatch, _bfs)
     cfg = readme_config(tmp_path)
     argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]
     assert main(argv) == 0, capsys.readouterr().err
-    assert counts["_bfs"] == 1
+    assert counts["_bfs"] == 0
 
 
 # floats whose 17-digit text is easy to get wrong: a signed zero, the

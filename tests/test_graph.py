@@ -31,7 +31,7 @@ from yamabe import (
     tree_ball,
     truncate_ball,
 )
-from yamabe.graph import _bfs, csr_rows, lattice_quotient, tree_quotient
+from yamabe.graph import _assemble, _bfs, csr_pairing, csr_rows, lattice_quotient, tree_quotient
 
 
 def reference_distance(g, x0):
@@ -292,21 +292,21 @@ def test_connected_reads_the_distance_slot(monkeypatch):
     # a built graph answers from its anchor's distances, with no search
     counts = count_calls(monkeypatch, _bfs)
     g, _ = lattice_ball(2, 3)
-    assert counts["_bfs"] == 1  # the generator's check
+    assert counts["_bfs"] == 0  # the generator states its distances
     graph_distance(g, 5)
     assert g.connected and g.connected and g._distance[0] == 12
-    assert counts["_bfs"] == 2  # and the query from 5
+    assert counts["_bfs"] == 1  # the query from 5
     # a raw graph keeps nothing: it searches from vertex 0 on every ask
     raw = WeightedGraph(indptr=g.indptr, indices=g.indices, weights=g.weights, mu=g.mu)
     graph_distance(raw, 5)
     assert raw.connected and raw.connected and raw._distance is None
-    assert counts["_bfs"] == 5
+    assert counts["_bfs"] == 4
     # and reports False however it was asked before
     bad = disconnected_raw_graph()
     for k in (4, 1, 3):
         graph_distance(bad, k)
         assert not bad.connected and bad._distance is None
-    assert counts["_bfs"] == 11
+    assert counts["_bfs"] == 10
 
 
 @pytest.mark.parametrize(
@@ -406,6 +406,100 @@ def test_ball_inherits_distances_from_its_anchor(make, monkeypatch):
         np.testing.assert_array_equal(graph_distance(ball, anchor), reference_distance(ball, anchor))
     # the universe was searched before, and every ball inherits its distances
     assert counts["_bfs"] == 0
+
+
+def assemble(indptr, indices, dist, anchor=0):
+    """``_assemble`` on fresh copies of a CSR (unit weights and measure) and a labelling."""
+    indptr, indices = np.asarray(indptr), np.array(indices, dtype=np.int64)
+    return _assemble(np.diff(indptr), indices, np.ones(indices.size), np.ones(indptr.size - 1),
+                     anchor, np.array(dist, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: path_graph(6), lambda: cycle_graph(6), lambda: cycle_graph(7),
+     lambda: lattice_ball(2, 3), lambda: tree_ball(3, 2), lambda: lattice_quotient(3, 4)[:2]],
+    ids=["path", "cycle_even", "cycle_odd", "z2", "tree", "z3_quotient"],
+)
+def test_certificate_rejects_a_vertex_off_by_one(make):
+    g, x0 = make()
+    dist = reference_distance(g, x0)
+    assert assemble(g.indptr, g.indices, dist, x0)._distance[1].tolist() == dist.tolist()
+    for x in range(g.n):
+        for step in (-1, 1):
+            off = dist.copy()
+            off[x] += step
+            with pytest.raises(ValueError, match="^graph must be connected$"):
+                assemble(g.indptr, g.indices, off, x0)
+    # shifted as a whole, it passes every rule but the anchor's 0
+    for step in (-1, 1, 5):
+        with pytest.raises(ValueError, match="^graph must be connected$"):
+            assemble(g.indptr, g.indices, dist + step, x0)
+
+
+def test_certificate_rejects_a_second_zero():
+    # the distance from the nearer of two sources passes every edge rule;
+    # only the second source lacks a closer neighbour
+    for g, x0 in (path_graph(9), cycle_graph(10), lattice_ball(2, 4)):
+        for other in (1, g.n // 2, g.n - 1):
+            if other == x0:
+                continue
+            dist = np.minimum(reference_distance(g, x0), reference_distance(g, other))
+            with pytest.raises(ValueError, match="^graph must be connected$"):
+                assemble(g.indptr, g.indices, dist, x0)
+
+
+def test_certificate_accepts_only_the_hop_distance():
+    # every labelling of five vertices by -1..5 with the anchor at 0: on a
+    # connected graph (a self-loop included) only the hop distance passes,
+    # and on a disconnected raw CSR none does, however its second component
+    # is labelled
+    linked = WeightedGraph.from_edges(5, [(0, 1, 1.0), (1, 2, 2.0), (2, 2, 1.0), (1, 3, 1.0), (3, 4, 0.5)])
+    broken = disconnected_raw_graph()
+    want = reference_distance(linked, 0).tolist()
+    passed = []
+    for rest in itertools.product(range(-1, 6), repeat=4):
+        dist = (0, *rest)
+        for g in (linked, broken):
+            try:
+                kept = assemble(g.indptr, g.indices, dist)._distance[1].tolist()
+            except ValueError as exc:
+                assert str(exc) == "graph must be connected"
+                assert g is broken or list(dist) != want
+            else:
+                passed.append((g is linked, kept))
+    assert passed == [(True, want)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: lattice_ball(2, 5),
+        lambda: lattice_ball(3, 3),
+        lambda: tree_ball(2, 4),
+        lambda: path_graph(9),
+        lambda: cycle_graph(9),
+        lambda: cycle_graph(10),
+        lambda: lattice_quotient(2, 6)[:2],
+        lambda: (WeightedGraph.from_edges(6, [(0, 1, 1.0), (1, 2, 2.5), (2, 2, 0.5), (2, 3, 1.0),
+                                              (3, 4, 0.75), (4, 5, 3.0), (0, 5, 1.5)]), 0),
+    ],
+    ids=["z2", "z3", "tree", "path", "cycle_odd", "cycle_even", "z2_quotient", "from_edges_loop"],
+)
+def test_ball_inherits_the_pairing_csr_pairing_derives(make, monkeypatch):
+    # radius 0, inside the graph, at the eccentricity and beyond it, from the
+    # anchor and from two other vertices: bit for bit, and derived by no one
+    g, anchor = make()
+    for x0 in (anchor, g.n // 2, g.n - 1):
+        ecc = eccentricity(g, x0)
+        for radius in (0, 1, ecc // 2, ecc, ecc + 2):
+            counts = count_calls(monkeypatch, csr_pairing)
+            ball, _, _ = truncate_ball(g, x0, radius)
+            assert counts["csr_pairing"] == 0
+            monkeypatch.undo()
+            for got, want in zip(ball.pairing, csr_pairing(ball.indptr, ball.indices, ball.weights)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
 
 
 def lattice_points(d, radius):
@@ -527,6 +621,22 @@ def test_quotients_are_exact(case, data):
     )
 
 
+# every builder at a sweep of sizes: the edge cases (one vertex, radius and
+# depth 0) and both parities of the cycle
+STATED = (
+    [(f"path{n}", lambda n=n: path_graph(n)) for n in (2, 7)]
+    + [(f"cycle{n}", lambda n=n: cycle_graph(n)) for n in (3, 4, 7, 10)]
+    + [(f"z{d}_r{r}", lambda d=d, r=r: lattice_ball(d, r)) for d, k in ((1, 6), (2, 5), (3, 4), (4, 3))
+       for r in range(k + 1)]
+    + [(f"tree{b}_d{k}", lambda b=b, k=k: tree_ball(b, k)) for b, top in ((2, 5), (3, 3), (4, 3))
+       for k in range(top + 1)]
+    + [(f"z{d}_quotient_r{r}", lambda d=d, r=r: lattice_quotient(d, r)[:2])
+       for d, k in ((1, 5), (2, 8), (3, 6), (4, 5)) for r in range(k + 1)]
+    + [(f"tree{b}_quotient_d{k}", lambda b=b, k=k: tree_quotient(b, k)[:2]) for b in (2, 3, 4)
+       for k in range(5)]
+)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -540,17 +650,19 @@ def test_quotients_are_exact(case, data):
         lambda: lattice_ball(3, 0),
         lambda: tree_quotient(3, 4)[:2],
         lambda: lattice_quotient(2, 7)[:2],
-    ],
+    ] + [make for _, make in STATED],
     ids=["path1", "path30", "cycle", "tree_depth0", "tree", "z1", "z2", "z3_radius0",
-         "tree_quotient", "z2_quotient"],
+         "tree_quotient", "z2_quotient"] + [name for name, _ in STATED],
 )
 def test_generator_build_and_anchor_distances_run_one_search(make, monkeypatch):
-    # the connectivity check is the search from the anchor, which the slot keeps
+    # the builder states its anchor's distances (int64), which the
+    # connectivity check certifies and the slot keeps: no search at all
     counts = count_calls(monkeypatch, _bfs)
     g, x0 = make()
     assert g.connected
+    assert g._distance[0] == x0 and g._distance[1].dtype == np.int64
     np.testing.assert_array_equal(graph_distance(g, x0), reference_distance(g, x0))
-    assert counts["_bfs"] == 1
+    assert counts["_bfs"] == 0
 
 
 @pytest.mark.parametrize(

@@ -83,6 +83,33 @@ def test_tree_cells_are_levels(branching, depth):
     assert quotient.weights.tobytes() == q.weights.tobytes() and quotient.mu.tobytes() == q.mu.tobytes()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda d=d, r=r: yamabe.lattice_ball(d, r, weight=0.7, mu=1.3)
+     for d, k in ((1, 4), (2, 5), (3, 4), (4, 2)) for r in range(k + 1)]
+    + [lambda b=b, k=k: yamabe.tree_ball(b, k, weight=0.7, mu=1.3)
+       for b, top in ((2, 5), (3, 3)) for k in range(top + 1)],
+    ids=[f"z{d}_r{r}" for d, k in ((1, 4), (2, 5), (3, 4), (4, 2)) for r in range(k + 1)]
+    + [f"tree{b}_d{k}" for b, top in ((2, 5), (3, 3)) for k in range(top + 1)],
+)
+def test_kept_orbits_are_equitable(make):
+    # every vertex of cell a has the same number c of neighbours in cell b, the
+    # quotient weighs (a, b) size[a] c weight, and each cell measures size mu
+    g, x0 = make()
+    cell, first, quotient = _orbit_quotient(g, x0)
+    size = np.bincount(cell)
+    links = np.zeros((g.n, size.size), dtype=np.int64)
+    np.add.at(links, (csr_rows(g.indptr), cell[g.indices]), 1)
+    np.testing.assert_array_equal(links, links[first][cell])
+    want = np.zeros((size.size, size.size))
+    a, b = np.nonzero(links[first])
+    want[a, b] = (size[a] * links[first][a, b]).astype(np.float64) * 0.7
+    got = np.zeros_like(want)
+    got[csr_rows(quotient.indptr), quotient.indices] = quotient.weights
+    assert got.tobytes() == want.tobytes()
+    assert quotient.mu.tobytes() == (size * 1.3).tobytes()
+
+
 def test_orbits_are_built_on_first_ask_and_kept(monkeypatch):
     counts = count_calls(monkeypatch, lattice_quotient, tree_quotient)
     g, x0 = yamabe.lattice_ball(2, 6)

@@ -108,21 +108,21 @@ def test_solve_validates_each_iterate_a_bounded_number_of_times(monkeypatch):
 
 
 def test_connectivity_is_derived_once_per_graph(monkeypatch):
-    # a built graph's connectivity is its construction's search from the anchor
+    # a built graph's connectivity is its construction's certified distances
     counts = count_calls(monkeypatch, _bfs)
     built, _ = yamabe.path_graph(6)
-    # the generator's search from its anchor is kept, so the checks read it
-    assert counts["_bfs"] == 1
+    # the generator states its anchor's distances, so the checks read them
+    assert counts["_bfs"] == 0
     raw = WeightedGraph(indptr=built.indptr, indices=built.indices,
                         weights=built.weights, mu=built.mu)
     for g in (built, raw, built, raw):
         hypotheses_check(g, _spec(g.n))
     # a raw graph keeps nothing: each of its checks searches from vertex 0
-    assert counts["_bfs"] == 3
+    assert counts["_bfs"] == 2
     # a hop ball is connected by construction and says so
     ball, _, _ = yamabe.truncate_ball(built, 0, 3)
     hypotheses_check(ball, _spec(ball.n))
-    assert counts["_bfs"] == 3
+    assert counts["_bfs"] == 2
 
 
 @pytest.mark.parametrize(

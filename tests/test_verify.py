@@ -478,14 +478,14 @@ def test_exhaustion_names_the_radius_a_solve_failed_at(monkeypatch):
 
 
 def test_exhaustion_runs_one_search(monkeypatch):
-    # the universe's connectivity search is the one from its anchor; the
-    # tails, every cut and every ball's start reuse it
+    # the universe's builder states its anchor's distances; the tails, every
+    # cut and every ball's start reuse them, so nothing searches
     counts = count_calls(monkeypatch, _bfs)
     family = GraphFamily("lattice_zd_ball", {"d": 2})
     problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^4", g=1.0)
     study = exhaustion_study(family, problem, (4, 8), universe_radius=16)
     assert [row["R"] for row in study["rows"]] == [4, 8]
-    assert counts["_bfs"] == 1
+    assert counts["_bfs"] == 0
 
 
 def test_exhaustion_rejects_bad_radii():

@@ -13,6 +13,14 @@ importing its own ``src``, the script
   or 1 + dist^4), so that a change that moves one grid iterate shows, and
   keeps each solve's gamma, lambda, iterations, trials, convergence,
   positivity certificate and rel (``residual_rel_sup``);
+* hashes, with one SHA-256 per graph, the arrays of the graph layer
+  (``GRAPH_SIZES``): ``indptr``, ``indices``, ``weights``, ``mu``, the
+  pairing, the anchor and its distances, and the kept orbits (each vertex's
+  cell, each cell's first vertex and the quotient's arrays) of every
+  generator and quotient builder at a few sizes, of an explicit graph with a
+  self-loop, and of ``truncate_ball`` balls cut from them at radius 0, half
+  the eccentricity and the eccentricity, around the anchor and around
+  another vertex;
 * runs the ``yamabe`` CLI 22 times (``RUNS``) on the README's config (a
   d = 1 lattice), a Z^2 ball of radius 40 (also with theta = 2.5, the
   only runs where theta g is not g), a binary tree of depth 8, a
@@ -33,11 +41,12 @@ importing its own ``src``, the script
   edge sub-blocks of 2 and 1.
 
 It prints a Markdown summary on stdout: whether the two digests are
-identical (for a set that differs, the branches that differ, the largest
+identical (for a set of solves that differs, the branches that differ, the largest
 relative change in gamma and in lambda, and each side's trial total and
 number of converged solves), for each set, branch and side the number of
 solves with rel above 1e-10, 1e-6, 1e-2 and 0.5, the number certified
-positive and the iteration total, whether the CLI outputs are byte-identical (else which
+positive and the iteration total, whether the graph arrays are identical
+(else which graphs differ), whether the CLI outputs are byte-identical (else which
 files differ), and, for each CSV file and report.json that differs, the
 largest relative difference in each numeric column (a JSON file's
 top-level numbers) that differs (rounding drift is about 1e-16, but a residual, a
@@ -117,6 +126,17 @@ CLI = 'import sys; sys.path.insert(0, "src"); from yamabe.cli import main; sys.e
 
 BRANCHES = ("alpha < p", "p = alpha")
 REL_LEVELS = (1e-10, 1e-6, 1e-2, 0.5)
+SOLVE_SETS = ("grid", "z2_r60")
+# (builder, its size arguments): one graph each, and balls cut from it
+GRAPH_SIZES = (
+    ("path_graph", (1,)), ("path_graph", (30,)), ("cycle_graph", (3,)), ("cycle_graph", (20,)),
+    ("cycle_graph", (21,)), ("lattice_ball", (1, 0)), ("lattice_ball", (1, 40)),
+    ("lattice_ball", (2, 10)), ("lattice_ball", (2, 60)), ("lattice_ball", (3, 8)),
+    ("lattice_ball", (4, 3)), ("tree_ball", (2, 0)), ("tree_ball", (2, 8)), ("tree_ball", (3, 5)),
+    ("lattice_quotient", (1, 40)), ("lattice_quotient", (2, 128)), ("lattice_quotient", (3, 8)),
+    ("lattice_quotient", (4, 6)), ("tree_quotient", (2, 0)), ("tree_quotient", (2, 64)),
+    ("tree_quotient", (3, 5)),
+)
 
 
 def digest() -> None:
@@ -153,7 +173,45 @@ def digest() -> None:
             for k in (0, 2, 4)]
     z2 = lattice_ball(2, 60)
     z2_r60 = [(z2, 4.0, alpha, 0.25, k) for alpha in (2.5, 3.0, 3.5) for k in (2, 4)]
-    print(json.dumps({"grid": one(grid), "z2_r60": one(z2_r60)}))
+    print(json.dumps({"grid": one(grid), "z2_r60": one(z2_r60), "graph": graph_digest()}))
+
+
+def graph_digest() -> dict[str, str]:
+    """One SHA-256 per graph of GRAPH_SIZES, of the explicit graph, and of
+    each ball cut from them, over every array the graph layer keeps."""
+    import hashlib
+
+    import numpy as np
+    import yamabe.graph as graph
+
+    def arrays(g, anchor):
+        kept, dist = g._distance
+        yield from (g.indptr, g.indices, g.weights, g.mu, *g.pairing, np.array([anchor, kept]), dist)
+        orbits = graph._orbit_quotient(g, anchor)
+        if orbits is not None:
+            cell, first, quotient = orbits
+            yield from (cell, first, quotient.indptr, quotient.indices, quotient.weights, quotient.mu)
+
+    def sha(g, anchor):
+        h = hashlib.sha256()
+        for a in arrays(g, anchor):
+            h.update(f"{a.dtype} {a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    built = {f"{name}{size}": getattr(graph, name)(*size)[:2] for name, size in GRAPH_SIZES}
+    built["explicit_loop"] = (graph.graph_from_dict(EXPLICIT_LOOP), 0)
+    out = {}
+    for name, (g, anchor) in built.items():
+        out[name] = sha(g, anchor)
+        for x0 in sorted({anchor, g.n // 3}):
+            ecc = graph.eccentricity(g, x0)
+            for radius in sorted({0, ecc // 2, ecc}):
+                ball, ball_anchor, new_to_old = graph.truncate_ball(g, x0, radius)
+                h = hashlib.sha256(sha(ball, ball_anchor).encode())
+                h.update(np.array([ball_anchor]).tobytes() + new_to_old.tobytes())
+                out[f"{name} ball x0={x0} R={radius}"] = h.hexdigest()
+    return out
 
 
 def digest_drift(digests: dict[str, dict]) -> list[str]:
@@ -162,7 +220,7 @@ def digest_drift(digests: dict[str, dict]) -> list[str]:
     each side's trial total and its count of converged solves."""
     lines = []
     base, head = digests["base"], digests["head"]
-    for name in head:
+    for name in SOLVE_SETS:
         if head[name] == base[name]:
             continue
         moved = [branch for branch in BRANCHES
@@ -183,7 +241,7 @@ def branch_accuracy(digests: dict[str, dict]) -> list[str]:
     relative defect of the vertex equation, above each of REL_LEVELS, how
     many are certified positive, and the iteration total."""
     lines = []
-    for name in digests["head"]:
+    for name in SOLVE_SETS:
         for branch in BRANCHES:
             for side, sets in digests.items():
                 solves = sets[name]
@@ -204,7 +262,7 @@ def read_digest(out: str) -> dict | None:
         sets = json.loads(out)
     except ValueError:
         return None
-    return sets if isinstance(sets, dict) and sets.keys() == {"grid", "z2_r60"} else None
+    return sets if isinstance(sets, dict) and sets.keys() == {*SOLVE_SETS, "graph"} else None
 
 
 def write_configs(work: Path) -> None:
@@ -307,9 +365,15 @@ def main(argv: list[str]) -> int:
         for side in (side for side in ("head", "base") if sets[side] is None):
             print("\n".join(f"- {side}: {line}" for line in digests[side].splitlines()))
     else:
-        same = sets["head"] == sets["base"]
+        same = all(sets["head"][name] == sets["base"][name] for name in SOLVE_SETS)
         print(f"{solves} vs base {rev}: {'identical' if same else 'differs'}")
         print("\n".join(digest_drift(sets) + branch_accuracy(sets)))
+        head, base = sets["head"]["graph"], sets["base"]["graph"]
+        differ = [name for name in head if head[name] != base.get(name)]
+        print(f"graph arrays of {len(head)} generators, quotients and balls vs base {rev}: "
+              + ("identical" if not differ and head.keys() == base.keys() else "these differ"))
+        for name in differ:
+            print(f"- {name}")
     what = (f"yamabe CLI, {len(RUNS)} runs: solve and sweep on the README, Z^2 R=40 (theta 1 "
             "and 2.5), tree and p = alpha cycle configs, sweep on radius-sized tree and Z^3 "
             "configs, solve and verify on an explicit graph with a self-loop (x0 = 0 and 3), "
