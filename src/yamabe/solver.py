@@ -194,40 +194,47 @@ def _competitor_energy(g: WeightedGraph, spec: ProblemSpec, what: str) -> float:
     return energy_J(g, spec, v)
 
 
+def _inflow(q: np.ndarray, dist: np.ndarray, p: float) -> np.ndarray:
+    """prod_{k=1..dist(x0,x)} min(1, (q_k/q_0)^(-1/(p-1))), with q_k the
+    smallest q on hop shell k: the tail in which q u^(p-1) is fed only by
+    the inner shell.  Each factor lies in [0, 1]: an infinite q_k gives 0,
+    and fmin keeps 1 where a nonpositive or NaN q makes the power NaN."""
+    shell_q = np.full(int(dist.max()) + 1, math.inf)
+    np.minimum.at(shell_q, dist, q)
+    factor = np.fmin(1.0, (shell_q[1:] / shell_q[0]) ** (-1.0 / (p - 1.0)))
+    return np.concatenate(([1.0], np.cumprod(factor)))[dist]
+
+
 def _initial_iterate(ev: _Evaluator, opts: SolveOptions) -> np.ndarray:
     """The descent's start around opts.x0, renormalized onto K = 1.
 
-    For alpha < p it is (balance + inflow) / 2, floored at the smallest
-    normal float64.  balance = ((g/h)_+ / max(g/h))^(1/(p-alpha)) solves the
+    For alpha < p it is (balance + inflow(h)) / 2, for p = alpha
+    inflow(h / (theta g)), floored at the smallest normal float64 (see
+    ``_inflow``).  balance = ((g/h)_+ / max(g/h))^(1/(p-alpha)) solves the
     vertex equation without its p-Laplacian (the Thomas-Fermi profile), and
-    inflow(x) = prod_{k=1..dist(x0,x)} min(1, (h_k/h_0)^(-1/(p-1))), with h_k
-    the smallest h on hop shell k, is the tail in which h u^(p-1) is fed only
-    by the inner shell, which balance underestimates when p - alpha is
-    small.  Both are radial, so the start on an orbit quotient is the
-    graph's, and constant h and g start at the exact minimizer.  For
-    p = alpha it is the distance-Gaussian bump.  Either start lies in (0, 1]
-    whatever h and g are, so only g can keep it off K = 1."""
+    the inflow tail is what balance underestimates when p - alpha is small.
+    For p = alpha, h / (theta g) is the vertex equation's eigenvalue where
+    the p-Laplacian vanishes, and a shell where g = 0 ends the tail at the
+    floor.  Both are radial, so the start on an orbit quotient is the
+    graph's; constant h and g for alpha < p, and a constant h / (theta g)
+    for p = alpha, start at the exact minimizer (a positive eigenfunction is
+    the first one).  The start lies in (0, 1] whatever h and g are, so only
+    g can keep it off K = 1."""
     g, spec = ev.g, ev.spec
     if not 0 <= opts.x0 < g.n:
         raise ValueError("x0 out of range")
     dist = graph_distance(g, opts.x0)
-    if not spec.alpha < spec.p:
-        spread = max(1.0, float(dist.max()) / 4.0)
-        start = np.exp(-((dist.astype(np.float64) / spread) ** 2))
-    else:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        if spec.alpha < spec.p:
             ratio = spec.g / spec.h
             # a negative, infinite or NaN ratio contributes nothing
             ratio = np.where((ratio > 0.0) & (ratio < math.inf), ratio, 0.0)
             top = float(ratio.max())
             balance = (ratio / top) ** (1.0 / (spec.p - spec.alpha)) if top > 0.0 else ratio
-            shell_h = np.full(int(dist.max()) + 1, math.inf)
-            np.minimum.at(shell_h, dist, spec.h)
-            # fmin keeps 1 where a nonpositive or NaN h makes the power NaN
-            factor = np.fmin(1.0, (shell_h[1:] / shell_h[0]) ** (-1.0 / (spec.p - 1.0)))
-            inflow = np.concatenate(([1.0], np.cumprod(factor)))[dist]
-            start = np.maximum(0.5 * (balance + inflow), np.finfo(np.float64).tiny)
-    return ev.onto_constraint(start, "the descent's start")
+            start = 0.5 * (balance + _inflow(spec.h, dist, spec.p))
+        else:
+            start = _inflow(spec.h / ev.theta_g, dist, spec.p)
+    return ev.onto_constraint(np.maximum(start, np.finfo(np.float64).tiny), "the descent's start")
 
 
 def _check_sup_bound(spec: ProblemSpec, u: np.ndarray, j: float, min_hmu: float) -> float:
@@ -318,7 +325,8 @@ class _Evaluator:
         p(p-1) [sum_y w_xy |du|^{p-2} + mu(x) |u(x)|^{p-2} (h(x) - lam theta g(x))].
         Wherever h is proportional to g the constraint's curvature cancels J's
         h-term, so J's diagonal overstates the curvature along K = 1 by that
-        whole term and the flat instances (h = g = 1) stall at the step cap.
+        whole term and instances near it (h / g almost constant) stall at the
+        step cap.
         The Lagrangian diagonal can vanish or go negative, so it is floored at
         _LAGRANGIAN_FLOOR times J's.  For alpha < p it is not used: nothing
         cancels there, and it slows convergence on most instances.

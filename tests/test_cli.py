@@ -331,17 +331,36 @@ def test_stagnated_solve_keeps_its_reports(tmp_path, capsys, monkeypatch):
 
 
 def test_nonpositive_solve_names_the_reason(tmp_path, capsys):
-    # h = 1 + dist^24 makes the true solution underflow float64 far from x0,
-    # so the computed one has exact zeros however well the descent runs
+    # g = 1/(1+dist^2) with h = 1 at p = 2.5, alpha = 2.25: the descent's
+    # clamp to the nonnegative cone leaves exact zeros on path30's tail,
+    # although the true solution is positive there (1e-10 to 2e-9)
+    cfg = write_config(
+        tmp_path,
+        graph={"family": "path", "params": {"n": 30}},
+        problem={"p": 2.5, "alpha": 2.25, "delta": 0.4, "h": 1, "g": "1/(1+dist^2)"},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert "solver failure: solution not positive: min u = 0" in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text())["positive"] is False
+
+
+def test_underflowing_tail_is_certified_with_a_wrong_tail(tmp_path):
+    # h = 1 + dist^24 makes the true p = alpha solution underflow float64 far
+    # from x0. The inflow start is floored at the smallest normal float64, so
+    # the solve ends positive and certified on its absolute residual, while
+    # its tail is wrong in every digit: rel, the relative defect, is about 1
     cfg = write_config(
         tmp_path,
         graph={"family": "path", "params": {"n": 30}},
         problem={"p": 2.5, "alpha": 2.5, "delta": 0.4, "h": "1 + dist^24", "g": 1},
     )
     out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
-    assert "solver failure: solution not positive: min u = 0" in capsys.readouterr().err
-    assert json.loads((out / "report.json").read_text())["positive"] is False
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["positive"] is True and report["converged"] is True
+    assert 0.0 < report["min_u"] < 1e-300
+    assert report["residual_rel_sup"] > 0.5
 
 
 def test_verify_malformed_solver_section_is_validation(tmp_path, capsys):

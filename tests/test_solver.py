@@ -37,6 +37,7 @@ from yamabe import (
     solve,
     tree_ball,
 )
+from manufactured import proportional_set
 from test_kernels import every_builder
 from test_orbits import descent_sizes
 from yamabe import _kernels
@@ -432,6 +433,47 @@ def test_start_is_positive_and_finite_whatever_h_and_g(monkeypatch, h, g_values,
     assert np.all(np.isfinite(start) & (start > 0.0)) and start.max() <= 1.0
 
 
+TINY = np.finfo(np.float64).tiny
+
+
+@pytest.mark.parametrize("theta, h, g_values, expected", [
+    # q = h / (theta g) = [1, 4, inf, 1, 1]: the shell where g = 0 ends the tail
+    (1.0, [1.0, 4.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0, 1.0], [1.0, 4.0 ** (-1 / 3)] + [TINY] * 3),
+    # q falls outwards, so the tail stays at 1; q_0 = inf makes every factor 1
+    (1.0, [1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 5),
+    (1.0, [1.0, 1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0, 1.0], [1.0] * 5),
+    # theta g overflows at x0 (q_0 = 0), and g is negative or NaN further out
+    (1e300, [1.0, 1.0, 1.0, 1.0, 1.0], [1e300, 1.0, -1.0, np.nan, 0.0], [1.0] + [TINY] * 4),
+])
+def test_p_equals_alpha_starts_at_the_inflow_of_h_over_theta_g(monkeypatch, theta, h,
+                                                                g_values, expected):
+    # the function handed to onto_constraint: the shell product of
+    # min(1, (q_k/q_0)^(-1/(p-1))), floored, finite and in (0, 1] whatever h and g are
+    starts = []
+    monkeypatch.setattr(_Evaluator, "onto_constraint", lambda ev, v, what: starts.append(v))
+    g, _ = path_graph(5)
+    spec = ProblemSpec(p=4.0, alpha=4.0, delta=0.4, theta=theta, h=h, g=g_values)
+    with np.errstate(all="raise"):
+        _initial_iterate(_Evaluator(g, spec), SolveOptions())
+    (start,) = starts
+    np.testing.assert_allclose(start, expected, rtol=1e-15, atol=0.0)
+    assert np.all(np.isfinite(start) & (start > 0.0)) and start.max() <= 1.0
+
+
+def test_proportional_instances_start_at_their_eigenfunction():
+    # h = 2 g with g = 1 + dist^k: h / (theta g) = 2 exactly, so the start is
+    # the constant on K = 1, the first eigenfunction, and no iteration is run
+    eps = np.finfo(np.float64).eps
+    count = 0
+    for name, graph, x0, spec in proportional_set(0.0):
+        res = solve(graph, spec, SolveOptions(x0=x0))
+        count += 1
+        assert res.iters == 0 and res.converged and res.positive, (name, spec.p)
+        assert abs(res.eigen_factor - 2.0) <= 8.0 * eps, (name, spec.p, res.eigen_factor)
+        np.testing.assert_array_equal(res.u_bar, np.full(graph.n, res.u_bar[0]))
+    assert count == 32
+
+
 @pytest.mark.parametrize("p, alpha", [(1.0, 0.5), (1.5, 1.25), (np.nan, 3.0), (np.inf, 3.0)])
 def test_invalid_p_is_named_before_the_start(p, alpha):
     # the alpha < p start takes powers 1/(p - alpha) and -1/(p - 1), so p is
@@ -494,14 +536,14 @@ def test_options_validation():
 
 
 def test_init_modes_reach_same_level():
-    # the minimizer is unique for alpha < p: bumps around either end and the
+    # the minimizer is unique for alpha < p: starts around either end and the
     # middle of the path reach one level
     g, _ = path_graph(10)
     spec = make_spec(g, 4.0, 3.0)
-    bump, middle, far = (solve(g, spec, SolveOptions(x0=x0)) for x0 in (0, 5, 9))
-    assert bump.converged and middle.converged and far.converged
-    assert middle.gamma == pytest.approx(bump.gamma, rel=1e-8)
-    assert far.gamma == pytest.approx(bump.gamma, rel=1e-8)
+    near, middle, far = (solve(g, spec, SolveOptions(x0=x0)) for x0 in (0, 5, 9))
+    assert near.converged and middle.converged and far.converged
+    assert middle.gamma == pytest.approx(near.gamma, rel=1e-8)
+    assert far.gamma == pytest.approx(near.gamma, rel=1e-8)
 
 
 def distance_spec(graph, anchor, p=4.0, alpha=3.0, delta=0.4):

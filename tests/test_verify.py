@@ -382,7 +382,7 @@ def test_exhaustion_certifies_monotonicity_failure():
 def test_exhaustion_monotonicity_skips_unconverged_balls():
     # two iterations leave every ball unconverged; their gammas are only
     # upper bounds of the ball levels and rise from R = 4 to R = 8 (p = alpha,
-    # which starts from the bump), which used to raise ConsistencyError
+    # which starts from the inflow tail of h), which used to raise ConsistencyError
     # although no ball was certified
     family = GraphFamily("path", {"n": 20})
     problem = ProblemFamily(p=4.0, alpha=4.0, delta=0.4, h="1 + dist^2", g=1.0)

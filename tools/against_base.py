@@ -8,11 +8,15 @@ importing its own ``src``, the script
 
 * hashes, with one SHA-256 per set and branch (alpha < p, p = alpha), u_bar,
   u, the residual, gamma, lambda, the iterations and the line-search trials
-  of acceptance 12's 180 grid solves, and of the six lattice-large solves on
+  of acceptance 12's 180 grid solves, of the six lattice-large solves on
   the Z^2 ball of radius 60 (p = 4, alpha in {2.5, 3, 3.5}, h = 1 + dist^2
-  or 1 + dist^4), so that a change that moves one grid iterate shows, and
-  keeps each solve's gamma, lambda, iterations, trials, convergence,
-  positivity certificate and rel (``residual_rel_sup``);
+  or 1 + dist^4), and of the 96 p = alpha solves of the proportional set
+  (the grid's graphs, p in {2.5, 3, 4, 6}, g = 1 + dist^k with k = 1, 2 and
+  h = 2 g, whose exact solution is a constant) and of the near-proportional
+  set (h multiplied by 1 + eps dist/(1+dist), eps in {1e-3, 1e-1}), so that
+  a change that moves one grid iterate shows, and keeps each solve's gamma,
+  lambda, iterations, trials, convergence, positivity certificate and rel
+  (``residual_rel_sup``);
 * hashes, with one SHA-256 per graph, the arrays of the graph layer
   (``GRAPH_SIZES``): ``indptr``, ``indices``, ``weights``, ``mu``, the
   pairing, the anchor and its distances, and the kept orbits (each vertex's
@@ -45,7 +49,7 @@ identical (for a set of solves that differs, the branches that differ, the large
 relative change in gamma and in lambda, and each side's trial total and
 number of converged solves), for each set, branch and side the number of
 solves with rel above 1e-10, 1e-6, 1e-2 and 0.5, the number certified
-positive and the iteration total, whether the graph arrays are identical
+(converged) and positive and the iteration total, whether the graph arrays are identical
 (else which graphs differ), whether the CLI outputs are byte-identical (else which
 files differ), and, for each CSV file and report.json that differs, the
 largest relative difference in each numeric column (a JSON file's
@@ -126,7 +130,7 @@ CLI = 'import sys; sys.path.insert(0, "src"); from yamabe.cli import main; sys.e
 
 BRANCHES = ("alpha < p", "p = alpha")
 REL_LEVELS = (1e-10, 1e-6, 1e-2, 0.5)
-SOLVE_SETS = ("grid", "z2_r60")
+SOLVE_SETS = ("grid", "z2_r60", "proportional")
 # (builder, its size arguments): one graph each, and balls cut from it
 GRAPH_SIZES = (
     ("path_graph", (1,)), ("path_graph", (30,)), ("cycle_graph", (3,)), ("cycle_graph", (20,)),
@@ -149,13 +153,14 @@ def digest() -> None:
                         lattice_ball, path_graph, solve, tree_ball)
 
     def one(instances):
+        """The digest of solves given as ((graph, x0), p, alpha, delta,
+        fields), where fields(dist) gives h and g from the hop distances."""
         sha = {branch: hashlib.sha256() for branch in BRANCHES}
         solves = {key: [] for key in ("branch", "gamma", "lambda", "iters", "trials",
                                       "converged", "positive", "rel")}
-        for (graph, x0), p, alpha, delta, k in instances:
-            dist = graph_distance(graph, x0).astype(np.float64)
-            h = 1.0 + dist**k if k else np.ones(graph.n)
-            spec = ProblemSpec(p=p, alpha=alpha, delta=delta, theta=1.0, h=h, g=np.ones(graph.n))
+        for (graph, x0), p, alpha, delta, fields in instances:
+            h, g = fields(graph_distance(graph, x0).astype(np.float64))
+            spec = ProblemSpec(p=p, alpha=alpha, delta=delta, theta=1.0, h=h, g=g)
             res = solve(graph, spec, SolveOptions(x0=x0))
             branch = BRANCHES[alpha == p]
             for arr in (res.u_bar, res.u, res.residual,
@@ -166,14 +171,28 @@ def digest() -> None:
                 solves[key].append(value)
         return {"sha256": {branch: sha[branch].hexdigest() for branch in BRANCHES}, **solves}
 
-    grid = [(graph, p, alpha, min(0.4, 0.9 / (p - 2.0)), k)
-            for graph in (path_graph(30), lattice_ball(2, 10), tree_ball(2, 6), cycle_graph(20))
+    def unit_g(k):
+        """h = 1 + dist^k (1 for k = 0) and g = 1."""
+        return lambda dist: (1.0 + dist**k if k else np.ones(dist.size), np.ones(dist.size))
+
+    def proportional(k, eps):
+        """g = 1 + dist^k and h = 2 g (1 + eps dist/(1+dist))."""
+        return lambda dist: (2.0 * (1.0 + dist**k) * (1.0 + eps * dist / (1.0 + dist)),
+                             1.0 + dist**k)
+
+    graphs = (path_graph(30), lattice_ball(2, 10), tree_ball(2, 6), cycle_graph(20))
+    grid = [(graph, p, alpha, min(0.4, 0.9 / (p - 2.0)), unit_g(k))
+            for graph in graphs
             for p in (2.2, 2.5, 3.0, 4.0, 6.0)
             for alpha in sorted({a for a in (2.25, 2.5, 3.0, 4.0, 6.0, p) if 2.0 < a <= p})
             for k in (0, 2, 4)]
     z2 = lattice_ball(2, 60)
-    z2_r60 = [(z2, 4.0, alpha, 0.25, k) for alpha in (2.5, 3.0, 3.5) for k in (2, 4)]
-    print(json.dumps({"grid": one(grid), "z2_r60": one(z2_r60), "graph": graph_digest()}))
+    z2_r60 = [(z2, 4.0, alpha, 0.25, unit_g(k)) for alpha in (2.5, 3.0, 3.5) for k in (2, 4)]
+    prop = [(graph, p, p, min(0.4, 0.9 / (p - 2.0)), proportional(k, eps))
+            for eps in (0.0, 1e-3, 1e-1) for graph in graphs
+            for p in (2.5, 3.0, 4.0, 6.0) for k in (1, 2)]
+    print(json.dumps({"grid": one(grid), "z2_r60": one(z2_r60), "proportional": one(prop),
+                      "graph": graph_digest()}))
 
 
 def graph_digest() -> dict[str, str]:
@@ -239,7 +258,7 @@ def digest_drift(digests: dict[str, dict]) -> list[str]:
 def branch_accuracy(digests: dict[str, dict]) -> list[str]:
     """For each digest set, branch and side: how many solves have rel, the
     relative defect of the vertex equation, above each of REL_LEVELS, how
-    many are certified positive, and the iteration total."""
+    many are certified (converged) and positive, and the iteration total."""
     lines = []
     for name in SOLVE_SETS:
         for branch in BRANCHES:
@@ -250,9 +269,10 @@ def branch_accuracy(digests: dict[str, dict]) -> list[str]:
                     continue
                 rel = "/".join(str(sum(solves["rel"][i] > level for i in picked))
                                for level in REL_LEVELS)
+                certified = sum(solves["converged"][i] and solves["positive"][i] for i in picked)
                 lines.append(f"- {name}, {branch}, {side}: rel > 1e-10/1e-6/1e-2/0.5 in {rel}, "
-                             f"{sum(solves['positive'][i] for i in picked)} of {len(picked)} "
-                             f"positive, {sum(solves['iters'][i] for i in picked)} iterations")
+                             f"{certified} of {len(picked)} certified positive, "
+                             f"{sum(solves['iters'][i] for i in picked)} iterations")
     return lines
 
 
@@ -358,7 +378,8 @@ def main(argv: list[str]) -> int:
         outputs = {side: files(work / f"outputs-{side}") for side in ("head", "base")}
 
     solves = ("u_bar, u, residual, gamma, lambda, iterations and trials of the 180 grid "
-              "solves and the six Z^2 R=60 solves")
+              "solves, the six Z^2 R=60 solves and the 96 proportional and near-proportional "
+              "p = alpha solves")
     sets = {side: read_digest(out) for side, out in digests.items()}
     if None in sets.values():
         print(f"{solves} vs base {rev}: did not run")
