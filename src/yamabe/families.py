@@ -152,10 +152,7 @@ class GraphFamily:
             if not 0 <= x0 < graph.n:
                 raise ValueError(f"graph param x0 must be a vertex 0..{graph.n - 1} of n = {graph.n}, got {x0}")
             return graph, x0
-        _, extent, _, shape, quotient = _FAMILIES[self.name]
-        for key, default in {**shape, extent: params[extent]}.items():
-            params[key] = _integer(params.get(key, default), f"graph param {key}")
-        if cells and (quotient is None or np.ndim(params.get("mu", 1.0))):
+        if cells and (_FAMILIES[self.name][4] is None or np.ndim(params.get("mu", 1.0))):
             return None
         return generate(self.name, cells=cells, **params)
 

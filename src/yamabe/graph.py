@@ -703,7 +703,7 @@ def tree_quotient(
     k = np.arange(depth + 1)
     big = branching ** (depth + 1) >= 2**63
     size = np.array([branching**j for j in range(depth + 1)], dtype=object if big else np.int64)
-    nbr = np.column_stack((k - 1, np.where(k < depth, k + 1, -1)))
+    nbr = np.column_stack((k - 1, k + 1))
     return _quotient_graph(nbr, weight, mu, k, count=np.array([1, branching]), size=size)
 
 
@@ -722,7 +722,9 @@ _FAMILIES = {
 def _family_params(family: str, params, radius=None, by_radius: bool = False) -> dict:
     """``params`` of a ``_FAMILIES`` family, or of the explicit one (``data``, ``x0``), as a
     new dict; with ``by_radius``, a missing extent is ``radius`` plus the family's offset, if
-    it has one. An unlisted param or a missing extent raises ValueError naming it."""
+    it has one. A family's extent and shape params are ints, a missing shape param its
+    default. An unlisted param, a missing extent or a non-integer size raises ValueError
+    naming it."""
     extent, offset, allowed = "data", None, {"data", "x0"}
     if family != "explicit":
         _, extent, offset, shape, _ = _FAMILIES[family]
@@ -730,19 +732,24 @@ def _family_params(family: str, params, radius=None, by_radius: bool = False) ->
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"unknown {family} params: {sorted(unknown)}")
-    if extent in params:
+    if extent not in params:
+        if radius is None or not by_radius or offset is None:
+            alt = " or a radius" if by_radius and offset is not None and extent != "radius" else ""
+            raise ValueError(f"{family} family needs {extent}{alt}")
+        params = {**params, extent: radius + offset}
+    if family == "explicit":
         return dict(params)
-    if radius is None or not by_radius or offset is None:
-        alt = " or a radius" if by_radius and offset is not None and extent != "radius" else ""
-        raise ValueError(f"{family} family needs {extent}{alt}")
-    return {**params, extent: radius + offset}
+    sizes = {**shape, extent: params[extent]}
+    return {**params, **{key: _integer(params.get(key, default), f"graph param {key}")
+                         for key, default in sizes.items()}}
 
 
 def generate(family: str, *, cells: bool = False, **params):
     """Dispatch to a named generator; returns (graph, anchor vertex). With
     ``cells``, to the family's quotient builder instead; returns (graph,
-    anchor, cell_size). An unknown family, a family without a quotient, or a
-    param the family does not list or lacks, raises ValueError naming it."""
+    anchor, cell_size). A missing shape param takes the family's default. An
+    unknown family, a family without a quotient, a param the family does not
+    list, a missing extent or a non-integer size raises ValueError naming it."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
     params = _family_params(family, params)

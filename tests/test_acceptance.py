@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph, record_accepted_iterates
-from manufactured import GRID_GRAPHS, alpha_below_p_set, p_equals_alpha_set, proportional_set
+from instances import (G_FIELDS, accuracy, alpha_below_p, flat, g_grid, grid, p_equals_alpha,
+                       proportional, run, tally)
 from yamabe import (
     ProblemSpec,
     SolveOptions,
@@ -21,7 +22,6 @@ from yamabe import (
     ProblemFamily,
     choose_truncation_radius,
     constraint_K,
-    cycle_graph,
     energy_J,
     exhaustion_study,
     graph_distance,
@@ -29,12 +29,10 @@ from yamabe import (
     integrate,
     J_gradient,
     K_derivative_action,
-    lattice_ball,
     p_laplacian,
     path_graph,
     residual_report,
     solve,
-    tree_ball,
 )
 from yamabe.cli import main as cli_main
 from yamabe.solver import _universe_tails
@@ -358,6 +356,14 @@ def test_criterion_10_deterministic_reports(capsys, tmp_path):
     assert ok, line
 
 
+def _gate(capsys, num, name, count, t, detail):
+    """Pass when the tally ``t`` has ``count`` instances and no failure."""
+    ok = t.count == count and not t.failed
+    line = _verdict(capsys, num, name, ok, f"{t.count} instances, {t.certified} {detail}"
+                    + (f", failed: {t.failed}" if t.failed else ""))
+    assert ok, line
+
+
 def test_criterion_11_flat_branch_closed_form_level(capsys):
     # h = g = theta = 1 and p = alpha: every constant competitor on K = 1 has
     # J = h / (theta g) = 1, and J >= h int |u|^p = h / (theta g) K for all u,
@@ -367,189 +373,78 @@ def test_criterion_11_flat_branch_closed_form_level(capsys):
     # lower side is the scale-free level J / K^(p/alpha) >= 1, which holds
     # exactly (J and K of a constant are the same sum here); gamma = J itself
     # may round one ulp below 1, as K does.
-    graphs = {
-        "path30": path_graph(30),
-        "z2r10": lattice_ball(2, 10),
-        "tree6": tree_ball(2, 6),
-        "cycle20": cycle_graph(20),
-    }
     eps = np.finfo(np.float64).eps
     failed, worst_gap, worst_u, most_iters = [], 0.0, 0.0, 0
-    for name, (graph, x0) in graphs.items():
-        for p in (3.0, 4.0, 6.0):
-            spec = unit_spec(graph, p=p, alpha=p, delta=min(0.4, 0.9 / (p - 2.0)))
-            res = solve(graph, spec, SolveOptions(max_iters=3000, x0=x0))
-            gap = res.gamma - 1.0
-            level = res.gamma / res.k_value ** (spec.p / spec.alpha)
-            u_dev = float(np.abs(res.u_bar / graph.volume() ** (-1.0 / p) - 1.0).max())
-            worst_gap, worst_u = max(worst_gap, abs(gap)), max(worst_u, u_dev)
-            most_iters = max(most_iters, res.iters)
-            if not (res.converged and res.iters == 0 and u_dev <= 4.0 * eps
-                    and level >= 1.0 and gap <= 1e-12):
-                failed.append(f"{name} p={p:g}: converged={res.converged}, iters={res.iters}, "
-                              f"max|u/c - 1|={u_dev:.3g}, J/K-1={level - 1.0:.3g}, "
-                              f"gamma-1={gap:.3g}")
+    for instance, res in run(flat(), max_iters=3000):
+        p = instance.spec.p
+        gap = res.gamma - 1.0
+        level = res.gamma / res.k_value ** (p / instance.spec.alpha)
+        u_dev = float(np.abs(res.u_bar / instance.graph.volume() ** (-1.0 / p) - 1.0).max())
+        worst_gap, worst_u = max(worst_gap, abs(gap)), max(worst_u, u_dev)
+        most_iters = max(most_iters, res.iters)
+        if not (res.converged and res.iters == 0 and u_dev <= 4.0 * eps
+                and level >= 1.0 and gap <= 1e-12):
+            failed.append(f"{instance.label}: converged={res.converged}, iters={res.iters}, "
+                          f"max|u/c - 1|={u_dev:.3g}, J/K-1={level - 1.0:.3g}, "
+                          f"gamma-1={gap:.3g}")
     ok = not failed
     line = _verdict(
         capsys, 11, "flat-branch-closed-form-level", ok,
         f"12 instances, worst |gamma - 1| {worst_gap:.3g}, worst |u/c - 1| {worst_u:.3g}, "
-        f"most iterations {most_iters}"
-        + (f", failed: {failed}" if failed else ""),
+        f"most iterations {most_iters}" + (f", failed: {failed}" if failed else ""),
     )
     assert ok, line
 
 
 def test_criterion_12_grid_certified_and_positive(capsys):
-    # The 180-instance grid: 4 graphs x p in {2.2, 2.5, 3, 4, 6} x every
-    # alpha in {2.25, 2.5, 3, 4, 6, p} with 2 < alpha <= p x h in {1,
-    # 1+dist^2, 1+dist^4}, g = theta = 1. Every instance must end certified
-    # and strictly positive; steep h drives the tails towards underflow,
-    # which is where exact zeros used to appear.
-    graphs = {
-        "path30": path_graph(30),
-        "z2r10": lattice_ball(2, 10),
-        "tree6": tree_ball(2, 6),
-        "cycle20": cycle_graph(20),
-    }
-    failed, count, total_iters = [], 0, 0
-    for name, (graph, x0) in graphs.items():
-        dist = graph_distance(graph, x0).astype(np.float64)
-        for p in (2.2, 2.5, 3.0, 4.0, 6.0):
-            alphas = sorted({a for a in (2.25, 2.5, 3.0, 4.0, 6.0, p) if 2.0 < a <= p})
-            for alpha, k in ((a, k) for a in alphas for k in (0, 2, 4)):
-                spec = ProblemSpec(
-                    p=p, alpha=alpha, delta=min(0.4, 0.9 / (p - 2.0)), theta=1.0,
-                    h=1.0 + dist**k if k else np.ones(graph.n), g=np.ones(graph.n),
-                )
-                res = solve(graph, spec, SolveOptions(x0=x0))
-                count += 1
-                total_iters += res.iters
-                if not (res.converged and res.positive and res.min_u > 0.0):
-                    failed.append(
-                        f"{name} p={p:g} alpha={alpha:g} h=1+dist^{k}: "
-                        f"converged={res.converged}, min u={res.min_u:.3g}"
-                    )
-    ok = count == 180 and not failed
-    line = _verdict(
-        capsys, 12, "grid-certified-and-positive", ok,
-        f"{count} instances, {count - len(failed)} certified and positive, "
-        f"{total_iters} iterations" + (f", failed: {failed}" if failed else ""),
-    )
-    assert ok, line
+    # The 180-instance grid (tests/instances.py): every instance must end
+    # certified and strictly positive; steep h drives the tails towards
+    # underflow, which is where exact zeros used to appear.
+    t = tally(run(grid()))
+    _gate(capsys, 12, "grid-certified-and-positive", 180, t,
+          f"certified and positive, {t.iters} iterations")
 
 
 def test_criterion_13_manufactured_alpha_below_p(capsys):
-    # The 48 alpha < p manufactured instances (tests/manufactured.py): u_ref
+    # The 48 alpha < p manufactured instances (tests/instances.py): u_ref
     # is the exact solution. Every one must end certified; the worst
     # |u/u_ref - 1| per graph and |gamma/gamma_ref - 1| are printed, not gated.
-    failed, count, total_iters, worst, worst_gamma = [], 0, 0, {}, 0.0
-    for name, graph, x0, profile, spec, u_ref, gamma_ref in alpha_below_p_set():
-        res = solve(graph, spec, SolveOptions(x0=x0))
-        count += 1
-        total_iters += res.iters
-        worst[name] = max(worst.get(name, 0.0), float(np.abs(res.u / u_ref - 1.0).max()))
-        worst_gamma = max(worst_gamma, abs(res.gamma / gamma_ref - 1.0))
-        if not (res.converged and res.positive):
-            failed.append(f"{name} p={spec.p:g} alpha={spec.alpha:g} u_ref={profile}: "
-                          f"converged={res.converged}, min u={res.min_u:.3g}")
-    ok = count == 48 and not failed
+    results = list(run(alpha_below_p()))
+    t, (worst, worst_gamma) = tally(results), accuracy(results)
     errors = ", ".join(f"{name} {err:.2g}" for name, err in worst.items())
-    line = _verdict(
-        capsys, 13, "manufactured-alpha-below-p", ok,
-        f"{count} instances, {count - len(failed)} certified, {total_iters} iterations, "
-        f"worst |u/u_ref - 1|: {errors}, worst |gamma/gamma_ref - 1| {worst_gamma:.2g}"
-        + (f", failed: {failed}" if failed else ""),
-    )
-    assert ok, line
+    _gate(capsys, 13, "manufactured-alpha-below-p", 48, t,
+          f"certified, {t.iters} iterations, worst |u/u_ref - 1|: {errors}, "
+          f"worst |gamma/gamma_ref - 1| {worst_gamma:.2g}")
 
 
 def test_criterion_14_g_grid_p_equals_alpha_certified_and_positive(capsys):
-    # The p = alpha half of the g-grid: acceptance 12's graphs, p = alpha in
-    # {2.2, 2.5, 3, 4, 6} and h in {1, 1+dist^2, 1+dist^4}, with g replaced by
-    # each of 1+dist^2, 1/(1+dist^2) and max(0, 1 - dist/5), whose hop shells
-    # beyond radius 4 carry no constraint mass. Every instance must end
-    # certified and strictly positive; the iteration total is printed.
-    fields = {
-        "1+dist^2": lambda dist: 1.0 + dist**2,
-        "1/(1+dist^2)": lambda dist: 1.0 / (1.0 + dist**2),
-        "max(0,1-dist/5)": lambda dist: np.maximum(0.0, 1.0 - dist / 5.0),
-    }
-    failed, count, iters = [], 0, {}
-    for name, make in GRID_GRAPHS.items():
-        graph, x0 = make()
-        dist = graph_distance(graph, x0).astype(np.float64)
-        for (g_name, g_field), p, k in (
-            (f, p, k) for f in fields.items() for p in (2.2, 2.5, 3.0, 4.0, 6.0) for k in (0, 2, 4)
-        ):
-            spec = ProblemSpec(
-                p=p, alpha=p, delta=min(0.4, 0.9 / (p - 2.0)), theta=1.0,
-                h=1.0 + dist**k if k else np.ones(graph.n), g=g_field(dist),
-            )
-            res = solve(graph, spec, SolveOptions(x0=x0))
-            count += 1
-            iters[g_name] = iters.get(g_name, 0) + res.iters
-            if not (res.converged and res.positive and res.min_u > 0.0):
-                failed.append(f"{name} p={p:g} h=1+dist^{k} g={g_name}: "
-                              f"converged={res.converged}, min u={res.min_u:.3g}")
-    ok = count == 180 and not failed
-    line = _verdict(
-        capsys, 14, "g-grid-p-equals-alpha-certified-and-positive", ok,
-        f"{count} instances, {count - len(failed)} certified and positive, iterations "
-        + ", ".join(f"g={g_name} {total}" for g_name, total in iters.items())
-        + (f", failed: {failed}" if failed else ""),
-    )
-    assert ok, line
+    # The p = alpha half of the g-grid (tests/instances.py): every instance
+    # must end certified and strictly positive; the iteration total per g is
+    # printed.
+    results = list(run(g_grid()))
+    iters = ", ".join(f"g={g} {tally(r for r in results if r[0].extra['g'] == g).iters}"
+                      for g in G_FIELDS)
+    _gate(capsys, 14, "g-grid-p-equals-alpha-certified-and-positive", 180, tally(results),
+          f"certified and positive, iterations {iters}")
 
 
 def test_criterion_15_manufactured_p_equals_alpha(capsys):
-    # The 24 p = alpha manufactured instances (tests/manufactured.py): u_ref
+    # The 24 p = alpha manufactured instances (tests/instances.py): u_ref
     # is the first eigenfunction and Lambda its eigen_factor. Every one must
-    # end certified; the worst bulk |u/u_ref - 1| per graph (on the vertices
-    # where u_ref >= 1e-3 max u_ref, with u_ref put on K = 1) and the worst
-    # |eigen_factor/Lambda - 1| are printed, not gated.
-    failed, count, total_iters, worst, worst_factor = [], 0, 0, {}, 0.0
-    for name, graph, x0, profile, spec, u_ref, gamma_ref in p_equals_alpha_set():
-        res = solve(graph, spec, SolveOptions(x0=x0))
-        count += 1
-        total_iters += res.iters
-        bulk = u_ref >= 1e-3 * u_ref.max()
-        u_exact = u_ref * constraint_K(graph, spec, u_ref) ** (-1.0 / spec.alpha)
-        worst[name] = max(worst.get(name, 0.0),
-                          float(np.abs(res.u[bulk] / u_exact[bulk] - 1.0).max()))
-        worst_factor = max(worst_factor, abs(res.eigen_factor / gamma_ref - 1.0))
-        if not (res.converged and res.positive):
-            failed.append(f"{name} p={spec.p:g} u_ref={profile}: "
-                          f"converged={res.converged}, min u={res.min_u:.3g}")
-    ok = count == 24 and not failed
+    # end certified; the worst bulk |u/u_ref - 1| per graph and the worst
+    # |eigen_factor/Lambda - 1| (see instances.accuracy) are printed, not gated.
+    results = list(run(p_equals_alpha()))
+    t, (worst, worst_factor) = tally(results), accuracy(results)
     errors = ", ".join(f"{name} {err:.2g}" for name, err in worst.items())
-    line = _verdict(
-        capsys, 15, "manufactured-p-equals-alpha", ok,
-        f"{count} instances, {count - len(failed)} certified, {total_iters} iterations, "
-        f"worst bulk |u/u_ref - 1|: {errors}, worst |eigen_factor/Lambda - 1| {worst_factor:.2g}"
-        + (f", failed: {failed}" if failed else ""),
-    )
-    assert ok, line
+    _gate(capsys, 15, "manufactured-p-equals-alpha", 24, t,
+          f"certified, {t.iters} iterations, worst bulk |u/u_ref - 1|: {errors}, "
+          f"worst |eigen_factor/Lambda - 1| {worst_factor:.2g}")
 
 
 def test_criterion_16_near_proportional_certified_and_positive(capsys):
-    # The near-proportional set (tests/manufactured.py): p = alpha,
-    # g = 1 + dist^k and h = 2 g (1 + eps dist/(1+dist)) with eps in
-    # {1e-3, 1e-1}, 64 instances a step away from a constant eigenfunction.
-    # Every one must end certified and strictly positive; the iteration
-    # total is printed.
-    failed, count, total_iters = [], 0, 0
-    for eps in (1e-3, 1e-1):
-        for name, graph, x0, spec in proportional_set(eps):
-            res = solve(graph, spec, SolveOptions(x0=x0))
-            count += 1
-            total_iters += res.iters
-            if not (res.converged and res.positive and res.min_u > 0.0):
-                failed.append(f"{name} p={spec.p:g} eps={eps:g}: "
-                              f"converged={res.converged}, min u={res.min_u:.3g}")
-    ok = count == 64 and not failed
-    line = _verdict(
-        capsys, 16, "near-proportional-certified-and-positive", ok,
-        f"{count} instances, {count - len(failed)} certified and positive, "
-        f"{total_iters} iterations" + (f", failed: {failed}" if failed else ""),
-    )
-    assert ok, line
+    # The near-proportional set (tests/instances.py), 64 p = alpha instances
+    # a step away from a constant eigenfunction: every one must end certified
+    # and strictly positive; the iteration total is printed.
+    t = tally(run(proportional(1e-3, 1e-1)))
+    _gate(capsys, 16, "near-proportional-certified-and-positive", 64, t,
+          f"certified and positive, {t.iters} iterations")

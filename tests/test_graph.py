@@ -758,6 +758,20 @@ def test_generate_dispatch():
     assert np.array_equal(q.weights, want[0].weights) and np.array_equal(q.mu, want[0].mu)
     with pytest.raises(ValueError, match="'path' has no quotient"):
         generate("path", cells=True, n=4)
+    # a missing shape param takes the family's default (d = 1, branching = 2)
+    for family, extent, want in (
+        ("lattice_zd_ball", {"radius": 3}, (lattice_ball(1, 3), lattice_quotient(1, 3))),
+        ("tree_ball", {"depth": 3}, (tree_ball(2, 3), tree_quotient(2, 3))),
+    ):
+        for cells in (False, True):
+            built = generate(family, cells=cells, **extent)[0]
+            assert np.array_equal(built.indptr, want[cells][0].indptr)
+            assert np.array_equal(built.weights, want[cells][0].weights)
+            assert np.array_equal(built.mu, want[cells][0].mu)
+    assert generate("lattice_zd_ball", radius=3)[0].n == 7
+    assert generate("tree_ball", depth=3)[0].n == 15
+    with pytest.raises(ValueError, match=r"^graph param depth must be an integer, got 2.5$"):
+        generate("tree_ball", depth=2.5)
 
 
 def test_generate_rejects_unknown_and_missing_params():

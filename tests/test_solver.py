@@ -37,7 +37,7 @@ from yamabe import (
     solve,
     tree_ball,
 )
-from manufactured import proportional_set
+from instances import proportional
 from test_kernels import every_builder
 from test_orbits import descent_sizes
 from yamabe import _kernels
@@ -465,11 +465,11 @@ def test_proportional_instances_start_at_their_eigenfunction():
     # the constant on K = 1, the first eigenfunction, and no iteration is run
     eps = np.finfo(np.float64).eps
     count = 0
-    for name, graph, x0, spec in proportional_set(0.0):
+    for label, graph, x0, spec, _ in proportional(0.0):
         res = solve(graph, spec, SolveOptions(x0=x0))
         count += 1
-        assert res.iters == 0 and res.converged and res.positive, (name, spec.p)
-        assert abs(res.eigen_factor - 2.0) <= 8.0 * eps, (name, spec.p, res.eigen_factor)
+        assert res.iters == 0 and res.converged and res.positive, label
+        assert abs(res.eigen_factor - 2.0) <= 8.0 * eps, (label, res.eigen_factor)
         np.testing.assert_array_equal(res.u_bar, np.full(graph.n, res.u_bar[0]))
     assert count == 32
 

@@ -6,17 +6,17 @@ BASE_DIR is a checkout of the commit to compare with (CI passes a worktree
 of a pull request's base commit). In this checkout and in BASE_DIR, each
 importing its own ``src``, the script
 
-* hashes, with one SHA-256 per set and branch (alpha < p, p = alpha), u_bar,
-  u, the residual, gamma, lambda, the iterations and the line-search trials
-  of acceptance 12's 180 grid solves, of the six lattice-large solves on
-  the Z^2 ball of radius 60 (p = 4, alpha in {2.5, 3, 3.5}, h = 1 + dist^2
-  or 1 + dist^4), and of the 96 p = alpha solves of the proportional set
-  (the grid's graphs, p in {2.5, 3, 4, 6}, g = 1 + dist^k with k = 1, 2 and
-  h = 2 g, whose exact solution is a constant) and of the near-proportional
-  set (h multiplied by 1 + eps dist/(1+dist), eps in {1e-3, 1e-1}), so that
-  a change that moves one grid iterate shows, and keeps each solve's gamma,
-  lambda, iterations, trials, convergence, positivity certificate and rel
-  (``residual_rel_sup``);
+* solves the sets of ``tests/instances.py`` that ``SOLVE_SETS`` names, from
+  this checkout on both sides, so that each side solves the same instances
+  with its own package: acceptance 12's grid, six lattice-large solves on
+  the Z^2 ball of radius 60, the proportional and near-proportional sets
+  and the manufactured solutions of acceptance 13 and 15 (180, 6, 96 and
+  72 solves). It hashes, with one SHA-256 per set and branch (alpha < p,
+  p = alpha), u_bar, u, the residual, gamma, lambda, the iterations and the
+  line-search trials, so that a change that moves one iterate shows, and
+  keeps each solve's gamma, lambda, iterations, trials, convergence,
+  positivity certificate and rel (``residual_rel_sup``), and per branch
+  the tally and, for the manufactured set, the worst errors;
 * hashes, with one SHA-256 per graph, the arrays of the graph layer
   (``GRAPH_SIZES``): ``indptr``, ``indices``, ``weights``, ``mu``, the
   pairing, the anchor and its distances, and the kept orbits (each vertex's
@@ -45,23 +45,22 @@ importing its own ``src``, the script
   edge sub-blocks of 2 and 1.
 
 It prints a Markdown summary on stdout: whether the two digests are
-identical (for a set of solves that differs, the branches that differ, the largest
-relative change in gamma and in lambda, and each side's trial total and
-number of converged solves), for each set, branch and side the number of
-solves with rel above 1e-10, 1e-6, 1e-2 and 0.5, the number certified
-(converged) and positive and the iteration total, whether the graph arrays are identical
-(else which graphs differ), whether the CLI outputs are byte-identical (else which
-files differ), and, for each CSV file and report.json that differs, the
-largest relative difference in each numeric column (a JSON file's
-top-level numbers) that differs (rounding drift is about 1e-16, but a residual, a
-near-cancellation of O(1) terms, moves far more relative to itself). The
-verdicts are reported, not gated: the script exits 0 whatever it finds,
-since a performance change may move rounding on purpose.
+identical (for a set of solves that differs, what ``digest_drift`` lists),
+for each set, branch and side what ``branch_accuracy`` lists, whether the
+graph arrays are identical (else which graphs differ), whether the CLI
+outputs are byte-identical (else which files differ) and, for each CSV
+file and report.json that differs, what ``drift`` lists (rounding drift is
+about 1e-16, but a residual, a near-cancellation of O(1) terms, moves far
+more relative to itself). The verdicts are reported, not gated: the
+script exits 0 whatever it finds, since a performance change may move
+rounding on purpose.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib.util
+import itertools
 import json
 import re
 import subprocess
@@ -129,8 +128,7 @@ CLI = 'import sys; sys.path.insert(0, "src"); from yamabe.cli import main; sys.e
 
 
 BRANCHES = ("alpha < p", "p = alpha")
-REL_LEVELS = (1e-10, 1e-6, 1e-2, 0.5)
-SOLVE_SETS = ("grid", "z2_r60", "proportional")
+SOLVE_SETS = ("grid", "z2_r60", "proportional", "manufactured")
 # (builder, its size arguments): one graph each, and balls cut from it
 GRAPH_SIZES = (
     ("path_graph", (1,)), ("path_graph", (30,)), ("cycle_graph", (3,)), ("cycle_graph", (20,)),
@@ -143,56 +141,51 @@ GRAPH_SIZES = (
 )
 
 
+def digest_sets():
+    """``tests/instances.py`` of this script's checkout, its ``yamabe`` the
+    first on sys.path (in a digest, the compared checkout's ``src``), and
+    the digest's solve sets from it, by name in SOLVE_SETS order."""
+    spec = importlib.util.spec_from_file_location("instances", HEAD / "tests" / "instances.py")
+    instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instances)
+    return instances, {"grid": instances.grid(), "z2_r60": instances.z2_r60(),
+                       "proportional": instances.proportional(0.0, 1e-3, 1e-1),
+                       "manufactured": itertools.chain(instances.alpha_below_p(),
+                                                       instances.p_equals_alpha())}
+
+
 def digest() -> None:
-    """Print the two digests of the checkout in the working directory."""
+    """Print the digests of the checkout in the working directory."""
     import hashlib
 
     sys.path.insert(0, str(Path.cwd() / "src"))
     import numpy as np
-    from yamabe import (ProblemSpec, SolveOptions, cycle_graph, graph_distance,
-                        lattice_ball, path_graph, solve, tree_ball)
 
-    def one(instances):
-        """The digest of solves given as ((graph, x0), p, alpha, delta,
-        fields), where fields(dist) gives h and g from the hop distances."""
+    instances, sets = digest_sets()
+    out = {"graph": graph_digest(), "summary": {}}
+    for name, chosen in sets.items():
+        results = list(instances.run(chosen))
         sha = {branch: hashlib.sha256() for branch in BRANCHES}
         solves = {key: [] for key in ("branch", "gamma", "lambda", "iters", "trials",
                                       "converged", "positive", "rel")}
-        for (graph, x0), p, alpha, delta, fields in instances:
-            h, g = fields(graph_distance(graph, x0).astype(np.float64))
-            spec = ProblemSpec(p=p, alpha=alpha, delta=delta, theta=1.0, h=h, g=g)
-            res = solve(graph, spec, SolveOptions(x0=x0))
-            branch = BRANCHES[alpha == p]
+        for instance, res in results:
+            branch = BRANCHES[instance.spec.alpha == instance.spec.p]
             for arr in (res.u_bar, res.u, res.residual,
                         np.array([res.gamma, res.lam, res.iters, res.trace.trials])):
                 sha[branch].update(arr.tobytes())
             for key, value in zip(solves, (branch, res.gamma, res.lam, res.iters, res.trace.trials,
                                            res.converged, res.positive, res.residual_rel_sup)):
                 solves[key].append(value)
-        return {"sha256": {branch: sha[branch].hexdigest() for branch in BRANCHES}, **solves}
-
-    def unit_g(k):
-        """h = 1 + dist^k (1 for k = 0) and g = 1."""
-        return lambda dist: (1.0 + dist**k if k else np.ones(dist.size), np.ones(dist.size))
-
-    def proportional(k, eps):
-        """g = 1 + dist^k and h = 2 g (1 + eps dist/(1+dist))."""
-        return lambda dist: (2.0 * (1.0 + dist**k) * (1.0 + eps * dist / (1.0 + dist)),
-                             1.0 + dist**k)
-
-    graphs = (path_graph(30), lattice_ball(2, 10), tree_ball(2, 6), cycle_graph(20))
-    grid = [(graph, p, alpha, min(0.4, 0.9 / (p - 2.0)), unit_g(k))
-            for graph in graphs
-            for p in (2.2, 2.5, 3.0, 4.0, 6.0)
-            for alpha in sorted({a for a in (2.25, 2.5, 3.0, 4.0, 6.0, p) if 2.0 < a <= p})
-            for k in (0, 2, 4)]
-    z2 = lattice_ball(2, 60)
-    z2_r60 = [(z2, 4.0, alpha, 0.25, unit_g(k)) for alpha in (2.5, 3.0, 3.5) for k in (2, 4)]
-    prop = [(graph, p, p, min(0.4, 0.9 / (p - 2.0)), proportional(k, eps))
-            for eps in (0.0, 1e-3, 1e-1) for graph in graphs
-            for p in (2.5, 3.0, 4.0, 6.0) for k in (1, 2)]
-    print(json.dumps({"grid": one(grid), "z2_r60": one(z2_r60), "proportional": one(prop),
-                      "graph": graph_digest()}))
+        out[name] = {"sha256": {branch: sha[branch].hexdigest() for branch in BRANCHES}, **solves}
+        out["summary"][name] = {}
+        for branch in BRANCHES:
+            picked = [r for b, r in zip(solves["branch"], results) if b == branch]
+            if picked:
+                line = out["summary"][name][branch] = instances.tally(picked)._asdict()
+                if name == "manufactured":
+                    worst, line["ref_error"] = instances.accuracy(picked)
+                    line["u_error"] = max(worst.values())
+    print(json.dumps(out))
 
 
 def graph_digest() -> dict[str, str]:
@@ -256,23 +249,29 @@ def digest_drift(digests: dict[str, dict]) -> list[str]:
 
 
 def branch_accuracy(digests: dict[str, dict]) -> list[str]:
-    """For each digest set, branch and side: how many solves have rel, the
-    relative defect of the vertex equation, above each of REL_LEVELS, how
-    many are certified (converged) and positive, and the iteration total."""
+    """For each digest set, branch and side, from the digest's summary: how
+    many solves have rel, the relative defect of the vertex equation, above
+    1e-10, 1e-6, 1e-2 and 0.5, how many are certified (converged) and
+    positive, and the iteration total; for the manufactured set also the
+    worst |u/u_ref - 1| and |gamma/gamma_ref - 1| (p = alpha: the bulk
+    error and |eigen_factor/Lambda - 1|, as acceptance 15 takes them)."""
     lines = []
     for name in SOLVE_SETS:
         for branch in BRANCHES:
             for side, sets in digests.items():
-                solves = sets[name]
-                picked = [i for i, b in enumerate(solves["branch"]) if b == branch]
-                if not picked:
+                tally = sets["summary"][name].get(branch)
+                if tally is None:
                     continue
-                rel = "/".join(str(sum(solves["rel"][i] > level for i in picked))
-                               for level in REL_LEVELS)
-                certified = sum(solves["converged"][i] and solves["positive"][i] for i in picked)
-                lines.append(f"- {name}, {branch}, {side}: rel > 1e-10/1e-6/1e-2/0.5 in {rel}, "
-                             f"{certified} of {len(picked)} certified positive, "
-                             f"{sum(solves['iters'][i] for i in picked)} iterations")
+                rel = "/".join(str(count) for count in tally["rel"])
+                line = (f"- {name}, {branch}, {side}: rel > 1e-10/1e-6/1e-2/0.5 in {rel}, "
+                        f"{tally['certified']} of {tally['count']} certified positive, "
+                        f"{tally['iters']} iterations")
+                if "u_error" in tally:
+                    u, ref = (("", "gamma/gamma_ref") if branch == BRANCHES[0]
+                              else ("bulk ", "eigen_factor/Lambda"))
+                    line += (f", worst {u}|u/u_ref - 1| {tally['u_error']:.2g}, "
+                             f"worst |{ref} - 1| {tally['ref_error']:.2g}")
+                lines.append(line)
     return lines
 
 
@@ -282,7 +281,7 @@ def read_digest(out: str) -> dict | None:
         sets = json.loads(out)
     except ValueError:
         return None
-    return sets if isinstance(sets, dict) and sets.keys() == {*SOLVE_SETS, "graph"} else None
+    return sets if isinstance(sets, dict) and sets.keys() == {*SOLVE_SETS, "graph", "summary"} else None
 
 
 def write_configs(work: Path) -> None:
@@ -377,9 +376,7 @@ def main(argv: list[str]) -> int:
         digests = {side: run_tree(tree, work, side) for side, tree in trees}
         outputs = {side: files(work / f"outputs-{side}") for side in ("head", "base")}
 
-    solves = ("u_bar, u, residual, gamma, lambda, iterations and trials of the 180 grid "
-              "solves, the six Z^2 R=60 solves and the 96 proportional and near-proportional "
-              "p = alpha solves")
+    solves = f"u_bar, u, residual, gamma, lambda, iterations and trials of {', '.join(SOLVE_SETS)}"
     sets = {side: read_digest(out) for side, out in digests.items()}
     if None in sets.values():
         print(f"{solves} vs base {rev}: did not run")
@@ -395,11 +392,8 @@ def main(argv: list[str]) -> int:
               + ("identical" if not differ and head.keys() == base.keys() else "these differ"))
         for name in differ:
             print(f"- {name}")
-    what = (f"yamabe CLI, {len(RUNS)} runs: solve and sweep on the README, Z^2 R=40 (theta 1 "
-            "and 2.5), tree and p = alpha cycle configs, sweep on radius-sized tree and Z^3 "
-            "configs, solve and verify on an explicit graph with a self-loop (x0 = 0 and 3), "
-            "verify on the README, Z^2 R=40 (theta 1; 1,000 and 1,151 trials) and depth-8 tree configs, "
-            "solve on a p = alpha path, sweep on a p = alpha radius-sized tree")
+    configs = ", ".join(dict.fromkeys(cfg for cfg, _ in RUNS))
+    what = f"yamabe CLI, {len(RUNS)} runs on the {configs} configs"
     base, head = outputs["base"], outputs["head"]
     differ = sorted(name for name in set(base) | set(head) if base.get(name) != head.get(name))
     if not differ:
