@@ -30,8 +30,9 @@ failed inequality, infeasible constraint, unreachable tail tolerance);
 2 invalid config, any ValueError (a violated hypothesis, malformed JSON)
 or OSError.  Every nonzero exit names its reason on stderr; a failure
 found after the report files are written leaves them in place.
-Identical config and seed produce bit-identical report files; all floats
-are printed with 17 significant digits.
+Identical config and seed produce bit-identical report files; all finite
+floats are printed with 17 significant digits, and JSON writes the others
+as json.dumps does (Infinity, -Infinity, NaN).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -80,7 +82,7 @@ def _fmt(x: float) -> str:
 
 
 def dumps17(obj, indent: int = 0) -> str:
-    """JSON text with every float at 17 significant digits."""
+    """JSON text with every finite float at 17 significant digits."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -101,7 +103,8 @@ def dumps17(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt(obj)
+        # inf and nan as json.dumps writes them (Infinity, NaN), which json.loads reads
+        return _fmt(obj) if math.isfinite(obj) else json.dumps(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
@@ -247,11 +250,11 @@ def cmd_solve(args) -> int:
         "lambda": res.lam,
         "eigen_factor": res.eigen_factor,
         "eigen_factor_is_unit": res.eigen_factor_is_unit,
-        "k_value": res.k_value,
+        "k_value": res.trace.k_value,
         "residual_sup": res.residual_sup,
         "residual_l2": res.residual_l2,
         "residual_rel_sup": res.residual_rel_sup,
-        "iters": res.iters,
+        "iters": res.trace.iters,
         "line_search_trials": res.trace.trials,
         "converged": res.converged,
         "positive": res.positive,
@@ -273,7 +276,7 @@ def cmd_solve(args) -> int:
     if not res.positive:
         raise RuntimeError(f"solution not positive: min u = {_fmt(res.min_u)}")
     if not res.converged:
-        raise RuntimeError(f"not converged after {res.iters} iterations")
+        raise RuntimeError(f"not converged after {res.trace.iters} iterations")
     return EXIT_OK
 
 

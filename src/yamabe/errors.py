@@ -30,12 +30,15 @@ class InfeasibleConstraintError(RuntimeError):
     ``choose_truncation_radius`` and ``exhaustion_study``) cannot be put on
     K = 1: g vanishes on every vertex, so the set is empty, or float64
     cannot reach it, as K underflows to 0 or K or alpha theta g overflows,
-    or g is negative or not finite where the hypotheses were not checked.
+    or g is negative or not finite where the hypotheses were not checked;
+    also when the energy J of such a start on K = 1 overflows float64.
     """
 
 
 class DegenerateConstraintError(RuntimeError):
-    """Multiplier extraction hit a nonpositive constraint integral or multiplier."""
+    """Multiplier extraction hit a nonpositive constraint integral or
+    multiplier (lam underflowing to 0 among them), or a factor that leaves
+    float64: the rescaling kappa (see ``solver._kappa``) or lam theta."""
 
 
 class TruncationError(RuntimeError):

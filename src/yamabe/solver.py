@@ -148,13 +148,27 @@ class MinimizeTrace:
 
 
 @dataclass
-class SolveResult:
-    """Full output of the solve pipeline.
+class ResidualReport:
+    """Per-vertex defect of the target equation at a candidate solution.
+
+    residual_rel_sup is the sup over vertices of rel(x), the defect relative
+    to the sizes of the equation's terms (see verify.residual_report).
+    """
+
+    residual: np.ndarray
+    residual_sup: float
+    residual_l2: float
+    residual_rel_sup: float
+
+
+@dataclass
+class SolveResult(ResidualReport):
+    """Full output of the solve pipeline: u's residual report, extended.
 
     u_bar is the constrained minimizer (K(u_bar) = 1), u the rescaled
-    solution of the unconstrained equation with multiplier eigen_factor,
-    and residual its per-vertex defect (see verify.residual_report);
-    residual_rel_sup, the relative defect, is reported but not gated.
+    solution of the unconstrained equation with multiplier eigen_factor, and
+    the inherited fields u's defect; residual_rel_sup is reported, not gated.
+    trace is the descent's own record (iters, k_value = K(u_bar), ...).
     """
 
     u_bar: np.ndarray
@@ -162,15 +176,9 @@ class SolveResult:
     lam: float
     u: np.ndarray
     eigen_factor: float
-    residual: np.ndarray
-    residual_sup: float
-    residual_l2: float
-    residual_rel_sup: float
-    iters: int
     converged: bool
     positive: bool
     min_u: float
-    k_value: float
     eigen_factor_is_unit: bool
     hypotheses: dict = field(repr=False, default_factory=dict)
     trace: MinimizeTrace | None = field(repr=False, default=None)
@@ -191,7 +199,17 @@ def _competitor_energy(g: WeightedGraph, spec: ProblemSpec, what: str) -> float:
     """Energy of the uniform function rescaled onto K = 1, an upper bound
     for the constrained infimum; ``what`` names it and its graph."""
     v = _Evaluator(g, spec).onto_constraint(np.ones(g.n), what)
-    return energy_J(g, spec, v)
+    return _energy_on_constraint(g, spec, v, what)
+
+
+def _energy_on_constraint(g: WeightedGraph, spec: ProblemSpec, v: np.ndarray, what: str) -> float:
+    """energy_J(v) of a function v on K = 1 named ``what``, with no
+    RuntimeWarning; InfeasibleConstraintError where it overflows float64."""
+    with np.errstate(over="ignore"):
+        j = energy_J(g, spec, v)
+    if j == math.inf:
+        raise InfeasibleConstraintError(f"the energy J of {what} overflows float64")
+    return j
 
 
 def _inflow(q: np.ndarray, dist: np.ndarray, p: float) -> np.ndarray:
@@ -239,12 +257,13 @@ def _initial_iterate(ev: _Evaluator, opts: SolveOptions) -> np.ndarray:
 
 def _check_sup_bound(spec: ProblemSpec, u: np.ndarray, j: float, min_hmu: float) -> float:
     """sup u, after checking sup |u|^p * min(h mu) <= J(u), which must hold
-    for every feasible iterate; an iterate of the descent is >= 0."""
+    for every feasible iterate; an iterate of the descent is >= 0.  The
+    p-th roots of the two sides are compared, so sup^p never leaves float64."""
     sup = float(u.max())
-    if min_hmu * sup**spec.p > j * (1.0 + 1e-12) + 1e-300:
+    if sup * min_hmu ** (1.0 / spec.p) > (j * (1.0 + 1e-12) + 1e-300) ** (1.0 / spec.p):
         raise ConsistencyError(
-            "energy accounting violated: sup bound "
-            f"{min_hmu * sup ** spec.p:.17g} exceeds J = {j:.17g}"
+            f"energy accounting violated: sup bound min(h mu) sup u^p at sup u = {sup:.17g}"
+            f" exceeds J = {j:.17g}"
         )
     return sup
 
@@ -355,6 +374,24 @@ class _Evaluator:
         return np.maximum(diag, floor)
 
 
+def _kappa(spec: ProblemSpec, lam: float) -> tuple[float, float]:
+    """kappa = (p / (alpha lam theta))^(1/(p - alpha)), which rescales u_bar
+    to the solution for alpha < p, and kappa^(p-1), the size of the
+    equation's terms at kappa u_bar.  DegenerateConstraintError where lam is
+    0 or either leaves float64; at an iterate that is final, as J and lam
+    only fall after it."""
+    try:
+        kappa = (spec.p / (spec.alpha * lam * spec.theta)) ** (1.0 / (spec.p - spec.alpha))
+        scale = kappa ** (spec.p - 1.0)
+        if math.isfinite(scale):
+            return kappa, scale
+    except (OverflowError, ZeroDivisionError):
+        pass
+    if lam == 0.0:
+        raise DegenerateConstraintError("the multiplier lam = p J / alpha underflows to 0")
+    raise DegenerateConstraintError(f"the rescaling factor kappa leaves float64 at lam = {lam:.17g}")
+
+
 def _converged(
     spec: ProblemSpec, j: float, lam: float, sup_r: float, grad_tol: float
 ) -> bool:
@@ -366,8 +403,7 @@ def _converged(
     if spec.p == spec.alpha:
         final = sup_r / spec.p
     else:
-        kappa = (spec.p / (spec.alpha * lam * spec.theta)) ** (1.0 / (spec.p - spec.alpha))
-        final = kappa ** (spec.p - 1.0) / spec.p * sup_r
+        final = _kappa(spec, lam)[1] / spec.p * sup_r
     return final <= 10.0 * grad_tol
 
 
@@ -388,7 +424,9 @@ def minimize_constrained(
     energy level and trace.k_value = K(u_bar).  Raises
     InfeasibleConstraintError when the start cannot be put on K = 1
     (``_Evaluator.onto_constraint`` names why: K = 1 is empty, out of
-    float64's reach, or g is invalid) and ConsistencyError when an iterate
+    float64's reach, or g is invalid) or its J overflows float64,
+    DegenerateConstraintError when lam or kappa leaves float64 (see
+    ``_kappa``), and ConsistencyError when an iterate
     violates the uniform sup bound or K(u_bar) drifts off 1, which would
     mean the energy bookkeeping itself is broken.
     """
@@ -398,7 +436,7 @@ def minimize_constrained(
     try:
         u = _initial_iterate(ev, opts)
         hold(u)
-        j = energy_J(g, spec, u)
+        j = _energy_on_constraint(g, spec, u, "the descent's start")
         sup_u = _check_sup_bound(spec, u, j, ev.min_hmu)
 
         step = _STEP_INIT
@@ -504,7 +542,8 @@ def rescale_solution(spec: ProblemSpec, u_bar: np.ndarray, lam: float):
     multiplier entirely and the eigenvalue factor is 1.  For p = alpha
     no scaling can change the balance and the factor lam theta is
     reported instead.  u_bar must be a finite numeric vertex array on the
-    spec's vertices and lam a number; anything else raises ValueError.
+    spec's vertices and lam a number; anything else raises ValueError, and a
+    kappa or lam theta past float64 DegenerateConstraintError (see ``_kappa``).
     """
     u_bar = _finite_vector(u_bar, spec.n, "u_bar")
     lam = _number(lam, "lam")
@@ -513,9 +552,11 @@ def rescale_solution(spec: ProblemSpec, u_bar: np.ndarray, lam: float):
     if not (lam > 0.0 and np.isfinite(lam)):
         raise ValueError("multiplier lam must be positive and finite")
     if spec.p == spec.alpha:
-        return u_bar.copy(), lam * spec.theta
-    kappa = (spec.p / (spec.alpha * lam * spec.theta)) ** (1.0 / (spec.p - spec.alpha))
-    return kappa * u_bar, 1.0
+        factor = lam * spec.theta
+        if not 0.0 < factor < math.inf:
+            raise DegenerateConstraintError(f"the eigenvalue factor lam theta leaves float64: {factor!r}")
+        return u_bar.copy(), factor
+    return _kappa(spec, lam)[0] * u_bar, 1.0
 
 
 def _orbit_problem(g: WeightedGraph, spec: ProblemSpec, opts: SolveOptions):
@@ -576,20 +617,15 @@ def solve(
         and report.residual_sup <= 10.0 * opts.grad_tol
     )
     return SolveResult(
+        **vars(report),
         u_bar=u_bar,
         gamma=gamma,
         lam=lam,
         u=u,
         eigen_factor=eigen_factor,
-        residual=report.residual,
-        residual_sup=report.residual_sup,
-        residual_l2=report.residual_l2,
-        residual_rel_sup=report.residual_rel_sup,
-        iters=trace.iters,
         converged=converged,
         positive=cert.passed,
         min_u=cert.min_u,
-        k_value=trace.k_value,
         eigen_factor_is_unit=abs(eigen_factor - 1.0) <= 1e-8,
         hypotheses=hyp,
         trace=trace,

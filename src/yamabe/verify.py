@@ -18,6 +18,7 @@ from .functionals import ProblemSpec, _check_spec, energy_J  # noqa: F401
 from .graph import WeightedGraph, _integer, _number, as_vertex_function, integrate
 from .operators import p_laplacian
 from .solver import (
+    ResidualReport,
     SolveOptions,
     _ball_problem,
     _competitor_energy,
@@ -83,7 +84,7 @@ def hypotheses_check(g: WeightedGraph, spec: ProblemSpec) -> dict:
         record("alpha_range", False, float(alpha), "alpha must exceed 2")
     record("alpha_range", alpha <= p, float(alpha), "alpha must not exceed p")
 
-    record("theta_positive", theta > 0.0, float(theta), "theta must be positive")
+    record("theta_positive", 0.0 < theta < np.inf, float(theta), "theta must be positive and finite")
 
     tail_integral = float(integrate(g, spec.h ** (-delta))) ** delta
     record(
@@ -96,20 +97,6 @@ def hypotheses_check(g: WeightedGraph, spec: ProblemSpec) -> dict:
     # read off the anchor's distances the graph keeps: a raw graph searches here, on every check
     record("connected", g.connected, True, "graph must be connected")
     return {"passed": True, "checks": checks}
-
-
-@dataclass
-class ResidualReport:
-    """Per-vertex defect of the target equation at a candidate solution.
-
-    residual_rel_sup is the sup over vertices of rel(x), the defect
-    relative to the sizes of the equation's terms (see residual_report).
-    """
-
-    residual: np.ndarray
-    residual_sup: float
-    residual_l2: float
-    residual_rel_sup: float
 
 
 def residual_report(
@@ -140,10 +127,16 @@ def residual_report(
     )
     scale = flow + spec.h * u_pow + np.abs(g_term)
     rel = np.abs(r) / np.where(scale > 0.0, scale, 1.0)
+    sup = float(np.abs(r).max()) if g.n else 0.0
+    with np.errstate(over="ignore"):  # past float64, the sum is taken of r / sup |r|
+        l2 = float(np.sqrt(np.sum(g.mu * r * r)))
+        if l2 == np.inf and 0.0 < sup < np.inf:
+            q = r / sup
+            l2 = sup * float(np.sqrt(np.sum(g.mu * q * q)))
     return ResidualReport(
         residual=r,
-        residual_sup=float(np.abs(r).max()) if g.n else 0.0,
-        residual_l2=float(np.sqrt(np.sum(g.mu * r * r))),
+        residual_sup=sup,
+        residual_l2=l2,
         residual_rel_sup=float(rel.max()) if g.n else 0.0,
     )
 

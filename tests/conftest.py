@@ -6,7 +6,19 @@ from collections import Counter
 
 import numpy as np
 
-from yamabe import WeightedGraph
+from yamabe import ProblemSpec, WeightedGraph
+
+
+def constant_spec(graph, p=4.0, alpha=3.0, delta=0.4, theta=1.0, h=1.0, g_coef=1.0):
+    """The problem with constant h and g on the graph's vertices, as float64 arrays."""
+    return ProblemSpec(
+        p=p,
+        alpha=alpha,
+        delta=delta,
+        theta=theta,
+        h=np.broadcast_to(np.float64(h), (graph.n,)).copy(),
+        g=np.broadcast_to(np.float64(g_coef), (graph.n,)).copy(),
+    )
 
 
 def random_connected_graph(rng, n_max=30, n_min=2):

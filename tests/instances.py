@@ -188,7 +188,7 @@ def tally(results) -> Tally:
     count, iters, rel, failed = 0, 0, [0] * len(REL_LEVELS), []
     for instance, res in results:
         count += 1
-        iters += res.iters
+        iters += res.trace.iters
         rel = [n + (res.residual_rel_sup > level) for n, level in zip(rel, REL_LEVELS)]
         if not (res.converged and res.positive and res.min_u > 0.0):
             failed.append(f"{instance.label}: converged={res.converged}, min u={res.min_u:.3g}")

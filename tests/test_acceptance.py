@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph, record_accepted_iterates
+from conftest import constant_spec, random_connected_graph, record_accepted_iterates
 from instances import (G_FIELDS, accuracy, alpha_below_p, flat, g_grid, grid, p_equals_alpha,
                        proportional, run, tally)
 from yamabe import (
@@ -47,22 +47,11 @@ def _verdict(capsys, num, name, ok, detail=""):
     return line
 
 
-def unit_spec(graph, p=4.0, alpha=3.0, delta=0.4, theta=1.0, h=1.0):
-    return ProblemSpec(
-        p=p,
-        alpha=alpha,
-        delta=delta,
-        theta=theta,
-        h=np.full(graph.n, float(h)),
-        g=np.ones(graph.n),
-    )
-
-
 def _warm_kernels():
     g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
     for p in (2.0, 2.5, 3.0, 4.0):
         p_laplacian(g, p, [0.0, 1.0])
-        energy_J(g, unit_spec(g, p=p), np.ones(2))
+        energy_J(g, constant_spec(g, p=p), np.ones(2))
 
 
 def _corpus(count=100):
@@ -117,7 +106,7 @@ def test_criterion_03_derivatives_match_finite_differences(capsys):
     for _ in range(200):
         g = random_connected_graph(rng, n_max=30)
         p = float(rng.choice([2.5, 3.0, 4.0]))
-        spec = unit_spec(g, p=p, alpha=3.0 if p >= 3.0 else 2.5)
+        spec = constant_spec(g, p=p, alpha=3.0 if p >= 3.0 else 2.5)
         u = rng.standard_normal(g.n)
         v = rng.standard_normal(g.n)
         step = 1e-5 * (1.0 + float(np.max(np.abs(u))))
@@ -143,7 +132,7 @@ def test_criterion_03_derivatives_match_finite_differences(capsys):
 
 def test_criterion_04_single_vertex_closed_form(capsys):
     g = WeightedGraph.from_edges(1, [])
-    res = solve(g, unit_spec(g))
+    res = solve(g, constant_spec(g))
     dev = max(
         abs(res.u_bar[0] - 1.0),
         abs(res.gamma - 1.0),
@@ -189,7 +178,7 @@ def _grid_minimum():
 
 def test_criterion_05_two_vertex_grid_oracle(capsys):
     g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
-    res = solve(g, unit_spec(g))
+    res = solve(g, constant_spec(g))
     grid = _grid_minimum()
     dev = abs(res.gamma - grid)
     ok = dev <= 1e-4 and res.converged
@@ -203,10 +192,10 @@ def test_criterion_05_two_vertex_grid_oracle(capsys):
 def test_criterion_06_path20_end_to_end(capsys):
     start = time.perf_counter()
     g, _ = path_graph(20)
-    spec = unit_spec(g)
+    spec = constant_spec(g)
     res = solve(g, spec)
     rep = residual_report(g, spec, res.u, eigen_factor=1.0)
-    quadrupled = unit_spec(g, theta=4.0)
+    quadrupled = constant_spec(g, theta=4.0)
     res4 = solve(g, quadrupled)
     theta_dev = float(
         np.max(np.abs(res4.u - res.u)) / max(float(np.max(np.abs(res.u))), 1e-300)
@@ -214,7 +203,7 @@ def test_criterion_06_path20_end_to_end(capsys):
     elapsed = time.perf_counter() - start
     checks = {
         "converged": res.converged,
-        "K=1": abs(res.k_value - 1.0) <= 1e-10,
+        "K=1": abs(res.trace.k_value - 1.0) <= 1e-10,
         "u>0": bool(np.all(res.u > 0.0)),
         "residual": rep.residual_sup <= 1e-6,
         "lam=p*gamma/alpha": abs(res.lam - 4.0 * res.gamma / 3.0)
@@ -299,11 +288,11 @@ def test_criterion_08_inequality_suite_thousand_draws(capsys, monkeypatch):
 
 def test_criterion_09_equal_exponents_branch(capsys):
     g, _ = path_graph(10)
-    unit = unit_spec(g, p=3.0, alpha=3.0)
+    unit = constant_spec(g, p=3.0, alpha=3.0)
     res = solve(g, unit)
     rep = residual_report(g, unit, res.u, eigen_factor=res.eigen_factor)
     # with h = 2 the level moves off alpha/p and the factor must be flagged
-    shifted = unit_spec(g, p=3.0, alpha=3.0, h=2.0)
+    shifted = constant_spec(g, p=3.0, alpha=3.0, h=2.0)
     res2 = solve(g, shifted)
     rep2 = residual_report(g, shifted, res2.u, eigen_factor=res2.eigen_factor)
     checks = {
@@ -378,13 +367,13 @@ def test_criterion_11_flat_branch_closed_form_level(capsys):
     for instance, res in run(flat(), max_iters=3000):
         p = instance.spec.p
         gap = res.gamma - 1.0
-        level = res.gamma / res.k_value ** (p / instance.spec.alpha)
+        level = res.gamma / res.trace.k_value ** (p / instance.spec.alpha)
         u_dev = float(np.abs(res.u_bar / instance.graph.volume() ** (-1.0 / p) - 1.0).max())
         worst_gap, worst_u = max(worst_gap, abs(gap)), max(worst_u, u_dev)
-        most_iters = max(most_iters, res.iters)
-        if not (res.converged and res.iters == 0 and u_dev <= 4.0 * eps
+        most_iters = max(most_iters, res.trace.iters)
+        if not (res.converged and res.trace.iters == 0 and u_dev <= 4.0 * eps
                 and level >= 1.0 and gap <= 1e-12):
-            failed.append(f"{instance.label}: converged={res.converged}, iters={res.iters}, "
+            failed.append(f"{instance.label}: converged={res.converged}, iters={res.trace.iters}, "
                           f"max|u/c - 1|={u_dev:.3g}, J/K-1={level - 1.0:.3g}, "
                           f"gamma-1={gap:.3g}")
     ok = not failed

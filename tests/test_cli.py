@@ -744,6 +744,36 @@ def test_dumps17_serializer():
     assert dumps17(np.array([1.0, 2.0])) == dumps17([1.0, 2.0])
     with pytest.raises(TypeError):
         dumps17(object())
+    # non-finite floats as json.dumps writes them, which json.loads reads back
+    for value in (float("inf"), -float("inf")):
+        assert json.loads(dumps17(value)) == value
+    assert np.isnan(json.loads(dumps17({"x": np.float64("nan")}))["x"])
+
+
+def test_solve_report_parses_when_the_plain_l2_sum_overflows(tmp_path, capsys):
+    # the constant eigenfunction starts exact, but mu r^2 overflows at h = 1e300
+    problem = {"p": 4.0, "alpha": 4.0, "delta": 0.4, "h": 1e300, "g": 1}
+    cfg = write_config(tmp_path, graph={"family": "path", "params": {"n": 5}}, problem=problem)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert "not converged" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["iters"] == 0 and np.isfinite(report["residual_l2"])
+
+
+def test_solve_float64_edge_and_infinite_theta_exit_codes(tmp_path, capsys):
+    # theta = 1e-300 is a valid instance whose start has J past float64
+    problem = {"p": 4.0, "alpha": 3.0, "delta": 0.4, "theta": 1e-300, "h": 1, "g": 1}
+    cfg = write_config(tmp_path, graph={"family": "path", "params": {"n": 5}}, problem=problem)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "infeasible constraint: the energy J of the descent's start overflows float64" in err
+    # "theta": 1e400 reads as inf, which the hypotheses reject
+    text = Path(cfg).read_text().replace("1e-300", "1e400")
+    Path(cfg).write_text(text)
+    assert json.loads(text)["problem"]["theta"] == float("inf")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out2")]) == 2
+    assert "theta_positive" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(shutil.which("yamabe") is None, reason="console script not on PATH")

@@ -1,11 +1,13 @@
 """Constrained minimization, multiplier extraction, rescaling, truncation."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import (
+    constant_spec,
     count_calls,
     random_connected_graph,
     random_positive_spec_fields,
@@ -25,6 +27,7 @@ from yamabe import (
     cycle_graph,
     energy_J,
     graph_distance,
+    hypotheses_check,
     integrate,
     J_gradient,
     k_tail_bound,
@@ -47,25 +50,15 @@ from yamabe.solver import (
     _LAGRANGIAN_FLOOR,
     _STEP_FLOOR,
     _Evaluator,
+    _check_sup_bound,
     _initial_iterate,
     _next_step,
 )
 
 
-def make_spec(graph, p, alpha, delta=0.4, theta=1.0, h=1.0, g_coef=1.0):
-    return ProblemSpec(
-        p=p,
-        alpha=alpha,
-        delta=delta,
-        theta=theta,
-        h=np.broadcast_to(np.float64(h), (graph.n,)).copy(),
-        g=np.broadcast_to(np.float64(g_coef), (graph.n,)).copy(),
-    )
-
-
 def test_single_vertex_closed_form():
     g = WeightedGraph.from_edges(1, [])
-    spec = make_spec(g, 4.0, 3.0)
+    spec = constant_spec(g, 4.0, 3.0)
     res = solve(g, spec)
     # K(u) = u^3 = 1 forces u_bar = 1, gamma = h = 1, lam = p gamma / alpha
     np.testing.assert_allclose(res.u_bar, [1.0], atol=1e-14)
@@ -76,14 +69,14 @@ def test_single_vertex_closed_form():
     assert res.eigen_factor == 1.0
     assert res.residual_sup <= 1e-12
     assert res.converged and res.positive
-    assert res.iters == 0
+    assert res.trace.iters == 0
 
 
 def test_symmetric_pair_closed_form():
     # two equal vertices: the symmetric profile c = 2^{-1/3} is optimal,
     # giving gamma = 2 c^4 = 2^{-1/3}
     g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
-    spec = make_spec(g, 4.0, 3.0)
+    spec = constant_spec(g, 4.0, 3.0)
     res = solve(g, spec)
     assert res.converged
     assert res.gamma == pytest.approx(2.0 ** (-1.0 / 3.0), rel=1e-9)
@@ -92,7 +85,7 @@ def test_symmetric_pair_closed_form():
 
 def test_minimizer_beats_random_competitors():
     g, _ = path_graph(8)
-    spec = make_spec(g, 4.0, 3.0)
+    spec = constant_spec(g, 4.0, 3.0)
     res = solve(g, spec)
     assert res.converged
     rng = np.random.default_rng(5)
@@ -107,7 +100,7 @@ def test_multiplier_least_squares_oracle():
     # at a constrained critical point J'(u) = lam K'(u) pointwise, so the
     # least-squares fit of lam from the two gradient densities must agree
     g, _ = path_graph(9)
-    spec = make_spec(g, 4.0, 3.0, h=2.0)
+    spec = constant_spec(g, 4.0, 3.0, h=2.0)
     res = solve(g, spec, SolveOptions(grad_tol=1e-11))
     assert res.converged
     w = J_gradient(g, spec, res.u_bar)
@@ -124,7 +117,7 @@ def test_multiplier_least_squares_oracle():
 
 def test_multiplier_rejects_off_constraint_input():
     g, _ = path_graph(5)
-    spec = make_spec(g, 4.0, 3.0)
+    spec = constant_spec(g, 4.0, 3.0)
     res = solve(g, spec)
     with pytest.raises(ConsistencyError):
         lagrange_multiplier(g, spec, 2.0 * res.u_bar)
@@ -132,7 +125,7 @@ def test_multiplier_rejects_off_constraint_input():
 
 def test_multiplier_degenerate_input():
     g, _ = path_graph(5)
-    spec = make_spec(g, 4.0, 3.0)
+    spec = constant_spec(g, 4.0, 3.0)
     with pytest.raises(DegenerateConstraintError):
         lagrange_multiplier(g, spec, np.zeros(g.n))
 
@@ -141,7 +134,7 @@ def test_theta_scaling_invariance():
     # the rescaled solution u and its residual are invariant under
     # theta -> c theta; only the constrained level gamma moves
     g, _ = path_graph(12)
-    base = make_spec(g, 4.0, 3.0, theta=1.0)
+    base = constant_spec(g, 4.0, 3.0, theta=1.0)
     quadrupled = dataclasses.replace(base, theta=4.0)
     r1 = solve(g, base)
     r4 = solve(g, quadrupled)
@@ -176,7 +169,7 @@ def test_rescale_formula_values():
 
 def test_equal_exponents_branch():
     g, _ = path_graph(10)
-    spec = make_spec(g, 3.0, 3.0, h=2.0)
+    spec = constant_spec(g, 3.0, 3.0, h=2.0)
     res = solve(g, spec)
     assert res.converged
     assert res.eigen_factor == pytest.approx(res.lam * spec.theta, rel=1e-14)
@@ -254,10 +247,10 @@ def test_solve_evaluates_nothing_after_the_descent(monkeypatch, alpha, theta):
     assert counts["lagrange_multiplier"] == 0
     assert counts == {"J_gradient": 1, "constraint_K": 1, "energy_J": 1 + res.trace.trials}
     # the public multiplier gives the same bits from its own J and K of u_bar
-    assert res.k_value == res.trace.k_value == constraint_K(g, spec, res.u_bar)
+    assert res.trace.k_value == constraint_K(g, spec, res.u_bar)
     assert res.gamma == energy_J(g, spec, res.u_bar)
     assert res.lam == lagrange_multiplier(g, spec, res.u_bar)
-    assert res.lam == spec.p * res.gamma / (alpha * res.k_value)
+    assert res.lam == spec.p * res.gamma / (alpha * res.trace.k_value)
 
 
 def curvature_reference(g, spec, u, lam):
@@ -335,7 +328,7 @@ def test_sup_bound_on_solution():
 
 def test_energy_history_never_creeps_up(monkeypatch):
     g, _ = path_graph(15)
-    spec = make_spec(g, 4.0, 3.0, h=1.5)
+    spec = constant_spec(g, 4.0, 3.0, h=1.5)
     accepted = record_accepted_iterates(monkeypatch)
     _, gamma, trace = minimize_constrained(g, spec)
     j = np.array([jj for _, jj in accepted])
@@ -352,25 +345,25 @@ def test_descent_stagnates_when_no_trial_lowers_the_energy(monkeypatch):
     # the descent stops there, stagnated and unconverged
     g, x0 = path_graph(12)
     dist = graph_distance(g, x0).astype(np.float64)
-    spec = make_spec(g, 4.0, 3.0, h=1.0 + dist**2)
+    spec = constant_spec(g, 4.0, 3.0, h=1.0 + dist**2)
     raise_trial_energies(monkeypatch)
     res = solve(g, spec, SolveOptions(x0=x0))
     assert 2.0 ** -(res.trace.trials - 1) >= _STEP_FLOOR > 2.0**-res.trace.trials
     assert res.trace.trials == 40
-    assert res.trace.stagnated and res.trace.iters == 1 == res.iters
+    assert res.trace.stagnated and res.trace.iters == 1
     assert not res.trace.converged and not res.converged
 
 
 def test_constraint_exact_on_every_result():
     g, _ = path_graph(7)
-    spec = make_spec(g, 4.0, 3.0)
+    spec = constant_spec(g, 4.0, 3.0)
     res = solve(g, spec)
-    assert abs(res.k_value - 1.0) <= 1e-10
+    assert abs(res.trace.k_value - 1.0) <= 1e-10
 
 
 def test_vanishing_g_is_infeasible():
     g, _ = path_graph(4)
-    spec = make_spec(g, 4.0, 3.0, g_coef=0.0)
+    spec = constant_spec(g, 4.0, 3.0, g_coef=0.0)
     empty = r"^g vanishes on every vertex, so K\(u\) = 1 is empty; the descent's start"
     with pytest.raises(InfeasibleConstraintError, match=empty):
         minimize_constrained(g, spec)
@@ -386,7 +379,7 @@ def test_vanishing_g_is_infeasible():
 def test_overflowing_constraint_is_infeasible(n, what):
     # no RuntimeWarning escapes (they are errors here): the error names the overflow
     g, _ = path_graph(n)
-    spec = make_spec(g, 4.0, 3.0, g_coef=1e308)
+    spec = constant_spec(g, 4.0, 3.0, g_coef=1e308)
     for run in (minimize_constrained, solve):
         with pytest.raises(InfeasibleConstraintError, match=f"^{what}; the descent's start"):
             run(g, spec)
@@ -468,7 +461,7 @@ def test_proportional_instances_start_at_their_eigenfunction():
     for label, graph, x0, spec, _ in proportional(0.0):
         res = solve(graph, spec, SolveOptions(x0=x0))
         count += 1
-        assert res.iters == 0 and res.converged and res.positive, label
+        assert res.trace.iters == 0 and res.converged and res.positive, label
         assert abs(res.eigen_factor - 2.0) <= 8.0 * eps, (label, res.eigen_factor)
         np.testing.assert_array_equal(res.u_bar, np.full(graph.n, res.u_bar[0]))
     assert count == 32
@@ -479,7 +472,7 @@ def test_invalid_p_is_named_before_the_start(p, alpha):
     # the alpha < p start takes powers 1/(p - alpha) and -1/(p - 1), so p is
     # checked first: p = 1 raises the same ValueError as any p < 2
     g, _ = path_graph(4)
-    spec = make_spec(g, p, alpha)
+    spec = constant_spec(g, p, alpha)
     with pytest.raises(ValueError, match="^p must be a real number >= 2"):
         minimize_constrained(g, spec)
 
@@ -492,11 +485,11 @@ def test_constant_coefficients_start_at_the_minimizer(monkeypatch, make, descent
     # for alpha < p and constant h and g the start is constant, and the constant
     # on K = 1, (theta g vol)^(-1/alpha), is the minimizer: no iteration is run
     g, x0 = make()
-    spec = make_spec(g, 4.0, 3.0, theta=1.5, h=2.5, g_coef=0.75)
+    spec = constant_spec(g, 4.0, 3.0, theta=1.5, h=2.5, g_coef=0.75)
     sizes = descent_sizes(monkeypatch)
     res = solve(g, spec, SolveOptions(x0=x0))
     c = (1.5 * 0.75 * g.volume()) ** (-1.0 / 3.0)
-    assert res.iters == 0 and res.converged
+    assert res.trace.iters == 0 and res.converged
     assert sizes == [descent_n]
     np.testing.assert_allclose(res.u_bar, c, rtol=4e-16, atol=0.0)
 
@@ -519,7 +512,7 @@ def test_steep_h_stays_certified_positive(p, alpha, graphs):
     for name in graphs:
         g, x0 = STEEP[name]()
         dist = graph_distance(g, x0).astype(np.float64)
-        spec = make_spec(g, p, alpha, h=1.0 + dist**24)
+        spec = constant_spec(g, p, alpha, h=1.0 + dist**24)
         res = solve(g, spec, SolveOptions(x0=x0))
         assert res.converged and res.positive and res.min_u > 0.0, name
 
@@ -539,7 +532,7 @@ def test_init_modes_reach_same_level():
     # the minimizer is unique for alpha < p: starts around either end and the
     # middle of the path reach one level
     g, _ = path_graph(10)
-    spec = make_spec(g, 4.0, 3.0)
+    spec = constant_spec(g, 4.0, 3.0)
     near, middle, far = (solve(g, spec, SolveOptions(x0=x0)) for x0 in (0, 5, 9))
     assert near.converged and middle.converged and far.converged
     assert middle.gamma == pytest.approx(near.gamma, rel=1e-8)
@@ -573,7 +566,9 @@ def test_solve_on_a_warm_distance_slot_matches_a_fresh_graph(make):
     b = solve(fresh, spec, SolveOptions(x0=x0))
     for name in ("u_bar", "u", "residual"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    assert (a.gamma, a.lam, a.iters, a.converged) == (b.gamma, b.lam, b.iters, b.converged)
+    assert (a.gamma, a.lam, a.trace.iters, a.converged) == (
+        b.gamma, b.lam, b.trace.iters, b.converged
+    )
 
 
 def test_truncation_radius_minimality():
@@ -667,10 +662,78 @@ def test_tail_bound_monotone_and_vanishing():
 
 def test_solve_reports_hypotheses_and_trace():
     g, _ = path_graph(6)
-    spec = make_spec(g, 4.0, 3.0)
+    spec = constant_spec(g, 4.0, 3.0)
     res = solve(g, spec)
     assert res.hypotheses["passed"] is True
     assert any(c["name"] == "connected" for c in res.hypotheses["checks"])
     assert res.trace is not None
-    assert res.trace.iters == res.iters
-    assert res.trace.trials >= res.iters
+    assert res.trace.trials >= res.trace.iters
+
+
+def test_solve_result_extends_its_residual_report():
+    from yamabe import ResidualReport, SolveResult
+    from yamabe.verify import ResidualReport as verify_report
+
+    assert verify_report is ResidualReport and issubclass(SolveResult, ResidualReport)
+    inherited = [f.name for f in dataclasses.fields(ResidualReport)]
+    names = [f.name for f in dataclasses.fields(SolveResult)]
+    # the report's fields come first, and SolveResult declares none of them again
+    assert names[: len(inherited)] == inherited
+    assert not set(inherited) & set(vars(SolveResult)["__annotations__"])
+    # the descent's iters and k_value are read off the trace, not copied
+    assert not {"iters", "k_value"} & set(names)
+    g, _ = path_graph(6)
+    spec = constant_spec(g, 4.0, 3.0)
+    res = solve(g, spec)
+    report = residual_report(g, spec, res.u, eigen_factor=res.eigen_factor)
+    for name in inherited[1:]:
+        assert getattr(res, name) == getattr(report, name), name
+
+
+@pytest.mark.parametrize(
+    ("coefficients", "error", "reason"),
+    [
+        # the start on K = 1 is about theta^(-1/alpha), so its J overflows
+        (dict(theta=1e-250), InfeasibleConstraintError, "energy J of the descent's start"),
+        (dict(g_coef=1e-300), InfeasibleConstraintError, "energy J of the descent's start"),
+        # lam is about 1e-300, so kappa^(p-1) overflows
+        (dict(h=1e-300), DegenerateConstraintError, "rescaling factor kappa"),
+        # u_bar is about 1e-100, so J and with it lam underflow to 0
+        (dict(g_coef=1e300), DegenerateConstraintError, "multiplier lam"),
+        # p = alpha: lam is about 1e300 and theta 1e-300 or the other way round
+        (dict(alpha=4.0, theta=1e-300, h=1e-300, g_coef=1e300), DegenerateConstraintError,
+         "eigenvalue factor"),
+        (dict(alpha=4.0, theta=1e300, h=1e300, g_coef=1e-300), DegenerateConstraintError,
+         "eigenvalue factor"),
+    ],
+)
+def test_float64_edge_instances_end_with_a_named_error(coefficients, error, reason):
+    g, _ = path_graph(5)
+    spec = constant_spec(g, **coefficients)
+    assert hypotheses_check(g, spec)["passed"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error, match=reason):
+            solve(g, spec)
+
+
+def test_uniform_competitor_with_energy_past_float64_is_infeasible():
+    g, _ = path_graph(5)
+    spec = constant_spec(g, theta=1e-250)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InfeasibleConstraintError, match="J of the uniform competitor"):
+            choose_truncation_radius(g, spec, 0, 0.5)
+
+
+def test_kappa_past_float64_is_named_by_rescale_and_sup_bound_takes_finite_J():
+    g, _ = path_graph(5)
+    spec = constant_spec(g)
+    # kappa = 4 / (3 lam) = 1.3e300, and kappa^3 overflows
+    with pytest.raises(DegenerateConstraintError, match="kappa"):
+        rescale_solution(spec, np.ones(5), 1e-300)
+    # sup u^p = 1e400 leaves float64, min(h mu) sup u^p = 1e100 does not
+    u = np.full(5, 1e100)
+    assert _check_sup_bound(spec, u, 1e200, 1e-300) == 1e100
+    with pytest.raises(ConsistencyError, match="sup bound"):
+        _check_sup_bound(spec, u, 1e200, 1e-150)

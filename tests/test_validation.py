@@ -102,7 +102,7 @@ def test_solve_validates_each_iterate_a_bounded_number_of_times(monkeypatch):
     spec = _spec(g.n, h=1.0 + dist**2)
     counts = count_calls(monkeypatch, as_vertex_function, energy_J, J_gradient)
     res = solve(g, spec, SolveOptions(x0=x0))
-    assert res.iters > 10
+    assert res.trace.iters > 10
     bound = 2 * counts["energy_J"] + counts["J_gradient"] + 10
     assert counts["as_vertex_function"] <= bound, dict(counts)
 

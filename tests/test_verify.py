@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import inequality_reference
-from conftest import count_calls
+from conftest import constant_spec, count_calls
 from yamabe import (
     DegenerateConstraintError,
     GraphFamily,
@@ -34,20 +34,9 @@ from yamabe._kernels import edge_energy_kernel, edge_energy_rows
 from yamabe.graph import _bfs, cycle_graph, lattice_quotient, tree_ball, tree_quotient
 
 
-def spec_on(graph, p=4.0, alpha=3.0, delta=0.4, theta=1.0, h=1.0, g_coef=1.0):
-    return ProblemSpec(
-        p=p,
-        alpha=alpha,
-        delta=delta,
-        theta=theta,
-        h=np.broadcast_to(np.float64(h), (graph.n,)).copy(),
-        g=np.broadcast_to(np.float64(g_coef), (graph.n,)).copy(),
-    )
-
-
 def test_hypotheses_pass_with_full_report():
     g, _ = path_graph(5)
-    report = hypotheses_check(g, spec_on(g))
+    report = hypotheses_check(g, constant_spec(g))
     assert report["passed"] is True
     names = [c["name"] for c in report["checks"]]
     assert names == [
@@ -67,7 +56,7 @@ def test_hypotheses_pass_with_full_report():
 def test_hypotheses_alpha_too_small():
     g, _ = path_graph(3)
     with pytest.raises(HypothesisError) as err:
-        hypotheses_check(g, spec_on(g, alpha=2.0))
+        hypotheses_check(g, constant_spec(g, alpha=2.0))
     assert err.value.name == "alpha_range"
     assert "alpha must exceed 2" in str(err.value)
 
@@ -75,7 +64,7 @@ def test_hypotheses_alpha_too_small():
 def test_hypotheses_alpha_exceeds_p():
     g, _ = path_graph(3)
     with pytest.raises(HypothesisError) as err:
-        hypotheses_check(g, spec_on(g, p=3.0, alpha=3.5))
+        hypotheses_check(g, constant_spec(g, p=3.0, alpha=3.5))
     assert err.value.name == "alpha_range"
     assert "must not exceed p" in str(err.value)
 
@@ -84,15 +73,15 @@ def test_hypotheses_delta_range():
     g, _ = path_graph(3)
     # delta = 1/(p-2) sits exactly on the excluded boundary
     with pytest.raises(HypothesisError) as err:
-        hypotheses_check(g, spec_on(g, p=4.0, delta=0.5))
+        hypotheses_check(g, constant_spec(g, p=4.0, delta=0.5))
     assert err.value.name == "delta_range"
     with pytest.raises(HypothesisError):
-        hypotheses_check(g, spec_on(g, delta=0.0))
+        hypotheses_check(g, constant_spec(g, delta=0.0))
     # for p = 2 only positivity of delta is required: a large delta gets
     # past delta_range and the failure lands on alpha instead, since no
     # alpha satisfies 2 < alpha <= 2
     with pytest.raises(HypothesisError) as err:
-        hypotheses_check(g, spec_on(g, p=2.0, alpha=2.5, delta=5.0))
+        hypotheses_check(g, constant_spec(g, p=2.0, alpha=2.5, delta=5.0))
     assert err.value.name == "alpha_range"
 
 
@@ -102,11 +91,12 @@ def test_hypotheses_other_failures():
         (dict(p=1.5), "p_range"),
         (dict(h=0.0), "min_h"),
         (dict(theta=0.0), "theta_positive"),
+        (dict(theta=np.inf), "theta_positive"),
         (dict(g_coef=-1.0), "g_nonneg"),
     ]
     for kwargs, name in cases:
         with pytest.raises(HypothesisError) as err:
-            hypotheses_check(g, spec_on(g, **kwargs))
+            hypotheses_check(g, constant_spec(g, **kwargs))
         assert err.value.name == name
 
 
@@ -117,30 +107,47 @@ def test_hypotheses_hmu_overflow_is_named():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(HypothesisError, match="must not overflow float64") as err:
-            hypotheses_check(g, spec_on(g, h=1e10))
+            hypotheses_check(g, constant_spec(g, h=1e10))
     assert not caught, [str(w.message) for w in caught]
     assert err.value.name == "min_hmu"
     # one overflowing vertex is enough, though the minimum is finite
     h = np.ones(g.n)
     h[3] = 1e10
     with pytest.raises(HypothesisError, match="must not overflow float64"):
-        hypotheses_check(g, spec_on(g, h=h))
-    assert hypotheses_check(g, spec_on(g, h=1.0))["passed"]
+        hypotheses_check(g, constant_spec(g, h=h))
+    assert hypotheses_check(g, constant_spec(g, h=1.0))["passed"]
+
+
+def test_residual_l2_stays_finite_past_float64():
+    g, _ = path_graph(5)
+    spec = constant_spec(g, alpha=4.0, h=1e300)
+    u = np.linspace(0.5, 1.5, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = residual_report(g, spec, u)
+    # r is about 1e300, so mu r^2 overflows; the same sum of r 2^-600 does not
+    small = rep.residual * 2.0**-600
+    want = float(np.sqrt(np.sum(g.mu * small * small))) * 2.0**600
+    assert np.isfinite(rep.residual_l2)
+    assert rep.residual_l2 == pytest.approx(want, rel=1e-14)
+    # where the plain sum is finite, residual_l2 is its bits
+    rep = residual_report(g, constant_spec(g), u)
+    assert rep.residual_l2 == float(np.sqrt(np.sum(g.mu * rep.residual * rep.residual)))
 
 
 def test_residual_exact_zero_cases():
     g = WeightedGraph.from_edges(1, [])
-    rep = residual_report(g, spec_on(g), np.ones(1))
+    rep = residual_report(g, constant_spec(g), np.ones(1))
     # -0 + 1*1 - 1*1 = 0 exactly
     assert rep.residual_sup == 0.0
     g2, _ = path_graph(4)
-    rep = residual_report(g2, spec_on(g2), np.zeros(4))
+    rep = residual_report(g2, constant_spec(g2), np.zeros(4))
     assert rep.residual_sup == 0.0
 
 
 def test_residual_grows_when_perturbed():
     g, _ = path_graph(10)
-    spec = spec_on(g)
+    spec = constant_spec(g)
     res = solve(g, spec)
     assert res.converged
     at_solution = residual_report(g, spec, res.u).residual_sup
@@ -153,7 +160,7 @@ def test_residual_uses_eigen_factor():
     # p = alpha with h = 2: the equation balances only with the reported
     # eigenvalue factor, not with factor 1
     g, _ = path_graph(8)
-    spec = spec_on(g, p=3.0, alpha=3.0, h=2.0)
+    spec = constant_spec(g, p=3.0, alpha=3.0, h=2.0)
     res = solve(g, spec)
     assert res.converged
     with_factor = residual_report(g, spec, res.u, eigen_factor=res.eigen_factor)
@@ -166,7 +173,7 @@ def test_relative_residual_vanishes_on_the_constant_oracle():
     # h = g = 1: the rescaled solution is the constant 1, where the vertex
     # equation balances exactly
     g, x0 = lattice_ball(2, 5)
-    spec = spec_on(g)
+    spec = constant_spec(g)
     assert residual_report(g, spec, np.ones(g.n)).residual_rel_sup == 0.0
     res = solve(g, spec, SolveOptions(x0=x0))
     assert res.converged
@@ -179,7 +186,7 @@ def test_relative_residual_sees_a_wrong_tail():
     # vertex's equation is now dominated by the pull of its neighbour
     g, x0 = path_graph(30)
     dist = graph_distance(g, x0).astype(np.float64)
-    spec = spec_on(g, h=1.0 + dist**4)
+    spec = constant_spec(g, h=1.0 + dist**4)
     res = solve(g, spec, SolveOptions(x0=x0))
     assert res.converged and res.residual_rel_sup < 1e-2
     u = res.u.copy()
@@ -212,7 +219,7 @@ def test_positivity_negative_minimum():
 
 def test_inequality_suite_passes():
     g, _ = path_graph(6)
-    report = inequality_suite(g, spec_on(g), trials=200, seed=7)
+    report = inequality_suite(g, constant_spec(g), trials=200, seed=7)
     assert report["passed"] is True
     assert report["seed"] == 7
     assert report["trials"] == 200
@@ -229,18 +236,18 @@ def test_inequality_suite_passes():
 
 def test_inequality_suite_deterministic():
     g, _ = path_graph(6)
-    a = inequality_suite(g, spec_on(g), trials=100, seed=42)
-    b = inequality_suite(g, spec_on(g), trials=100, seed=42)
+    a = inequality_suite(g, constant_spec(g), trials=100, seed=42)
+    b = inequality_suite(g, constant_spec(g), trials=100, seed=42)
     assert a == b
 
 
 def test_inequality_suite_rejects_p2():
     # 2 < alpha <= p forces p > 2; two of the inequalities need it
     g, _ = path_graph(4)
-    spec = spec_on(g, p=2.0, alpha=2.0 + 1e-6, delta=0.7)
+    spec = constant_spec(g, p=2.0, alpha=2.0 + 1e-6, delta=0.7)
     with pytest.raises(ValueError, match="p > 2"):
         inequality_suite(g, spec, trials=50, seed=1)
-    report = inequality_suite(g, spec_on(g, p=2.5, alpha=2.5), trials=50, seed=1)
+    report = inequality_suite(g, constant_spec(g, p=2.5, alpha=2.5), trials=50, seed=1)
     assert report["passed"]
     assert all("note" not in state for state in report["inequalities"].values())
 
@@ -248,7 +255,7 @@ def test_inequality_suite_rejects_p2():
 def test_inequality_suite_rejects_bad_trials():
     g, _ = path_graph(4)
     with pytest.raises(ValueError):
-        inequality_suite(g, spec_on(g), trials=0, seed=0)
+        inequality_suite(g, constant_spec(g), trials=0, seed=0)
 
 
 def test_inequality_suite_checks_the_hypotheses():
@@ -256,7 +263,7 @@ def test_inequality_suite_checks_the_hypotheses():
     # would be inf/inf, dropped, and the suite would pass. It names the
     # hypothesis instead, with no warning, after its own argument checks
     g, _ = path_graph(5, mu=1e300)
-    spec = spec_on(g, h=1e10)
+    spec = constant_spec(g, h=1e10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(HypothesisError) as err:
@@ -265,7 +272,7 @@ def test_inequality_suite_checks_the_hypotheses():
     with pytest.raises(ValueError, match="trials must be at least 1"):
         inequality_suite(g, spec, trials=0, seed=0)
     with pytest.raises(ValueError, match="p > 2"):
-        inequality_suite(g, spec_on(g, p=2.0, alpha=2.0 + 1e-6, delta=0.7, h=1e10), 20, 0)
+        inequality_suite(g, constant_spec(g, p=2.0, alpha=2.0 + 1e-6, delta=0.7, h=1e10), 20, 0)
 
 
 SUITE_GRAPHS = {
@@ -402,7 +409,7 @@ def test_competitor_without_constraint_mass_is_infeasible():
         exhaustion_study(family, problem, (2, 4))
     g, _ = path_graph(5)
     with pytest.raises(InfeasibleConstraintError, match="uniform competitor on the whole graph"):
-        choose_truncation_radius(g, spec_on(g, g_coef=0.0), 0, 1.0)
+        choose_truncation_radius(g, constant_spec(g, g_coef=0.0), 0, 1.0)
 
 
 def test_exhaustion_saturates_on_fixed_graph():

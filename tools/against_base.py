@@ -171,9 +171,10 @@ def digest() -> None:
         for instance, res in results:
             branch = BRANCHES[instance.spec.alpha == instance.spec.p]
             for arr in (res.u_bar, res.u, res.residual,
-                        np.array([res.gamma, res.lam, res.iters, res.trace.trials])):
+                        np.array([res.gamma, res.lam, res.trace.iters, res.trace.trials])):
                 sha[branch].update(arr.tobytes())
-            for key, value in zip(solves, (branch, res.gamma, res.lam, res.iters, res.trace.trials,
+            trace = res.trace
+            for key, value in zip(solves, (branch, res.gamma, res.lam, trace.iters, trace.trials,
                                            res.converged, res.positive, res.residual_rel_sup)):
                 solves[key].append(value)
         out[name] = {"sha256": {branch: sha[branch].hexdigest() for branch in BRANCHES}, **solves}
