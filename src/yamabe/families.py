@@ -152,9 +152,26 @@ class GraphFamily:
             if not 0 <= x0 < graph.n:
                 raise ValueError(f"graph param x0 must be a vertex 0..{graph.n - 1} of n = {graph.n}, got {x0}")
             return graph, x0
-        if cells and (_FAMILIES[self.name][4] is None or np.ndim(params.get("mu", 1.0))):
+        if cells and not self._has_quotient(params):
             return None
         return generate(self.name, cells=cells, **params)
+
+    def _has_quotient(self, params) -> bool:
+        """Whether ``materialize(cells=True)`` builds a quotient at these params."""
+        return self.name != "explicit" and _FAMILIES[self.name][4] is not None and not np.ndim(
+            params.get("mu", 1.0))
+
+    def _cells(self, radius: int):
+        """The cells of ``materialize(radius, cells=True)`` without its graph, as
+        ``(dist, mu, cell_size)``: each cell's hop distance from the anchor, its
+        measure and its vertex count, bit for bit its graph's. None where that
+        returns None, and where the params fix the extent, so that every
+        radius gives the same member. Params are checked the same way, with
+        the same messages, but no edge is made."""
+        params = _family_params(self.name, self.params, radius, by_radius=True)
+        if not self._has_quotient(params) or _FAMILIES[self.name][1] in self.params:
+            return None
+        return _FAMILIES[self.name][5](**params)
 
 
 @dataclass(frozen=True)
@@ -177,7 +194,11 @@ class ProblemFamily:
 
     def on(self, graph: WeightedGraph, x0: int) -> ProblemSpec:
         """Evaluate the data on a concrete graph, anchored at x0."""
-        dist = graph_distance(graph, x0).astype(np.float64)
+        return self._at(graph_distance(graph, x0))
+
+    def _at(self, dist: np.ndarray) -> ProblemSpec:
+        """Evaluate the data on vertices (or cells) at the given hop distances."""
+        dist = dist.astype(np.float64)
         return ProblemSpec(
             p=self.p,
             alpha=self.alpha,

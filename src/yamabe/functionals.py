@@ -34,6 +34,9 @@ from .graph import WeightedGraph, _as_float, _integrate, _number, as_vertex_func
 from .operators import _check_p, _dirichlet_energy, _p_laplacian
 
 
+_TINY, _EPS = np.finfo(np.float64).tiny, np.finfo(np.float64).eps
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Instance data for the constrained minimization.
@@ -90,12 +93,22 @@ def _check_spec(g: WeightedGraph, spec: ProblemSpec):
 
 
 def energy_J(g: WeightedGraph, spec: ProblemSpec, u) -> float:
-    """Energy J(u) = int_V (|grad_p u|^p + h|u|^p) dmu. Nonnegative."""
+    """Energy J(u) = int_V (|grad_p u|^p + h|u|^p) dmu. Nonnegative.
+
+    A |u(x)|^p below the smallest normal float64 keeps none or few of its
+    bits, so a large h mu can multiply a zero: the h term is then summed
+    again as ((h mu)^(1/p) |u|)^p, but only where that loss, at most
+    n max(h mu) times the smallest normal, could reach J's last bit.
+    """
     _check_spec(g, spec)
     _check_p(spec.p)
     u = as_vertex_function(g, u)
-    h_term = float((g.mu * spec.h * np.abs(u) ** spec.p).sum())
-    return _dirichlet_energy(g, spec.p, u) + h_term
+    h_mu, abs_u = g.mu * spec.h, np.abs(u)
+    edge_term = _dirichlet_energy(g, spec.p, u)
+    j = edge_term + float((h_mu * abs_u ** spec.p).sum())
+    if g.n * _TINY * float(h_mu.max()) > _EPS * j:
+        j = edge_term + float(((h_mu ** (1.0 / spec.p) * abs_u) ** spec.p).sum())
+    return j
 
 
 def h_norm(g: WeightedGraph, spec: ProblemSpec, u) -> float:

@@ -34,7 +34,11 @@ A ball also inherits its parent's edge pairing instead of deriving it.
 The quotient builders (:func:`lattice_quotient`, :func:`tree_quotient`)
 cost per cell, not per vertex: the Z^2 ball of radius 128 has 4,225 orbits
 for its 33,025 points, and Z^d about 2^d d! times fewer orbits than points
-as the radius grows; a tree has one cell per level.
+as the radius grows; a tree has one cell per level. Their cells' hop
+distances, measures and sizes can also be had without the graph
+(:func:`_cell_data`, the sixth entry of ``_FAMILIES``), bit for bit the
+graph's: an exhaustion study takes its universe beyond the largest ball
+from them.
 A lattice or tree ball with a scalar mu builds its own quotient, and the
 map from its vertices to their cells (one sort of the points' orbit keys),
 only when a solve first asks (:func:`_orbit_quotient`): for the Z^2 ball
@@ -498,19 +502,30 @@ def _quotient_graph(nbr, weight, mu, dist, anchor=0, count=1, size=1) -> tuple[W
     ``count`` 1, as the defaults give: its weights are ``weight`` and its
     measure ``mu``, bit for bit.
     """
-    w = _edge_weight(weight)
-    mu_arr = _measure(mu, nbr.shape[0])
     size = np.asarray(size)
+    w, dist, mass, cell_size = _cell_data(dist, weight, mu, size)
+    valid = (nbr >= 0) & (nbr < nbr.shape[0])
+    pairs = np.broadcast_to(size[..., None] * count, nbr.shape)[valid].astype(np.float64)
+    return _assemble(np.count_nonzero(valid, axis=1), nbr[valid], pairs * w, mass, anchor, dist), anchor, cell_size
+
+
+def _cell_data(dist, weight, mu, size: np.ndarray):
+    """A quotient's cells without its graph, checked and computed as
+    :func:`_quotient_graph` builds the graph from them: ``(weight, dist,
+    measure, cell_size)``, the edge weight, and each cell's hop distance
+    from the anchor's, measure and vertex count (``size``: a 0-d array or
+    one per cell)."""
+    w = _edge_weight(weight)
+    mu_arr = _measure(mu, dist.shape[0])
     try:
         cell_size = size.astype(np.float64)
     except OverflowError:  # a Python int past the float64 range
         cell_size = np.full(size.shape, np.inf)
-    mass = cell_size * mu_arr
+    with np.errstate(over="ignore"):  # named just below
+        mass = cell_size * mu_arr
     if not np.isfinite(mass).all():
         raise ValueError("the cells' measure overflows float64")
-    valid = (nbr >= 0) & (nbr < nbr.shape[0])
-    pairs = np.broadcast_to(size[..., None] * count, nbr.shape)[valid].astype(np.float64)
-    return _assemble(np.count_nonzero(valid, axis=1), nbr[valid], pairs * w, mass, anchor, dist), anchor, cell_size
+    return w, dist, mass, cell_size
 
 
 def _keep_orbits(g: WeightedGraph, anchor: int, mu, build) -> tuple[WeightedGraph, int]:
@@ -615,6 +630,31 @@ def lattice_quotient(
     and weights.
     """
     d, radius = _check_lattice(d, radius)
+    cells, keys, first, end, size = _lattice_cell_tuples(d, radius)
+    base = radius + 2
+    dtype = keys.dtype
+    col = np.arange(d)
+    length = end - first + 1
+    # a representative's steps that stay sorted: -1 on the first entry of a nonzero run and
+    # +1 on the last of any run, each standing for the run's length of steps (from 0, both
+    # signs land on 1). Lowering an earlier entry, or raising a later one, gives a smaller
+    # tuple, so these targets ascend and are distinct: no sort, no duplicates
+    power = np.array([base ** (d - 1 - k) for k in range(d)], dtype=dtype)
+    down = np.where((first == col) & (cells > 0), keys[:, None] - power, -1)
+    dist = cells.sum(axis=1)
+    inside = (dist < radius)[:, None]
+    up = np.where((end == col) & inside, keys[:, None] + power, -1)[:, ::-1]
+    target = np.concatenate((down, up), axis=1)
+    nbr = np.where(target >= 0, np.searchsorted(keys, target), -1)
+    count = np.concatenate((length, (length * np.where(cells == 0, 2, 1))[:, ::-1]), axis=1)
+    return _quotient_graph(nbr, weight, mu, dist, count=count, size=size)
+
+
+def _lattice_cell_tuples(d: int, radius: int):
+    """:func:`lattice_quotient`'s cells, in its order: ``(cells, keys, first, end,
+    size)``, each cell's sorted absolute coordinates (one row), their
+    base-(radius + 2) keys, where the run of equal entries around each entry
+    starts and ends, and the cell's point count."""
     # nondecreasing tuples, one coordinate at a time: with m coordinates left, the next
     # is at least the last and leaves room for the m - 1 after it: next * m <= budget;
     # their base-(radius + 2) keys ascend with them (Python ints past int64)
@@ -630,25 +670,11 @@ def lattice_quotient(
         budget, last = np.repeat(budget, span) - v, v
 
     # a run of equal entries a_first..a_end: entry k's run starts at first[:, k], ends at end[:, k]
-    col = np.arange(d)
     first, end = np.zeros_like(cells), np.full_like(cells, d - 1)
     for k in range(1, d):
         first[:, k] = np.where(cells[:, k] == cells[:, k - 1], first[:, k - 1], k)
         j = d - 1 - k
         end[:, j] = np.where(cells[:, j] == cells[:, j + 1], end[:, j + 1], j)
-    length = end - first + 1
-    # a representative's steps that stay sorted: -1 on the first entry of a nonzero run and
-    # +1 on the last of any run, each standing for the run's length of steps (from 0, both
-    # signs land on 1). Lowering an earlier entry, or raising a later one, gives a smaller
-    # tuple, so these targets ascend and are distinct: no sort, no duplicates
-    power = np.array([base ** (d - 1 - k) for k in range(d)], dtype=dtype)
-    down = np.where((first == col) & (cells > 0), keys[:, None] - power, -1)
-    dist = cells.sum(axis=1)
-    inside = (dist < radius)[:, None]
-    up = np.where((end == col) & inside, keys[:, None] + power, -1)[:, ::-1]
-    target = np.concatenate((down, up), axis=1)
-    nbr = np.where(target >= 0, np.searchsorted(keys, target), -1)
-    count = np.concatenate((length, (length * np.where(cells == 0, 2, 1))[:, ::-1]), axis=1)
 
     # orbit size: d! over the product of the run lengths so far (each prefix divides
     # exactly), times a sign choice for every nonzero entry
@@ -657,7 +683,14 @@ def lattice_quotient(
     for k in range(1, d):
         size //= k - first[:, k] + 1
     size *= np.array([2**k for k in range(d + 1)], dtype=dtype)[np.count_nonzero(cells, axis=1)]
-    return _quotient_graph(nbr, weight, mu, dist, count=count, size=size)
+    return cells, keys, first, end, size
+
+
+def _lattice_cell_data(d: int, radius: int, weight: float = 1.0, mu=1.0):
+    """:func:`lattice_quotient`'s cells as ``(dist, measure, cell_size)`` (see :func:`_cell_data`)."""
+    d, radius = _check_lattice(d, radius)
+    cells, *_, size = _lattice_cell_tuples(d, radius)
+    return _cell_data(cells.sum(axis=1), weight, mu, size)[1:]
 
 
 def _check_tree(branching, depth) -> tuple[int, int]:
@@ -701,21 +734,33 @@ def tree_quotient(
     """
     branching, depth = _check_tree(branching, depth)
     k = np.arange(depth + 1)
-    big = branching ** (depth + 1) >= 2**63
-    size = np.array([branching**j for j in range(depth + 1)], dtype=object if big else np.int64)
     nbr = np.column_stack((k - 1, k + 1))
+    size = _tree_level_sizes(branching, depth)
     return _quotient_graph(nbr, weight, mu, k, count=np.array([1, branching]), size=size)
+
+
+def _tree_level_sizes(branching: int, depth: int) -> np.ndarray:
+    """branching^k for levels k = 0..depth: int64, or Python ints past its range."""
+    big = branching ** (depth + 1) >= 2**63
+    return np.array([branching**j for j in range(depth + 1)], dtype=object if big else np.int64)
+
+
+def _tree_cell_data(branching: int, depth: int, weight: float = 1.0, mu=1.0):
+    """:func:`tree_quotient`'s levels as ``(dist, measure, cell_size)`` (see :func:`_cell_data`)."""
+    branching, depth = _check_tree(branching, depth)
+    return _cell_data(np.arange(depth + 1), weight, mu, _tree_level_sizes(branching, depth))[1:]
 
 
 # Each family: its generator, the param that sets its extent, the offset that turns a
 # ball radius into that extent (None: a radius cannot stand in; a path reaches hop R
-# with R + 1 vertices), its shape params with their defaults, and the builder of its
-# quotient by the symmetries that fix the anchor (None: not built).
+# with R + 1 vertices), its shape params with their defaults, the builder of its
+# quotient by the symmetries that fix the anchor (None: not built), and that
+# quotient's cells without its graph (see _cell_data).
 _FAMILIES = {
-    "path": (path_graph, "n", 1, {}, None),
-    "cycle": (cycle_graph, "n", None, {}, None),
-    "lattice_zd_ball": (lattice_ball, "radius", 0, {"d": 1}, lattice_quotient),
-    "tree_ball": (tree_ball, "depth", 0, {"branching": 2}, tree_quotient),
+    "path": (path_graph, "n", 1, {}, None, None),
+    "cycle": (cycle_graph, "n", None, {}, None, None),
+    "lattice_zd_ball": (lattice_ball, "radius", 0, {"d": 1}, lattice_quotient, _lattice_cell_data),
+    "tree_ball": (tree_ball, "depth", 0, {"branching": 2}, tree_quotient, _tree_cell_data),
 }
 
 
@@ -727,7 +772,7 @@ def _family_params(family: str, params, radius=None, by_radius: bool = False) ->
     naming it."""
     extent, offset, allowed = "data", None, {"data", "x0"}
     if family != "explicit":
-        _, extent, offset, shape, _ = _FAMILIES[family]
+        _, extent, offset, shape, *_ = _FAMILIES[family]
         allowed = {extent, *shape, "weight", "mu"}
     unknown = set(params) - allowed
     if unknown:

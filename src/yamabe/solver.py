@@ -647,11 +647,17 @@ def _universe_tails(g: WeightedGraph, spec: ProblemSpec, x0: int):
 
     hypotheses_check(g, spec)
     dist = graph_distance(g, x0)
+    return dist, _shell_tails(dist, g.mu, spec)
+
+
+def _shell_tails(dist: np.ndarray, mu: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """tail(R) for R = 0 .. max dist over vertices (or cells) at hop distances
+    ``dist`` from the anchor with measure ``mu``."""
     ecc = int(dist.max())
-    shell = np.bincount(dist, weights=spec.h ** (-spec.delta) * g.mu, minlength=ecc + 1)
+    shell = np.bincount(dist, weights=spec.h ** (-spec.delta) * mu, minlength=ecc + 1)
     # suffix[R] = mass strictly beyond radius R
     suffix = np.concatenate([np.cumsum(shell[::-1])[::-1], [0.0]])
-    return dist, suffix[1:] ** spec.delta
+    return suffix[1:] ** spec.delta
 
 
 def k_tail_bound(
@@ -670,6 +676,11 @@ def k_tail_bound(
     not its cell's.  tail_value and gamma_est must be nonnegative numbers:
     a boolean, a string, NaN or a negative value raises ValueError naming it.
     """
+    return _k_tail_bound(spec, g.mu, tail_value, gamma_est, cell_size)
+
+
+def _k_tail_bound(spec: ProblemSpec, mu: np.ndarray, tail_value, gamma_est, cell_size=None) -> float:
+    """:func:`k_tail_bound` on vertices (or cells) of measure ``mu``."""
     tail_value, gamma_est = _number(tail_value, "tail_value"), _number(gamma_est, "gamma_est")
     for name, value in (("tail_value", tail_value), ("gamma_est", gamma_est)):
         if not value >= 0.0:
@@ -680,7 +691,7 @@ def k_tail_bound(
     if p > alpha:
         const = theta * g_max * min_h ** (-(alpha / (p - alpha) - delta) * (p - alpha) / alpha)
         return const * tail_value ** ((p - alpha) * delta / alpha) * (gamma_est + 1.0) ** (alpha / p)
-    mu = g.mu if cell_size is None else g.mu / cell_size
+    mu = mu if cell_size is None else mu / cell_size
     min_hmu = float(np.min(spec.h * mu))
     c_bd = ((gamma_est + 1.0) / min_hmu) ** (1.0 / p)
     c_gj = min_h ** (-(1.0 / (p - 2.0) - delta)) if p > 2.0 else 1.0

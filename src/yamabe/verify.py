@@ -7,23 +7,25 @@ values it inspected so runs can be replayed and compared bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from ._kernels import edge_energy_rows, grad_power_kernel
 from .errors import ConsistencyError, HypothesisError
-from .families import GraphFamily
+from .families import GraphFamily, ProblemFamily
 # energy_J is bound here for perfbench/selftest.py, which checks that the tracer rebinds it
 from .functionals import ProblemSpec, _check_spec, energy_J  # noqa: F401
-from .graph import WeightedGraph, _integer, _number, as_vertex_function, integrate
+from .graph import WeightedGraph, _finite_vector, _integer, _number, as_vertex_function, integrate
 from .operators import p_laplacian
 from .solver import (
     ResidualReport,
     SolveOptions,
     _ball_problem,
     _competitor_energy,
+    _k_tail_bound,
+    _shell_tails,
     _universe_tails,
-    k_tail_bound,
     solve,
 )
 
@@ -46,13 +48,23 @@ def hypotheses_check(g: WeightedGraph, spec: ProblemSpec) -> dict:
     listing each named check with its value, all passed.
     """
     _check_spec(g, spec)
+    checks = _vertex_checks(spec, g.mu)
+    # read off the anchor's distances the graph keeps: a raw graph searches here, on every check
+    _record(checks, "connected", g.connected, True, "graph must be connected")
+    return {"passed": True, "checks": checks}
+
+
+def _record(checks: list, name: str, passed: bool, value, message: str) -> None:
+    checks.append({"name": name, "passed": bool(passed), "value": value})
+    if not passed:
+        raise HypothesisError(name, message)
+
+
+def _vertex_checks(spec: ProblemSpec, mu: np.ndarray) -> list[dict]:
+    """Every hypothesis but connectedness, in :func:`hypotheses_check`'s order,
+    on vertices (or cells) of measure ``mu``: the checks it records."""
     checks: list[dict] = []
-
-    def record(name: str, passed: bool, value, message: str) -> None:
-        checks.append({"name": name, "passed": bool(passed), "value": value})
-        if not passed:
-            raise HypothesisError(name, message)
-
+    record = partial(_record, checks)
     p, alpha, delta, theta = spec.p, spec.alpha, spec.delta, spec.theta
     record("p_range", np.isfinite(p) and p >= 2.0, float(p), "p must satisfy p >= 2")
 
@@ -61,14 +73,14 @@ def hypotheses_check(g: WeightedGraph, spec: ProblemSpec) -> dict:
     record("min_h", h_ok, min_h, "h must be positive and finite everywhere")
 
     with np.errstate(over="ignore"):
-        h_mu = spec.h * g.mu
+        h_mu = spec.h * mu
     min_hmu = float(np.min(h_mu))
     hmu_ok = min_hmu > 0.0 and float(np.max(h_mu)) < np.inf
     record(
         "min_hmu", hmu_ok, min_hmu, "h*mu must be positive everywhere and must not overflow float64"
     )
 
-    g_max = float(np.max(spec.g)) if g.n else 0.0
+    g_max = float(np.max(spec.g)) if mu.size else 0.0
     g_ok = bool(np.min(spec.g) >= 0.0) and np.isfinite(g_max)
     record("g_nonneg", g_ok, g_max, "g must be nonnegative and bounded")
 
@@ -86,17 +98,15 @@ def hypotheses_check(g: WeightedGraph, spec: ProblemSpec) -> dict:
 
     record("theta_positive", 0.0 < theta < np.inf, float(theta), "theta must be positive and finite")
 
-    tail_integral = float(integrate(g, spec.h ** (-delta))) ** delta
+    h_delta = _finite_vector(spec.h ** (-delta), mu.size, "vertex function")
+    tail_integral = float((mu * h_delta).sum()) ** delta
     record(
         "h_delta_integral",
         np.isfinite(tail_integral),
         tail_integral,
         "(int h^-delta dmu)^delta must be finite",
     )
-
-    # read off the anchor's distances the graph keeps: a raw graph searches here, on every check
-    record("connected", g.connected, True, "graph must be connected")
-    return {"passed": True, "checks": checks}
+    return checks
 
 
 def residual_report(
@@ -285,17 +295,32 @@ def inequality_suite(
     }
 
 
-def _study_universe(family, spec, radius: int):
-    """The universe a study solves on, as ``(graph, anchor, cell_size)``: a
-    GraphFamily's quotient (``materialize(radius, cells=True)``) for radial
-    data, whose h and g are then constant on its cells, else the universe
-    ball itself in cells of one vertex. The one place the graph is chosen."""
-    if isinstance(family, GraphFamily) and getattr(spec, "radial", False):
-        built = family.materialize(radius, cells=True)
-        if built is not None:
-            return built
-    g, x0 = family.materialize(radius)
-    return g, x0, np.ones(g.n)
+def _study_universe(family, spec, radius: int, largest: int):
+    """The universe a study checks the hypotheses and takes its tails on, and
+    the largest ball it solves, as ``(spec, mu, cell_size, tails, (ball,
+    ball_spec, anchor))``. The one place the graphs are chosen.
+
+    For a radial ProblemFamily on a GraphFamily with a quotient (a lattice
+    or tree with a scalar mu) sized by the radius, the universe is that
+    quotient's cells as data (``family._cells``), connected by construction,
+    and the one graph built is the family's member at ``largest``
+    (``materialize(largest, cells=True)``), the universe's ball of that
+    radius. Otherwise the universe is a graph, the family's quotient (its
+    extent fixed by a param) or ball (``cell_size`` None), and the largest
+    ball is cut from it."""
+    quotient = isinstance(family, GraphFamily) and isinstance(spec, ProblemFamily) and spec.radial
+    cells = family._cells(radius) if quotient else None
+    if cells is not None:
+        dist, mu, cell_size = cells
+        spec_u = spec._at(dist)
+        _vertex_checks(spec_u, mu)
+        ball, anchor, _ = family.materialize(largest, cells=True)
+        return spec_u, mu, cell_size, _shell_tails(dist, mu, spec_u), (ball, spec.on(ball, anchor), anchor)
+    built = family.materialize(radius, cells=True) if quotient else None
+    g, x0, cell_size = (*family.materialize(radius), None) if built is None else built
+    spec_u = spec.on(g, x0)
+    _, tails = _universe_tails(g, spec_u, x0)
+    return spec_u, g.mu, cell_size, tails, _ball_problem(g, spec_u, x0, largest)
 
 
 def exhaustion_study(
@@ -310,13 +335,17 @@ def exhaustion_study(
 
     family materializes graphs by radius (family.materialize(R) -> (graph,
     anchor)) and spec evaluates problem data on them (spec.on(graph,
-    anchor) -> ProblemSpec).  All truncations are cut from one universe
-    ball, and each ball's solve starts around its anchor, so opts.x0 must
-    keep its default.
+    anchor) -> ProblemSpec).  The universe ball of ``universe_radius``
+    supplies the hypotheses and the tails; the only ball built as a graph is
+    the largest one solved, and each smaller ball is cut from the next
+    larger one (see ``_study_universe``). Each ball's solve starts around its
+    anchor, so opts.x0 must keep its default.
 
-    When spec is radial (h and g numbers or formulas in dist, not per-vertex
-    sequences) and family is a GraphFamily with a quotient (a lattice or
-    tree with a scalar mu), every ball is solved on its cells: the same
+    When spec is a radial ProblemFamily (h and g numbers or formulas in
+    dist, not per-vertex sequences) and family is a GraphFamily with a
+    quotient (a lattice or tree with a scalar mu), the universe beyond the
+    largest ball is never built, only its cells' data, and every ball is
+    solved on its cells: the same
     problem on far fewer vertices, with the same gamma and lambda up to
     rounding. Otherwise it is solved on the ball itself. tail_bound bounds
     the full graph, so its min(h mu) is taken over vertex measures (a cell's
@@ -343,16 +372,18 @@ def exhaustion_study(
             "exhaustion_study starts each ball at its anchor; x0 must keep its default"
         )
 
-    g_u, x0, cell_size = _study_universe(family, spec, universe_radius)
-    spec_u = spec.on(g_u, x0)
-    _, tails = _universe_tails(g_u, spec_u, x0)
+    spec_u, mu_u, cell_size, tails, largest = _study_universe(
+        family, spec, universe_radius, radii[-1]
+    )
+    balls = [largest]  # each smaller ball is cut from the next larger one
+    for radius in radii[-2::-1]:
+        balls.append(_ball_problem(*balls[-1], radius))
 
     rows = []
     gamma_est = None
     prev_gamma = np.inf  # gamma of the last converged ball
     base_opts = SolveOptions() if opts is None else opts
-    for radius in radii:
-        ball, spec_r, anchor = _ball_problem(g_u, spec_u, x0, radius)
+    for radius, (ball, spec_r, anchor) in zip(radii, reversed(balls)):
         if gamma_est is None:
             # energy of the uniform competitor on the smallest ball bounds
             # every gamma_R with R >= radii[0] from above
@@ -375,7 +406,7 @@ def exhaustion_study(
                 "R": radius,
                 "gamma": res.gamma,
                 "lambda": res.lam,
-                "tail_bound": k_tail_bound(g_u, spec_u, tail_r, gamma_est, cell_size),
+                "tail_bound": _k_tail_bound(spec_u, mu_u, tail_r, gamma_est, cell_size),
                 "converged": res.converged,
             }
         )

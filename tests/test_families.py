@@ -355,6 +355,55 @@ def test_quotient_only_where_the_family_has_one():
     np.testing.assert_array_equal(q.mu, [0.5, 2.0])
 
 
+@pytest.mark.parametrize(
+    "name, params, radii",
+    [
+        ("lattice_zd_ball", {"d": 1}, (0, 1, 5, 64)),
+        ("lattice_zd_ball", {"d": 2}, (0, 1, 7, 128)),
+        ("lattice_zd_ball", {"d": 2, "weight": 2.0, "mu": 0.5}, (3, 40)),
+        ("lattice_zd_ball", {"d": 3}, (0, 2, 9, 24)),
+        ("lattice_zd_ball", {"d": 3, "mu": 1e-3}, (2, 9)),
+        ("tree_ball", {"branching": 2}, (0, 1, 8, 64)),
+        ("tree_ball", {"branching": 3, "mu": 3.0}, (0, 5, 40)),
+        ("tree_ball", {"branching": 7}, (30,)),
+    ],
+)
+def test_cells_are_the_quotient_graphs(name, params, radii):
+    # a study takes its universe beyond the largest ball from these arrays
+    # alone, so they stand in for the distances _assemble certifies on a
+    # built quotient: each cell's hop distance, measure and size, bit for bit.
+    # Tree depth 40 with branching 3 and 30 with branching 7 have sizes past int64
+    family = GraphFamily(name, params)
+    for radius in radii:
+        dist, mu, cell_size = family._cells(radius)
+        q, anchor, q_size = family.materialize(radius, cells=True)
+        for got, want in ((dist, graph_distance(q, anchor)), (mu, q.mu), (cell_size, q_size)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_cells_only_where_the_family_has_a_quotient():
+    # and where a param fixes the extent: every radius gives the same member
+    for name, params in (("path", {"n": 5}), ("cycle", {"n": 5}), ("tree_ball", {"mu": [1.0] * 7}),
+                         ("explicit", {"data": graph_to_dict(path_graph(3)[0])}),
+                         ("lattice_zd_ball", {"d": 2, "radius": 6}), ("tree_ball", {"depth": 3})):
+        assert GraphFamily(name, params)._cells(2) is None
+    # bad params raise what materialize raises
+    for name, params in (("lattice_zd_ball", {"d": 0}), ("lattice_zd_ball", {"d": 2, "depth": 2}),
+                         ("lattice_zd_ball", {"d": 2, "weight": -1.0}), ("lattice_zd_ball", {"mu": "1"}),
+                         ("tree_ball", {"branching": 1}), ("tree_ball", {"weight": True})):
+        family = GraphFamily(name, params)
+        with pytest.raises(ValueError) as built:
+            family.materialize(3, cells=True)
+        with pytest.raises(ValueError) as cells:
+            family._cells(3)
+        assert str(cells.value) == str(built.value)
+    # the cells' measure overflows in both, with one message
+    family = GraphFamily("tree_ball", {"branching": 10, "mu": 1e300})
+    for build in (family._cells, lambda r: family.materialize(r, cells=True)):
+        with pytest.raises(ValueError, match="^the cells' measure overflows float64$"):
+            build(9)
+
+
 def test_radial_problem_data():
     assert ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^2", g=2.0).radial
     assert not ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h=[1.0, 2.0], g=1.0).radial

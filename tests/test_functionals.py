@@ -1,5 +1,7 @@
 """Energy, constraint, their derivatives, and the probe inequality."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,9 @@ from yamabe import (
     K_derivative_action,
     kprime_lipschitz_probe,
     nonlinearity_G,
+    path_graph,
+    solve,
+    SolveOptions,
 )
 
 
@@ -29,6 +34,44 @@ def two_vertex_spec(p=3.0, alpha=3.0, h=3.0, g_val=1.0, theta=1.0):
         g=np.full(2, g_val),
     )
     return g, spec
+
+
+def exact_energy(g, spec, u):
+    """J(u) in exact rational arithmetic on the float64 inputs."""
+    p = int(spec.p)
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    edges = sum(Fraction(float(w)) * abs(Fraction(float(u[y])) - Fraction(float(u[x]))) ** p
+                for x, y, w in zip(rows, g.indices, g.weights) if y > x)
+    return edges + sum(Fraction(float(m)) * Fraction(float(h)) * abs(Fraction(float(v))) ** p
+                       for m, h, v in zip(g.mu, spec.h, u))
+
+
+@pytest.mark.parametrize("theta, g_val", [(1e300, 1.0), (1.0, 1e300)], ids=["theta", "g"])
+def test_energy_J_keeps_an_h_term_past_the_underflow(theta, g_val):
+    # u_bar is about 5.8e-101, so |u|^4 underflows to 0 before h mu = 1e300
+    # multiplies it: J used to read 0, and solve raised ConsistencyError on
+    # its sup bound min(h mu) sup u^p <= J
+    g, x0 = path_graph(5)
+    spec = ProblemSpec(p=4.0, alpha=3.0, delta=0.4, theta=theta, h=np.full(5, 1e300),
+                       g=np.full(5, g_val))
+    res = solve(g, spec, SolveOptions(x0=x0))
+    for u in (res.u_bar, res.u_bar * np.linspace(1.0, 2.0, 5)):
+        want = exact_energy(g, spec, u)
+        assert abs(Fraction(energy_J(g, spec, u)) - want) <= Fraction(1, 10**12) * want
+    assert res.gamma == pytest.approx(5.848035476e-101, rel=1e-9)
+
+
+def test_energy_J_in_range_is_the_plain_sum():
+    # the underflow-safe sum runs only where the plain one can lose J's last bit
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        g = random_connected_graph(rng)
+        h, g_val = random_positive_spec_fields(rng, g.n)
+        spec = ProblemSpec(p=3.5, alpha=3.0, delta=0.4, h=h, g=g_val)
+        u = rng.uniform(-2.0, 2.0, g.n)
+        plain = float((g.mu * spec.h * np.abs(u) ** spec.p).sum())
+        edges = energy_J(g, ProblemSpec(p=3.5, alpha=3.0, delta=0.4, h=np.zeros(g.n), g=g_val), u)
+        assert energy_J(g, spec, u) == edges + plain
 
 
 def test_energy_hand_value():

@@ -847,6 +847,56 @@ def test_truncations_nest():
         assert inner <= outer
 
 
+def assert_same_graph(got, want):
+    """Bit for bit: CSR arrays, measure, pairing, and the anchor and distances kept."""
+    pairs = zip((got.indptr, got.indices, got.weights, got.mu, *got.pairing, got._distance[1]),
+                (want.indptr, want.indices, want.weights, want.mu, *want.pairing, want._distance[1]))
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got._distance[0] == want._distance[0]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: path_graph(9),
+        lambda: cycle_graph(9),
+        lambda: cycle_graph(10),
+        lambda: lattice_ball(1, 6),
+        lambda: lattice_ball(2, 5),
+        lambda: lattice_ball(3, 3),
+        lambda: tree_ball(2, 4),
+        lambda: tree_ball(3, 3),
+        lambda: lattice_quotient(1, 8)[:2],
+        lambda: lattice_quotient(2, 8, weight=0.5, mu=2.0)[:2],
+        lambda: lattice_quotient(3, 6)[:2],
+        lambda: tree_quotient(2, 7)[:2],
+        lambda: tree_quotient(3, 6, mu=np.linspace(1.0, 2.0, 7))[:2],
+        lambda: (WeightedGraph.from_edges(6, [(0, 1, 1.0), (1, 2, 2.5), (2, 2, 0.5), (2, 3, 1.0),
+                                              (3, 4, 0.75), (4, 5, 3.0), (0, 5, 1.5)]), 0),
+        lambda: (random_connected_graph(np.random.default_rng(7)), 0),
+    ],
+    ids=["path", "cycle_odd", "cycle_even", "z1", "z2", "z3", "tree2", "tree3", "z1_quotient",
+         "z2_quotient", "z3_quotient", "tree2_quotient", "tree3_quotient", "from_edges_loop",
+         "random"],
+)
+def test_nested_cut_is_the_direct_cut(make):
+    # a ball cut from a larger ball is the ball cut from the graph, and its
+    # map composed with the larger ball's is the direct one
+    g, anchor = make()
+    for x0 in (anchor, g.n // 2):
+        ecc = eccentricity(g, x0)
+        radii = sorted({0, 1, ecc // 2, ecc, ecc + 2})
+        for outer in radii:
+            ball, ball_anchor, outer_ids = truncate_ball(g, x0, outer)
+            for radius in (r for r in radii if r <= outer):
+                nested, nested_anchor, inner_ids = truncate_ball(ball, ball_anchor, radius)
+                direct, direct_anchor, direct_ids = truncate_ball(g, x0, radius)
+                assert nested_anchor == direct_anchor
+                assert_same_graph(nested, direct)
+                assert outer_ids[inner_ids].tolist() == direct_ids.tolist()
+
+
 def test_json_roundtrip():
     rng = np.random.default_rng(5)
     g = random_connected_graph(rng)

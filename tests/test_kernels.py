@@ -471,8 +471,9 @@ def test_pairing_derived_once_per_graph(monkeypatch):
     spec = yamabe.ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=np.ones(g.n), g=np.ones(g.n))
     yamabe.solve(g, spec, yamabe.SolveOptions(x0=x0))
     assert counts["csr_pairing"] == 1
-    # the universe only: every ball, the competitor's first one included,
-    # inherits its pairing from the universe's
+    # the largest ball only, the one graph the study builds (the universe
+    # beyond it is cell data): every smaller ball, the competitor's first
+    # one included, inherits its pairing from the next larger one
     family = yamabe.GraphFamily("lattice_zd_ball", {"d": 1})
     problem = yamabe.ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="1 + dist^4", g=1.0)
     yamabe.exhaustion_study(family, problem, (4, 8))

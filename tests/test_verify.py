@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,15 +24,18 @@ from yamabe import (
     graph_to_dict,
     hypotheses_check,
     inequality_suite,
+    k_tail_bound,
     lattice_ball,
     path_graph,
     positivity_certificate,
     residual_report,
     solve,
+    truncate_ball,
 )
-from yamabe import verify
+from yamabe import graph, verify
 from yamabe._kernels import edge_energy_kernel, edge_energy_rows
 from yamabe.graph import _bfs, cycle_graph, lattice_quotient, tree_ball, tree_quotient
+from yamabe.solver import _competitor_energy, _universe_tails
 
 
 def test_hypotheses_pass_with_full_report():
@@ -456,6 +460,18 @@ def test_universe_hypotheses_come_before_tails(n, h):
     assert err.value.name == "min_h"
 
 
+def test_quotient_universe_hypotheses_come_before_any_graph(monkeypatch):
+    # on the quotient branch the universe is cell data: h vanishing beyond
+    # every ball is found on it before the largest ball is built
+    counts = count_calls(monkeypatch, lattice_quotient, tree_quotient)
+    problem = ProblemFamily(p=4.0, alpha=3.0, delta=0.4, h="maximum(12 - dist, 0)")
+    for family in (GraphFamily("lattice_zd_ball", {"d": 2}), GraphFamily("tree_ball", {"branching": 2})):
+        with pytest.raises(HypothesisError) as err:
+            exhaustion_study(family, problem, (4, 8))
+        assert err.value.name == "min_h"
+    assert counts["lattice_quotient"] == counts["tree_quotient"] == 0
+
+
 def test_exhaustion_rejects_x0():
     # each ball starts at its own anchor; x0 = 7 used to be replaced by it
     # silently, giving rows identical to the default's
@@ -639,3 +655,78 @@ def test_eigen_tail_bound_uses_vertex_measure():
                             universe_radius=32)
     got, want = cells["rows"][0]["tail_bound"], full["rows"][0]["tail_bound"]
     assert abs(got - want) <= 1e-12 * want
+
+
+def universe_study(family, problem, radii, opts, universe_radius=None):
+    """A study as it ran on its whole universe graph (the quotient for radial
+    data on a family that has one): the universe's tails, and every ball cut
+    from the universe itself."""
+    radius = 2 * max(radii) if universe_radius is None else universe_radius
+    built = family.materialize(radius, cells=True) if problem.radial else None
+    g_u, x0, cell_size = (*family.materialize(radius), None) if built is None else built
+    spec_u = problem.on(g_u, x0)
+    _, tails = _universe_tails(g_u, spec_u, x0)
+    rows, gamma_est = [], None
+    for r in radii:
+        ball, anchor, kept = truncate_ball(g_u, x0, r)
+        spec_r = spec_u.restrict(kept)
+        if gamma_est is None:
+            gamma_est = _competitor_energy(ball, spec_r, "the uniform competitor")
+        res = solve(ball, spec_r, replace(opts, x0=anchor))
+        tail = float(tails[min(r, len(tails) - 1)])
+        rows.append([r, res.gamma, res.lam, k_tail_bound(g_u, spec_u, tail, gamma_est, cell_size),
+                     res.converged])
+    return rows, [abs(b[1] - a[1]) for a, b in zip(rows, rows[1:])], gamma_est
+
+
+_QUOTIENT_STUDIES = [
+    pytest.param("lattice_zd_ball", {"d": 1}, "1 + dist^4", 3.0, (4, 8, 16), None, None, id="z1"),
+    pytest.param("lattice_zd_ball", {"d": 2, "weight": 2.0, "mu": 0.5}, "1 + dist^4", 3.0, (6, 12), 24,
+                 None, id="z2_weighted"),
+    pytest.param("lattice_zd_ball", {"d": 2}, "1+(dist-4)^2", 4.0, (8,), 32, None, id="z2_eigen"),
+    pytest.param("lattice_zd_ball", {"d": 3}, "1 + dist^2", 3.0, (3, 6, 9), None, None, id="z3"),
+    pytest.param("tree_ball", {"branching": 2}, "1 + dist^2", 4.0, (6, 12), None, None, id="tree2"),
+    pytest.param("tree_ball", {"branching": 3}, "1 + dist^4", 3.0, (3, 5), 40, 3, id="tree3_depth40"),
+]
+_GRAPH_STUDIES = [
+    pytest.param("lattice_zd_ball", {"d": 2, "radius": 10}, "1 + dist^2", 3.0, (3, 6), None, None,
+                 id="z2_fixed_extent"),
+    pytest.param("path", {}, "1 + dist^2", 3.0, (4, 8, 16), None, None, id="path"),
+    pytest.param("explicit", {"data": _PATH_DATA, "x0": 3}, "1 + dist^2", 3.0, (2, 4), None, None,
+                 id="explicit"),
+    pytest.param("tree_ball", {"branching": 2, "depth": 4}, [1.0 + k for k in range(31)], 3.0, (3, 4),
+                 None, None, id="h_list"),
+]
+
+
+@pytest.mark.parametrize("name, params, h, alpha, radii, universe, iters",
+                         _QUOTIENT_STUDIES + _GRAPH_STUDIES)
+def test_study_is_the_universe_graphs_bit_for_bit(name, params, h, alpha, radii, universe, iters):
+    # the study builds only its largest ball and cuts the others from it, and
+    # on a quotient takes the universe beyond it as cell data: every row, the
+    # gaps and gamma_est are still those of the whole universe graph
+    family = GraphFamily(name, params)
+    problem = ProblemFamily(p=4.0, alpha=alpha, delta=0.4, h=h, g=1.0)
+    opts = SolveOptions() if iters is None else SolveOptions(max_iters=iters)
+    study = exhaustion_study(family, problem, radii, opts, universe_radius=universe)
+    rows, gaps, gamma_est = universe_study(family, problem, radii, opts, universe)
+    assert rows_of(study) == rows and study["gaps"] == gaps and study["gamma_est"] == gamma_est
+
+
+@pytest.mark.parametrize("name, params, h, alpha, radii, universe, iters", _QUOTIENT_STUDIES)
+def test_quotient_study_builds_no_graph_past_its_largest_ball(monkeypatch, name, params, h, alpha,
+                                                             radii, universe, iters):
+    built, assemble = [], graph._assemble
+
+    def counted(*args, **kwargs):
+        g = assemble(*args, **kwargs)
+        built.append(g.n)
+        return g
+
+    monkeypatch.setattr(graph, "_assemble", counted)
+    sizes = ball_sizes(monkeypatch)
+    problem = ProblemFamily(p=4.0, alpha=alpha, delta=0.4, h=h, g=1.0)
+    opts = SolveOptions() if iters is None else SolveOptions(max_iters=iters)
+    exhaustion_study(GraphFamily(name, params), problem, radii, opts, universe_radius=universe)
+    # the largest ball once, then one cut per smaller ball
+    assert built == sizes[::-1]
