@@ -17,15 +17,17 @@ graph and coerce and check each vertex function once (see
 ``_p_laplacian``, ``_dirichlet_energy`` and ``_integrate``, which trust a
 validated float64 vertex array. So one solver iterate is checked once per
 public call instead of once per layer it passes through. The descent
-(``solver.minimize_constrained``) calls ``energy_J`` on every line-search
-trial, so each of its iterates is checked there, ``J_gradient`` on its
-first iterate and ``constraint_K`` on its last; its other evaluations
-(constraint mass, residual, curvature) run in ``solver._Evaluator``, which
-checks nothing and gives the bits of these functions at u >= 0.
+(``solver.minimize_constrained``) checks its start in ``energy_J``, its
+first iterate in ``J_gradient`` and its last in ``constraint_K``.  Its
+trials' energies run in ``energy_J`` with the h terms its
+``solver._Evaluator`` makes once, checked only where J is not finite; its
+other evaluations (constraint mass, residual, curvature) run in the
+evaluator, which checks nothing and gives these functions' bits at u >= 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,23 +94,40 @@ def _check_spec(g: WeightedGraph, spec: ProblemSpec):
         )
 
 
-def energy_J(g: WeightedGraph, spec: ProblemSpec, u) -> float:
+def energy_J(g: WeightedGraph, spec: ProblemSpec, u, *, _h_terms=None) -> float:
     """Energy J(u) = int_V (|grad_p u|^p + h|u|^p) dmu. Nonnegative.
 
     A |u(x)|^p below the smallest normal float64 keeps none or few of its
     bits, so a large h mu can multiply a zero: the h term is then summed
     again as ((h mu)^(1/p) |u|)^p, but only where that loss, at most
-    n max(h mu) times the smallest normal, could reach J's last bit.
+    n max(h mu) times the smallest normal (``_underflow_bound``), could
+    reach J's last bit.
+
+    ``_h_terms``, (h mu, its bound) made once per solve, is for the
+    descent's trials, float64 and >= 0 (``solver._Evaluator.energy``):
+    then u is checked only where J is not finite, as any infinite or NaN
+    entry makes it, so such a u raises the same ValueError.
     """
-    _check_spec(g, spec)
-    _check_p(spec.p)
-    u = as_vertex_function(g, u)
-    h_mu, abs_u = g.mu * spec.h, np.abs(u)
+    if _h_terms is None:
+        _check_spec(g, spec)
+        _check_p(spec.p)
+        u = as_vertex_function(g, u)
+        h_mu = g.mu * spec.h
+        bound, abs_u = _underflow_bound(g.n, h_mu), np.abs(u)
+    else:
+        (h_mu, bound), abs_u = _h_terms, u
     edge_term = _dirichlet_energy(g, spec.p, u)
     j = edge_term + float((h_mu * abs_u ** spec.p).sum())
-    if g.n * _TINY * float(h_mu.max()) > _EPS * j:
+    if bound > _EPS * j:
         j = edge_term + float(((h_mu ** (1.0 / spec.p) * abs_u) ** spec.p).sum())
+    if _h_terms is not None and not math.isfinite(j):
+        as_vertex_function(g, u)
     return j
+
+
+def _underflow_bound(n: int, h_mu: np.ndarray) -> float:
+    """n max(h mu) times the smallest normal: what underflow can take from J's h term."""
+    return n * _TINY * float(h_mu.max())
 
 
 def h_norm(g: WeightedGraph, spec: ProblemSpec, u) -> float:

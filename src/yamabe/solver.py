@@ -27,14 +27,14 @@ power of 2^(1/8) and capped at _STEP_MAX; on this lattice, rounding noise
 cannot change the step, so a relabelled graph takes the same steps.
 After a residual-fallback accept the step is carried over unchanged.
 
-One evaluator per solve (``_Evaluator``) computes each trial's constraint
-mass, the residual and the curvature, with their coefficient products made
-once, and checks nothing.  The checks run on the public path: every
-trial's energy goes through ``energy_J``, whose input check
-(``graph.as_vertex_function``) runs on it, the first residual through
-``J_gradient``; the sup bound is checked at every accepted iterate, and
-K = 1 at the last one by ``constraint_K``.  ``solve`` evaluates nothing more:
-that K and the last J give the multiplier lam = p J / (alpha K).
+One evaluator per solve (``_Evaluator``) computes each trial's energy
+and constraint mass, the residual and the curvature, with their
+coefficient products made once, and checks a trial only where its J is
+not finite.  The checks run on the public path: the start's energy
+through ``energy_J`` and the first residual through ``J_gradient``; the
+sup bound is checked at every accepted iterate, and K = 1 at the last one
+by ``constraint_K``.  ``solve`` evaluates nothing more: that K and the last J
+give the multiplier lam = p J / (alpha K).
 
 The descent hands its start and each trial it evaluates to the kernels
 (``_kernels.hold``), so they gather its edge differences once: the
@@ -64,6 +64,7 @@ from .errors import (
 from .functionals import (
     ProblemSpec,
     _check_spec,
+    _underflow_bound,
     constraint_K,
     energy_J,
     J_gradient,
@@ -271,11 +272,12 @@ def _check_sup_bound(spec: ProblemSpec, u: np.ndarray, j: float, min_hmu: float)
 class _Evaluator:
     """The descent's own evaluations on one (graph, spec), with their
     products of coefficients made once.  It trusts its iterates, finite
-    and >= 0 (+0.0 at the zeros): it validates nothing and leaves out
+    and >= 0 (+0.0 at the zeros): it validates nothing (a trial only
+    where its J is not finite, see ``energy``) and leaves out
     the public functions' ``abs``, ``sign`` and ``maximum`` passes, exact at
     u >= 0.  Products keep their operand order, e.g. ((alpha theta) g)
-    u^(alpha-1), so ``mass`` and ``residual`` give the bits of
-    ``constraint_K`` and of J_gradient(u) - lam _Gprime_field(u)."""
+    u^(alpha-1), so ``energy``, ``mass`` and ``residual`` give the bits of
+    ``energy_J``, ``constraint_K`` and J_gradient(u) - lam _Gprime_field(u)."""
 
     def __init__(self, g: WeightedGraph, spec: ProblemSpec):
         _check_spec(g, spec)
@@ -286,6 +288,13 @@ class _Evaluator:
             self.alpha_theta_g = spec.alpha * spec.theta * spec.g
         self.mu_h = g.mu * spec.h
         self.min_hmu = float(self.mu_h.min())
+        self.h_terms = self.mu_h, _underflow_bound(g.n, self.mu_h)
+        self.two_mu = 2.0 * g.mu
+
+    def energy(self, u: np.ndarray) -> float:
+        """``energy_J`` of a trial u >= 0 with this solve's h terms: one edge
+        pass and one vertex sum, u checked only where J is not finite."""
+        return energy_J(self.g, self.spec, u, _h_terms=self.h_terms)
 
     def mass(self, u: np.ndarray) -> float:
         """K(u) of a function u >= 0."""
@@ -359,7 +368,7 @@ class _Evaluator:
         one the full graph takes at each of the cell's vertices.
         """
         g, spec, p = self.g, self.spec, self.spec.p
-        edge = 2.0 * g.mu * grad_power_kernel(
+        edge = self.two_mu * grad_power_kernel(
             g.indptr, g.indices, g.weights, g.mu, u, p - 2.0, g.pairing
         )
         u_pow = u ** (p - 2.0)
@@ -466,7 +475,7 @@ def minimize_constrained(
                     s *= _BACKTRACK
                     continue
                 hold(cand)
-                j_cand = energy_J(g, spec, cand)
+                j_cand = ev.energy(cand)
                 trials += 1
                 if j_cand <= j + _ARMIJO * s * slope:
                     accepted = True

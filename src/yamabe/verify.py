@@ -136,8 +136,9 @@ def residual_report(
         g.indptr, g.indices, g.weights, g.mu, u, spec.p - 1.0, g.pairing
     )
     scale = flow + spec.h * u_pow + np.abs(g_term)
-    rel = np.abs(r) / np.where(scale > 0.0, scale, 1.0)
-    sup = float(np.abs(r).max()) if g.n else 0.0
+    abs_r = np.abs(r)
+    rel = abs_r / np.where(scale > 0.0, scale, 1.0)
+    sup = float(abs_r.max()) if g.n else 0.0
     with np.errstate(over="ignore"):  # past float64, the sum is taken of r / sup |r|
         l2 = float(np.sqrt(np.sum(g.mu * r * r)))
         if l2 == np.inf and 0.0 < sup < np.inf:

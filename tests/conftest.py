@@ -98,14 +98,14 @@ def record_accepted_iterates(monkeypatch):
 
 
 def raise_trial_energies(monkeypatch):
-    """Make ``solver.energy_J`` add 1 to every energy after the first, the
-    descent's start: no line-search trial can then lower J."""
+    """Make the descent's evaluator add 1 to the energy of every line-search
+    trial (``solver._Evaluator.energy``; the start's goes through
+    ``energy_J``): no trial can then lower J."""
     import yamabe.solver as solver
 
-    energy, calls = solver.energy_J, []
+    energy = solver._Evaluator.energy
 
-    def raised(g, spec, u):
-        calls.append(None)
-        return energy(g, spec, u) + (1.0 if len(calls) > 1 else 0.0)
+    def raised(self, u):
+        return energy(self, u) + 1.0
 
-    monkeypatch.setattr(solver, "energy_J", raised)
+    monkeypatch.setattr(solver._Evaluator, "energy", raised)

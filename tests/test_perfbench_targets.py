@@ -5,12 +5,14 @@ table at every import site, and `perfbench/run.py` records
 `yamabe.BACKEND`; a renamed or removed name would only surface as a crash
 of a later benchmark run. These checks fail at test time instead, and a
 traced in-process solve checks that the kernel hooks still count every
-kernel call (a fast stand-in for `perfbench/selftest.py`).
+kernel call and that every solve-path metric `perfbench/selftest.py`
+requires is nonzero (a fast stand-in for its traced runs).
 """
 
 import importlib
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -72,3 +74,32 @@ def test_kernel_hooks_see_every_kernel_call():
     calls = {name: tracer.calls[name] for name in kernels}
     assert all(count > 0 for count in calls.values()), calls
     assert tracer.counts["edge_visits"] == g.indices.shape[0] * sum(calls.values())
+
+
+def test_a_traced_solve_exercises_the_whole_solve_path():
+    # selftest requires each metric of its SOLVE_PATH to be nonzero on every
+    # workload; they come from the tracer's spans of public functions (the
+    # line-search trials, for one, from energy_J calls inside the descent),
+    # so a per-op call moved off the public path would zero one of them
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        solve_path = importlib.import_module("selftest").SOLVE_PATH
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    g, x0 = yamabe.path_graph(20)
+    dist = yamabe.graph_distance(g, x0).astype(np.float64)
+    spec = yamabe.ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=1.0 + dist**2, g=np.ones(g.n))
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        start = time.perf_counter()
+        res = yamabe.solve(g, spec, yamabe.SolveOptions(x0=x0))
+        tracer.end_op(time.perf_counter() - start)
+    finally:
+        tracer.uninstall()
+    assert res.converged and res.trace.iters >= 1
+    metrics = tracer.metrics()
+    idle = [name for name in solve_path if not metrics[name][0] > 0]
+    assert not idle, idle
+    assert metrics["solver.ls_trials"][0] == res.trace.trials

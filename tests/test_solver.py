@@ -1,6 +1,7 @@
 """Constrained minimization, multiplier extraction, rescaling, truncation."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -44,8 +45,9 @@ from instances import proportional
 from test_kernels import every_builder
 from test_orbits import descent_sizes
 from yamabe import _kernels
-from yamabe._kernels import grad_power_kernel
+from yamabe._kernels import edge_energy_kernel, grad_power_kernel
 from yamabe.functionals import _Gprime_field
+from yamabe.graph import as_vertex_function
 from yamabe.solver import (
     _LAGRANGIAN_FLOOR,
     _STEP_FLOOR,
@@ -213,11 +215,11 @@ def test_line_search_spends_about_one_trial_per_iteration(monkeypatch):
     g, x0 = lattice_ball(2, 20)
     dist = graph_distance(g, x0).astype(np.float64)
     spec = ProblemSpec(p=4.0, alpha=3.0, delta=0.4, h=1.0 + dist**2, g=np.ones(g.n))
-    counts = count_calls(monkeypatch, energy_J)
+    counts = count_calls(monkeypatch, energy_J, edge_energy_kernel)
     _, _, trace = minimize_constrained(g, spec, SolveOptions(x0=x0))
     assert trace.converged
     # one energy pass for the start, then one per trial
-    assert counts["energy_J"] == 1 + trace.trials
+    assert counts["edge_energy_kernel"] == counts["energy_J"] == 1 + trace.trials
     assert trace.trials / trace.iters <= 1.5
 
 
@@ -225,14 +227,17 @@ def test_line_search_spends_about_one_trial_per_iteration(monkeypatch):
 @pytest.mark.parametrize("alpha", [3.0, 4.0])
 def test_descent_calls_the_gradient_and_the_constraint_once(monkeypatch, max_iters, alpha):
     # the descent evaluates its own iterates: J_gradient runs on the first
-    # one and constraint_K on the last, however many iterations run between
+    # one and constraint_K on the last, however many iterations run between;
+    # each trial's energy is one edge pass, and only the start's energy, the
+    # first gradient and the last constraint check their input
     g, x0 = path_graph(20)
     dist = graph_distance(g, x0).astype(np.float64)
     spec = ProblemSpec(p=4.0, alpha=alpha, delta=0.4, h=1.0 + dist**2, g=np.ones(g.n))
-    counts = count_calls(monkeypatch, J_gradient, constraint_K, energy_J)
+    counts = count_calls(monkeypatch, J_gradient, constraint_K, energy_J, edge_energy_kernel, as_vertex_function)
     _, _, trace = minimize_constrained(g, spec, SolveOptions(x0=x0, max_iters=max_iters))
     assert trace.iters == max_iters or trace.converged and trace.iters > 4
-    assert counts == {"J_gradient": 1, "constraint_K": 1, "energy_J": 1 + trace.trials}
+    assert counts == {"J_gradient": 1, "constraint_K": 1, "as_vertex_function": 3,
+                      "energy_J": 1 + trace.trials, "edge_energy_kernel": 1 + trace.trials}
 
 
 @pytest.mark.parametrize("alpha, theta", [(3.0, 1.0), (3.0, 2.5), (4.0, 2.5)])
@@ -242,10 +247,11 @@ def test_solve_evaluates_nothing_after_the_descent(monkeypatch, alpha, theta):
     g, x0 = path_graph(20)
     dist = graph_distance(g, x0).astype(np.float64)
     spec = ProblemSpec(p=4.0, alpha=alpha, delta=0.4, theta=theta, h=1.0 + dist**2, g=np.ones(g.n))
-    counts = count_calls(monkeypatch, J_gradient, constraint_K, energy_J, lagrange_multiplier)
+    counts = count_calls(monkeypatch, J_gradient, constraint_K, energy_J, lagrange_multiplier, edge_energy_kernel)
     res = solve(g, spec, SolveOptions(x0=x0))
     assert counts["lagrange_multiplier"] == 0
-    assert counts == {"J_gradient": 1, "constraint_K": 1, "energy_J": 1 + res.trace.trials}
+    assert counts == {"J_gradient": 1, "constraint_K": 1, "energy_J": 1 + res.trace.trials,
+                      "edge_energy_kernel": 1 + res.trace.trials}
     # the public multiplier gives the same bits from its own J and K of u_bar
     assert res.trace.k_value == constraint_K(g, spec, res.u_bar)
     assert res.gamma == energy_J(g, spec, res.u_bar)
@@ -273,8 +279,8 @@ def curvature_reference(g, spec, u, lam):
 def test_evaluator_matches_the_public_functions_bit_for_bit(p):
     # the descent's evaluator checks nothing and skips the abs, sign and
     # maximum passes on its iterates, handed to the kernels and >= 0 with
-    # exact zeros; its constraint mass, residual and curvature must keep
-    # every bit
+    # exact zeros; its energy, constraint mass, residual and curvature must
+    # keep every bit
     rng = np.random.default_rng(21)
     for g in every_builder():
         for alpha in (2.0 + 0.5 * (p - 2.0), p):
@@ -293,6 +299,8 @@ def test_evaluator_matches_the_public_functions_bit_for_bit(p):
             assert u.tobytes() == (plus * constraint_K(g, spec, plus) ** (-1.0 / alpha)).tobytes()
             assert ev.mass(u) == constraint_K(g, spec, u)
             j = energy_J(g, spec, u)
+            for w in (u, 3.0 * u):  # held and not
+                assert ev.energy(w).hex() == energy_J(g, spec, w).hex()
             r, lam = ev.residual(u, j)
             assert lam == p * j / alpha
             assert r.tobytes() == (J_gradient(g, spec, u) - lam * _Gprime_field(spec, u)).tobytes()
@@ -300,6 +308,67 @@ def test_evaluator_matches_the_public_functions_bit_for_bit(p):
             for mult in (lam, 10.0 * lam):  # the larger puts more vertices on the Lagrangian's floor
                 assert ev.curvature(u, mult).tobytes() == curvature_reference(g, spec, u, mult).tobytes()
     _kernels.hold(None)
+
+
+@pytest.mark.parametrize("theta, g_val", [(1e300, 1.0), (1.0, 1e300)], ids=["theta", "g"])
+def test_evaluator_energy_keeps_the_bits_on_both_sides_of_the_underflow_switch(theta, g_val):
+    # h mu = 1e300 and u on K = 1 near 5.8e-101, whose |u|^4 underflows:
+    # there J's h term is summed as ((h mu)^(1/4) u)^4; scaled up, the
+    # plain sum is kept; the evaluator's bound, made once, switches alike
+    g, x0 = path_graph(5)
+    spec = ProblemSpec(p=4.0, alpha=3.0, delta=0.4, theta=theta, h=np.full(5, 1e300),
+                       g=np.full(5, g_val))
+    ev = _Evaluator(g, spec)
+    u = _initial_iterate(ev, SolveOptions(x0=x0))
+    switched = []
+    for w in (u, u * np.linspace(1.0, 2.0, 5), 1e20 * u, 1e30 * u, 1e60 * u):
+        assert ev.energy(w).hex() == energy_J(g, spec, w).hex()
+        plain = float((g.mu * spec.h * w**4).sum())
+        switched.append(5 * np.finfo(np.float64).tiny * 1e300 > np.finfo(np.float64).eps * plain)
+    assert switched == [True, True, True, False, False]
+
+
+def test_evaluator_energy_checks_a_trial_only_where_its_energy_is_not_finite():
+    g, x0 = path_graph(9)
+    spec = constant_spec(g)
+    ev = _Evaluator(g, spec)
+    for bad in (np.inf, np.nan):
+        u = np.ones(g.n)
+        u[4] = bad
+        for energy in (ev.energy, lambda w: energy_J(g, spec, w)):
+            with pytest.raises(ValueError, match="^vertex function contains non-finite entries$"):
+                energy(u)
+    # a finite function whose J overflows float64 gets inf, as from energy_J
+    u = 1e100 * np.arange(g.n)
+    with np.errstate(over="ignore"):
+        assert ev.energy(u) == energy_J(g, spec, u) == math.inf
+
+
+def test_a_trial_whose_energy_overflows_is_never_accepted(monkeypatch):
+    # every trial after the start is scaled by 1e300: finite, but its J
+    # overflows to inf, which neither the Armijo test nor the residual
+    # fallback accepts, so the first line search halves past _STEP_FLOOR
+    g, x0 = path_graph(12)
+    dist = graph_distance(g, x0).astype(np.float64)
+    spec = constant_spec(g, 4.0, 3.0, h=1.0 + dist**2)
+    renormalize, energy, made, priced = _Evaluator.renormalize, _Evaluator.energy, [], []
+
+    def huge(self, v):
+        made.append(None)
+        u = renormalize(self, v)
+        return u if len(made) == 1 else 1e300 * u
+
+    def recording(self, u):
+        with np.errstate(over="ignore"):
+            j = energy(self, u)
+        priced.append((bool(np.isfinite(u).all()), j))
+        return j
+
+    monkeypatch.setattr(_Evaluator, "renormalize", huge)
+    monkeypatch.setattr(_Evaluator, "energy", recording)
+    _, _, trace = minimize_constrained(g, spec, SolveOptions(x0=x0))
+    assert trace.stagnated and trace.iters == 1 and trace.trials == 40
+    assert priced == [(True, math.inf)] * 40
 
 
 @pytest.mark.parametrize("s", [2.0**-3, 2.0**0.375, 1.0, 4.0, 8.0])
